@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import logging
 import os
 import sys
 
 from .config import SCHEMES, ExperimentConfig, load_config
 from .errors import ConfigError
-from .federation import run_experiment, write_metrics_csv
+from .federation import run_experiment, write_metrics_csv, write_summary_json
 
 log = logging.getLogger(__name__)
 
@@ -80,9 +79,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         cfg.validate()
         records, summary = run_experiment(cfg, output_dir="")  # per-scheme files below
         write_metrics_csv(records, os.path.join(out_dir, f"metrics_{scheme}.csv"))
-        with open(os.path.join(out_dir, f"summary_{scheme}.json"), "w", encoding="utf-8") as f:
-            json.dump(summary, f, indent=2)
-            f.write("\n")
+        write_summary_json(summary, os.path.join(out_dir, f"summary_{scheme}.json"))
         summaries[scheme] = summary
 
     ffl_time = summaries.get("ffl", {}).get("time_to_target_s", "inf")

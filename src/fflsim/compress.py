@@ -211,7 +211,7 @@ def decompose_bundle(bundle: GradientBundle, kind: str, s: float) -> AtomicDecom
     whole bundle back to elementwise.
     """
     if kind == "elementwise":
-        return decompose_elementwise(bundle.flatten())
+        return decompose_elementwise(bundle.flat)
     if kind != "lowrank":
         raise ValueError(f"basis kind must be one of {BASIS_KINDS}, got {kind!r}")
     dim = bundle.dim
@@ -223,7 +223,7 @@ def decompose_bundle(bundle: GradientBundle, kind: str, s: float) -> AtomicDecom
         sub = decompose_lowrank(matrix, rank, offset=offset, dim=dim)
         if sub.basis_kind == "elementwise":
             log.warning("lowrank decomposition fell back to elementwise for the whole bundle")
-            return decompose_elementwise(bundle.flatten())
+            return decompose_elementwise(bundle.flat)
         coeffs.append(sub.coeffs)
         atoms.extend(sub.outer_atoms or [])
     merged = np.concatenate(coeffs) if coeffs else np.empty(0)

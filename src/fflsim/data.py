@@ -250,11 +250,16 @@ def partition(ds: Dataset, spec: PartitionSpec, rng: np.random.Generator) -> lis
     return [np.asarray(s, dtype=np.int64) for s in shards]
 
 
-def sample_minibatch(shard: Shard, ds: Dataset, batch_size: int, rng: np.random.Generator) -> MiniBatch:
-    """Uniform sampling with replacement from one shard."""
+def sample_indices(shard: Shard, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Dataset rows of one uniform draw with replacement from a shard."""
     if len(shard) == 0:
         raise ValueError("cannot sample from an empty shard")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    picks = shard[rng.integers(0, len(shard), size=batch_size)]
+    return shard[rng.integers(0, len(shard), size=batch_size)]
+
+
+def sample_minibatch(shard: Shard, ds: Dataset, batch_size: int, rng: np.random.Generator) -> MiniBatch:
+    """Uniform sampling with replacement from one shard."""
+    picks = sample_indices(shard, batch_size, rng)
     return MiniBatch(ds.features[picks], ds.labels[picks])

@@ -2,12 +2,15 @@
 
 Each round the server broadcasts its parameters and the plan (tau_k, s_k);
 every worker runs tau_k local SGD steps, sums its per-step mini-batch
-gradients, optionally compresses that sum, and uploads it.  The server
-averages whatever payloads survive the packet-failure draws, takes one
-momentum SGD step with the average, and feeds the workers' mean training
-loss back into the scheduler for the next plan.  Named schemes are presets
-of three knobs (compression on/off, adaptive or pinned tau, adaptive or
-pinned s), so the baselines are literally the adaptive engine with parts
+gradients, optionally compresses that sum, and uploads it.  The local steps
+of all workers run as one stacked pass (nn.local_update_run), which returns
+each worker's gradient sum as one row of an (M, d) array in the flat
+parameter layout; compression and upload take the rows in worker order.
+The server averages whatever payloads survive the packet-failure draws,
+takes one momentum SGD step with the average, and feeds the workers' mean
+training loss back into the scheduler for the next plan.  Named schemes are
+presets of three knobs (compression on/off, adaptive or pinned tau, adaptive
+or pinned s), so the baselines are literally the adaptive engine with parts
 switched off.
 """
 
@@ -223,14 +226,17 @@ class Experiment:
         expected_var = 0.0
         sigma_pairs: list[tuple[float, float]] = []
 
-        for worker in self.workers:
-            _, g_sum, losses = nn.local_update_run(
-                self.params, self.train_set, worker.shard, plan.tau_k, cfg.eta,
-                cfg.batch_size, worker.rng, momentum=cfg.worker_momentum,
-            )
+        _, g_rows, losses = nn.local_update_run(
+            self.params, self.train_set, [w.shard for w in self.workers], plan.tau_k, cfg.eta,
+            cfg.batch_size, [w.rng for w in self.workers], momentum=cfg.worker_momentum,
+        )
+        worker_losses = losses.mean(axis=1)
+        for worker, g_row, worker_loss in zip(self.workers, g_rows, worker_losses):
             payload_atoms = 0
             if self.policy.compress:
-                decomp = compress.decompose_bundle(g_sum, cfg.basis, plan.s_k)
+                decomp = compress.decompose_bundle(
+                    self.params.from_flat(g_row), cfg.basis, plan.s_k
+                )
                 if decomp.n_atoms == 0:
                     log.warning("round %d worker %d: zero gradient, empty payload", k, worker.worker_id)
                     probs = compress.SelectionProbabilities(np.empty(0))
@@ -245,7 +251,7 @@ class Experiment:
                 expected_var += float((probs.probs * (1.0 - probs.probs)).sum())
                 up = netsim.uplink_time(payload_atoms, self.channel, worker.worker_id)
             else:
-                flat = g_sum.flatten()
+                flat = g_row
                 up = netsim.dense_uplink_time(d, self.channel, worker.worker_id)
             atoms_sent += payload_atoms
             compute_s.append(
@@ -255,7 +261,7 @@ class Experiment:
             uplink_s.append(up)
             if netsim.packet_survives(substream(cfg.seed, "net", worker.worker_id, k), self.channel):
                 received_flat.append(flat)
-                received_losses.append(float(np.mean(losses)))
+                received_losses.append(float(worker_loss))
 
         downlink_bits = d * self.channel.bits_per_weight
         downlink_s = downlink_bits / self.channel.downlink_rate_bps
@@ -268,7 +274,7 @@ class Experiment:
             if cfg.schedule == "full" and self.policy.adapt_tau and k < cfg.probe_rounds:
                 self._probes.append(
                     schedule.ProbeRound(
-                        weights=self.params.flatten(),
+                        weights=self.params.flat,
                         gradient=sum(received_flat) / (len(received_flat) * plan.tau_k),
                         sigma_pairs=sigma_pairs,
                         atom_seconds=self.channel.bits_per_atom
@@ -367,6 +373,25 @@ def write_metrics_csv(records: list[RoundRecord], path: str) -> None:
             writer.writerow([getattr(r, col) for col in CSV_COLUMNS])
 
 
+def _strict_json(value):
+    """`value` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value
+
+
+def write_summary_json(summary: dict, path: str) -> None:
+    """The run summary as strict JSON: a non-finite float, such as the train
+    loss of a last round lost to packet failure, is written as null."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(_strict_json(summary), f, indent=2, allow_nan=False)
+        f.write("\n")
+
+
 def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> tuple[list[RoundRecord], dict]:
     """Run one experiment and write metrics.csv + summary.json to the output
     directory (cfg.output_dir unless overridden here)."""
@@ -376,7 +401,5 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> tupl
     if output_dir:
         os.makedirs(output_dir, exist_ok=True)
         write_metrics_csv(records, os.path.join(output_dir, "metrics.csv"))
-        with open(os.path.join(output_dir, "summary.json"), "w", encoding="utf-8") as f:
-            json.dump(summary, f, indent=2)
-            f.write("\n")
+        write_summary_json(summary, os.path.join(output_dir, "summary.json"))
     return records, summary

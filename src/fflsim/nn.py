@@ -1,21 +1,31 @@
 """Dense feed-forward network with manual backpropagation.
 
-All tensors are float64 numpy arrays in C order.  A ParameterSet holds the
-per-layer weight matrices (fan_in x fan_out) and bias vectors; gradients
-reuse the same layered container, so flatten()/from_flat() round-trip
-exactly and layer blocks keep stable offsets in the flat vector.  Every
-operation here is pure: inputs are never mutated and randomness only enters
-through explicit generators.
+All tensors are float64 numpy arrays in C order.  A ParameterSet keeps the
+whole model in one flat vector, in block order W0, b0, W1, b1, ..., and
+exposes each layer's weight matrix (fan_in x fan_out) and bias vector as a
+view into it; gradients use the same container, so layer blocks keep stable
+offsets in the flat vector.
+
+Local SGD runs all M workers of a round in one stacked pass: their
+parameters, velocities and gradient sums are (M, d) buffers whose row j is
+laid out like a flat vector, and each step does one batched matmul per layer
+for every worker at once.  The forward and backward pass is written once,
+over arrays with an optional leading worker axis, so a single 2-D batch is
+simply the unstacked case of the same code.  No function here mutates its
+inputs, and randomness only enters through explicit generators.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, MiniBatch, Shard, sample_minibatch
+# sample_minibatch stays importable from this module, where perfbench's tracer
+# tests look it up; the runner itself draws with sample_indices.
+from .data import Dataset, MiniBatch, Shard, sample_indices, sample_minibatch  # noqa: F401
 from .errors import ConfigError
 
 ACTIVATIONS = ("relu", "tanh")
@@ -38,48 +48,66 @@ class MlpSpec:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
-@dataclass
-class ParameterSet:
-    """Per-layer weights and biases; also the container for gradients."""
+def _layer_views(buf: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> tuple[list, list]:
+    """(weights, biases) as views into the last axis of `buf`.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activation: str = "relu"
+    Block i of a (..., d) buffer is viewed with shape (..., *shapes[i]), so a
+    flat vector gives the plain layers and an (M, d) buffer gives every
+    layer stacked over M.  Writing through a view writes `buf`.
+    """
+    lead = buf.shape[:-1]
+    views, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[..., pos : pos + size].reshape(lead + shape))
+        pos += size
+    return views[0::2], views[1::2]
+
+
+class ParameterSet:
+    """Per-layer weights and biases as views into one flat vector; also the
+    container for gradients.
+
+    `flat` is that vector in block order W0, b0, W1, b1, ...; writing
+    through `weights` or `biases` writes it.
+    """
+
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray], activation: str = "relu"):
+        blocks = [np.asarray(a, dtype=np.float64) for pair in zip(weights, biases) for a in pair]
+        self.shapes = tuple(a.shape for a in blocks)
+        self.activation = activation
+        self._bind(np.concatenate([a.ravel() for a in blocks]))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self.weights, self.biases = _layer_views(flat, self.shapes)
 
     @property
     def dim(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(
-            [w.copy() for w in self.weights], [b.copy() for b in self.biases], self.activation
-        )
+        return self.from_flat(self.flat.copy())
 
     def flatten(self) -> np.ndarray:
-        """Flat float64 vector in block order W0, b0, W1, b1, ..."""
-        parts: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        """A copy of the flat vector, block order W0, b0, W1, b1, ..."""
+        return self.flat.copy()
 
     def from_flat(self, vec: np.ndarray) -> "ParameterSet":
-        """Inverse of flatten() for any vector congruent with this layout."""
+        """This layout over `vec`, which is not copied: the new set's layers
+        are views into it."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.dim,):
             raise ValueError(f"expected a flat vector of length {self.dim}, got shape {vec.shape}")
-        weights, biases = [], []
-        pos = 0
-        for w, b in zip(self.weights, self.biases):
-            weights.append(vec[pos : pos + w.size].reshape(w.shape).copy())
-            pos += w.size
-            biases.append(vec[pos : pos + b.size].copy())
-            pos += b.size
-        return ParameterSet(weights, biases, self.activation)
+        out = object.__new__(ParameterSet)
+        out.shapes = self.shapes
+        out.activation = self.activation
+        out._bind(vec)
+        return out
 
     def blocks(self) -> list[tuple[int, np.ndarray]]:
         """(flat offset, array) per block in flatten() order."""
@@ -97,11 +125,7 @@ GradientBundle = ParameterSet
 
 
 def zeros_like(params: ParameterSet) -> GradientBundle:
-    return ParameterSet(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-        params.activation,
-    )
+    return params.from_flat(np.zeros(params.dim))
 
 
 def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParameterSet:
@@ -125,14 +149,17 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return np.tanh(z)
 
 
-def _check_batch(params: ParameterSet, batch: MiniBatch) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(batch.features, dtype=np.float64)
-    y = np.asarray(batch.labels, dtype=np.int64)
-    if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
-        raise ConfigError(
-            f"batch features have shape {x.shape}, expected (*, {params.weights[0].shape[0]})"
-        )
-    if x.shape[0] == 0:
+def _check_batch(
+    params: ParameterSet, features, labels, ndim: int = 2
+) -> tuple[np.ndarray, np.ndarray]:
+    """Features of shape (..., batch, d_in) with `ndim` axes, a non-empty
+    batch axis and every label in [0, classes)."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    d_in = params.weights[0].shape[0]
+    if x.ndim != ndim or x.shape[-1] != d_in:
+        raise ConfigError(f"batch features have shape {x.shape}, expected {ndim} axes ending in {d_in}")
+    if x.shape[-2] == 0:
         raise ValueError("empty batch")
     classes = params.weights[-1].shape[1]
     if y.min() < 0 or y.max() >= classes:
@@ -140,71 +167,78 @@ def _check_batch(params: ParameterSet, batch: MiniBatch) -> tuple[np.ndarray, np
     return x, y
 
 
+def _forward(weights: list, biases: list, activation: str, x: np.ndarray) -> tuple[list, np.ndarray]:
+    """Hidden activations (input first) and logits; every array may carry
+    a leading worker axis, matched between the layers and x."""
+    acts = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        acts.append(_activate(np.matmul(acts[-1], w) + b[..., None, :], activation))
+    logits = np.matmul(acts[-1], weights[-1]) + biases[-1][..., None, :]
+    _require_finite(logits, "logits")
+    return acts, logits
+
+
 def forward(params: ParameterSet, batch: MiniBatch) -> np.ndarray:
     """Logits (batch x classes); raw affine output, no softmax applied."""
-    x = np.asarray(batch.features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
-        raise ConfigError(
-            f"batch features have shape {x.shape}, expected (*, {params.weights[0].shape[0]})"
-        )
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    h = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = _activate(h @ w + b, params.activation)
-    logits = h @ params.weights[-1] + params.biases[-1]
-    _require_finite(logits, "logits")
-    return logits
+    x, _ = _check_batch(params, batch.features, batch.labels)
+    return _forward(params.weights, params.biases, params.activation, x)[1]
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. the logits.
 
-    Stabilized with the log-sum-exp shift so large logits cannot overflow.
+    logits are (..., batch, classes) and labels (..., batch); the loss has
+    the leading shape (a numpy scalar for one 2-D batch).  Stabilized with
+    the log-sum-exp shift so large logits cannot overflow.
     """
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     log_probs = z - log_norm
-    n = len(labels)
-    rows = np.arange(n)
-    loss = float(-log_probs[rows, labels].mean())
+    classes = logits.shape[-1]
+    rows, cols = np.arange(labels.size), labels.ravel()
+    picked = log_probs.reshape(-1, classes)[rows, cols].reshape(labels.shape)
+    loss = -picked.mean(axis=-1)
     dlogits = np.exp(log_probs)
-    dlogits[rows, labels] -= 1.0
-    dlogits /= n
+    dlogits.reshape(-1, classes)[rows, cols] -= 1.0
+    dlogits /= labels.shape[-1]
     return loss, dlogits
+
+
+def _backprop(
+    weights: list, biases: list, activation: str, x: np.ndarray, y: np.ndarray,
+    grad_w: list, grad_b: list,
+) -> np.ndarray:
+    """Loss of each batch in the stack; writes its exact gradient through
+    the grad_w / grad_b views.  Shapes as in _forward."""
+    acts, logits = _forward(weights, biases, activation, x)
+    loss, dz = softmax_cross_entropy(logits, y)
+    for layer in range(len(weights) - 1, -1, -1):
+        if layer < len(weights) - 1:
+            a = acts[layer + 1]
+            dz = upstream * ((a > 0.0) if activation == "relu" else (1.0 - a * a))
+        grad_w[layer][...] = np.matmul(acts[layer].swapaxes(-1, -2), dz)
+        grad_b[layer][...] = dz.sum(axis=-2)
+        if layer > 0:
+            upstream = np.matmul(dz, weights[layer].swapaxes(-1, -2))
+    return loss
 
 
 def loss_and_grad(params: ParameterSet, batch: MiniBatch) -> tuple[float, GradientBundle]:
     """Mean softmax cross-entropy and its exact gradient via backprop."""
-    x, y = _check_batch(params, batch)
-    n_layers = params.n_layers
-    acts = [x]
-    pre: list[np.ndarray] = []
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = acts[-1] @ w + b
-        pre.append(z)
-        acts.append(_activate(z, params.activation))
-    logits = acts[-1] @ params.weights[-1] + params.biases[-1]
-    _require_finite(logits, "logits")
-    loss, delta = softmax_cross_entropy(logits, y)
-    g_w: list[np.ndarray] = [np.empty(0)] * n_layers
-    g_b: list[np.ndarray] = [np.empty(0)] * n_layers
-    g_w[-1] = acts[-1].T @ delta
-    g_b[-1] = delta.sum(axis=0)
-    upstream = delta @ params.weights[-1].T
-    for layer in range(n_layers - 2, -1, -1):
-        if params.activation == "relu":
-            dz = upstream * (pre[layer] > 0.0)
-        else:
-            a = acts[layer + 1]
-            dz = upstream * (1.0 - a * a)
-        g_w[layer] = acts[layer].T @ dz
-        g_b[layer] = dz.sum(axis=0)
-        if layer > 0:
-            upstream = dz @ params.weights[layer].T
-    grad = GradientBundle(g_w, g_b, params.activation)
-    _require_finite(grad.flatten(), "gradient")
-    return loss, grad
+    x, y = _check_batch(params, batch.features, batch.labels)
+    grad = zeros_like(params)
+    loss = _backprop(
+        params.weights, params.biases, params.activation, x, y, grad.weights, grad.biases
+    )
+    _require_finite(grad.flat, "gradient")
+    return float(loss), grad
+
+
+def _check_step(eta: float, momentum: float) -> None:
+    if eta <= 0:
+        raise ValueError(f"eta must be > 0, got {eta}")
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
 
 
 def sgd_step(
@@ -219,51 +253,51 @@ def sgd_step(
     With momentum 0 this is exactly params - eta * grad.  Returns the new
     parameters and the new velocity; inputs are left untouched.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-    if velocity is None:
-        velocity = zeros_like(params)
-    new_v_w = [momentum * v + g for v, g in zip(velocity.weights, grad.weights)]
-    new_v_b = [momentum * v + g for v, g in zip(velocity.biases, grad.biases)]
-    new_w = [w - eta * v for w, v in zip(params.weights, new_v_w)]
-    new_b = [b - eta * v for b, v in zip(params.biases, new_v_b)]
-    return (
-        ParameterSet(new_w, new_b, params.activation),
-        GradientBundle(new_v_w, new_v_b, params.activation),
-    )
+    _check_step(eta, momentum)
+    previous = np.zeros(params.dim) if velocity is None else velocity.flat
+    new_v = momentum * previous + grad.flat
+    return params.from_flat(params.flat - eta * new_v), params.from_flat(new_v)
 
 
 def local_update_run(
     params: ParameterSet,
     ds: Dataset,
-    shard: Shard,
+    shards: Sequence[Shard],
     tau: int,
     eta: float,
     batch_size: int,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     momentum: float = 0.0,
-) -> tuple[ParameterSet, GradientBundle, list[float]]:
-    """Run tau local SGD steps on one worker's shard.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run tau local SGD steps for M workers at once, all from `params`.
 
-    Returns (final parameters, aggregated gradient, per-step losses).  The
-    aggregated gradient is the plain sum of the per-step mini-batch gradients,
-    so with momentum 0 it equals (start - final) / eta coordinate-wise.
+    Worker j samples its mini-batches from shards[j] with rngs[j].  Returns
+    (final parameters, summed gradients, per-step losses) with shapes
+    (M, d), (M, d) and (M, tau); row j is laid out like params.flatten()
+    and is bit for bit what worker j would get on its own.  The summed
+    gradient is the plain sum of the per-step mini-batch gradients, so with
+    momentum 0 it equals (start - final) / eta coordinate-wise.
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    current = params
-    velocity: GradientBundle | None = None
-    g_sum = zeros_like(params)
-    losses: list[float] = []
-    for _ in range(tau):
-        mb = sample_minibatch(shard, ds, batch_size, rng)
-        loss, grad = loss_and_grad(current, mb)
-        losses.append(loss)
-        for acc, g in zip(g_sum.weights, grad.weights):
-            acc += g
-        for acc, g in zip(g_sum.biases, grad.biases):
-            acc += g
-        current, velocity = sgd_step(current, grad, eta, momentum, velocity)
+    if len(shards) < 1 or len(shards) != len(rngs):
+        raise ValueError(f"need one generator per shard and >= 1 shard, got {len(shards)} "
+                         f"shards and {len(rngs)} generators")
+    current = np.tile(params.flat, (len(shards), 1))
+    velocity = np.zeros_like(current)
+    g_sum = np.zeros_like(current)
+    grad = np.empty_like(current)
+    losses = np.empty((len(shards), tau))
+    weights, biases = _layer_views(current, params.shapes)
+    grad_w, grad_b = _layer_views(grad, params.shapes)
+    for step in range(tau):
+        picks = np.array([sample_indices(s, batch_size, r) for s, r in zip(shards, rngs)])
+        x, y = _check_batch(params, ds.features[picks], ds.labels[picks], ndim=3)
+        losses[:, step] = _backprop(weights, biases, params.activation, x, y, grad_w, grad_b)
+        _require_finite(grad, "gradient")
+        g_sum += grad
+        _check_step(eta, momentum)
+        velocity *= momentum
+        velocity += grad
+        current -= eta * velocity
     return current, g_sum, losses

@@ -8,11 +8,13 @@ schemes separate.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import time
 
 import numpy as np
+import pytest
 
 from fflsim import cli, compress, federation, nn, schedule
 from fflsim.config import ExperimentConfig
@@ -347,3 +349,20 @@ def test_criterion_10_determinism(tmp_path, capsys):
     identical = blobs[0] == blobs[1]
     _report(10, "re-running a config emits byte-identical metrics",
             identical, f"{len(blobs[0])} bytes compared")
+
+
+# SHA-256 of metrics.csv for the desk task at seed 0, pinned so that a change
+# to the simulator's arithmetic shows as a moved byte, not as a shifted figure.
+DESK_GOLDEN_SHA256 = {
+    "ffl": "e2128dd0c54b5b6c26b6c8ef0f34c661fcdacba2a87828933bfd4fab78cde50c",
+    "atomo_like": "3883bdcdf16cbb2dc8c7d00f71145b315bfc97e33864569ebfbef522c84dca48",
+    "adacomm_like": "839a3e6b87a7e7bc4fcb671e92018ad440fbaa7f9ae979abffc0593ce9c9ef77",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(DESK_GOLDEN_SHA256))
+def test_desk_metrics_golden_sha256(scheme, tmp_path):
+    records, _ = Experiment(_desk_cfg(scheme, 0)).run()
+    path = tmp_path / "metrics.csv"
+    federation.write_metrics_csv(records, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_GOLDEN_SHA256[scheme]

@@ -316,6 +316,23 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert loaded["config"]["seed"] == cfg.seed
 
 
+def test_summary_json_is_strict_when_the_last_round_is_lost(tmp_path):
+    cfg = base_cfg(workers=2, packet_failure_prob=0.5, round_cap=4, seed=0,
+                   output_dir=str(tmp_path))
+    records, summary = federation.run_experiment(cfg)
+    assert [r.received_workers for r in records] == [0, 2, 1, 0]
+    assert math.isnan(summary["final_train_loss"])
+
+    def reject(constant):
+        raise ValueError(f"summary.json holds the non-JSON constant {constant}")
+
+    import json
+    loaded = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert loaded["final_train_loss"] is None
+    assert loaded["final_smoothed_loss"] == summary["final_smoothed_loss"]
+    assert loaded["rounds"] == 4
+
+
 def test_timing_fields_consistent():
     cfg = base_cfg(round_cap=4, workers=3)
     records, _ = Experiment(cfg).run()

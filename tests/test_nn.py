@@ -41,6 +41,7 @@ def test_flatten_round_trip_exact():
     flat = params.flatten()
     assert flat.shape == (params.dim,)
     back = params.from_flat(flat)
+    assert all(np.shares_memory(a, flat) for a in back.weights + back.biases)
     for a, b in zip(back.weights, params.weights):
         assert np.array_equal(a, b)
     for a, b in zip(back.biases, params.biases):
@@ -208,24 +209,32 @@ def small_task(seed=0):
     return ds, shard
 
 
+def run_one(params, ds, shard, tau, eta, batch_size, rng, momentum=0.0):
+    """The runner with a single worker: (final, gradient sum, losses) of row 0."""
+    final, g_sum, losses = nn.local_update_run(
+        params, ds, [shard], tau, eta, batch_size, [rng], momentum=momentum
+    )
+    return final[0], g_sum[0], list(losses[0])
+
+
 def test_local_update_tau_one_is_single_step():
     ds, shard = small_task()
     params = make_params((5, 6, 3), seed=1)
-    final, g_agg, losses = nn.local_update_run(
+    final, g_agg, losses = run_one(
         params, ds, shard, tau=1, eta=0.05, batch_size=4, rng=substream(7, "worker", 0)
     )
     mb = sample_minibatch(shard, ds, 4, substream(7, "worker", 0))
     loss, grad = nn.loss_and_grad(params, mb)
     expected, _ = nn.sgd_step(params, grad, 0.05)
     assert losses == [loss]
-    assert np.array_equal(final.flatten(), expected.flatten())
-    assert np.array_equal(g_agg.flatten(), grad.flatten())
+    assert np.array_equal(final, expected.flatten())
+    assert np.array_equal(g_agg, grad.flatten())
 
 
 def test_local_update_replay_oracle():
     ds, shard = small_task(3)
     params = make_params((5, 4, 3), seed=2)
-    final, g_agg, losses = nn.local_update_run(
+    final, g_agg, losses = run_one(
         params, ds, shard, tau=3, eta=0.02, batch_size=5, rng=substream(11, "worker", 2)
     )
     # replay the exact same stream step by step
@@ -238,8 +247,8 @@ def test_local_update_replay_oracle():
         assert loss == losses[step]
         total += grad.flatten()
         cur, _ = nn.sgd_step(cur, grad, 0.02)
-    assert np.array_equal(final.flatten(), cur.flatten())
-    assert np.array_equal(g_agg.flatten(), total)
+    assert np.array_equal(final, cur.flatten())
+    assert np.array_equal(g_agg, total)
 
 
 def test_local_update_scalar_hand_computed():
@@ -252,7 +261,7 @@ def test_local_update_scalar_hand_computed():
     w = 0.3
     params = nn.ParameterSet([np.array([[w, 0.0]])], [np.zeros(2)])
     eta = 0.01
-    _, g_agg, losses = nn.local_update_run(
+    _, g_agg, losses = run_one(
         params, ds, shard, tau=2, eta=eta, batch_size=1, rng=substream(1, "worker", 0)
     )
     expected_losses = []
@@ -268,7 +277,8 @@ def test_local_update_scalar_hand_computed():
         w_cur -= eta * dz
         b_cur -= eta * dz
     assert losses == pytest.approx(expected_losses, rel=1e-12)
-    assert g_agg.weights[0][0, 0] == pytest.approx(expected_g, rel=1e-12)
+    # W0[0, 0] is the first entry of the flat layout
+    assert params.from_flat(g_agg).weights[0][0, 0] == pytest.approx(expected_g, rel=1e-12)
 
 
 def test_aggregation_identity():
@@ -276,36 +286,34 @@ def test_aggregation_identity():
     ds, shard = small_task(5)
     for tau in (1, 2, 5):
         params = make_params((5, 7, 3), seed=tau)
-        final, g_agg, _ = nn.local_update_run(
+        final, g_agg, _ = run_one(
             params, ds, shard, tau=tau, eta=0.03, batch_size=6, rng=substream(13, "worker", tau)
         )
-        displacement = (params.flatten() - final.flatten()) / 0.03
-        agg = g_agg.flatten()
-        denom = np.maximum(np.abs(agg), 1e-12)
-        assert (np.abs(displacement - agg) / denom).max() < 1e-9
+        displacement = (params.flatten() - final) / 0.03
+        denom = np.maximum(np.abs(g_agg), 1e-12)
+        assert (np.abs(displacement - g_agg) / denom).max() < 1e-9
 
 
 def test_worker_momentum_changes_trajectory_but_keeps_gradient_sum():
     ds, shard = small_task(6)
     params = make_params((5, 4, 3), seed=6)
-    final_a, g_a, _ = nn.local_update_run(
+    final_a, g_a, _ = run_one(
         params, ds, shard, tau=4, eta=0.05, batch_size=4, rng=substream(17, "worker", 0)
     )
-    final_b, g_b, _ = nn.local_update_run(
+    final_b, g_b, _ = run_one(
         params, ds, shard, tau=4, eta=0.05, batch_size=4, rng=substream(17, "worker", 0),
         momentum=0.5,
     )
-    assert not np.array_equal(final_a.flatten(), final_b.flatten())
+    assert not np.array_equal(final_a, final_b)
     # same first-step batch, so the first gradient agrees; sums then diverge
-    assert not np.array_equal(g_a.flatten(), g_b.flatten())
+    assert not np.array_equal(g_a, g_b)
 
 
 def test_local_update_rejects_bad_tau():
     ds, shard = small_task()
     params = make_params((5, 3, 3))
     with pytest.raises(ValueError):
-        nn.local_update_run(params, ds, shard, tau=0, eta=0.1, batch_size=2,
-                            rng=substream(0, "worker", 0))
+        run_one(params, ds, shard, tau=0, eta=0.1, batch_size=2, rng=substream(0, "worker", 0))
 
 
 def test_identical_seeds_identical_runs():
@@ -313,10 +321,89 @@ def test_identical_seeds_identical_runs():
     params = make_params((5, 6, 3), seed=9)
     out = []
     for _ in range(2):
-        final, g_agg, losses = nn.local_update_run(
+        out.append(run_one(
             params, ds, shard, tau=4, eta=0.02, batch_size=5, rng=substream(23, "worker", 1)
-        )
-        out.append((final.flatten(), g_agg.flatten(), losses))
+        ))
     assert np.array_equal(out[0][0], out[1][0])
     assert np.array_equal(out[0][1], out[1][1])
     assert out[0][2] == out[1][2]
+
+
+# ---- all workers in one stacked pass ---- #
+
+def three_workers(ds):
+    """Shards of unequal length, one a single row, and a generator maker."""
+    shards = [np.arange(0, 50), np.arange(50, 87), np.array([88])]
+    return shards, lambda: [substream(29, "worker", j) for j in range(len(shards))]
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(32,), (32, 16)])
+@pytest.mark.parametrize("momentum", [0.0, 0.5])
+@pytest.mark.parametrize("tau", [1, 3])
+def test_stacked_workers_equal_separate_runs_bitwise(activation, hidden, momentum, tau):
+    ds, _ = small_task(4)
+    params = make_params((5, *hidden, 3), activation, seed=4)
+    shards, rngs = three_workers(ds)
+    final, g_sum, losses = nn.local_update_run(
+        params, ds, shards, tau, 0.05, 8, rngs(), momentum=momentum
+    )
+    assert final.shape == g_sum.shape == (3, params.dim)
+    assert losses.shape == (3, tau)
+    for j, (shard, rng) in enumerate(zip(shards, rngs())):
+        alone = run_one(params, ds, shard, tau, 0.05, 8, rng, momentum=momentum)
+        assert np.array_equal(final[j], alone[0])
+        assert np.array_equal(g_sum[j], alone[1])
+        assert list(losses[j]) == alone[2]
+
+
+def test_stacked_run_leaves_params_untouched():
+    ds, _ = small_task(4)
+    params = make_params((5, 6, 3), seed=5)
+    before = params.flatten()
+    shards, rngs = three_workers(ds)
+    nn.local_update_run(params, ds, shards, 3, 0.05, 8, rngs(), momentum=0.5)
+    assert np.array_equal(params.flat, before)
+
+
+def test_one_worker_with_a_bad_label_raises():
+    ds, _ = small_task(4)
+    params = make_params((5, 6, 3), seed=5)
+    shards, rngs = three_workers(ds)
+    ds.labels[88] = 3  # only the last worker's shard holds this row
+    with pytest.raises(ValueError, match="labels outside"):
+        nn.local_update_run(params, ds, shards, 2, 0.05, 8, rngs())
+
+
+def test_one_worker_with_non_finite_weights_raises():
+    # the middle worker's rows are so large that one step with a zero start
+    # takes its weights past the float range; the next step's check sees it
+    ds, _ = small_task(4)
+    shards, rngs = three_workers(ds)
+    ds.features[shards[1]] = 1e308
+    params = nn.ParameterSet([np.zeros((5, 3))], [np.zeros(3)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        final, g_sum, _ = nn.local_update_run(params, ds, shards, 1, 10.0, 4, rngs())
+        assert np.isfinite(final[[0, 2]]).all() and np.isfinite(g_sum).all()
+        assert not np.isfinite(final[1]).all()
+        with pytest.raises(FloatingPointError):
+            nn.local_update_run(params, ds, shards, 2, 10.0, 4, rngs())
+
+
+def test_stacked_run_keeps_sampling_and_step_checks():
+    ds, _ = small_task(4)
+    params = make_params((5, 6, 3), seed=5)
+    shards, rngs = three_workers(ds)
+    with pytest.raises(ValueError, match="empty shard"):
+        nn.local_update_run(params, ds, [shards[0], np.array([], dtype=np.int64)],
+                            1, 0.05, 8, rngs()[:2])
+    with pytest.raises(ValueError, match="batch_size"):
+        nn.local_update_run(params, ds, shards, 1, 0.05, 0, rngs())
+    with pytest.raises(ValueError, match="eta"):
+        nn.local_update_run(params, ds, shards, 1, 0.0, 8, rngs())
+    with pytest.raises(ValueError, match="momentum"):
+        nn.local_update_run(params, ds, shards, 1, 0.05, 8, rngs(), momentum=1.0)
+    with pytest.raises(ValueError, match="generator"):
+        nn.local_update_run(params, ds, shards, 1, 0.05, 8, rngs()[:2])
+    with pytest.raises(ConfigError):
+        nn.local_update_run(make_params((4, 6, 3)), ds, shards, 1, 0.05, 8, rngs())
