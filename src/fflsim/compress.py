@@ -2,10 +2,10 @@
 
 A gradient g in R^d is written as sum_i lambda_i * a_i over unit-norm atoms:
 either standard-basis vectors at the nonzero entries of g ("elementwise"),
-or flattened rank-1 outer products from a deflated power-iteration SVD of
-each layer block ("lowrank").  Each atom is kept independently with
-probability p_i and rescaled by 1/p_i, which keeps the estimator unbiased
-with variance sum_i lambda_i^2 * (1/p_i - 1).
+or flattened rank-1 outer products from the truncated SVD of each layer
+block ("lowrank").  Each atom is kept independently with probability p_i
+and rescaled by 1/p_i, which keeps the estimator unbiased with variance
+sum_i lambda_i^2 * (1/p_i - 1).
 
 For a sparsity budget s (expected number of transmitted atoms), the variance
 -minimizing probabilities are p_i = |lambda_i| * s / ||lambda||_1 whenever
@@ -16,22 +16,14 @@ budget until it is feasible.
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import GradientBundle
+from .nn import ParameterSet
 
-log = logging.getLogger(__name__)
-
-# Power iteration: tolerance on the singular-value change between sweeps and
-# the per-triple iteration cap before falling back to elementwise atoms.
-POWER_TOL = 1e-10
-POWER_ITER_CAP = 1000
-_POWER_SEED = 0x5EED  # fixed: a decomposition is a pure function of its input
 _DROP_TOL = 1e-12  # singular values this small are treated as zero atoms
 
 BASIS_KINDS = ("elementwise", "lowrank")
@@ -120,51 +112,14 @@ def decompose_elementwise(grad: np.ndarray, offset: int = 0, dim: int | None = N
     return AtomicDecomposition("elementwise", dim, g[idx].copy(), indices=idx + offset)
 
 
-def _top_singular_triple(
-    mat: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, float, np.ndarray] | None:
-    """Leading singular triple (u, sigma, v) by power iteration on the Gram
-    matrix of the thinner side; None if the tolerance is not met in time."""
-    m, n = mat.shape
-    transposed = m < n
-    a = mat.T if transposed else mat  # a is tall: rows >= cols
-    gram = a.T @ a
-    x = rng.standard_normal(a.shape[1])
-    x /= np.linalg.norm(x)
-    sigma_prev = -1.0
-    converged = False
-    for _ in range(POWER_ITER_CAP):
-        y = gram @ x
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:  # residual is exactly zero in this subspace
-            return x * 0.0, 0.0, x * 0.0
-        x = y / norm_y
-        sigma = math.sqrt(max(float(x @ (gram @ x)), 0.0))
-        if abs(sigma - sigma_prev) <= POWER_TOL * max(1.0, sigma):
-            converged = True
-            break
-        sigma_prev = sigma
-    if not converged:
-        return None
-    v = x
-    av = a @ v
-    sigma = float(np.linalg.norm(av))
-    if sigma == 0.0:
-        return v * 0.0, 0.0, v
-    u = av / sigma
-    if transposed:
-        u, v = v, u
-    return u, sigma, v
-
-
 def decompose_lowrank(
     grad_matrix: np.ndarray, r: int, offset: int = 0, dim: int | None = None
 ) -> AtomicDecomposition:
-    """Truncated SVD decomposition of one matrix into r rank-1 atoms.
+    """Truncated SVD decomposition of one matrix into its leading r rank-1
+    atoms, in descending singular-value order.
 
-    Uses deflated power iteration; zero singular values are dropped.  If any
-    triple fails to converge within the iteration cap, the whole matrix falls
-    back to an elementwise decomposition and a diagnostic is logged.
+    One LAPACK SVD; singular values <= _DROP_TOL * max(1, sigma_1) are
+    dropped, so a matrix of lower rank yields fewer than r atoms.
     """
     mat = np.asarray(grad_matrix, dtype=np.float64)
     if mat.ndim != 2:
@@ -173,42 +128,18 @@ def decompose_lowrank(
         raise ValueError(f"rank must be in [1, {min(mat.shape)}], got {r}")
     if dim is None:
         dim = mat.size + offset
-    rng = np.random.default_rng(_POWER_SEED)
-    residual = mat.copy()
-    coeffs: list[float] = []
-    atoms: list[OuterAtom] = []
-    for _ in range(r):
-        triple = _top_singular_triple(residual, rng)
-        if triple is None:
-            log.warning(
-                "power iteration did not converge within %d iterations on a %s block;"
-                " falling back to elementwise atoms",
-                POWER_ITER_CAP,
-                mat.shape,
-            )
-            return decompose_elementwise(mat.ravel(), offset=offset, dim=dim)
-        u, sigma, v = triple
-        if sigma <= _DROP_TOL * max(1.0, coeffs[0] if coeffs else 0.0):
-            break
-        coeffs.append(sigma)
-        atoms.append(OuterAtom(u, v, offset))
-        residual -= sigma * np.outer(u, v)
-    order = sorted(range(len(coeffs)), key=lambda i: -coeffs[i])
-    return AtomicDecomposition(
-        "lowrank",
-        dim,
-        np.array([coeffs[i] for i in order]),
-        outer_atoms=[atoms[i] for i in order],
-    )
+    u, sv, vt = np.linalg.svd(mat, full_matrices=False)
+    keep = int(np.count_nonzero(sv[:r] > _DROP_TOL * max(1.0, sv[0])))
+    atoms = [OuterAtom(u[:, i], vt[i], offset) for i in range(keep)]
+    return AtomicDecomposition("lowrank", dim, sv[:keep], outer_atoms=atoms)
 
 
-def decompose_bundle(bundle: GradientBundle, kind: str, s: float) -> AtomicDecomposition:
+def decompose_bundle(bundle: ParameterSet, kind: str, s: float) -> AtomicDecomposition:
     """Decompose a whole layered gradient into one atom set.
 
     elementwise: standard-basis atoms over the flat vector.  lowrank: each
-    layer block contributes up to ceil(s) rank-1 atoms (biases are treated as
-    one-column matrices); a power-iteration failure in any block falls the
-    whole bundle back to elementwise.
+    layer block contributes up to ceil(s) rank-1 atoms from its SVD (biases
+    are treated as one-column matrices).
     """
     if kind == "elementwise":
         return decompose_elementwise(bundle.flat)
@@ -221,11 +152,8 @@ def decompose_bundle(bundle: GradientBundle, kind: str, s: float) -> AtomicDecom
         matrix = arr if arr.ndim == 2 else arr.reshape(-1, 1)
         rank = min(int(math.ceil(s)), min(matrix.shape))
         sub = decompose_lowrank(matrix, rank, offset=offset, dim=dim)
-        if sub.basis_kind == "elementwise":
-            log.warning("lowrank decomposition fell back to elementwise for the whole bundle")
-            return decompose_elementwise(bundle.flat)
         coeffs.append(sub.coeffs)
-        atoms.extend(sub.outer_atoms or [])
+        atoms.extend(sub.outer_atoms)
     merged = np.concatenate(coeffs) if coeffs else np.empty(0)
     return AtomicDecomposition("lowrank", dim, merged, outer_atoms=atoms)
 

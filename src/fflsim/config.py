@@ -85,7 +85,6 @@ class ExperimentConfig:
     L: float = 0.5
     sigma1: float = 1.0
     sigma2: float = 1.0
-    beta: float = 0.0
     F_inf: float = 0.0
     probe_rounds: int = 2
 
@@ -178,8 +177,6 @@ class ExperimentConfig:
             raise ConfigError(f"L must be > 0, got {self.L}")
         if self.sigma1 < 0:
             raise ConfigError(f"sigma1 must be >= 0, got {self.sigma1}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if self.F_inf < 0:
             raise ConfigError(f"F_inf must be >= 0, got {self.F_inf}")
         if self.probe_rounds < 0:

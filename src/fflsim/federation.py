@@ -153,7 +153,7 @@ class Experiment:
             (self.train_set.d_in, *cfg.hidden_layers, self.train_set.n_classes), cfg.activation
         )
         self.params = nn.init_params(mlp, substream(cfg.seed, "init"))
-        self.velocity: nn.GradientBundle | None = None
+        self.velocity: nn.ParameterSet | None = None
         self.scheduler = schedule.SchedulerState(
             tau0=cfg.tau0, s0=cfg.s0, tau_ub=cfg.tau_ub, s_ub=cfg.s_ub,
             loss_smoothing=cfg.loss_smoothing,
@@ -182,7 +182,7 @@ class Experiment:
         return schedule.BoundParams(
             eta=cfg.eta, L=cfg.L, sigma1=cfg.sigma1, sigma2=cfg.sigma2, alpha=alpha,
             M=cfg.workers, T_k=cfg.T_budget_s, Y_k=cfg.sec_per_local_step,
-            F_inf=cfg.F_inf, beta=cfg.beta,
+            F_inf=cfg.F_inf,
         )
 
     def _plan_after_feedback(self, mean_loss: float) -> None:
@@ -203,10 +203,7 @@ class Experiment:
                     self._bound_params = schedule.estimate_constants(
                         self._probes, self._bound_defaults()
                     )
-                plan = schedule.optimal_full(
-                    self._bound_params, f_hat, cfg.tau_ub, cfg.s_ub,
-                    tau0=cfg.tau0, s0=cfg.s0,
-                )
+                plan = schedule.optimal_full(self._bound_params, f_hat, cfg.tau_ub, cfg.s_ub)
         self._next_plan = self._apply_policy(plan)
 
     # ---- the round ----------------------------------------------------- #

@@ -120,11 +120,7 @@ class ParameterSet:
         return out
 
 
-# Gradients share the layered parameter container.
-GradientBundle = ParameterSet
-
-
-def zeros_like(params: ParameterSet) -> GradientBundle:
+def zeros_like(params: ParameterSet) -> ParameterSet:
     return params.from_flat(np.zeros(params.dim))
 
 
@@ -223,7 +219,7 @@ def _backprop(
     return loss
 
 
-def loss_and_grad(params: ParameterSet, batch: MiniBatch) -> tuple[float, GradientBundle]:
+def loss_and_grad(params: ParameterSet, batch: MiniBatch) -> tuple[float, ParameterSet]:
     """Mean softmax cross-entropy and its exact gradient via backprop."""
     x, y = _check_batch(params, batch.features, batch.labels)
     grad = zeros_like(params)
@@ -243,11 +239,11 @@ def _check_step(eta: float, momentum: float) -> None:
 
 def sgd_step(
     params: ParameterSet,
-    grad: GradientBundle,
+    grad: ParameterSet,
     eta: float,
     momentum: float = 0.0,
-    velocity: GradientBundle | None = None,
-) -> tuple[ParameterSet, GradientBundle]:
+    velocity: ParameterSet | None = None,
+) -> tuple[ParameterSet, ParameterSet]:
     """One SGD step: v <- momentum * v + grad; params <- params - eta * v.
 
     With momentum 0 this is exactly params - eta * grad.  Returns the new

@@ -5,12 +5,11 @@ The per-round error bound being minimized is
     psi(tau, s) = A * (Y + alpha * s / tau) + (B + C * (tau - 1)) * (sigma1 / s + sigma2)
 
 with A = 2 * (F_k - F_inf) / (eta * T), B = eta * L / M and C = (eta * L)^2.
-Two planners are provided: `optimal_full` minimizes psi directly (an
-alternating fixed point on the two closed-form stationary equations, always
-cross-checked against the exact per-tau minimizer so the result is never
-worse than a grid search), and `plan_next` applies the constant-free
-cube-root schedule tau_k ~ F_k^(1/3), s_k ~ F_k^(-1/3) driven by the
-smoothed training loss.
+Two planners are provided: `optimal_full` minimizes psi directly (for every
+integer tau it takes the exact minimizer over s, which psi's convexity in s
+gives in closed form, and keeps the best pair), and `plan_next` applies the
+constant-free cube-root schedule tau_k ~ F_k^(1/3), s_k ~ F_k^(-1/3) driven
+by the smoothed training loss.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-FIXED_POINT_TOL = 1e-6
-FIXED_POINT_MAX_ITERS = 100
-
 
 @dataclass
 class BoundParams:
@@ -34,9 +30,7 @@ class BoundParams:
 
     Y_k is the computation time per local update in seconds; alpha the
     transmission seconds per atom; T_k the wall-clock budget the bound is
-    evaluated over.  beta (the gradient-proportional part of the compression
-    variance bound) is recorded for completeness but the bound itself does
-    not consume it.
+    evaluated over.
     """
 
     eta: float
@@ -48,7 +42,6 @@ class BoundParams:
     T_k: float
     Y_k: float
     F_inf: float = 0.0
-    beta: float = 0.0
 
     def __post_init__(self) -> None:
         if self.eta <= 0:
@@ -148,28 +141,6 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return min(max(x, lo), hi)
 
 
-def _paper_tau_fixed_point(s: float, p: BoundParams, F_k: float) -> float:
-    """Stationary tau given s, as printed in the source derivation."""
-    num = 2.0 * p.alpha * (F_k - p.F_inf) * s * s
-    den = p.eta**3 * p.L**2 * (p.sigma1 + p.sigma2 * s)
-    if num <= 0.0:
-        return 1.0
-    if den <= 0.0:
-        return math.inf
-    return math.sqrt(num / den)
-
-
-def _paper_s_fixed_point(tau: float, p: BoundParams, F_k: float) -> float:
-    """Stationary s given tau, as printed in the source derivation."""
-    num = p.sigma1 * p.eta**2 * p.L * p.T_k * (1.0 - p.eta * p.L * (tau - 1.0)) * tau
-    den = 2.0 * p.alpha * (F_k - p.F_inf)
-    if den <= 0.0:
-        return math.inf
-    if num <= 0.0:
-        return 0.0
-    return math.sqrt(num / den)
-
-
 def _exact_s_given_tau(tau: float, p: BoundParams, F_k: float, s_ub: float) -> float:
     """Unique minimizer of psi over s in [1, s_ub] for a fixed tau.
 
@@ -186,54 +157,15 @@ def _exact_s_given_tau(tau: float, p: BoundParams, F_k: float, s_ub: float) -> f
     return _clamp(s_star, 1.0, s_ub)
 
 
-def optimal_full(
-    p: BoundParams,
-    F_k: float,
-    tau_ub: int,
-    s_ub: float,
-    tau0: float | None = None,
-    s0: float | None = None,
-) -> RoundPlan:
-    """Exact minimizer of psi over {1..tau_ub} x [1, s_ub].
-
-    Runs the alternating fixed point on the two closed-form stationary
-    equations from (tau0, s0), then evaluates, for every integer tau, the
-    exact optimal s; the best candidate wins.  The second pass guarantees the
-    result is never worse than any grid point, and a diagnostic is logged
-    when the fixed point is not the winner (the fixed-point update rules
-    drop lower-order terms, so this does happen).
-    """
+def optimal_full(p: BoundParams, F_k: float, tau_ub: int, s_ub: float) -> RoundPlan:
+    """Exact minimizer of psi over {1..tau_ub} x [1, s_ub]: the exact optimal
+    s for every integer tau, and the pair with the smallest psi."""
     if F_k < p.F_inf:
         raise ValueError(f"F_k={F_k} below F_inf={p.F_inf}")
     if tau_ub < 1 or s_ub < 1:
         raise ValueError(f"need tau_ub >= 1 and s_ub >= 1, got {tau_ub}, {s_ub}")
-    tau = _clamp(float(tau0) if tau0 is not None else (1.0 + tau_ub) / 2.0, 1.0, float(tau_ub))
-    s = _clamp(float(s0) if s0 is not None else (1.0 + s_ub) / 2.0, 1.0, s_ub)
-    converged = False
-    for _ in range(FIXED_POINT_MAX_ITERS):
-        tau_new = _clamp(_paper_tau_fixed_point(s, p, F_k), 1.0, float(tau_ub))
-        s_new = _clamp(_paper_s_fixed_point(tau_new, p, F_k), 1.0, s_ub)
-        if abs(tau_new - tau) < FIXED_POINT_TOL and abs(s_new - s) < FIXED_POINT_TOL:
-            tau, s = tau_new, s_new
-            converged = True
-            break
-        tau, s = tau_new, s_new
-
-    candidates: list[tuple[int, float]] = []
-    if converged:
-        for t in {int(math.floor(tau)), int(math.ceil(tau))}:
-            t = int(_clamp(t, 1, tau_ub))
-            candidates.append((t, s))
-    for t in range(1, tau_ub + 1):
-        candidates.append((t, _exact_s_given_tau(float(t), p, F_k, s_ub)))
+    candidates = [(t, _exact_s_given_tau(float(t), p, F_k, s_ub)) for t in range(1, tau_ub + 1)]
     best = min(candidates, key=lambda c: psi(c[0], c[1], p, F_k))
-    if not converged:
-        log.info("fixed-point iteration did not converge; using the exhaustive minimizer")
-    elif abs(best[0] - tau) > 0.5 + 1e-9 or abs(best[1] - s) > 1e-3:
-        log.debug(
-            "fixed point (%.3f, %.3f) was not optimal; exact minimizer picked (%d, %.3f)",
-            tau, s, best[0], best[1],
-        )
     return RoundPlan(best[0], float(best[1]))
 
 
@@ -285,22 +217,15 @@ class ProbeRound:
     gradient: np.ndarray
     sigma_pairs: list[tuple[float, float]]
     atom_seconds: float | None = None
-    sgd_variance: float = 0.0
 
 
-def estimate_constants(
-    probe_runs: list[ProbeRound],
-    defaults: BoundParams,
-    bits_per_atom: float | None = None,
-    uplink_rate_bps: float | None = None,
-) -> BoundParams:
+def estimate_constants(probe_runs: list[ProbeRound], defaults: BoundParams) -> BoundParams:
     """Fill the bound constants from probe telemetry.
 
     L-hat is the max gradient-difference ratio over probe pairs; sigma1/sigma2
-    take the worst round-mean of the per-worker terms (sigma2 also absorbs
-    the SGD-noise estimate); alpha = bits_per_atom / uplink_rate when given,
-    else the measured per-atom seconds, else the default.  With fewer than
-    two probes the defaults are returned unchanged.
+    take the worst round-mean of the per-worker terms; alpha is the mean
+    measured per-atom seconds, else the default.  With fewer than two probes
+    the defaults are returned unchanged.
     """
     if len(probe_runs) < 2:
         log.info("insufficient probe telemetry (%d rounds); keeping configured constants",
@@ -322,11 +247,6 @@ def estimate_constants(
             sigma2_hat = max(sigma2_hat, float(np.mean([p[1] for p in probe.sigma_pairs])))
     if not math.isfinite(sigma2_hat):
         sigma1_hat, sigma2_hat = defaults.sigma1, defaults.sigma2
-    else:
-        sigma2_hat += max((p.sgd_variance for p in probe_runs), default=0.0)
-    if bits_per_atom is not None and uplink_rate_bps:
-        alpha_hat = bits_per_atom / uplink_rate_bps
-    else:
-        measured = [p.atom_seconds for p in probe_runs if p.atom_seconds]
-        alpha_hat = float(np.mean(measured)) if measured else defaults.alpha
+    measured = [p.atom_seconds for p in probe_runs if p.atom_seconds]
+    alpha_hat = float(np.mean(measured)) if measured else defaults.alpha
     return replace(defaults, L=l_hat, sigma1=sigma1_hat, sigma2=sigma2_hat, alpha=alpha_hat)

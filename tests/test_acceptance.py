@@ -265,7 +265,7 @@ def test_criterion_07_plan_optimality_and_curvature():
     for _ in range(10):
         kwargs, tau, s, F = draw_smooth_regime(rng)
         p = schedule.BoundParams(**kwargs)
-        plan = schedule.optimal_full(p, F, tau_ub=30, s_ub=9.0, tau0=tau, s0=s)
+        plan = schedule.optimal_full(p, F, tau_ub=30, s_ub=9.0)
         plan_value = schedule.psi(plan.tau_k, plan.s_k, p, F)
         grid_best = min(
             schedule.psi(t, float(sv), p, F)

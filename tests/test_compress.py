@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -101,15 +100,25 @@ def test_lowrank_zero_matrix_empty():
     assert d.n_atoms == 0
 
 
-def test_lowrank_nonconvergence_falls_back_to_elementwise(monkeypatch, caplog):
-    monkeypatch.setattr(compress, "POWER_ITER_CAP", 0)
-    mat = np.arange(6.0).reshape(2, 3) + 1.0
-    with caplog.at_level(logging.WARNING, logger="fflsim.compress"):
-        d = compress.decompose_lowrank(mat, r=2)
-    assert d.basis_kind == "elementwise"
-    assert np.array_equal(d.reconstruct_full(), mat.ravel())
-    assert any("fall" in rec.message.lower() or "elementwise" in rec.message.lower()
-               for rec in caplog.records)
+def near_tied_matrix(seed):
+    """4x6 matrix U diag(1, 1e-2, 0.999e-2, 1e-3) V^T with orthonormal U, V:
+    the 2nd and 3rd singular values differ by 0.1%."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+    return u @ np.diag([1.0, 1e-2, 0.999e-2, 1e-3]) @ v.T
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 4])
+def test_lowrank_near_tied_spectrum_stays_lowrank(seed):
+    mat = near_tied_matrix(seed)
+    d = compress.decompose_lowrank(mat, r=3)
+    assert d.basis_kind == "lowrank"
+    assert d.n_atoms == 3
+    assert np.allclose(d.coeffs, jacobi_singular_values(mat)[:3], rtol=0, atol=1e-12)
+    for atom in d.outer_atoms:
+        assert np.linalg.norm(atom.u) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(atom.v) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---- bundle decomposition ---- #
@@ -153,6 +162,13 @@ def test_bundle_lowrank_bias_blocks_exact():
     d = compress.decompose_bundle(bundle, "lowrank", s=8.0)
     # with rank cap >= min dim for every block, reconstruction is exact
     assert np.allclose(d.reconstruct_full(), bundle.flatten(), atol=1e-8)
+
+
+def test_bundle_lowrank_near_tied_block_stays_lowrank():
+    bundle = nn.ParameterSet([near_tied_matrix(0)], [np.zeros(6)])
+    d = compress.decompose_bundle(bundle, "lowrank", s=3.0)
+    assert d.basis_kind == "lowrank"
+    assert d.n_atoms == 3  # the zero bias block contributes no atom
 
 
 def test_bundle_rejects_unknown_kind():

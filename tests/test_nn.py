@@ -173,7 +173,7 @@ def test_sgd_step_no_momentum_exact():
 def test_sgd_step_momentum_two_steps_constant_gradient():
     w0 = np.array([[1.0]])
     params = nn.ParameterSet([w0.copy()], [np.zeros(1)])
-    grad = nn.GradientBundle([np.array([[2.0]])], [np.zeros(1)])
+    grad = nn.ParameterSet([np.array([[2.0]])], [np.zeros(1)])
     eta, mu = 0.01, 0.9
     p1, v1 = nn.sgd_step(params, grad, eta, mu)
     p2, v2 = nn.sgd_step(p1, grad, eta, mu, v1)

@@ -120,7 +120,7 @@ def test_optimal_full_beats_grid_on_smooth_draws():
     for _ in range(10):
         kwargs, tau, s, F = draw_smooth_regime(rng)
         p = BoundParams(**kwargs)
-        plan = schedule.optimal_full(p, F, tau_ub=30, s_ub=9.0, tau0=tau, s0=s)
+        plan = schedule.optimal_full(p, F, tau_ub=30, s_ub=9.0)
         assert 1 <= plan.tau_k <= 30 and 1.0 <= plan.s_k <= 9.0
         assert schedule.psi(plan.tau_k, plan.s_k, p, F) <= grid_min(p, F, 30, 9.0) + 1e-9
 
@@ -281,20 +281,6 @@ def test_estimate_constants_sigma_terms():
     est = schedule.estimate_constants(quadratic_probes(), example_params())
     assert est.sigma1 == pytest.approx(36.0, abs=0)
     assert est.sigma2 == pytest.approx(-14.0, abs=0)
-
-
-def test_estimate_constants_sgd_noise_added_to_sigma2():
-    probes = quadratic_probes()
-    probes[0].sgd_variance = 3.0
-    probes[1].sgd_variance = 5.0
-    est = schedule.estimate_constants(probes, example_params())
-    assert est.sigma2 == pytest.approx(-14.0 + 5.0, abs=0)
-
-
-def test_estimate_constants_alpha_from_rate():
-    est = schedule.estimate_constants(quadratic_probes(), example_params(),
-                                      bits_per_atom=96, uplink_rate_bps=1e5)
-    assert est.alpha == pytest.approx(9.6e-4, abs=0)
 
 
 def test_estimate_constants_alpha_from_measured_seconds():
