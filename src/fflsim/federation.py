@@ -350,12 +350,17 @@ class Experiment:
             "config": cfg.to_dict(),
             "rounds": len(self.records),
             "final_acc": last.test_acc,
+            "best_acc": max(r.test_acc for r in self.records),
             "final_smoothed_acc": last.smoothed_acc,
             "final_train_loss": last.train_loss,
             "final_smoothed_loss": last.smoothed_loss,
             "target_accuracy": cfg.target_accuracy,
             "time_to_target_s": time_to_target,
             "total_sim_time_s": self.ledger.total_s,
+            # per-round metrics.csv columns summed over rounds
+            "total_compute_s": sum(r.compute_max_s for r in self.records),
+            "total_uplink_s": sum(r.uplink_max_s for r in self.records),
+            "total_downlink_s": sum(r.downlink_s for r in self.records),
             "total_atoms_sent": sum(r.atoms_sent_total for r in self.records),
             "skipped_rounds": self.skipped_rounds,
         }

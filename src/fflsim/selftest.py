@@ -15,30 +15,36 @@ from . import compress, nn, schedule
 from .data import MiniBatch
 
 
-def _project_budget_box(p: np.ndarray, s: float, lo: float = 1e-12) -> np.ndarray:
-    """Euclidean projection onto {sum p = s, lo <= p <= 1} by bisecting the
-    Lagrange shift."""
-    shift_lo = p.min() - 1.0
-    shift_hi = p.max() - lo
-    for _ in range(100):
-        shift = 0.5 * (shift_lo + shift_hi)
-        total = np.clip(p - shift, lo, 1.0).sum()
-        if total > s:
-            shift_lo = shift
-        else:
-            shift_hi = shift
-    return np.clip(p - 0.5 * (shift_lo + shift_hi), lo, 1.0)
+def project_budget_box(p: np.ndarray, s: float, lo: float = 1e-12) -> np.ndarray:
+    """Euclidean projection onto {sum x = s, lo <= x <= 1}: clip(p - shift, lo, 1)
+    for the Lagrange shift whose clipped sum is s.
+
+    The clipped sum is piecewise linear and non-increasing in the shift, with
+    knots at p - 1 and p - lo.  It is evaluated at every knot; the shift is
+    interpolated on the segment whose end sums bracket s.
+    """
+    knots = np.sort(np.concatenate((p - 1.0, p - lo)))
+    # non-increasing as computed too: each clipped entry is, and rounding keeps order
+    totals = np.clip(p - knots[:, None], lo, 1.0).sum(axis=1)
+    j = int(np.searchsorted(-totals, -s))  # first knot whose sum is <= s
+    if j == 0:  # s >= n: every entry at its cap
+        return np.ones_like(p)
+    if j == knots.size:  # s <= n * lo: every entry at its floor
+        return np.full_like(p, lo)
+    # totals[j - 1] > s >= totals[j], so the segment is not flat
+    k0, k1, t0, t1 = knots[j - 1], knots[j], totals[j - 1], totals[j]
+    return np.clip(p - (k0 + (t0 - s) * (k1 - k0) / (t0 - t1)), lo, 1.0)
 
 
 def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 4000) -> float:
     """Projected-gradient minimum of sum lambda_i^2 / p_i over the budget box."""
     lam2 = lam**2
-    p = _project_budget_box(np.full(lam.size, s / lam.size), s)
+    p = project_budget_box(np.full(lam.size, s / lam.size), s)
     best = float(np.sum(lam2 / p))
     step = 0.1 / max(1.0, lam2.max())
     for it in range(iters):
         grad = -lam2 / p**2
-        p = _project_budget_box(p - step * grad / (1.0 + it / 50.0), s)
+        p = project_budget_box(p - step * grad / (1.0 + it / 50.0), s)
         best = min(best, float(np.sum(lam2 / p)))
     return best
 

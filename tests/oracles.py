@@ -1,15 +1,20 @@
 """Independent oracles used by the test suite.
 
 Everything here re-derives expected values through a different route than
-the library: one-sided Jacobi rotations instead of power iteration, central
+the library: one-sided Jacobi rotations instead of the LAPACK SVD, central
 finite differences instead of backprop, projected gradient descent instead
 of the closed-form probabilities, and straight-line formula transcriptions
-instead of the shared implementations.
+instead of the shared implementations.  The projected-gradient minimizer
+and its exact budget-box projection are the ones `fflsim selftest` runs,
+shared rather than copied.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from fflsim import selftest
+from fflsim.selftest import project_budget_box  # noqa: F401
 
 
 def jacobi_singular_values(mat: np.ndarray, sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
@@ -57,33 +62,10 @@ def finite_diff_gradient(loss_fn, flat: np.ndarray, h: float = 1e-5) -> np.ndarr
     return grad
 
 
-def project_budget_box(p: np.ndarray, s: float, lo: float = 1e-12) -> np.ndarray:
-    """Euclidean projection onto {sum p = s, lo <= p_i <= 1}."""
-    shift_lo = p.min() - 1.0
-    shift_hi = p.max() - lo
-    for _ in range(200):
-        shift = 0.5 * (shift_lo + shift_hi)
-        total = np.clip(p - shift, lo, 1.0).sum()
-        if total > s:
-            shift_lo = shift
-        else:
-            shift_hi = shift
-        if shift_hi - shift_lo < 1e-15:
-            break
-    return np.clip(p - 0.5 * (shift_lo + shift_hi), lo, 1.0)
-
-
 def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 2000) -> float:
-    """Projected-gradient minimum of sum_i lambda_i^2 / p_i over the budget box."""
-    lam2 = np.asarray(lam, dtype=np.float64) ** 2
-    p = project_budget_box(np.full(lam2.size, s / lam2.size), s)
-    best = float(np.sum(lam2 / p))
-    step = 0.1 / max(1.0, lam2.max())
-    for it in range(iters):
-        grad = -lam2 / p**2
-        p = project_budget_box(p - step * grad / (1.0 + it / 50.0), s)
-        best = min(best, float(np.sum(lam2 / p)))
-    return best
+    """The selftest's projected-gradient minimum of sum_i lambda_i^2 / p_i
+    over the budget box, at 2000 iterations."""
+    return selftest.minimize_variance_numeric(lam, s, iters)
 
 
 def mlp_forward_reference(weights, biases, activation: str, x: np.ndarray) -> np.ndarray:

@@ -380,3 +380,58 @@ def test_budget_projection_oracle_behaves():
     p = project_budget_box(lam * 2.0 / lam.sum(), 2.0)
     assert p.sum() == pytest.approx(2.0, abs=1e-9)
     assert p.max() <= 1.0 + 1e-12 and p.min() >= 0.0
+
+
+LO = 1e-12  # the projection's default floor
+
+
+def assert_budget_box_projection(p, s, x):
+    """x sums to s, lies in [LO, 1] and is clip(p - shift, LO, 1) for one shift:
+    every shift bound p_i - x_i from an entry below the cap is <= every one
+    from an entry above the floor."""
+    assert abs(x.sum() - s) <= 1e-12 * max(1.0, s)
+    assert x.min() >= LO and x.max() <= 1.0
+    gaps = p - x
+    assert gaps[x < 1.0].max(initial=-np.inf) <= (
+        gaps[x > LO].min(initial=np.inf) + 1e-13 * max(1.0, np.abs(p).max()))
+
+
+@st.composite
+def budget_box_inputs(draw):
+    n = draw(st.integers(1, 30))
+    # |p| <= 100: the shift is rounded to ulp(p), so beyond ~1e3 no float64
+    # projection of 30 free entries can hold the 1e-12 sum tolerance
+    p = draw(hnp.arrays(np.float64, n, elements=st.floats(-100.0, 100.0, allow_nan=False)))
+    s = draw(st.floats(n * LO, float(n)))
+    return p, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(budget_box_inputs())
+def test_budget_projection_is_exact_property(inputs):
+    p, s = inputs
+    assert_budget_box_projection(p, s, project_budget_box(p, s))
+
+
+def test_budget_projection_full_budget_gives_all_ones():
+    p = np.random.default_rng(5).standard_normal(7)
+    assert np.array_equal(project_budget_box(p, 7.0), np.ones(7))
+
+
+def test_budget_projection_keeps_a_feasible_point():
+    p = np.array([0.3, 0.5, 0.2, 1.0, LO, 0.75])
+    x = project_budget_box(p, float(p.sum()))
+    np.testing.assert_allclose(x, p, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("p, s, expected", [
+    ([0.7] * 5, 2.0, [0.4] * 5),
+    ([3.0, 3.0, 0.1, 0.1], 2.1, [1.0, 1.0, 0.05, 0.05]),
+    ([-2.0, -2.0, -2.0], 3.0 * LO, [LO] * 3),
+    ([0.5, 0.5, 9.0, 9.0, 9.0], 4.0, [0.5, 0.5, 1.0, 1.0, 1.0]),
+])
+def test_budget_projection_handles_ties(p, s, expected):
+    p = np.array(p)
+    x = project_budget_box(p, s)
+    np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-15)
+    assert_budget_box_projection(p, s, x)

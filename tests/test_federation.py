@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -314,6 +316,25 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert loaded["rounds"] == 3
     assert loaded["scheme"] == "vanilla"
     assert loaded["config"]["seed"] == cfg.seed
+
+
+def test_summary_best_accuracy_and_time_totals_match_metrics_csv(tmp_path):
+    cfg = base_cfg(scheme="ffl", seed=0, round_cap=12, eval_stride=1, packet_failure_prob=0.3,
+                   output_dir=str(tmp_path))
+    federation.run_experiment(cfg)
+    with open(tmp_path / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+
+    def column(name):
+        return [float(row[name]) for row in rows]
+
+    assert summary["best_acc"] == max(column("test_acc"))
+    assert summary["best_acc"] > summary["final_acc"]  # accuracy dips after its peak here
+    assert summary["total_compute_s"] == sum(column("compute_max_s"))
+    assert summary["total_uplink_s"] == sum(column("uplink_max_s"))
+    assert summary["total_downlink_s"] == sum(column("downlink_s"))
+    assert summary["total_uplink_s"] > 0.0
 
 
 def test_summary_json_is_strict_when_the_last_round_is_lost(tmp_path):
