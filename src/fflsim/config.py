@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .netsim import ChannelConfig
 
-log = logging.getLogger(__name__)
-
 SCHEMES = ("ffl", "adacomm_like", "atomo_like", "fixed", "vanilla")
-SCHEDULES = ("conclusive", "full")
 DATASETS = ("synthetic", "mnist")
 BASES = ("elementwise", "lowrank")
 STOPS = ("time", "rounds")
@@ -29,7 +25,6 @@ STOPS = ("time", "rounds")
 class ExperimentConfig:
     seed: int = 0
     scheme: str = "ffl"
-    schedule: str = "conclusive"
     output_dir: str = "out"
 
     # schedule anchors and bounds
@@ -81,13 +76,6 @@ class ExperimentConfig:
     sec_per_local_step: float = 5e-3
     sec_per_atom_compress: float = 0.0
 
-    # bound constants (full schedule falls back to these when probes are short)
-    L: float = 0.5
-    sigma1: float = 1.0
-    sigma2: float = 1.0
-    F_inf: float = 0.0
-    probe_rounds: int = 2
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         known = {f.name for f in dataclasses.fields(cls)}
@@ -109,8 +97,6 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if self.tau_ub < 1 or not 1 <= self.tau0 <= self.tau_ub:
             raise ConfigError(
                 f"tau0/tau_ub must satisfy 1 <= tau0 <= tau_ub, got {self.tau0}/{self.tau_ub}"
@@ -173,21 +159,7 @@ class ExperimentConfig:
             self.classes_per_worker is None or self.classes_per_worker < 1
         ):
             raise ConfigError("classes_per_worker must be >= 1 when partition_mode='by_class'")
-        if self.L <= 0:
-            raise ConfigError(f"L must be > 0, got {self.L}")
-        if self.sigma1 < 0:
-            raise ConfigError(f"sigma1 must be >= 0, got {self.sigma1}")
-        if self.F_inf < 0:
-            raise ConfigError(f"F_inf must be >= 0, got {self.F_inf}")
-        if self.probe_rounds < 0:
-            raise ConfigError(f"probe_rounds must be >= 0, got {self.probe_rounds}")
         self.channel().validate(self.workers)
-        if self.eta * self.L * (self.tau_ub - 1) >= 0.5:
-            log.warning(
-                "eta * L * (tau_ub - 1) = %.3f >= 0.5: the configured constants sit outside "
-                "the regime the error bound assumes",
-                self.eta * self.L * (self.tau_ub - 1),
-            )
 
     def channel(self) -> ChannelConfig:
         return ChannelConfig(

@@ -21,7 +21,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,8 +165,6 @@ class Experiment:
         self._next_plan = self._apply_policy(schedule.RoundPlan(cfg.tau0, cfg.s0))
         self._last_acc: float | None = None
         self._smoothed_acc: float | None = None
-        self._probes: list[schedule.ProbeRound] = []
-        self._bound_params: schedule.BoundParams | None = None
 
     # ---- plan handling ------------------------------------------------- #
 
@@ -175,36 +173,13 @@ class Experiment:
         s = self.policy.s_pin if not self.policy.adapt_s else plan.s_k
         return schedule.RoundPlan(int(tau), float(s))
 
-    def _bound_defaults(self) -> schedule.BoundParams:
-        cfg = self.cfg
-        rates = [netsim.link_rate(self.channel, j) for j in range(cfg.workers)]
-        alpha = cfg.bits_per_atom / (sum(rates) / len(rates))
-        return schedule.BoundParams(
-            eta=cfg.eta, L=cfg.L, sigma1=cfg.sigma1, sigma2=cfg.sigma2, alpha=alpha,
-            M=cfg.workers, T_k=cfg.T_budget_s, Y_k=cfg.sec_per_local_step,
-            F_inf=cfg.F_inf,
-        )
-
     def _plan_after_feedback(self, mean_loss: float) -> None:
         """Fold the round's loss feedback into the scheduler and stage the
         next round's plan."""
-        cfg = self.cfg
         if not (self.policy.adapt_tau or self.policy.adapt_s):
             schedule.observe_loss(self.scheduler, mean_loss)
             return
-        if cfg.schedule == "conclusive":
-            plan = schedule.plan_next(self.scheduler, mean_loss)
-        else:
-            f_hat = schedule.observe_loss(self.scheduler, mean_loss)
-            if self.round_index + 1 < cfg.probe_rounds:
-                plan = schedule.RoundPlan(cfg.tau0, cfg.s0)
-            else:
-                if self._bound_params is None:
-                    self._bound_params = schedule.estimate_constants(
-                        self._probes, self._bound_defaults()
-                    )
-                plan = schedule.optimal_full(self._bound_params, f_hat, cfg.tau_ub, cfg.s_ub)
-        self._next_plan = self._apply_policy(plan)
+        self._next_plan = self._apply_policy(schedule.plan_next(self.scheduler, mean_loss))
 
     # ---- the round ----------------------------------------------------- #
 
@@ -221,7 +196,6 @@ class Experiment:
         atoms_sent = 0
         expected_atoms = 0.0
         expected_var = 0.0
-        sigma_pairs: list[tuple[float, float]] = []
 
         _, g_rows, losses = nn.local_update_run(
             self.params, self.train_set, [w.shard for w in self.workers], plan.tau_k, cfg.eta,
@@ -239,8 +213,6 @@ class Experiment:
                     probs = compress.SelectionProbabilities(np.empty(0))
                 else:
                     probs = compress.probabilities(decomp, plan.s_k)
-                    terms = compress.sigma_terms(decomp)
-                    sigma_pairs.append((terms.sigma1, terms.sigma2))
                 cg = compress.sample(decomp, probs, substream(cfg.seed, "compress", worker.worker_id, k))
                 payload_atoms = cg.payload_atoms
                 flat = compress.reconstruct(cg)
@@ -268,16 +240,6 @@ class Experiment:
         )
 
         if received_flat:
-            if cfg.schedule == "full" and self.policy.adapt_tau and k < cfg.probe_rounds:
-                self._probes.append(
-                    schedule.ProbeRound(
-                        weights=self.params.flat,
-                        gradient=sum(received_flat) / (len(received_flat) * plan.tau_k),
-                        sigma_pairs=sigma_pairs,
-                        atom_seconds=self.channel.bits_per_atom
-                        / netsim.link_rate(self.channel, 0),
-                    )
-                )
             mean_flat = received_flat[0].copy()
             for other in received_flat[1:]:
                 mean_flat += other

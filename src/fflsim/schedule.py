@@ -1,27 +1,23 @@
 """Round planning: picking local steps tau_k and sparsity budget s_k.
 
-The per-round error bound being minimized is
+The paper's per-round error bound is
 
     psi(tau, s) = A * (Y + alpha * s / tau) + (B + C * (tau - 1)) * (sigma1 / s + sigma2)
 
 with A = 2 * (F_k - F_inf) / (eta * T), B = eta * L / M and C = (eta * L)^2.
-Two planners are provided: `optimal_full` minimizes psi directly (for every
-integer tau it takes the exact minimizer over s, which psi's convexity in s
-gives in closed form, and keeps the best pair), and `plan_next` applies the
-constant-free cube-root schedule tau_k ~ F_k^(1/3), s_k ~ F_k^(-1/3) driven
-by the smoothed training loss.
+`optimal_full` is the exact minimizer of psi (for every integer tau it takes
+the exact minimizer over s, which psi's convexity in s gives in closed form,
+and keeps the best pair); acceptance criterion 07 checks it against a grid.
+Runs plan with `plan_next`, the constant-free cube-root schedule
+tau_k ~ F_k^(1/3), s_k ~ F_k^(-1/3) driven by the smoothed training loss.
 """
 
 from __future__ import annotations
 
-import itertools
-import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -202,51 +198,3 @@ def plan_next(state: SchedulerState, F_k: float) -> RoundPlan:
     tau = int(_clamp(round(raw_tau), 1, state.tau_ub))
     s = _clamp(raw_s, 1.0, state.s_ub)
     return RoundPlan(tau, s)
-
-
-@dataclass
-class ProbeRound:
-    """Telemetry from one calibration round.
-
-    weights/gradient are flat vectors at the server iterate; sigma_pairs is
-    a (sigma1, sigma2) pair per worker from its decomposition that round;
-    atom_seconds the measured transmission seconds per atom, if any.
-    """
-
-    weights: np.ndarray
-    gradient: np.ndarray
-    sigma_pairs: list[tuple[float, float]]
-    atom_seconds: float | None = None
-
-
-def estimate_constants(probe_runs: list[ProbeRound], defaults: BoundParams) -> BoundParams:
-    """Fill the bound constants from probe telemetry.
-
-    L-hat is the max gradient-difference ratio over probe pairs; sigma1/sigma2
-    take the worst round-mean of the per-worker terms; alpha is the mean
-    measured per-atom seconds, else the default.  With fewer than two probes
-    the defaults are returned unchanged.
-    """
-    if len(probe_runs) < 2:
-        log.info("insufficient probe telemetry (%d rounds); keeping configured constants",
-                 len(probe_runs))
-        return defaults
-    l_hat = 0.0
-    for a, b in itertools.combinations(probe_runs, 2):
-        dw = float(np.linalg.norm(a.weights - b.weights))
-        if dw < 1e-12:
-            continue
-        l_hat = max(l_hat, float(np.linalg.norm(a.gradient - b.gradient)) / dw)
-    if l_hat <= 0.0:
-        l_hat = defaults.L
-    sigma1_hat = 0.0
-    sigma2_hat = -math.inf
-    for probe in probe_runs:
-        if probe.sigma_pairs:
-            sigma1_hat = max(sigma1_hat, float(np.mean([p[0] for p in probe.sigma_pairs])))
-            sigma2_hat = max(sigma2_hat, float(np.mean([p[1] for p in probe.sigma_pairs])))
-    if not math.isfinite(sigma2_hat):
-        sigma1_hat, sigma2_hat = defaults.sigma1, defaults.sigma2
-    measured = [p.atom_seconds for p in probe_runs if p.atom_seconds]
-    alpha_hat = float(np.mean(measured)) if measured else defaults.alpha
-    return replace(defaults, L=l_hat, sigma1=sigma1_hat, sigma2=sigma2_hat, alpha=alpha_hat)

@@ -55,11 +55,17 @@ def test_run_rejects_negative_eta_with_key_in_message(tmp_path, capsys):
     assert "eta" in err
 
 
-def test_run_rejects_unknown_key(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, {**MINIMAL, "learning_rate": 0.1})
+# learning_rate was never a key; the others belonged to the deleted `full` schedule
+UNKNOWN_KEYS = {"learning_rate": 0.1, "schedule": "conclusive", "L": 0.5, "sigma1": 1.0,
+                "sigma2": 1.0, "F_inf": 0.0, "probe_rounds": 2}
+
+
+@pytest.mark.parametrize("key", UNKNOWN_KEYS)
+def test_run_rejects_unknown_key(tmp_path, capsys, key):
+    cfg_path = write_config(tmp_path, {**MINIMAL, key: UNKNOWN_KEYS[key]})
     code, _, err = run_main(["run", "--config", cfg_path], capsys)
     assert code == 2
-    assert "learning_rate" in err
+    assert repr(key) in err
 
 
 def test_run_missing_config_file(tmp_path, capsys):

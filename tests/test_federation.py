@@ -178,15 +178,6 @@ def test_ffl_schedule_moves_with_loss():
     assert ss[-1] > ss[0]
 
 
-def test_full_schedule_runs_and_estimates_constants():
-    cfg = base_cfg(scheme="ffl", schedule="full", tau0=5, round_cap=6, probe_rounds=2)
-    exp = Experiment(cfg)
-    records, _ = exp.run()
-    assert exp._bound_params is not None
-    assert exp._bound_params.L > 0
-    assert all(1 <= r.tau_k <= cfg.tau_ub for r in records)
-
-
 # ---- packet failure ---- #
 
 def test_all_packets_lost_skips_updates():

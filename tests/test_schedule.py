@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fflsim import schedule
-from fflsim.schedule import BoundParams, ProbeRound, RoundPlan, SchedulerState
+from fflsim.schedule import BoundParams, RoundPlan, SchedulerState
 
 from oracles import draw_smooth_regime, psi_reference
 
@@ -260,50 +260,7 @@ def test_round_plan_validation():
         RoundPlan(2, 0.5)
 
 
-# ---- constant estimation ---- #
-
-def quadratic_probes(a=0.7, n=3, dim=6, seed=0):
-    rng = np.random.default_rng(seed)
-    probes = []
-    for _ in range(n):
-        w = rng.standard_normal(dim)
-        probes.append(ProbeRound(weights=w, gradient=a * w,
-                                 sigma_pairs=[(36.0, -14.0)]))
-    return probes
-
-
-def test_estimate_constants_quadratic_lipschitz():
-    est = schedule.estimate_constants(quadratic_probes(a=0.7), example_params())
-    assert est.L == pytest.approx(0.7, abs=1e-6)
-
-
-def test_estimate_constants_sigma_terms():
-    est = schedule.estimate_constants(quadratic_probes(), example_params())
-    assert est.sigma1 == pytest.approx(36.0, abs=0)
-    assert est.sigma2 == pytest.approx(-14.0, abs=0)
-
-
-def test_estimate_constants_alpha_from_measured_seconds():
-    probes = quadratic_probes()
-    probes[0].atom_seconds = 2e-4
-    probes[1].atom_seconds = 4e-4
-    est = schedule.estimate_constants(probes, example_params())
-    assert est.alpha == pytest.approx(3e-4, rel=1e-12)
-
-
-def test_estimate_constants_insufficient_probes_keeps_defaults():
-    defaults = example_params()
-    est = schedule.estimate_constants(quadratic_probes(n=1), defaults)
-    assert est is defaults
-
-
-def test_estimate_constants_sigma_worst_round_wins():
-    probes = quadratic_probes(n=2)
-    probes[1].sigma_pairs = [(50.0, -20.0), (10.0, -2.0)]  # mean (30, -11)
-    est = schedule.estimate_constants(probes, example_params())
-    assert est.sigma1 == 36.0  # round 0 mean is larger
-    assert est.sigma2 == -11.0  # round 1 mean is larger (less negative)
-
+# ---- bound constants ---- #
 
 def test_bound_params_validation():
     with pytest.raises(ValueError):
