@@ -12,6 +12,13 @@ For a sparsity budget s (expected number of transmitted atoms), the variance
 that stays <= 1 for every atom.  Oversized coefficients are clipped to
 p = 1 and the rule is re-applied to the remaining atoms with the leftover
 budget until it is feasible.
+
+Reconstruction is batched: reconstruct_rows turns an (n, B) keep mask into
+n dense estimator rows, with one scatter for elementwise atoms and, for
+rank-1 atoms, one dense block per kept atom added to each row in atom
+order.  The round loop writes each worker's payload into its row of one
+(M, d) buffer with it, and the Monte Carlo checks reconstruct their sampled
+masks with it, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -58,9 +65,7 @@ class AtomicDecomposition:
 
     def reconstruct_full(self) -> np.ndarray:
         """Dense sum_i lambda_i * a_i (no sampling); mostly for verification."""
-        out = np.zeros(self.dim)
-        _scatter(out, self.basis_kind, self.coeffs, self.indices, self.outer_atoms)
-        return out
+        return _dense(self.basis_kind, self.dim, self.coeffs, self.indices, self.outer_atoms)
 
 
 @dataclass
@@ -87,20 +92,41 @@ class CompressedGradient:
     coeffs: np.ndarray  # scaled lambda_i / p_i for the selected atoms
     indices: np.ndarray | None = None
     outer_atoms: list[OuterAtom] | None = None
+    kept: np.ndarray | None = None  # keep mask over the source decomposition's atoms
 
     @property
     def payload_atoms(self) -> int:
         return self.coeffs.size
 
 
-def _scatter(out, basis_kind, coeffs, indices, outer_atoms) -> None:
+def _scatter(out, basis_kind, coeffs, indices, outer_atoms, keep) -> None:
+    """Row r of the zero (n, d) array `out` becomes sum_i keep[r, i] *
+    coeffs[i] * a_i.
+
+    Elementwise atoms sit at distinct positions, so one scatter writes every
+    row.  Rank-1 atoms overlap within their layer block, so each row adds its
+    kept atoms one at a time in atom order, the order a single payload has
+    always used; each atom's dense block is formed once for all rows.
+    """
     if basis_kind == "elementwise":
-        if coeffs.size:
-            out[indices] += coeffs
-    else:
-        for coeff, atom in zip(coeffs, outer_atoms or []):
-            block = coeff * np.outer(atom.u, atom.v)
-            out[atom.offset : atom.offset + block.size] += block.ravel()
+        out[:, indices] = np.where(keep, coeffs, 0.0)
+        return
+    blocks: dict[int, np.ndarray] = {}
+    rows, atoms = np.nonzero(keep)  # row by row, atoms ascending within a row
+    for r, i in zip(rows.tolist(), atoms.tolist()):
+        atom = outer_atoms[i]
+        block = blocks.get(i)
+        if block is None:
+            # coeff * (u_a v_b) per entry, as np.outer(u, v) scaled by coeff
+            block = blocks[i] = (coeffs[i] * (atom.u[:, None] * atom.v)).ravel()
+        out[r, atom.offset : atom.offset + block.size] += block
+
+
+def _dense(basis_kind, dim, coeffs, indices, outer_atoms) -> np.ndarray:
+    """sum_i coeffs[i] * a_i as one dense d-vector."""
+    out = np.zeros((1, dim))
+    _scatter(out, basis_kind, coeffs, indices, outer_atoms, np.ones((1, coeffs.size), dtype=bool))
+    return out[0]
 
 
 def decompose_elementwise(grad: np.ndarray, offset: int = 0, dim: int | None = None) -> AtomicDecomposition:
@@ -197,13 +223,14 @@ def select(
     decomp: AtomicDecomposition, probs: SelectionProbabilities, mask: np.ndarray
 ) -> CompressedGradient:
     """Deterministic half of sampling: keep the masked atoms, scale by 1/p."""
-    picked = np.flatnonzero(mask)
+    kept = np.asarray(mask, dtype=bool)
+    picked = np.flatnonzero(kept)
     scaled = decomp.coeffs[picked] / probs.probs[picked]
     if decomp.basis_kind == "elementwise":
         idx = decomp.indices[picked] if decomp.indices is not None else picked
-        return CompressedGradient("elementwise", decomp.dim, scaled, indices=idx)
+        return CompressedGradient("elementwise", decomp.dim, scaled, indices=idx, kept=kept)
     chosen = [decomp.outer_atoms[i] for i in picked] if decomp.outer_atoms else []
-    return CompressedGradient("lowrank", decomp.dim, scaled, outer_atoms=chosen)
+    return CompressedGradient("lowrank", decomp.dim, scaled, outer_atoms=chosen, kept=kept)
 
 
 def sample(
@@ -216,16 +243,39 @@ def sample(
     """
     if decomp.n_atoms == 0:
         return CompressedGradient(decomp.basis_kind, decomp.dim, np.empty(0),
-                                  indices=np.empty(0, dtype=np.int64), outer_atoms=[])
+                                  indices=np.empty(0, dtype=np.int64), outer_atoms=[],
+                                  kept=np.empty(0, dtype=bool))
     mask = rng.random(decomp.n_atoms) < probs.probs
     return select(decomp, probs, mask)
 
 
 def reconstruct(compressed: CompressedGradient) -> np.ndarray:
     """Dense estimator vector from a compressed payload."""
-    out = np.zeros(compressed.dim)
-    _scatter(out, compressed.basis_kind, compressed.coeffs, compressed.indices,
-             compressed.outer_atoms)
+    return _dense(compressed.basis_kind, compressed.dim, compressed.coeffs, compressed.indices,
+                  compressed.outer_atoms)
+
+
+def reconstruct_rows(
+    decomp: AtomicDecomposition,
+    probs: SelectionProbabilities,
+    masks: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Dense estimator rows for an (n, B) keep mask over decomp's B atoms.
+
+    Row r equals reconstruct(select(decomp, probs, masks[r])) bit for bit.
+    The rows are written into `out`, an (n, d) array, when it is given, and
+    into a new array otherwise.
+    """
+    keep = np.asarray(masks, dtype=bool)
+    if keep.ndim != 2 or keep.shape[1] != decomp.n_atoms:
+        raise ValueError(f"expected an (n, {decomp.n_atoms}) keep mask, got shape {keep.shape}")
+    if out is None:
+        out = np.zeros((keep.shape[0], decomp.dim))
+    else:
+        out.fill(0.0)
+    _scatter(out, decomp.basis_kind, decomp.coeffs / probs.probs, decomp.indices,
+             decomp.outer_atoms, keep)
     return out
 
 

@@ -250,16 +250,23 @@ def partition(ds: Dataset, spec: PartitionSpec, rng: np.random.Generator) -> lis
     return [np.asarray(s, dtype=np.int64) for s in shards]
 
 
-def sample_indices(shard: Shard, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    """Dataset rows of one uniform draw with replacement from a shard."""
+def sample_indices(shard: Shard, steps: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Dataset rows of `steps` uniform draws of `batch_size` with replacement
+    from a shard, shape (steps, batch_size).
+
+    One generator call: it returns the same values, and leaves `rng` in the
+    same state, as `steps` calls of `batch_size` draws each.
+    """
     if len(shard) == 0:
         raise ValueError("cannot sample from an empty shard")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return shard[rng.integers(0, len(shard), size=batch_size)]
+    return shard[rng.integers(0, len(shard), size=(steps, batch_size))]
 
 
 def sample_minibatch(shard: Shard, ds: Dataset, batch_size: int, rng: np.random.Generator) -> MiniBatch:
     """Uniform sampling with replacement from one shard."""
-    picks = sample_indices(shard, batch_size, rng)
+    picks = sample_indices(shard, 1, batch_size, rng)[0]
     return MiniBatch(ds.features[picks], ds.labels[picks])

@@ -5,10 +5,13 @@ every worker runs tau_k local SGD steps, sums its per-step mini-batch
 gradients, optionally compresses that sum, and uploads it.  The local steps
 of all workers run as one stacked pass (nn.local_update_run), which returns
 each worker's gradient sum as one row of an (M, d) array in the flat
-parameter layout; compression and upload take the rows in worker order.
-The server averages whatever payloads survive the packet-failure draws,
-takes one momentum SGD step with the average, and feeds the workers' mean
-training loss back into the scheduler for the next plan.  Named schemes are
+parameter layout; compression and upload take the rows in worker order, and
+each worker's payload, as the server reconstructs it, fills the same row of
+a second (M, d) buffer (or is that row itself when nothing is compressed).
+The server's average is the sum of the rows whose packets survive, added in
+worker order, over their count; it takes one momentum SGD step with the
+average, and feeds the workers' mean training loss back into the scheduler
+for the next plan.  Named schemes are
 presets of three knobs (compression on/off, adaptive or pinned tau, adaptive
 or pinned s), so the baselines are literally the adaptive engine with parts
 switched off.
@@ -191,8 +194,7 @@ class Experiment:
 
         compute_s: list[float] = []
         uplink_s: list[float] = []
-        received_flat: list[np.ndarray] = []
-        received_losses: list[float] = []
+        received = np.zeros(len(self.workers), dtype=bool)
         atoms_sent = 0
         expected_atoms = 0.0
         expected_var = 0.0
@@ -202,7 +204,9 @@ class Experiment:
             cfg.batch_size, [w.rng for w in self.workers], momentum=cfg.worker_momentum,
         )
         worker_losses = losses.mean(axis=1)
-        for worker, g_row, worker_loss in zip(self.workers, g_rows, worker_losses):
+        # row j: worker j's update as the server reconstructs it
+        rows = np.empty_like(g_rows) if self.policy.compress else g_rows
+        for j, (worker, g_row) in enumerate(zip(self.workers, g_rows)):
             payload_atoms = 0
             if self.policy.compress:
                 decomp = compress.decompose_bundle(
@@ -215,12 +219,11 @@ class Experiment:
                     probs = compress.probabilities(decomp, plan.s_k)
                 cg = compress.sample(decomp, probs, substream(cfg.seed, "compress", worker.worker_id, k))
                 payload_atoms = cg.payload_atoms
-                flat = compress.reconstruct(cg)
+                compress.reconstruct_rows(decomp, probs, cg.kept[None], out=rows[j : j + 1])
                 expected_atoms += float(probs.probs.sum())
                 expected_var += float((probs.probs * (1.0 - probs.probs)).sum())
                 up = netsim.uplink_time(payload_atoms, self.channel, worker.worker_id)
             else:
-                flat = g_row
                 up = netsim.dense_uplink_time(d, self.channel, worker.worker_id)
             atoms_sent += payload_atoms
             compute_s.append(
@@ -228,27 +231,25 @@ class Experiment:
                 + payload_atoms * self.channel.sec_per_atom_compress
             )
             uplink_s.append(up)
-            if netsim.packet_survives(substream(cfg.seed, "net", worker.worker_id, k), self.channel):
-                received_flat.append(flat)
-                received_losses.append(float(worker_loss))
+            received[j] = netsim.packet_survives(
+                substream(cfg.seed, "net", worker.worker_id, k), self.channel
+            )
 
         downlink_bits = d * self.channel.bits_per_weight
-        downlink_s = downlink_bits / self.channel.downlink_rate_bps
+        downlink_s = netsim.downlink_time(d, self.channel)
         total_s = netsim.round_time(compute_s, uplink_s, downlink_bits, self.channel)
         sim_time = self.ledger.append(
             netsim.RoundTiming(k, compute_s, uplink_s, downlink_s, total_s)
         )
 
-        if received_flat:
-            mean_flat = received_flat[0].copy()
-            for other in received_flat[1:]:
-                mean_flat += other
-            mean_flat /= len(received_flat)
-            ghat = self.params.from_flat(mean_flat)
+        count = np.count_nonzero(received)
+        if count:
+            # an axis-0 sum adds the received rows in worker order
+            ghat = self.params.from_flat(rows[received].sum(axis=0) / count)
             self.params, self.velocity = nn.sgd_step(
                 self.params, ghat, cfg.eta, cfg.server_momentum, self.velocity
             )
-            train_loss = float(np.mean(received_losses))
+            train_loss = float(np.mean(worker_losses[received]))
             self._plan_after_feedback(train_loss)
         else:
             self.skipped_rounds += 1
@@ -272,7 +273,7 @@ class Experiment:
             train_loss=train_loss,
             smoothed_loss=self.scheduler.smoothed if self.scheduler.smoothed is not None else math.nan,
             test_acc=self._last_acc,
-            received_workers=len(received_flat),
+            received_workers=count,
             atoms_sent_total=atoms_sent,
             round_time_s=total_s,
             uplink_max_s=max(uplink_s),

@@ -9,10 +9,14 @@ offsets in the flat vector.
 Local SGD runs all M workers of a round in one stacked pass: their
 parameters, velocities and gradient sums are (M, d) buffers whose row j is
 laid out like a flat vector, and each step does one batched matmul per layer
-for every worker at once.  The forward and backward pass is written once,
-over arrays with an optional leading worker axis, so a single 2-D batch is
-simply the unstacked case of the same code.  No function here mutates its
-inputs, and randomness only enters through explicit generators.
+for every worker at once.  Before the first step each worker draws all tau
+of its mini-batches in one call on its own generator, giving a (tau, M,
+batch) index array; the drawn labels and the step arguments are checked
+once, and each step gathers only its own (M, batch, d_in) features.  The
+forward and backward pass is written once, over arrays with an optional
+leading worker axis, so a single 2-D batch is simply the unstacked case of
+the same code.  No function here mutates its inputs, and randomness only
+enters through explicit generators.
 """
 
 from __future__ import annotations
@@ -145,16 +149,14 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return np.tanh(z)
 
 
-def _check_batch(
-    params: ParameterSet, features, labels, ndim: int = 2
-) -> tuple[np.ndarray, np.ndarray]:
-    """Features of shape (..., batch, d_in) with `ndim` axes, a non-empty
-    batch axis and every label in [0, classes)."""
+def _check_batch(params: ParameterSet, features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Features of shape (rows, d_in) with at least one row, and every label
+    in [0, classes)."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     d_in = params.weights[0].shape[0]
-    if x.ndim != ndim or x.shape[-1] != d_in:
-        raise ConfigError(f"batch features have shape {x.shape}, expected {ndim} axes ending in {d_in}")
+    if x.ndim != 2 or x.shape[-1] != d_in:
+        raise ConfigError(f"batch features have shape {x.shape}, expected 2 axes ending in {d_in}")
     if x.shape[-2] == 0:
         raise ValueError("empty batch")
     classes = params.weights[-1].shape[1]
@@ -267,7 +269,9 @@ def local_update_run(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run tau local SGD steps for M workers at once, all from `params`.
 
-    Worker j samples its mini-batches from shards[j] with rngs[j].  Returns
+    Worker j draws all tau of its mini-batches from shards[j] with one call
+    on rngs[j]; the batches and the step arguments are checked once, before
+    the first step, so a bad input raises before any work is done.  Returns
     (final parameters, summed gradients, per-step losses) with shapes
     (M, d), (M, d) and (M, tau); row j is laid out like params.flatten()
     and is bit for bit what worker j would get on its own.  The summed
@@ -279,6 +283,13 @@ def local_update_run(
     if len(shards) < 1 or len(shards) != len(rngs):
         raise ValueError(f"need one generator per shard and >= 1 shard, got {len(shards)} "
                          f"shards and {len(rngs)} generators")
+    _check_step(eta, momentum)
+    # (tau, M, batch): row picks[t, j] is worker j's mini-batch at step t
+    picks = np.array([sample_indices(s, tau, batch_size, r) for s, r in zip(shards, rngs)])
+    picks = picks.swapaxes(0, 1)
+    # every step gathers from ds.features, so checking it and the drawn
+    # labels here covers all tau steps
+    features, labels = _check_batch(params, ds.features, ds.labels[picks])
     current = np.tile(params.flat, (len(shards), 1))
     velocity = np.zeros_like(current)
     g_sum = np.zeros_like(current)
@@ -287,12 +298,12 @@ def local_update_run(
     weights, biases = _layer_views(current, params.shapes)
     grad_w, grad_b = _layer_views(grad, params.shapes)
     for step in range(tau):
-        picks = np.array([sample_indices(s, batch_size, r) for s, r in zip(shards, rngs)])
-        x, y = _check_batch(params, ds.features[picks], ds.labels[picks], ndim=3)
-        losses[:, step] = _backprop(weights, biases, params.activation, x, y, grad_w, grad_b)
+        x = features[picks[step]]
+        losses[:, step] = _backprop(
+            weights, biases, params.activation, x, labels[step], grad_w, grad_b
+        )
         _require_finite(grad, "gradient")
         g_sum += grad
-        _check_step(eta, momentum)
         velocity *= momentum
         velocity += grad
         current -= eta * velocity

@@ -314,6 +314,81 @@ def test_expected_payload_matches_sum_of_probs():
     assert counts.mean() == pytest.approx(probs.probs.sum(), rel=0.05)
 
 
+def _one_row_reference(cg):
+    """A payload's dense vector, scattered the way a single payload was
+    before reconstruction was batched: elementwise coefficients added at
+    their positions, rank-1 blocks added one atom at a time."""
+    out = np.zeros(cg.dim)
+    if cg.basis_kind == "elementwise":
+        out[cg.indices] += cg.coeffs
+    for coeff, atom in zip(cg.coeffs, cg.outer_atoms or []):
+        block = coeff * np.outer(atom.u, atom.v)
+        out[atom.offset : atom.offset + block.size] += block.ravel()
+    return out
+
+
+@st.composite
+def masked_decompositions(draw):
+    """(decomposition, probabilities, (n, B) keep mask) for either basis.
+
+    Elementwise draws B directly; lowrank draws the layer sizes of a random
+    gradient, and B is then the sum over blocks of min(ceil(s), rank)."""
+    basis = draw(st.sampled_from(compress.BASIS_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = draw(st.floats(1.0, 12.0))
+    if basis == "elementwise":
+        b = draw(st.integers(0, 40))
+        vec = rng.standard_normal(b) * np.exp(2.0 * rng.standard_normal(b))
+        vec[rng.random(b) < 0.2] = 0.0
+        decomp = compress.decompose_elementwise(vec)
+    else:
+        sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=4))
+        params = nn.init_params(nn.MlpSpec(sizes), rng)
+        grad = params.from_flat(rng.standard_normal(params.dim))
+        decomp = compress.decompose_bundle(grad, "lowrank", s)
+    probs = (compress.probabilities(decomp, s) if decomp.n_atoms
+             else compress.SelectionProbabilities(np.empty(0)))
+    n = draw(st.integers(1, 30))
+    masks = rng.random((n, decomp.n_atoms)) < probs.probs
+    masks[0] = True
+    masks[-1] = masks[-1] & (n == 1)  # with n > 1 the last row keeps nothing
+    return decomp, probs, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_decompositions())
+def test_reconstruct_rows_equals_one_row_at_a_time_bitwise(case):
+    decomp, probs, masks = case
+    rows = compress.reconstruct_rows(decomp, probs, masks)
+    payloads = [compress.select(decomp, probs, mask) for mask in masks]
+    one_at_a_time = np.array([compress.reconstruct(cg) for cg in payloads])
+    before_batching = np.array([_one_row_reference(cg) for cg in payloads])
+    assert rows.shape == (len(masks), decomp.dim)
+    # tobytes: bit for bit, signed zeros included
+    assert rows.tobytes() == one_at_a_time.tobytes() == before_batching.tobytes()
+    dirty = np.full_like(rows, np.nan)
+    assert compress.reconstruct_rows(decomp, probs, masks, out=dirty) is dirty
+    assert dirty.tobytes() == rows.tobytes()
+
+
+def test_reconstruct_rows_rejects_a_mask_of_the_wrong_width():
+    d = elementwise_of([3.0, 2.0, 1.0])
+    probs = compress.probabilities(d, 2.0)
+    with pytest.raises(ValueError, match="keep mask"):
+        compress.reconstruct_rows(d, probs, np.ones((4, 2), dtype=bool))
+    with pytest.raises(ValueError, match="keep mask"):
+        compress.reconstruct_rows(d, probs, np.ones(3, dtype=bool))
+
+
+def test_sample_records_its_keep_mask():
+    d = elementwise_of([3.0, -2.0, 1.0, 0.5])
+    probs = compress.probabilities(d, 2.0)
+    cg = compress.sample(d, probs, substream(4, "compress", 0, 0))
+    assert cg.kept.shape == (d.n_atoms,) and cg.kept.sum() == cg.payload_atoms
+    assert np.array_equal(compress.reconstruct_rows(d, probs, cg.kept[None])[0],
+                          compress.reconstruct(cg))
+
+
 # ---- variance terms ---- #
 
 def test_sigma_terms_worked_example():

@@ -286,3 +286,31 @@ def test_sample_minibatch_errors():
         data.sample_minibatch(np.array([], dtype=np.int64), ds, 4, substream(0, "w"))
     with pytest.raises(ValueError):
         data.sample_minibatch(np.arange(5), ds, 0, substream(0, "w"))
+
+
+# One integers(size=(steps, batch)) call must give the values and leave the
+# generator state of `steps` calls of size `batch`.  The local SGD runner and
+# the desk golden hashes rely on it, and pyproject allows any numpy >= 1.24,
+# so a numpy release that broke it fails here by name.
+@pytest.mark.parametrize("shard_size", [1, 37, 500, 4000])
+@pytest.mark.parametrize("batch_size", [1, 37, 64])
+def test_one_draw_of_all_steps_equals_one_draw_per_step(shard_size, batch_size):
+    shard = np.arange(shard_size) * 3 + 1
+    for steps in range(1, 31):
+        together = substream(steps, "worker", shard_size, batch_size)
+        per_step = substream(steps, "worker", shard_size, batch_size)
+        block = data.sample_indices(shard, steps, batch_size, together)
+        rows = [shard[per_step.integers(0, shard_size, size=batch_size)] for _ in range(steps)]
+        assert block.shape == (steps, batch_size)
+        assert np.array_equal(block, np.array(rows))
+        assert together.bit_generator.state == per_step.bit_generator.state
+
+
+def test_sample_indices_errors():
+    rng = substream(0, "w")
+    with pytest.raises(ValueError, match="empty shard"):
+        data.sample_indices(np.array([], dtype=np.int64), 3, 4, rng)
+    with pytest.raises(ValueError, match="steps"):
+        data.sample_indices(np.arange(5), 0, 4, rng)
+    with pytest.raises(ValueError, match="batch_size"):
+        data.sample_indices(np.arange(5), 3, 0, rng)

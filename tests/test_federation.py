@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fflsim import federation, nn
+from fflsim import compress, federation, netsim, nn
 from fflsim.config import ExperimentConfig
 from fflsim.data import Dataset, MiniBatch, sample_minibatch
 from fflsim.errors import ConfigError
@@ -201,6 +201,61 @@ def test_partial_packet_loss_still_updates():
     received = [r.received_workers for r in records]
     assert max(received) >= 1
     assert summary["skipped_rounds"] == sum(1 for c in received if c == 0)
+
+
+@pytest.mark.parametrize("scheme,basis", [
+    ("ffl", "elementwise"), ("ffl", "lowrank"), ("adacomm_like", "elementwise"),
+])
+def test_server_mean_equals_the_worker_order_loop(monkeypatch, scheme, basis):
+    # every payload the workers send and every survival draw are recorded,
+    # and the server's update direction is compared with the mean taken by
+    # a loop over the surviving payloads in worker order
+    cfg = base_cfg(scheme=scheme, basis=basis, workers=3, packet_failure_prob=0.5, round_cap=30)
+    payloads, survived, directions = [], [], []
+    real_run, real_sample = nn.local_update_run, compress.sample
+    real_survives, real_step = netsim.packet_survives, nn.sgd_step
+
+    def local_update_run(*args, **kwargs):
+        out = real_run(*args, **kwargs)
+        if scheme == "adacomm_like":
+            payloads.extend(out[1].copy())
+        return out
+
+    def sample(*args, **kwargs):
+        cg = real_sample(*args, **kwargs)
+        payloads.append(compress.reconstruct(cg))
+        return cg
+
+    def packet_survives(*args, **kwargs):
+        survived.append(real_survives(*args, **kwargs))
+        return survived[-1]
+
+    def sgd_step(params, grad, *args, **kwargs):
+        directions.append(grad.flat.copy())
+        return real_step(params, grad, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "local_update_run", local_update_run)
+    monkeypatch.setattr(compress, "sample", sample)
+    monkeypatch.setattr(netsim, "packet_survives", packet_survives)
+    monkeypatch.setattr(nn, "sgd_step", sgd_step)
+    records, _ = Experiment(cfg).run()
+
+    expected = []
+    for k, record in enumerate(records):
+        kept = [p for p, ok in zip(payloads[3 * k : 3 * k + 3], survived[3 * k : 3 * k + 3]) if ok]
+        assert record.received_workers == len(kept)
+        if kept:
+            mean = kept[0].copy()
+            for other in kept[1:]:
+                mean += other
+            mean /= len(kept)
+            expected.append(mean)
+    assert len(payloads) == len(survived) == 3 * len(records)
+    counts = [r.received_workers for r in records]
+    assert 0 in counts and 1 in counts
+    assert len(directions) == len(expected)
+    for got, want in zip(directions, expected):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---- evaluate ---- #

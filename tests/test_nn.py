@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fflsim import nn
-from fflsim.data import MiniBatch, gen_synthetic, sample_minibatch
+from fflsim.data import MiniBatch, gen_synthetic, sample_indices, sample_minibatch
 from fflsim.errors import ConfigError
 from fflsim.rng import substream
 
@@ -407,3 +407,37 @@ def test_stacked_run_keeps_sampling_and_step_checks():
         nn.local_update_run(params, ds, shards, 1, 0.05, 8, rngs()[:2])
     with pytest.raises(ConfigError):
         nn.local_update_run(make_params((4, 6, 3)), ds, shards, 1, 0.05, 8, rngs())
+
+
+def test_checks_fire_once_before_the_first_step(monkeypatch):
+    # the batches of all tau steps are drawn and checked before any step
+    # runs, so a bad label first drawn at a later step, an empty shard and a
+    # bad batch size all raise with no backprop done and params untouched
+    ds, _ = small_task(4)
+    params = make_params((5, 6, 3), seed=5)
+    before = params.flatten()
+    shards, rngs = three_workers(ds)
+    tau = 4
+    picks = sample_indices(shards[1], tau, 8, rngs()[1])  # worker 1's draws
+    step = next(t for t in range(1, tau) if not np.isin(picks[t], picks[:t]).all())
+    bad_row = next(r for r in picks[step] if r not in picks[:step])
+    ds.labels[bad_row] = 3  # outside [0, 3); only worker 1's shard holds the row
+    steps = []
+    real_backprop = nn._backprop
+
+    def backprop(*args):
+        steps.append(args[3].shape)
+        return real_backprop(*args)
+
+    monkeypatch.setattr(nn, "_backprop", backprop)
+    with pytest.raises(ValueError, match="labels outside"):
+        nn.local_update_run(params, ds, shards, tau, 0.05, 8, rngs())
+    with pytest.raises(ValueError, match="empty shard"):
+        nn.local_update_run(params, ds, [shards[0], shards[1][:0], shards[2]], tau, 0.05, 8, rngs())
+    with pytest.raises(ValueError, match="batch_size"):
+        nn.local_update_run(params, ds, shards, tau, 0.05, 0, rngs())
+    assert steps == []
+    assert np.array_equal(params.flat, before)
+    ds.labels[bad_row] = 0
+    nn.local_update_run(params, ds, shards, tau, 0.05, 8, rngs())
+    assert steps == [(3, 8, 5)] * tau  # one (M, batch, d_in) gather per step
