@@ -304,8 +304,16 @@ def sigma_terms(decomp: AtomicDecomposition) -> VarianceTerms:
     return VarianceTerms(sigma1, sigma2)
 
 
+def payload_bits(compressed: CompressedGradient) -> int:
+    """Bits in serialize(compressed), without building it: 96 per elementwise
+    atom, 160 + 64 * (m + n) per rank-1 atom of an m x n block."""
+    if compressed.basis_kind == "elementwise":
+        return 96 * compressed.payload_atoms
+    return sum(160 + 64 * (atom.u.size + atom.v.size) for atom in compressed.outer_atoms or [])
+
+
 def serialize(compressed: CompressedGradient) -> bytes:
-    """Wire form for payload accounting.
+    """Wire form of a payload; payload_bits gives its size.
 
     elementwise: little-endian (u32 atom id, f64 coefficient) pairs, 12 bytes
     per atom (96 bits).  lowrank: per atom a (u32 offset, u32 len(u),

@@ -66,15 +66,11 @@ class ExperimentConfig:
 
     # channel
     bandwidth_hz: float = 1e6
-    noise_watts: float = 1e-3
     snr: float | list[float] | None = None
     uplink_rate_bps: float | list[float] | None = 1e5
     downlink_rate_bps: float = 1e5
-    bits_per_atom: int = 96
-    bits_per_weight: int = 64
     packet_failure_prob: float = 0.0
     sec_per_local_step: float = 5e-3
-    sec_per_atom_compress: float = 0.0
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -164,15 +160,11 @@ class ExperimentConfig:
     def channel(self) -> ChannelConfig:
         return ChannelConfig(
             bandwidth_hz=self.bandwidth_hz,
-            noise_watts=self.noise_watts,
             snr=self.snr,
             uplink_rate_bps=self.uplink_rate_bps,
             downlink_rate_bps=self.downlink_rate_bps,
-            bits_per_atom=self.bits_per_atom,
-            bits_per_weight=self.bits_per_weight,
             packet_failure_prob=self.packet_failure_prob,
             sec_per_local_step=self.sec_per_local_step,
-            sec_per_atom_compress=self.sec_per_atom_compress,
         )
 
 

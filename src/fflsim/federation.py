@@ -95,6 +95,7 @@ class RoundRecord:
     expected_atoms: float = 0.0
     expected_atoms_var: float = 0.0
     smoothed_acc: float = 0.0
+    test_loss: float = math.nan
 
 
 def evaluate(params: nn.ParameterSet, test_set: Dataset, chunk: int = 512) -> tuple[float, float]:
@@ -161,12 +162,12 @@ class Experiment:
             tau0=cfg.tau0, s0=cfg.s0, tau_ub=cfg.tau_ub, s_ub=cfg.s_ub,
             loss_smoothing=cfg.loss_smoothing,
         )
-        self.ledger = netsim.TimeLedger()
+        self.sim_time_s = 0.0
         self.records: list[RoundRecord] = []
         self.round_index = 0
         self.skipped_rounds = 0
         self._next_plan = self._apply_policy(schedule.RoundPlan(cfg.tau0, cfg.s0))
-        self._last_acc: float | None = None
+        self._last_eval: tuple[float, float] | None = None  # (test loss, test accuracy)
         self._smoothed_acc: float | None = None
 
     # ---- plan handling ------------------------------------------------- #
@@ -207,40 +208,30 @@ class Experiment:
         # row j: worker j's update as the server reconstructs it
         rows = np.empty_like(g_rows) if self.policy.compress else g_rows
         for j, (worker, g_row) in enumerate(zip(self.workers, g_rows)):
-            payload_atoms = 0
             if self.policy.compress:
                 decomp = compress.decompose_bundle(
                     self.params.from_flat(g_row), cfg.basis, plan.s_k
                 )
                 if decomp.n_atoms == 0:
                     log.warning("round %d worker %d: zero gradient, empty payload", k, worker.worker_id)
-                    probs = compress.SelectionProbabilities(np.empty(0))
-                else:
-                    probs = compress.probabilities(decomp, plan.s_k)
+                probs = compress.probabilities(decomp, plan.s_k)
                 cg = compress.sample(decomp, probs, substream(cfg.seed, "compress", worker.worker_id, k))
-                payload_atoms = cg.payload_atoms
                 compress.reconstruct_rows(decomp, probs, cg.kept[None], out=rows[j : j + 1])
+                atoms_sent += cg.payload_atoms
                 expected_atoms += float(probs.probs.sum())
                 expected_var += float((probs.probs * (1.0 - probs.probs)).sum())
-                up = netsim.uplink_time(payload_atoms, self.channel, worker.worker_id)
+                bits = compress.payload_bits(cg)
             else:
-                up = netsim.dense_uplink_time(d, self.channel, worker.worker_id)
-            atoms_sent += payload_atoms
-            compute_s.append(
-                plan.tau_k * self.channel.sec_per_local_step
-                + payload_atoms * self.channel.sec_per_atom_compress
-            )
-            uplink_s.append(up)
+                bits = netsim.DENSE_BITS_PER_VALUE * d
+            compute_s.append(plan.tau_k * self.channel.sec_per_local_step)
+            uplink_s.append(netsim.uplink_time(bits, self.channel, worker.worker_id))
             received[j] = netsim.packet_survives(
                 substream(cfg.seed, "net", worker.worker_id, k), self.channel
             )
 
-        downlink_bits = d * self.channel.bits_per_weight
         downlink_s = netsim.downlink_time(d, self.channel)
-        total_s = netsim.round_time(compute_s, uplink_s, downlink_bits, self.channel)
-        sim_time = self.ledger.append(
-            netsim.RoundTiming(k, compute_s, uplink_s, downlink_s, total_s)
-        )
+        total_s = netsim.round_time(compute_s, uplink_s, downlink_s)
+        self.sim_time_s += total_s
 
         count = np.count_nonzero(received)
         if count:
@@ -256,9 +247,9 @@ class Experiment:
             train_loss = math.nan
             log.warning("round %d: no payload survived, model update skipped", k)
 
-        if k % cfg.eval_stride == 0 or self._last_acc is None:
-            _, acc = evaluate(self.params, self.test_set)
-            self._last_acc = acc
+        if k % cfg.eval_stride == 0 or self._last_eval is None:
+            self._last_eval = evaluate(self.params, self.test_set)
+            acc = self._last_eval[1]
             if self._smoothed_acc is None:
                 self._smoothed_acc = acc
             else:
@@ -267,12 +258,12 @@ class Experiment:
 
         record = RoundRecord(
             round=k,
-            sim_time_s=sim_time,
+            sim_time_s=self.sim_time_s,
             tau_k=plan.tau_k,
             s_k=plan.s_k,
             train_loss=train_loss,
             smoothed_loss=self.scheduler.smoothed if self.scheduler.smoothed is not None else math.nan,
-            test_acc=self._last_acc,
+            test_acc=self._last_eval[1],
             received_workers=count,
             atoms_sent_total=atoms_sent,
             round_time_s=total_s,
@@ -282,6 +273,7 @@ class Experiment:
             expected_atoms=expected_atoms,
             expected_atoms_var=expected_var,
             smoothed_acc=self._smoothed_acc,
+            test_loss=self._last_eval[0],
         )
         self.records.append(record)
         self.round_index += 1
@@ -293,7 +285,7 @@ class Experiment:
             self.run_round()
             if cfg.stop == "rounds" and self.round_index >= cfg.round_cap:
                 break
-            if cfg.stop == "time" and self.ledger.total_s >= cfg.T_budget_s:
+            if cfg.stop == "time" and self.sim_time_s >= cfg.T_budget_s:
                 break
             if self.round_index >= cfg.round_cap:
                 log.warning("round cap %d reached before the time budget", cfg.round_cap)
@@ -317,9 +309,10 @@ class Experiment:
             "final_smoothed_acc": last.smoothed_acc,
             "final_train_loss": last.train_loss,
             "final_smoothed_loss": last.smoothed_loss,
+            "final_test_loss": last.test_loss,
             "target_accuracy": cfg.target_accuracy,
             "time_to_target_s": time_to_target,
-            "total_sim_time_s": self.ledger.total_s,
+            "total_sim_time_s": self.sim_time_s,
             # per-round metrics.csv columns summed over rounds
             "total_compute_s": sum(r.compute_max_s for r in self.records),
             "total_uplink_s": sum(r.uplink_max_s for r in self.records),

@@ -1,40 +1,38 @@
 """Simulated wireless links and round timing.
 
-Uplink rates follow the Shannon capacity W * log2(1 + snr) unless a direct
-bit-rate override is configured; both accept per-worker lists.  A round
-costs the slowest worker's compute + uplink time plus one shared dense
-downlink, and uplink payloads lose their packet independently with a fixed
-probability.
+Uplink rates follow the Shannon capacity W * log2(1 + snr), with snr a
+ratio, unless a direct bit-rate override is configured; both accept
+per-worker lists.  An upload costs its size in bits over the worker's
+rate: compress.payload_bits for a compressed payload, DENSE_BITS_PER_VALUE
+per value for a dense vector.  A round costs the slowest worker's compute +
+uplink time plus one shared dense downlink, and uplink payloads lose their
+packet independently with a fixed probability.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
+DENSE_BITS_PER_VALUE = 64  # the model is held, broadcast and sent dense as float64
+
 
 @dataclass
 class ChannelConfig:
     bandwidth_hz: float = 1e6
-    noise_watts: float = 1e-3
     snr: float | list[float] | None = None
     uplink_rate_bps: float | list[float] | None = 1e5
     downlink_rate_bps: float = 1e5
-    bits_per_atom: int = 96
-    bits_per_weight: int = 64
     packet_failure_prob: float = 0.0
     sec_per_local_step: float = 5e-3
-    sec_per_atom_compress: float = 0.0
 
     def validate(self, workers: int) -> None:
         if self.bandwidth_hz <= 0:
             raise ConfigError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        if self.noise_watts <= 0:
-            raise ConfigError(f"noise_watts must be > 0, got {self.noise_watts}")
         if (self.snr is None) == (self.uplink_rate_bps is None):
             raise ConfigError("exactly one of snr and uplink_rate_bps must be set")
         for name, value in (("snr", self.snr), ("uplink_rate_bps", self.uplink_rate_bps)):
@@ -49,20 +47,12 @@ class ChannelConfig:
                 raise ConfigError(f"{name} entries must be > 0, got {value}")
         if self.downlink_rate_bps <= 0:
             raise ConfigError(f"downlink_rate_bps must be > 0, got {self.downlink_rate_bps}")
-        if self.bits_per_atom < 32:
-            raise ConfigError(f"bits_per_atom must be >= 32, got {self.bits_per_atom}")
-        if self.bits_per_weight < 1:
-            raise ConfigError(f"bits_per_weight must be >= 1, got {self.bits_per_weight}")
         if not 0.0 <= self.packet_failure_prob <= 1.0:
             raise ConfigError(
                 f"packet_failure_prob must be in [0, 1], got {self.packet_failure_prob}"
             )
         if self.sec_per_local_step <= 0:
             raise ConfigError(f"sec_per_local_step must be > 0, got {self.sec_per_local_step}")
-        if self.sec_per_atom_compress < 0:
-            raise ConfigError(
-                f"sec_per_atom_compress must be >= 0, got {self.sec_per_atom_compress}"
-            )
 
 
 def _per_worker(value, worker_id: int) -> float:
@@ -79,67 +69,29 @@ def link_rate(cfg: ChannelConfig, worker_id: int) -> float:
     return cfg.bandwidth_hz * math.log2(1.0 + snr)
 
 
-def uplink_time(payload_atoms: int, cfg: ChannelConfig, worker_id: int) -> float:
-    """Seconds to push a compressed payload of `payload_atoms` atoms."""
-    if payload_atoms < 0:
-        raise ValueError(f"payload_atoms must be >= 0, got {payload_atoms}")
-    return payload_atoms * cfg.bits_per_atom / link_rate(cfg, worker_id)
-
-
-def dense_uplink_time(num_values: int, cfg: ChannelConfig, worker_id: int) -> float:
-    """Seconds to push an uncompressed vector of `num_values` weights."""
-    if num_values < 0:
-        raise ValueError(f"num_values must be >= 0, got {num_values}")
-    return num_values * cfg.bits_per_weight / link_rate(cfg, worker_id)
+def uplink_time(bits: int, cfg: ChannelConfig, worker_id: int) -> float:
+    """Seconds to push a payload of `bits` bits."""
+    if bits < 0:
+        raise ValueError(f"bits must be >= 0, got {bits}")
+    return bits / link_rate(cfg, worker_id)
 
 
 def downlink_time(num_values: int, cfg: ChannelConfig) -> float:
     """Seconds for the shared dense model broadcast."""
-    return num_values * cfg.bits_per_weight / cfg.downlink_rate_bps
+    return (DENSE_BITS_PER_VALUE * num_values) / cfg.downlink_rate_bps
 
 
-def round_time(
-    compute_s: list[float], uplink_s: list[float], downlink_bits: float, cfg: ChannelConfig
-) -> float:
+def round_time(compute_s: list[float], uplink_s: list[float], downlink_s: float) -> float:
     """Straggler round time: max_j (compute_j + uplink_j) plus the downlink."""
     if len(compute_s) != len(uplink_s) or not compute_s:
         raise ValueError("compute_s and uplink_s must be equal-length, non-empty lists")
-    slowest = max(y + u for y, u in zip(compute_s, uplink_s))
-    return slowest + downlink_bits / cfg.downlink_rate_bps
+    total = max(y + u for y, u in zip(compute_s, uplink_s)) + downlink_s
+    if not total > 0:
+        raise ValueError(f"round time must be > 0 s, got {total}")
+    return total
 
 
 def packet_survives(rng: np.random.Generator, cfg: ChannelConfig) -> bool:
     """One Bernoulli survival draw; False with probability packet_failure_prob."""
     return float(rng.random()) >= cfg.packet_failure_prob
 
-
-@dataclass
-class RoundTiming:
-    round_index: int
-    compute_s: list[float]
-    uplink_s: list[float]
-    downlink_s: float
-    round_total_s: float
-
-
-@dataclass
-class TimeLedger:
-    """Per-round timing records plus the strictly increasing cumulative clock."""
-
-    rounds: list[RoundTiming] = field(default_factory=list)
-    total_s: float = 0.0
-
-    def append(self, timing: RoundTiming) -> float:
-        expected = max(
-            y + u for y, u in zip(timing.compute_s, timing.uplink_s)
-        ) + timing.downlink_s
-        if not math.isclose(timing.round_total_s, expected, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError(
-                f"round_total_s {timing.round_total_s} does not decompose into "
-                f"straggler + downlink {expected}"
-            )
-        if timing.round_total_s <= 0:
-            raise ValueError("round time must be > 0")
-        self.rounds.append(timing)
-        self.total_s += timing.round_total_s
-        return self.total_s

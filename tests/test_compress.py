@@ -448,6 +448,26 @@ def test_serialize_lowrank_length_formula():
     assert len(blob) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(masked_decompositions())
+def test_payload_bits_is_the_serialized_size(case):
+    # random block shapes and keep masks; the last of n > 1 masks keeps nothing
+    decomp, probs, masks = case
+    for mask in masks:
+        cg = compress.select(decomp, probs, mask)
+        assert compress.payload_bits(cg) == 8 * len(compress.serialize(cg))
+
+
+def test_payload_bits_of_a_rank_one_atom_of_a_16_by_32_block():
+    d = compress.decompose_lowrank(np.random.default_rng(2).standard_normal((16, 32)), r=1)
+    cg = compress.select(d, compress.SelectionProbabilities(np.ones(1)), np.ones(1, dtype=bool))
+    assert compress.payload_bits(cg) == 3232
+    empty = compress.sample(compress.decompose_elementwise(np.zeros(5)),
+                            compress.SelectionProbabilities(np.empty(0)),
+                            substream(0, "compress", 0, 0))
+    assert compress.payload_bits(empty) == 0 == len(compress.serialize(empty))
+
+
 # ---- budget projection oracle self-check ---- #
 
 def test_budget_projection_oracle_behaves():

@@ -258,6 +258,31 @@ def test_server_mean_equals_the_worker_order_loop(monkeypatch, scheme, basis):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("scheme,basis", [
+    ("ffl", "elementwise"), ("ffl", "lowrank"), ("adacomm_like", "elementwise"),
+])
+def test_uplink_charges_the_bits_each_payload_serialises_to(monkeypatch, scheme, basis):
+    rates = [1e4, 2e4, 5e4]
+    cfg = base_cfg(scheme=scheme, basis=basis, workers=3, round_cap=6, uplink_rate_bps=rates)
+    sent_bits = []
+    real_sample = compress.sample
+
+    def sample(*args, **kwargs):
+        cg = real_sample(*args, **kwargs)
+        sent_bits.append(8 * len(compress.serialize(cg)))
+        return cg
+
+    monkeypatch.setattr(compress, "sample", sample)
+    exp = Experiment(cfg)
+    records, _ = exp.run()
+    if scheme == "adacomm_like":
+        sent_bits = [64 * exp.params.dim] * (3 * len(records))  # dense float64 uploads
+    assert len(sent_bits) == 3 * len(records)
+    for k, record in enumerate(records):
+        bits = sent_bits[3 * k : 3 * k + 3]
+        assert record.uplink_max_s == max(b / rate for b, rate in zip(bits, rates))
+
+
 # ---- evaluate ---- #
 
 def test_evaluate_separable_oracle_weights():
@@ -398,6 +423,26 @@ def test_summary_json_is_strict_when_the_last_round_is_lost(tmp_path):
     assert loaded["final_train_loss"] is None
     assert loaded["final_smoothed_loss"] == summary["final_smoothed_loss"]
     assert loaded["rounds"] == 4
+
+
+def test_sim_time_is_the_running_sum_of_round_times():
+    cfg = base_cfg(scheme="ffl", round_cap=8, workers=3)
+    records, summary = Experiment(cfg).run()
+    clock = 0.0
+    for r in records:
+        clock += r.round_time_s
+        assert r.sim_time_s == clock  # exact: one left-to-right float sum
+    assert summary["total_sim_time_s"] == clock
+
+
+@pytest.mark.parametrize("scheme", ["ffl", "adacomm_like"])
+def test_summary_final_test_loss_is_the_last_evaluation(scheme):
+    cfg = base_cfg(scheme=scheme, round_cap=5, eval_stride=1)
+    experiment = Experiment(cfg)
+    _, summary = experiment.run()
+    loss, acc = evaluate(experiment.params, experiment.test_set)
+    assert summary["final_test_loss"] == loss
+    assert summary["final_acc"] == acc
 
 
 def test_timing_fields_consistent():

@@ -5,7 +5,7 @@ import pytest
 
 from fflsim.errors import ConfigError
 from fflsim import netsim
-from fflsim.netsim import ChannelConfig, RoundTiming, TimeLedger
+from fflsim.netsim import ChannelConfig
 from fflsim.rng import substream
 
 
@@ -41,18 +41,18 @@ def test_link_rate_per_worker_lists():
 # ---- uplink / downlink times ---- #
 
 def test_uplink_time_examples():
-    cfg = ChannelConfig(uplink_rate_bps=1e5, bits_per_atom=96)
+    cfg = ChannelConfig(uplink_rate_bps=1e5)
     assert netsim.uplink_time(0, cfg, 0) == 0.0
-    assert netsim.uplink_time(7, cfg, 0) == pytest.approx(6.72e-3, rel=1e-12)
-
-
-def test_dense_uplink_time_example():
-    cfg = ChannelConfig(uplink_rate_bps=1e5, bits_per_weight=64)
-    assert netsim.dense_uplink_time(317, cfg, 0) == pytest.approx(0.202880, rel=1e-12)
+    # 7 elementwise atoms of 96 bits
+    assert netsim.uplink_time(96 * 7, cfg, 0) == pytest.approx(6.72e-3, rel=1e-12)
+    # a dense upload of 317 float64 values
+    assert netsim.uplink_time(64 * 317, cfg, 0) == pytest.approx(0.202880, rel=1e-12)
+    # one rank-1 atom of a 16 x 32 block: 3,232 bits
+    assert netsim.uplink_time(160 + 64 * (16 + 32), cfg, 0) == pytest.approx(0.03232, rel=1e-12)
 
 
 def test_downlink_time_dense_model():
-    cfg = ChannelConfig(downlink_rate_bps=2e5, bits_per_weight=64)
+    cfg = ChannelConfig(downlink_rate_bps=2e5)
     assert netsim.downlink_time(100, cfg) == pytest.approx(100 * 64 / 2e5, abs=0)
 
 
@@ -60,52 +60,52 @@ def test_uplink_time_rejects_negative():
     cfg = ChannelConfig()
     with pytest.raises(ValueError):
         netsim.uplink_time(-1, cfg, 0)
-    with pytest.raises(ValueError):
-        netsim.dense_uplink_time(-2, cfg, 0)
 
 
 def test_compression_dominance():
-    cfg = ChannelConfig(uplink_rate_bps=1e5, bits_per_atom=96, bits_per_weight=64)
+    cfg = ChannelConfig(uplink_rate_bps=1e5)
     d = 317
     s_atoms = 9
-    assert s_atoms * 96 < d * 64
-    assert netsim.uplink_time(s_atoms, cfg, 0) < netsim.dense_uplink_time(d, cfg, 0)
+    assert 96 * s_atoms < 64 * d
+    assert netsim.uplink_time(96 * s_atoms, cfg, 0) < netsim.uplink_time(64 * d, cfg, 0)
 
 
 # ---- round time ---- #
 
 def test_round_time_single_worker():
-    cfg = ChannelConfig(downlink_rate_bps=1e5)
-    got = netsim.round_time([0.5], [0.25], downlink_bits=1e4, cfg=cfg)
+    got = netsim.round_time([0.5], [0.25], 0.1)
     assert got == pytest.approx(0.5 + 0.25 + 0.1, rel=1e-15)
 
 
 def test_round_time_straggler_wins():
-    cfg = ChannelConfig(downlink_rate_bps=1e6)
-    got = netsim.round_time([1.0, 2.0], [3.0, 1.0], downlink_bits=0.0, cfg=cfg)
-    assert got == 4.0
+    assert netsim.round_time([1.0, 2.0], [3.0, 1.0], 0.0) == 4.0
 
 
 def test_round_time_matches_max_plus_oracle():
     rng = np.random.default_rng(4)
-    cfg = ChannelConfig(downlink_rate_bps=3e5)
     for _ in range(10):
         compute = rng.uniform(0.01, 2.0, 8).tolist()
         uplink = rng.uniform(0.01, 2.0, 8).tolist()
-        bits = float(rng.uniform(0, 1e6))
+        downlink = float(rng.uniform(0, 3.0))
         want = -math.inf
         for y, u in zip(compute, uplink):
             want = max(want, y + u)
-        want += bits / 3e5
-        assert netsim.round_time(compute, uplink, bits, cfg) == pytest.approx(want, rel=1e-15)
+        want += downlink
+        assert netsim.round_time(compute, uplink, downlink) == pytest.approx(want, rel=1e-15)
 
 
 def test_round_time_rejects_misaligned_lists():
-    cfg = ChannelConfig()
     with pytest.raises(ValueError):
-        netsim.round_time([1.0], [1.0, 2.0], 0.0, cfg)
+        netsim.round_time([1.0], [1.0, 2.0], 0.0)
     with pytest.raises(ValueError):
-        netsim.round_time([], [], 0.0, cfg)
+        netsim.round_time([], [], 0.0)
+
+
+def test_round_time_rejects_a_round_that_is_not_positive():
+    for compute, uplink, downlink in [([0.0], [0.0], 0.0), ([0.0, 0.0], [0.0, 0.0], -0.0),
+                                      ([1.0], [1.0], -3.0), ([math.nan], [1.0], 1.0)]:
+        with pytest.raises(ValueError, match="round time must be > 0"):
+            netsim.round_time(compute, uplink, downlink)
 
 
 # ---- packet failures ---- #
@@ -134,43 +134,6 @@ def test_packet_draws_deterministic_per_stream():
     b = [netsim.packet_survives(substream(7, "net", j, k), cfg)
          for j in range(4) for k in range(5)]
     assert a == b
-
-
-# ---- time ledger ---- #
-
-def timing(idx, compute, uplink, downlink):
-    total = max(y + u for y, u in zip(compute, uplink)) + downlink
-    return RoundTiming(idx, compute, uplink, downlink, total)
-
-
-def test_ledger_additivity_exact():
-    ledger = TimeLedger()
-    rng = np.random.default_rng(9)
-    totals = []
-    for k in range(20):
-        t = timing(k, rng.uniform(0.1, 1.0, 3).tolist(),
-                   rng.uniform(0.1, 1.0, 3).tolist(), float(rng.uniform(0, 0.5)))
-        totals.append(t.round_total_s)
-        ledger.append(t)
-    assert len(ledger.rounds) == 20
-    # exact equality: the ledger accumulates left-to-right like sum()
-    assert ledger.total_s == sum(totals)
-
-
-def test_ledger_rejects_inconsistent_total():
-    ledger = TimeLedger()
-    bad = RoundTiming(0, [1.0], [1.0], 0.5, 99.0)
-    with pytest.raises(ValueError):
-        ledger.append(bad)
-
-
-def test_ledger_clock_strictly_increases():
-    ledger = TimeLedger()
-    last = 0.0
-    for k in range(5):
-        now = ledger.append(timing(k, [0.2], [0.1], 0.05))
-        assert now > last
-        last = now
 
 
 # ---- config validation ---- #
@@ -202,12 +165,9 @@ def test_validate_per_worker_list_lengths():
 def test_validate_names_offending_key():
     cases = [
         (dict(bandwidth_hz=0.0), "bandwidth_hz"),
-        (dict(noise_watts=-1.0), "noise_watts"),
         (dict(downlink_rate_bps=0.0), "downlink_rate_bps"),
-        (dict(bits_per_atom=16), "bits_per_atom"),
         (dict(packet_failure_prob=1.5), "packet_failure_prob"),
         (dict(sec_per_local_step=0.0), "sec_per_local_step"),
-        (dict(sec_per_atom_compress=-1.0), "sec_per_atom_compress"),
     ]
     for overrides, key in cases:
         with pytest.raises(ConfigError) as err:
