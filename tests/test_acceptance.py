@@ -353,16 +353,28 @@ def test_criterion_10_determinism(tmp_path, capsys):
 
 # SHA-256 of metrics.csv for the desk task at seed 0, pinned so that a change
 # to the simulator's arithmetic shows as a moved byte, not as a shifted figure.
+# A plain scheme name runs the desk config as is; a suffixed name runs it with
+# the overrides DESK_GOLDEN_VARIANTS gives, so the lowrank basis and a lossy
+# channel are pinned too.
 DESK_GOLDEN_SHA256 = {
     "ffl": "e2128dd0c54b5b6c26b6c8ef0f34c661fcdacba2a87828933bfd4fab78cde50c",
     "atomo_like": "3883bdcdf16cbb2dc8c7d00f71145b315bfc97e33864569ebfbef522c84dca48",
     "adacomm_like": "839a3e6b87a7e7bc4fcb671e92018ad440fbaa7f9ae979abffc0593ce9c9ef77",
+    "ffl-lowrank": "81f502107eb92749ded81ed580828cd014a58c39cc3624341488c86f50d80ab9",
+    "atomo_like-lowrank": "25f0a284d92494d77df707a067f41551da235ad3f174778bd9b0f62888b3956f",
+    "ffl-p_fail_0.1": "1edd2ce7b7c30dd7e9c90ca1a1821c12b0da5470e227e5a236a3786d6c8bce3a",
+}
+DESK_GOLDEN_VARIANTS = {
+    "lowrank": {"basis": "lowrank"},
+    "p_fail_0.1": {"packet_failure_prob": 0.1},
 }
 
 
-@pytest.mark.parametrize("scheme", sorted(DESK_GOLDEN_SHA256))
-def test_desk_metrics_golden_sha256(scheme, tmp_path):
-    records, _ = Experiment(_desk_cfg(scheme, 0)).run()
+@pytest.mark.parametrize("name", sorted(DESK_GOLDEN_SHA256))
+def test_desk_metrics_golden_sha256(name, tmp_path):
+    scheme, _, variant = name.partition("-")
+    cfg = dataclasses.replace(_desk_cfg(scheme, 0), **DESK_GOLDEN_VARIANTS.get(variant, {}))
+    records, _ = Experiment(cfg).run()
     path = tmp_path / "metrics.csv"
     federation.write_metrics_csv(records, str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_GOLDEN_SHA256[scheme]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_GOLDEN_SHA256[name]
