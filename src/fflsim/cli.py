@@ -23,8 +23,8 @@ from .federation import run_experiment, write_metrics_csv, write_summary_json
 
 log = logging.getLogger(__name__)
 
-COMPARE_COLUMNS = ("scheme", "time_to_target_s", "final_acc", "rounds", "total_atoms",
-                   "speedup_vs_ffl")
+COMPARE_COLUMNS = ("scheme", "time_to_target_s", "final_acc", "final_test_loss", "rounds",
+                   "total_atoms", "speedup_vs_ffl")
 
 
 def _setup_logging() -> None:
@@ -91,17 +91,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
             speedup = "inf" if t == "inf" else "nan"
         else:
             speedup = t / ffl_time
-        rows.append([scheme, t, s["final_acc"], s["rounds"], s["total_atoms_sent"], speedup])
+        rows.append([scheme, t, s["final_acc"], s["final_test_loss"], s["rounds"],
+                     s["total_atoms_sent"], speedup])
     compare_path = os.path.join(out_dir, "compare.csv")
     with open(compare_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(COMPARE_COLUMNS)
         writer.writerows(rows)
-    header = f"{'scheme':<14} {'time_to_target_s':>18} {'final_acc':>10} {'rounds':>8} {'total_atoms':>12}"
-    print(header)
+    print(f"{'scheme':<14} {'time_to_target_s':>18} {'final_acc':>10} {'final_test_loss':>16} "
+          f"{'rounds':>8} {'total_atoms':>12}")
     for row in rows:
         t = row[1] if isinstance(row[1], str) else f"{row[1]:.3f}"
-        print(f"{row[0]:<14} {t:>18} {row[2]:>10.4f} {row[3]:>8} {row[4]:>12}")
+        print(f"{row[0]:<14} {t:>18} {row[2]:>10.4f} {row[3]:>16.4f} {row[4]:>8} {row[5]:>12}")
     return 0
 
 

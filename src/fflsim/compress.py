@@ -13,18 +13,22 @@ that stays <= 1 for every atom.  Oversized coefficients are clipped to
 p = 1 and the rule is re-applied to the remaining atoms with the leftover
 budget until it is feasible.
 
-Reconstruction is batched: reconstruct_rows turns an (n, B) keep mask into
-n dense estimator rows, with one scatter for elementwise atoms and, for
-rank-1 atoms, one dense block per kept atom added to each row in atom
-order.  The round loop writes each worker's payload into its row of one
-(M, d) buffer with it, and the Monte Carlo checks reconstruct their sampled
-masks with it, chunk by chunk.
+Every function works on a stack of W gradients at once, and one gradient is
+the W = 1 case of the same code.  A decomposition holds each row's atoms in
+fixed slots: the flat positions for elementwise atoms, and for rank-1 atoms
+the leading singular triplets of each layer block, taken from one stacked
+LAPACK SVD per block.  A round decomposes all M workers' updates, draws
+their keep masks and reconstructs them into one (M, d) buffer with one
+vectorised pass per atom slot; only the budget clipping and each row's
+random draw go row by row.  The Monte Carlo checks reconstruct many keep
+masks of one decomposition with the same code.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,25 +51,82 @@ class OuterAtom:
 
 
 @dataclass
+class RankOneBlock:
+    """The leading r rank-1 atoms of one m x n layer block at flat `offset`,
+    for every row of a decomposition: slot start + i holds the outer
+    product of u[w, :, i] and vt[w, i] in row w."""
+
+    offset: int
+    start: int
+    u: np.ndarray  # (W, m, r), unit columns
+    vt: np.ndarray  # (W, r, n), unit rows
+
+
+@dataclass
 class AtomicDecomposition:
+    """The atom sets of W gradients that share one flat layout of `dim` values.
+
+    `slots` is a (W, R) mask of the slots that hold an atom: for elementwise
+    atoms slot j is flat position j (R = dim), for rank-1 atoms each layer
+    block has its r slots side by side.  Row w's atoms are its set slots in
+    order, and `coeffs` holds every row's coefficients, row after row.
+    `lead` is the gradients' leading shape: () for one vector, (W,) for a
+    stack.
+    """
+
     basis_kind: str
     dim: int
     coeffs: np.ndarray  # (B,): signed for elementwise, non-negative for lowrank
     indices: np.ndarray | None = None  # elementwise: flat position per atom
-    outer_atoms: list[OuterAtom] | None = None  # lowrank: one atom per coeff
+    blocks: list[RankOneBlock] | None = None  # lowrank
+    slots: np.ndarray | None = None  # (W, R); from `indices` for one elementwise vector
+    lead: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.basis_kind not in BASIS_KINDS:
             raise ValueError(f"basis_kind must be one of {BASIS_KINDS}")
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
+        if self.slots is None:
+            if self.basis_kind != "elementwise" or self.indices is None:
+                raise ValueError("give the slots, or the indices of an elementwise vector")
+            self.slots = np.zeros((1, self.dim), dtype=bool)
+            self.slots[0, self.indices] = True
+        if np.count_nonzero(self.slots) != self.coeffs.size:
+            raise ValueError(f"{self.coeffs.size} coefficients for "
+                             f"{np.count_nonzero(self.slots)} atom slots")
 
     @property
     def n_atoms(self) -> int:
+        """Atoms over all rows."""
         return self.coeffs.size
 
+    @property
+    def n_rows(self) -> int:
+        return self.slots.shape[0]
+
+    @property
+    def atom_counts(self) -> np.ndarray:
+        """(W,) atoms per row."""
+        return np.count_nonzero(self.slots, axis=1)
+
+    @property
+    def outer_atoms(self) -> list[OuterAtom] | None:
+        """The rank-1 atoms in coefficient order (None for elementwise atoms)."""
+        if self.blocks is None:
+            return None
+        return [
+            OuterAtom(block.u[w, :, i], block.vt[w, i], block.offset)
+            for w in range(self.n_rows)
+            for block in self.blocks
+            for i in range(block.u.shape[2])
+            if self.slots[w, block.start + i]
+        ]
+
     def reconstruct_full(self) -> np.ndarray:
-        """Dense sum_i lambda_i * a_i (no sampling); mostly for verification."""
-        return _dense(self.basis_kind, self.dim, self.coeffs, self.indices, self.outer_atoms)
+        """Dense sum_i lambda_i * a_i per row (no sampling); mostly for verification."""
+        out = np.zeros((self.n_rows, self.dim))
+        _scatter(out, self, self.coeffs, np.ones((1, self.n_atoms), dtype=bool))
+        return out.reshape(self.lead + (self.dim,))
 
 
 @dataclass
@@ -87,46 +148,105 @@ class VarianceTerms:
 
 @dataclass
 class CompressedGradient:
-    basis_kind: str
-    dim: int
-    coeffs: np.ndarray  # scaled lambda_i / p_i for the selected atoms
-    indices: np.ndarray | None = None
-    outer_atoms: list[OuterAtom] | None = None
-    kept: np.ndarray | None = None  # keep mask over the source decomposition's atoms
+    """The payload of each row of `source`: the atoms `kept` selects, each
+    coefficient scaled by 1/p."""
+
+    source: AtomicDecomposition
+    probs: SelectionProbabilities
+    kept: np.ndarray  # (B,) keep mask over the source's atoms
+
+    @property
+    def basis_kind(self) -> str:
+        return self.source.basis_kind
+
+    @property
+    def dim(self) -> int:
+        return self.source.dim
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """lambda_i / p_i of the kept atoms, row after row."""
+        return (self.source.coeffs / self.probs.probs)[self.kept]
+
+    @property
+    def indices(self) -> np.ndarray | None:
+        return None if self.source.indices is None else self.source.indices[self.kept]
+
+    @property
+    def outer_atoms(self) -> list[OuterAtom] | None:
+        atoms = self.source.outer_atoms
+        return None if atoms is None else [a for a, k in zip(atoms, self.kept) if k]
 
     @property
     def payload_atoms(self) -> int:
-        return self.coeffs.size
+        """Atoms sent over all rows."""
+        return int(np.count_nonzero(self.kept))
 
 
-def _scatter(out, basis_kind, coeffs, indices, outer_atoms, keep) -> None:
-    """Row r of the zero (n, d) array `out` becomes sum_i keep[r, i] *
-    coeffs[i] * a_i.
+def _scatter(out, decomp: AtomicDecomposition, scaled, keep) -> None:
+    """Row t * W + w of the zero (n * W, d) array `out` becomes the sum over
+    row w's atoms i of keep[t, i] * scaled[i] * a_i, for an (n, B) keep
+    mask over decomp's B atoms.
 
-    Elementwise atoms sit at distinct positions, so one scatter writes every
-    row.  Rank-1 atoms overlap within their layer block, so each row adds its
-    kept atoms one at a time in atom order, the order a single payload has
-    always used; each atom's dense block is formed once for all rows.
+    Elementwise atoms sit at distinct positions of a row, so one scatter
+    writes every row.  Rank-1 atoms overlap within their layer block, so each
+    row adds its kept atoms one slot at a time in slot order, the order a
+    single payload has always used: slot i of a block adds
+    np.where(kept, c_i * (u_a v_b), 0.0) to every row at once, the same
+    products as np.outer(u, v) scaled by c_i.  Adding +0.0 leaves a row
+    unchanged, since a row that starts at +0.0 and only adds never holds
+    -0.0.
     """
-    if basis_kind == "elementwise":
-        out[:, indices] = np.where(keep, coeffs, 0.0)
+    n = keep.shape[0]
+    rows = out.reshape(n, decomp.n_rows, decomp.dim)
+    if decomp.blocks is None:
+        rows[:, decomp.slots] = np.where(keep, scaled, 0.0)
         return
-    blocks: dict[int, np.ndarray] = {}
-    rows, atoms = np.nonzero(keep)  # row by row, atoms ascending within a row
-    for r, i in zip(rows.tolist(), atoms.tolist()):
-        atom = outer_atoms[i]
-        block = blocks.get(i)
-        if block is None:
-            # coeff * (u_a v_b) per entry, as np.outer(u, v) scaled by coeff
-            block = blocks[i] = (coeffs[i] * (atom.u[:, None] * atom.v)).ravel()
-        out[r, atom.offset : atom.offset + block.size] += block
+    coeff = np.zeros(decomp.slots.shape)
+    coeff[decomp.slots] = scaled
+    kept = np.zeros((n, *decomp.slots.shape), dtype=bool)
+    kept[:, decomp.slots] = keep
+    for block in decomp.blocks:
+        _, m, r = block.u.shape
+        cols = block.vt.shape[-1]
+        view = rows[..., block.offset : block.offset + m * cols].reshape(
+            n, decomp.n_rows, m, cols)
+        for i in range(r):
+            slot = block.start + i
+            hit = kept[:, :, slot]
+            if hit.any():
+                outer = block.u[:, :, i, None] * block.vt[:, i, None, :]
+                atom = coeff[:, slot, None, None] * outer
+                view += np.where(hit[..., None, None], atom, 0.0)
 
 
-def _dense(basis_kind, dim, coeffs, indices, outer_atoms) -> np.ndarray:
-    """sum_i coeffs[i] * a_i as one dense d-vector."""
-    out = np.zeros((1, dim))
-    _scatter(out, basis_kind, coeffs, indices, outer_atoms, np.ones((1, coeffs.size), dtype=bool))
-    return out[0]
+def _elementwise(rows: np.ndarray, lead: tuple[int, ...]) -> AtomicDecomposition:
+    """Standard-basis atoms at the nonzero entries of each row of a (W, d) stack."""
+    slots = rows != 0.0
+    indices = np.nonzero(slots)[1]  # row by row, ascending within a row
+    return AtomicDecomposition("elementwise", rows.shape[1], rows[slots], indices=indices,
+                               slots=slots, lead=lead)
+
+
+def _lowrank(parts, dim: int, lead: tuple[int, ...]) -> AtomicDecomposition:
+    """Rank-1 atoms of (offset, (W, m, n) stack, r) layer blocks.
+
+    One LAPACK SVD per block stack; in each row the leading singular values
+    > _DROP_TOL * max(1, sigma_1) are kept, so a block of lower rank yields
+    fewer than r atoms.
+    """
+    blocks, values, slots, start = [], [], [], 0
+    for offset, mats, r in parts:
+        u, sv, vt = np.linalg.svd(mats, full_matrices=False)
+        sv = sv[:, :r]
+        count = np.count_nonzero(sv > _DROP_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
+        slots.append(np.arange(r) < count[:, None])
+        values.append(sv)
+        blocks.append(RankOneBlock(offset, start, u[:, :, :r], vt[:, :r]))
+        start += r
+    slots = np.concatenate(slots, axis=1)
+    return AtomicDecomposition("lowrank", dim, np.concatenate(values, axis=1)[slots],
+                               blocks=blocks, slots=slots, lead=lead)
 
 
 def decompose_elementwise(grad: np.ndarray, offset: int = 0, dim: int | None = None) -> AtomicDecomposition:
@@ -134,19 +254,17 @@ def decompose_elementwise(grad: np.ndarray, offset: int = 0, dim: int | None = N
     g = np.asarray(grad, dtype=np.float64).ravel()
     if dim is None:
         dim = g.size + offset
-    idx = np.flatnonzero(g)
-    return AtomicDecomposition("elementwise", dim, g[idx].copy(), indices=idx + offset)
+    row = np.zeros((1, dim))
+    row[0, offset : offset + g.size] = g
+    return _elementwise(row, ())
 
 
 def decompose_lowrank(
     grad_matrix: np.ndarray, r: int, offset: int = 0, dim: int | None = None
 ) -> AtomicDecomposition:
     """Truncated SVD decomposition of one matrix into its leading r rank-1
-    atoms, in descending singular-value order.
-
-    One LAPACK SVD; singular values <= _DROP_TOL * max(1, sigma_1) are
-    dropped, so a matrix of lower rank yields fewer than r atoms.
-    """
+    atoms, in descending singular-value order; a matrix of lower rank
+    yields fewer than r atoms."""
     mat = np.asarray(grad_matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {mat.shape}")
@@ -154,53 +272,34 @@ def decompose_lowrank(
         raise ValueError(f"rank must be in [1, {min(mat.shape)}], got {r}")
     if dim is None:
         dim = mat.size + offset
-    u, sv, vt = np.linalg.svd(mat, full_matrices=False)
-    keep = int(np.count_nonzero(sv[:r] > _DROP_TOL * max(1.0, sv[0])))
-    atoms = [OuterAtom(u[:, i], vt[i], offset) for i in range(keep)]
-    return AtomicDecomposition("lowrank", dim, sv[:keep], outer_atoms=atoms)
+    return _lowrank([(offset, mat[None], r)], dim, ())
 
 
 def decompose_bundle(bundle: ParameterSet, kind: str, s: float) -> AtomicDecomposition:
-    """Decompose a whole layered gradient into one atom set.
+    """Decompose a layered gradient, or a stack of them, into one atom set
+    per gradient.
 
     elementwise: standard-basis atoms over the flat vector.  lowrank: each
     layer block contributes up to ceil(s) rank-1 atoms from its SVD (biases
-    are treated as one-column matrices).
+    are treated as one-column matrices); a stack takes one SVD call per
+    block.
     """
-    if kind == "elementwise":
-        return decompose_elementwise(bundle.flat)
-    if kind != "lowrank":
+    if kind not in BASIS_KINDS:
         raise ValueError(f"basis kind must be one of {BASIS_KINDS}, got {kind!r}")
-    dim = bundle.dim
-    coeffs: list[np.ndarray] = []
-    atoms: list[OuterAtom] = []
+    lead = bundle.flat.shape[:-1]
+    if kind == "elementwise":
+        return _elementwise(bundle.flat.reshape(-1, bundle.dim), lead)
+    parts = []
     for offset, arr in bundle.blocks():
-        matrix = arr if arr.ndim == 2 else arr.reshape(-1, 1)
-        rank = min(int(math.ceil(s)), min(matrix.shape))
-        sub = decompose_lowrank(matrix, rank, offset=offset, dim=dim)
-        coeffs.append(sub.coeffs)
-        atoms.extend(sub.outer_atoms)
-    merged = np.concatenate(coeffs) if coeffs else np.empty(0)
-    return AtomicDecomposition("lowrank", dim, merged, outer_atoms=atoms)
+        shape = arr.shape[len(lead):]
+        m, n = shape if len(shape) == 2 else (shape[0], 1)
+        parts.append((offset, arr.reshape(-1, m, n), min(int(math.ceil(s)), m, n)))
+    return _lowrank(parts, bundle.dim, lead)
 
 
-def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabilities:
-    """Variance-minimizing keep probabilities under expected-payload budget s.
-
-    p_i = |lambda_i| * s / ||lambda||_1, clipping to 1 and redistributing the
-    leftover budget whenever a coefficient is too large for that rule.  The
-    probabilities always sum to min(s, B).
-    """
-    if s < 1:
-        raise ValueError(f"sparsity budget s must be >= 1, got {s}")
-    lam = np.abs(decomp.coeffs)
+def _clipped(lam: np.ndarray, s: float) -> np.ndarray:
+    """Probabilities of one row's |coefficients| lam under budget s < lam.size."""
     n = lam.size
-    if n == 0:
-        return SelectionProbabilities(np.empty(0))
-    if np.any(lam == 0.0):
-        raise ValueError("decomposition contains zero atoms; drop them first")
-    if s >= n:
-        return SelectionProbabilities(np.ones(n))
     p = np.ones(n)
     active = np.ones(n, dtype=bool)
     budget = float(s)
@@ -216,6 +315,29 @@ def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabiliti
     if active.any():
         l1 = lam[active].sum()
         p[active] = lam[active] * (budget / l1)
+    return p
+
+
+def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabilities:
+    """Variance-minimizing keep probabilities under expected-payload budget s,
+    for each row's atoms.
+
+    p_i = |lambda_i| * s / ||lambda||_1, clipping to 1 and redistributing the
+    leftover budget whenever a coefficient is too large for that rule.  Each
+    row's probabilities sum to min(s, B_w).  The clipping runs row by row:
+    summing the rows as one zero-padded array would group the additions
+    differently.
+    """
+    if s < 1:
+        raise ValueError(f"sparsity budget s must be >= 1, got {s}")
+    lam = np.abs(decomp.coeffs)
+    if np.any(lam == 0.0):
+        raise ValueError("decomposition contains zero atoms; drop them first")
+    p = np.ones(lam.size)
+    bounds = [0, *np.cumsum(decomp.atom_counts).tolist()]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if s < hi - lo:
+            p[lo:hi] = _clipped(lam[lo:hi], s)
     return SelectionProbabilities(p)
 
 
@@ -224,35 +346,38 @@ def select(
 ) -> CompressedGradient:
     """Deterministic half of sampling: keep the masked atoms, scale by 1/p."""
     kept = np.asarray(mask, dtype=bool)
-    picked = np.flatnonzero(kept)
-    scaled = decomp.coeffs[picked] / probs.probs[picked]
-    if decomp.basis_kind == "elementwise":
-        idx = decomp.indices[picked] if decomp.indices is not None else picked
-        return CompressedGradient("elementwise", decomp.dim, scaled, indices=idx, kept=kept)
-    chosen = [decomp.outer_atoms[i] for i in picked] if decomp.outer_atoms else []
-    return CompressedGradient("lowrank", decomp.dim, scaled, outer_atoms=chosen, kept=kept)
+    if kept.shape != (decomp.n_atoms,):
+        raise ValueError(f"expected a keep mask of shape ({decomp.n_atoms},), got {kept.shape}")
+    return CompressedGradient(decomp, probs, kept)
 
 
 def sample(
-    decomp: AtomicDecomposition, probs: SelectionProbabilities, rng: np.random.Generator
+    decomp: AtomicDecomposition,
+    probs: SelectionProbabilities,
+    rngs: np.random.Generator | Sequence[np.random.Generator],
 ) -> CompressedGradient:
     """Independent Bernoulli(p_i) keep/drop per atom, kept atoms scaled by 1/p_i.
 
-    An empty decomposition yields the zero compressed gradient (payload 0);
-    the caller is expected to log that round as degenerate.
+    Row w draws its mask as rngs[w].random(B_w) < p_w, on a generator of its
+    own (one generator may stand for a one-row decomposition).  An empty row
+    draws nothing and sends the zero payload; the caller is expected to log
+    that row as degenerate.
     """
-    if decomp.n_atoms == 0:
-        return CompressedGradient(decomp.basis_kind, decomp.dim, np.empty(0),
-                                  indices=np.empty(0, dtype=np.int64), outer_atoms=[],
-                                  kept=np.empty(0, dtype=bool))
-    mask = rng.random(decomp.n_atoms) < probs.probs
-    return select(decomp, probs, mask)
+    if isinstance(rngs, np.random.Generator):
+        rngs = [rngs]
+    if len(rngs) != decomp.n_rows:
+        raise ValueError(f"need one generator per row: got {len(rngs)} for {decomp.n_rows} rows")
+    draws = [rng.random(n) for rng, n in zip(rngs, decomp.atom_counts.tolist()) if n]
+    uniforms = np.concatenate(draws) if draws else np.empty(0)
+    return select(decomp, probs, uniforms < probs.probs)
 
 
 def reconstruct(compressed: CompressedGradient) -> np.ndarray:
-    """Dense estimator vector from a compressed payload."""
-    return _dense(compressed.basis_kind, compressed.dim, compressed.coeffs, compressed.indices,
-                  compressed.outer_atoms)
+    """Dense estimator of each row's payload, shaped like the decomposed
+    gradients: a d-vector for one, (W, d) for a stack."""
+    source = compressed.source
+    rows = reconstruct_rows(source, compressed.probs, compressed.kept[None])
+    return rows.reshape(source.lead + (source.dim,))
 
 
 def reconstruct_rows(
@@ -263,19 +388,19 @@ def reconstruct_rows(
 ) -> np.ndarray:
     """Dense estimator rows for an (n, B) keep mask over decomp's B atoms.
 
-    Row r equals reconstruct(select(decomp, probs, masks[r])) bit for bit.
-    The rows are written into `out`, an (n, d) array, when it is given, and
-    into a new array otherwise.
+    For a one-row decomposition row t equals reconstruct(select(decomp,
+    probs, masks[t])) bit for bit; for W rows, row t * W + w is mask t
+    applied to row w.  The rows are written into `out`, an (n * W, d)
+    array, when it is given, and into a new array otherwise.
     """
     keep = np.asarray(masks, dtype=bool)
     if keep.ndim != 2 or keep.shape[1] != decomp.n_atoms:
         raise ValueError(f"expected an (n, {decomp.n_atoms}) keep mask, got shape {keep.shape}")
     if out is None:
-        out = np.zeros((keep.shape[0], decomp.dim))
+        out = np.zeros((keep.shape[0] * decomp.n_rows, decomp.dim))
     else:
         out.fill(0.0)
-    _scatter(out, decomp.basis_kind, decomp.coeffs / probs.probs, decomp.indices,
-             decomp.outer_atoms, keep)
+    _scatter(out, decomp, decomp.coeffs / probs.probs, keep)
     return out
 
 
@@ -304,28 +429,38 @@ def sigma_terms(decomp: AtomicDecomposition) -> VarianceTerms:
     return VarianceTerms(sigma1, sigma2)
 
 
-def payload_bits(compressed: CompressedGradient) -> int:
-    """Bits in serialize(compressed), without building it: 96 per elementwise
-    atom, 160 + 64 * (m + n) per rank-1 atom of an m x n block."""
-    if compressed.basis_kind == "elementwise":
-        return 96 * compressed.payload_atoms
-    return sum(160 + 64 * (atom.u.size + atom.v.size) for atom in compressed.outer_atoms or [])
+def payload_bits(compressed: CompressedGradient) -> int | np.ndarray:
+    """Bits in serialize() of each row's payload, without building it: 96 per
+    elementwise atom, 160 + 64 * (m + n) per rank-1 atom of an m x n block.
+    An int for one gradient, a (W,) array for a stack."""
+    source = compressed.source
+    if source.blocks is None:
+        slot_bits = np.full(source.dim, 96)  # u32 position, f64 coefficient
+    else:  # a 3 x u32 header, u, v and the f64 coefficient
+        slot_bits = np.concatenate([
+            np.full(b.u.shape[2], 160 + 64 * (b.u.shape[1] + b.vt.shape[2])) for b in source.blocks
+        ])
+    kept = np.zeros(source.slots.shape, dtype=bool)
+    kept[source.slots] = compressed.kept
+    bits = kept @ slot_bits
+    return int(bits[0]) if source.lead == () else bits
 
 
 def serialize(compressed: CompressedGradient) -> bytes:
-    """Wire form of a payload; payload_bits gives its size.
+    """Wire form of a payload, every row's atoms after the previous row's;
+    payload_bits gives each row's size.
 
     elementwise: little-endian (u32 atom id, f64 coefficient) pairs, 12 bytes
     per atom (96 bits).  lowrank: per atom a (u32 offset, u32 len(u),
     u32 len(v)) header, the two factor vectors as f64, then the coefficient.
     """
     if compressed.basis_kind == "elementwise":
-        idx = compressed.indices if compressed.indices is not None else np.empty(0, dtype=np.int64)
         return b"".join(
-            struct.pack("<Id", int(i), float(c)) for i, c in zip(idx, compressed.coeffs)
+            struct.pack("<Id", int(i), float(c))
+            for i, c in zip(compressed.indices, compressed.coeffs)
         )
     parts = []
-    for coeff, atom in zip(compressed.coeffs, compressed.outer_atoms or []):
+    for coeff, atom in zip(compressed.coeffs, compressed.outer_atoms):
         parts.append(struct.pack("<III", int(atom.offset), atom.u.size, atom.v.size))
         parts.append(atom.u.astype("<f8").tobytes())
         parts.append(atom.v.astype("<f8").tobytes())

@@ -5,16 +5,16 @@ every worker runs tau_k local SGD steps, sums its per-step mini-batch
 gradients, optionally compresses that sum, and uploads it.  The local steps
 of all workers run as one stacked pass (nn.local_update_run), which returns
 each worker's gradient sum as one row of an (M, d) array in the flat
-parameter layout; compression and upload take the rows in worker order, and
-each worker's payload, as the server reconstructs it, fills the same row of
-a second (M, d) buffer (or is that row itself when nothing is compressed).
-The server's average is the sum of the rows whose packets survive, added in
-worker order, over their count; it takes one momentum SGD step with the
-average, and feeds the workers' mean training loss back into the scheduler
-for the next plan.  Named schemes are
-presets of three knobs (compression on/off, adaptive or pinned tau, adaptive
-or pinned s), so the baselines are literally the adaptive engine with parts
-switched off.
+parameter layout.  Compression is one stage over those rows: one
+decomposition of all M rows, their keep probabilities and masks, and one
+reconstruction into a second (M, d) buffer whose row j is worker j's payload
+as the server reconstructs it (the gradient rows themselves when nothing is
+compressed).  The server's average is the sum of the rows whose packets
+survive, added in worker order, over their count; it takes one momentum SGD
+step with the average, and feeds the workers' mean training loss back into
+the scheduler for the next plan.  Named schemes are presets of three knobs
+(compression on/off, adaptive or pinned tau, adaptive or pinned s), so the
+baselines are literally the adaptive engine with parts switched off.
 """
 
 from __future__ import annotations
@@ -193,41 +193,33 @@ class Experiment:
         plan = self._next_plan
         d = self.params.dim
 
-        compute_s: list[float] = []
-        uplink_s: list[float] = []
-        received = np.zeros(len(self.workers), dtype=bool)
-        atoms_sent = 0
-        expected_atoms = 0.0
-        expected_var = 0.0
-
+        workers = [w.worker_id for w in self.workers]
         _, g_rows, losses = nn.local_update_run(
             self.params, self.train_set, [w.shard for w in self.workers], plan.tau_k, cfg.eta,
             cfg.batch_size, [w.rng for w in self.workers], momentum=cfg.worker_momentum,
         )
         worker_losses = losses.mean(axis=1)
-        # row j: worker j's update as the server reconstructs it
-        rows = np.empty_like(g_rows) if self.policy.compress else g_rows
-        for j, (worker, g_row) in enumerate(zip(self.workers, g_rows)):
-            if self.policy.compress:
-                decomp = compress.decompose_bundle(
-                    self.params.from_flat(g_row), cfg.basis, plan.s_k
-                )
-                if decomp.n_atoms == 0:
-                    log.warning("round %d worker %d: zero gradient, empty payload", k, worker.worker_id)
-                probs = compress.probabilities(decomp, plan.s_k)
-                cg = compress.sample(decomp, probs, substream(cfg.seed, "compress", worker.worker_id, k))
-                compress.reconstruct_rows(decomp, probs, cg.kept[None], out=rows[j : j + 1])
-                atoms_sent += cg.payload_atoms
-                expected_atoms += float(probs.probs.sum())
-                expected_var += float((probs.probs * (1.0 - probs.probs)).sum())
-                bits = compress.payload_bits(cg)
-            else:
-                bits = netsim.DENSE_BITS_PER_VALUE * d
-            compute_s.append(plan.tau_k * self.channel.sec_per_local_step)
-            uplink_s.append(netsim.uplink_time(bits, self.channel, worker.worker_id))
-            received[j] = netsim.packet_survives(
-                substream(cfg.seed, "net", worker.worker_id, k), self.channel
+        if self.policy.compress:
+            decomp = compress.decompose_bundle(self.params.from_flat(g_rows), cfg.basis, plan.s_k)
+            for j in np.flatnonzero(decomp.atom_counts == 0):
+                log.warning("round %d worker %d: zero gradient, empty payload", k, workers[j])
+            probs = compress.probabilities(decomp, plan.s_k)
+            payloads = compress.sample(
+                decomp, probs, [substream(cfg.seed, "compress", j, k) for j in workers]
             )
+            # row j: worker j's update as the server reconstructs it
+            rows = compress.reconstruct(payloads)
+            bits = compress.payload_bits(payloads).tolist()
+            atoms_sent = payloads.payload_atoms
+            expected_atoms = float(probs.probs.sum())
+            expected_var = float((probs.probs * (1.0 - probs.probs)).sum())
+        else:
+            rows = g_rows
+            bits = [netsim.DENSE_BITS_PER_VALUE * d] * len(workers)
+            atoms_sent, expected_atoms, expected_var = 0, 0.0, 0.0
+        compute_s = [plan.tau_k * self.channel.sec_per_local_step] * len(workers)
+        uplink_s = [netsim.uplink_time(b, self.channel, j) for b, j in zip(bits, workers)]
+        received = netsim.packets_survive(self.channel, cfg.seed, k, workers)
 
         downlink_s = netsim.downlink_time(d, self.channel)
         total_s = netsim.round_time(compute_s, uplink_s, downlink_s)

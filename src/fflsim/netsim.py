@@ -6,7 +6,8 @@ per-worker lists.  An upload costs its size in bits over the worker's
 rate: compress.payload_bits for a compressed payload, DENSE_BITS_PER_VALUE
 per value for a dense vector.  A round costs the slowest worker's compute +
 uplink time plus one shared dense downlink, and uplink payloads lose their
-packet independently with a fixed probability.
+packet independently with a fixed probability; survival is drawn only when
+that probability is strictly between 0 and 1.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .rng import substream
 
 DENSE_BITS_PER_VALUE = 64  # the model is held, broadcast and sent dense as float64
 
@@ -95,3 +97,19 @@ def packet_survives(rng: np.random.Generator, cfg: ChannelConfig) -> bool:
     """One Bernoulli survival draw; False with probability packet_failure_prob."""
     return float(rng.random()) >= cfg.packet_failure_prob
 
+
+
+def packets_survive(cfg: ChannelConfig, seed: int, round_index: int, worker_ids) -> np.ndarray:
+    """Which of a round's uplink packets arrive, one per worker.
+
+    At packet_failure_prob 0 every packet survives and at 1 none does, so no
+    draw is made.  Otherwise worker j's packet gets one packet_survives draw
+    on substream(seed, "net", j, round_index).
+    """
+    p = cfg.packet_failure_prob
+    if p in (0.0, 1.0):
+        return np.full(len(worker_ids), p == 0.0)
+    return np.array(
+        [packet_survives(substream(seed, "net", j, round_index), cfg) for j in worker_ids],
+        dtype=bool,
+    )

@@ -88,7 +88,7 @@ class ParameterSet:
 
     @property
     def dim(self) -> int:
-        return self.flat.size
+        return self.flat.shape[-1]
 
     @property
     def n_layers(self) -> int:
@@ -103,10 +103,11 @@ class ParameterSet:
 
     def from_flat(self, vec: np.ndarray) -> "ParameterSet":
         """This layout over `vec`, which is not copied: the new set's layers
-        are views into it."""
+        are views into it.  `vec` is one flat vector, or a stack of them
+        (..., d) whose layers then carry the same leading axes."""
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"expected a flat vector of length {self.dim}, got shape {vec.shape}")
+        if vec.ndim < 1 or vec.shape[-1] != self.dim:
+            raise ValueError(f"expected flat vectors of length {self.dim}, got shape {vec.shape}")
         out = object.__new__(ParameterSet)
         out.shapes = self.shapes
         out.activation = self.activation
@@ -114,14 +115,11 @@ class ParameterSet:
         return out
 
     def blocks(self) -> list[tuple[int, np.ndarray]]:
-        """(flat offset, array) per block in flatten() order."""
-        out, pos = [], 0
-        for w, b in zip(self.weights, self.biases):
-            out.append((pos, w))
-            pos += w.size
-            out.append((pos, b))
-            pos += b.size
-        return out
+        """(flat offset, array) per block in flatten() order; a stack's
+        arrays carry its leading axes."""
+        arrays = [a for pair in zip(self.weights, self.biases) for a in pair]
+        offsets = np.cumsum([0, *(math.prod(shape) for shape in self.shapes)]).tolist()
+        return list(zip(offsets, arrays))
 
 
 def zeros_like(params: ParameterSet) -> ParameterSet:

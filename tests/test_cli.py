@@ -165,9 +165,20 @@ def test_compare_writes_per_scheme_and_joined_artifacts(tmp_path, capsys):
         assert (out_dir / f"metrics_{scheme}.csv").is_file()
         assert (out_dir / f"summary_{scheme}.json").is_file()
     lines = (out_dir / "compare.csv").read_text().splitlines()
-    assert lines[0] == "scheme,time_to_target_s,final_acc,rounds,total_atoms,speedup_vs_ffl"
+    assert lines[0] == ("scheme,time_to_target_s,final_acc,final_test_loss,rounds,total_atoms,"
+                        "speedup_vs_ffl")
     assert len(lines) == 3
-    assert "scheme" in out  # stdout table header
+    # the paper's objective, the test loss at the end of the run, per scheme
+    for line, scheme in zip(lines[1:], ("ffl", "vanilla")):
+        summary = json.loads((out_dir / f"summary_{scheme}.json").read_text())
+        fields = line.split(",")
+        assert fields[0] == scheme
+        assert float(fields[3]) == summary["final_test_loss"]
+    header, *table = out.splitlines()[-3:]
+    assert header.split() == ["scheme", "time_to_target_s", "final_acc", "final_test_loss",
+                              "rounds", "total_atoms"]
+    for row, line in zip(table, lines[1:]):
+        assert row.split()[3] == f"{float(line.split(',')[3]):.4f}"
 
 
 def test_compare_unreached_target_reports_inf(tmp_path, capsys):

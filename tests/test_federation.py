@@ -203,28 +203,34 @@ def test_partial_packet_loss_still_updates():
     assert summary["skipped_rounds"] == sum(1 for c in received if c == 0)
 
 
+def worker_payloads(exp, g_rows_per_round, basis):
+    """Every worker's payload of every round, compressed on its own through
+    the one-gradient API from the gradient row the round computed for it."""
+    out = []
+    for k, (record, g_rows) in enumerate(zip(exp.records, g_rows_per_round)):
+        for j, g_row in enumerate(g_rows):
+            decomp = compress.decompose_bundle(exp.params.from_flat(g_row), basis, record.s_k)
+            probs = compress.probabilities(decomp, record.s_k)
+            out.append(compress.sample(decomp, probs, substream(exp.cfg.seed, "compress", j, k)))
+    return out
+
+
 @pytest.mark.parametrize("scheme,basis", [
     ("ffl", "elementwise"), ("ffl", "lowrank"), ("adacomm_like", "elementwise"),
 ])
 def test_server_mean_equals_the_worker_order_loop(monkeypatch, scheme, basis):
-    # every payload the workers send and every survival draw are recorded,
-    # and the server's update direction is compared with the mean taken by
-    # a loop over the surviving payloads in worker order
+    # every worker's gradient row and every survival draw are recorded; each
+    # payload is rebuilt on its own, and the server's update direction is
+    # compared with the mean taken by a loop over the surviving payloads in
+    # worker order
     cfg = base_cfg(scheme=scheme, basis=basis, workers=3, packet_failure_prob=0.5, round_cap=30)
-    payloads, survived, directions = [], [], []
-    real_run, real_sample = nn.local_update_run, compress.sample
-    real_survives, real_step = netsim.packet_survives, nn.sgd_step
+    grads, survived, directions = [], [], []
+    real_run, real_survives, real_step = nn.local_update_run, netsim.packet_survives, nn.sgd_step
 
     def local_update_run(*args, **kwargs):
         out = real_run(*args, **kwargs)
-        if scheme == "adacomm_like":
-            payloads.extend(out[1].copy())
+        grads.append(out[1].copy())
         return out
-
-    def sample(*args, **kwargs):
-        cg = real_sample(*args, **kwargs)
-        payloads.append(compress.reconstruct(cg))
-        return cg
 
     def packet_survives(*args, **kwargs):
         survived.append(real_survives(*args, **kwargs))
@@ -235,10 +241,14 @@ def test_server_mean_equals_the_worker_order_loop(monkeypatch, scheme, basis):
         return real_step(params, grad, *args, **kwargs)
 
     monkeypatch.setattr(nn, "local_update_run", local_update_run)
-    monkeypatch.setattr(compress, "sample", sample)
     monkeypatch.setattr(netsim, "packet_survives", packet_survives)
     monkeypatch.setattr(nn, "sgd_step", sgd_step)
-    records, _ = Experiment(cfg).run()
+    exp = Experiment(cfg)
+    records, _ = exp.run()
+    if scheme == "adacomm_like":
+        payloads = [row for g_rows in grads for row in g_rows]
+    else:
+        payloads = [compress.reconstruct(cg) for cg in worker_payloads(exp, grads, basis)]
 
     expected = []
     for k, record in enumerate(records):
@@ -262,25 +272,67 @@ def test_server_mean_equals_the_worker_order_loop(monkeypatch, scheme, basis):
     ("ffl", "elementwise"), ("ffl", "lowrank"), ("adacomm_like", "elementwise"),
 ])
 def test_uplink_charges_the_bits_each_payload_serialises_to(monkeypatch, scheme, basis):
+    # each payload is rebuilt on its own from the worker's recorded gradient row
     rates = [1e4, 2e4, 5e4]
     cfg = base_cfg(scheme=scheme, basis=basis, workers=3, round_cap=6, uplink_rate_bps=rates)
-    sent_bits = []
-    real_sample = compress.sample
+    grads = []
+    real_run = nn.local_update_run
 
-    def sample(*args, **kwargs):
-        cg = real_sample(*args, **kwargs)
-        sent_bits.append(8 * len(compress.serialize(cg)))
-        return cg
+    def local_update_run(*args, **kwargs):
+        out = real_run(*args, **kwargs)
+        grads.append(out[1].copy())
+        return out
 
-    monkeypatch.setattr(compress, "sample", sample)
+    monkeypatch.setattr(nn, "local_update_run", local_update_run)
     exp = Experiment(cfg)
     records, _ = exp.run()
     if scheme == "adacomm_like":
         sent_bits = [64 * exp.params.dim] * (3 * len(records))  # dense float64 uploads
+    else:
+        sent_bits = [8 * len(compress.serialize(cg)) for cg in worker_payloads(exp, grads, basis)]
     assert len(sent_bits) == 3 * len(records)
     for k, record in enumerate(records):
         bits = sent_bits[3 * k : 3 * k + 3]
         assert record.uplink_max_s == max(b / rate for b, rate in zip(bits, rates))
+
+
+@pytest.mark.parametrize("p_fail,streams", [(0.0, ["compress"]), (0.5, ["compress", "net"])])
+def test_a_round_builds_one_compress_stream_per_worker(monkeypatch, p_fail, streams):
+    # a lossless round draws no survival; a lossy one draws one per worker
+    cfg = base_cfg(scheme="atomo_like", workers=3, packet_failure_prob=p_fail)
+    exp = Experiment(cfg)
+    built = []
+
+    def counting(seed, *path):
+        built.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(federation, "substream", counting)
+    monkeypatch.setattr(netsim, "substream", counting)
+    exp.run_round()
+    exp.run_round()
+    assert sorted(built) == sorted((label, j, k) for label in streams
+                                   for j in range(3) for k in range(2))
+
+
+@pytest.mark.parametrize("basis", compress.BASIS_KINDS)
+def test_zero_gradient_warns_once_per_empty_worker(monkeypatch, caplog, basis):
+    real_run = nn.local_update_run
+
+    def local_update_run(*args, **kwargs):
+        final, g_rows, losses = real_run(*args, **kwargs)
+        g_rows[[0, 2]] = 0.0
+        return final, g_rows, losses
+
+    monkeypatch.setattr(nn, "local_update_run", local_update_run)
+    exp = Experiment(base_cfg(scheme="ffl", basis=basis, workers=3))
+    with caplog.at_level("WARNING", logger="fflsim.federation"):
+        record = exp.run_round()
+    assert [r.getMessage() for r in caplog.records] == [
+        "round 0 worker 0: zero gradient, empty payload",
+        "round 0 worker 2: zero gradient, empty payload",
+    ]
+    assert record.received_workers == 3 and record.atoms_sent_total > 0
 
 
 # ---- evaluate ---- #

@@ -140,6 +140,26 @@ def test_packet_draws_deterministic_per_stream():
     assert a == b
 
 
+def test_packets_survive_draws_nothing_at_probability_zero_or_one(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("no generator should be built")
+
+    monkeypatch.setattr(netsim, "substream", no_stream)
+    ids = [0, 1, 2, 3, 4]
+    survived = netsim.packets_survive(ChannelConfig(packet_failure_prob=0.0), 7, 3, ids)
+    lost = netsim.packets_survive(ChannelConfig(packet_failure_prob=1.0), 7, 3, ids)
+    assert survived.dtype == bool and survived.tolist() == [True] * 5
+    assert lost.dtype == bool and lost.tolist() == [False] * 5
+
+
+@pytest.mark.parametrize("p", [1e-9, 0.3, 1.0 - 1e-9])
+def test_packets_survive_is_one_draw_per_worker_stream(p):
+    cfg = ChannelConfig(packet_failure_prob=p)
+    for k in range(5):
+        want = [netsim.packet_survives(substream(7, "net", j, k), cfg) for j in range(6)]
+        assert netsim.packets_survive(cfg, 7, k, range(6)).tolist() == want
+
+
 # ---- config validation ---- #
 
 def test_validate_accepts_defaults():
