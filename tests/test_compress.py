@@ -435,7 +435,10 @@ def gradient_stacks(draw):
 def test_one_stage_for_all_rows_equals_one_payload_per_row_bitwise(case):
     layout, grads, basis, s = case
     m_rows = grads.shape[0]
-    streams = lambda: [substream(5, "compress", j, 0) for j in range(m_rows)]  # noqa: E731
+
+    def streams():
+        return [substream(5, "compress", j, 0) for j in range(m_rows)]
+
     decomp = compress.decompose_bundle(layout.from_flat(grads), basis, s)
     cg = compress.sample(decomp, compress.probabilities(decomp, s), streams())
     rows, bits = compress.reconstruct(cg), compress.payload_bits(cg)
