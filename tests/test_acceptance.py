@@ -354,8 +354,11 @@ def test_criterion_10_determinism(tmp_path, capsys):
 # SHA-256 of metrics.csv for the desk task at seed 0, pinned so that a change
 # to the simulator's arithmetic shows as a moved byte, not as a shifted figure.
 # A plain scheme name runs the desk config as is; a suffixed name runs it with
-# the overrides DESK_GOLDEN_VARIANTS gives, so the lowrank basis and a lossy
-# channel are pinned too.
+# the overrides DESK_GOLDEN_VARIANTS gives, so the lowrank basis, a lossy
+# channel, the tanh activation, two hidden layers and ten classes are pinned
+# too.  Ten classes matter: numpy sums a class axis of 8 or more in pairwise
+# lanes, so a loss that regroups that sum moves these bytes and not the
+# 4-class ones.
 DESK_GOLDEN_SHA256 = {
     "ffl": "e2128dd0c54b5b6c26b6c8ef0f34c661fcdacba2a87828933bfd4fab78cde50c",
     "atomo_like": "3883bdcdf16cbb2dc8c7d00f71145b315bfc97e33864569ebfbef522c84dca48",
@@ -363,10 +366,18 @@ DESK_GOLDEN_SHA256 = {
     "ffl-lowrank": "81f502107eb92749ded81ed580828cd014a58c39cc3624341488c86f50d80ab9",
     "atomo_like-lowrank": "25f0a284d92494d77df707a067f41551da235ad3f174778bd9b0f62888b3956f",
     "ffl-p_fail_0.1": "1edd2ce7b7c30dd7e9c90ca1a1821c12b0da5470e227e5a236a3786d6c8bce3a",
+    "ffl-tanh": "e4fe98de7c87c500bf4d1ca6a97b83d0daf56ed46d273e8c6762476fc2bb5395",
+    "ffl-two_hidden": "21d7be78a110583279410a140127e9502a46775176a7f24fc47106698a1a9c09",
+    "ffl-classes10": "6faa6324fb7b3597f5d1f83c9cb6aa7213853be6a9e149479a0112c20d5ada01",
 }
 DESK_GOLDEN_VARIANTS = {
     "lowrank": {"basis": "lowrank"},
     "p_fail_0.1": {"packet_failure_prob": 0.1},
+    "tanh": {"activation": "tanh"},
+    "two_hidden": {"hidden_layers": [32, 16]},
+    "classes10": {
+        "synthetic_classes": 10, "synthetic_per_class": 400, "synthetic_test_per_class": 100,
+    },
 }
 
 
