@@ -166,7 +166,7 @@ class CompressedGradient:
     @property
     def coeffs(self) -> np.ndarray:
         """lambda_i / p_i of the kept atoms, row after row."""
-        return (self.source.coeffs / self.probs.probs)[self.kept]
+        return self.source.coeffs[self.kept] / self.probs.probs[self.kept]
 
     @property
     def indices(self) -> np.ndarray | None:
@@ -400,7 +400,11 @@ def reconstruct_rows(
         out = np.zeros((keep.shape[0] * decomp.n_rows, decomp.dim))
     else:
         out.fill(0.0)
-    _scatter(out, decomp, decomp.coeffs / probs.probs, keep)
+    # an atom with p = 0 is never kept, so its slot is left at 0 rather
+    # than divided by zero (a subnormal coefficient can get p = 0)
+    p = probs.probs
+    scaled = np.divide(decomp.coeffs, p, out=np.zeros_like(p), where=p > 0.0)
+    _scatter(out, decomp, scaled, keep)
     return out
 
 

@@ -285,23 +285,30 @@ class Experiment:
         return self.records, self.summary()
 
     def summary(self) -> dict:
+        """The run so far; the `final_*` and `best_acc` entries are NaN
+        (null in summary.json) when no round has completed."""
         cfg = self.cfg
         time_to_target: float | str = "inf"
         for record in self.records:
             if record.smoothed_acc >= cfg.target_accuracy:
                 time_to_target = record.sim_time_s
                 break
-        last = self.records[-1]
+        last = self.records[-1] if self.records else None
+
+        def final(field: str) -> float:
+            return math.nan if last is None else getattr(last, field)
+
         return {
+            "status": "ok",
             "scheme": cfg.scheme,
             "config": cfg.to_dict(),
             "rounds": len(self.records),
-            "final_acc": last.test_acc,
-            "best_acc": max(r.test_acc for r in self.records),
-            "final_smoothed_acc": last.smoothed_acc,
-            "final_train_loss": last.train_loss,
-            "final_smoothed_loss": last.smoothed_loss,
-            "final_test_loss": last.test_loss,
+            "final_acc": final("test_acc"),
+            "best_acc": max((r.test_acc for r in self.records), default=math.nan),
+            "final_smoothed_acc": final("smoothed_acc"),
+            "final_train_loss": final("train_loss"),
+            "final_smoothed_loss": final("smoothed_loss"),
+            "final_test_loss": final("test_loss"),
             "target_accuracy": cfg.target_accuracy,
             "time_to_target_s": time_to_target,
             "total_sim_time_s": self.sim_time_s,
@@ -344,12 +351,27 @@ def write_summary_json(summary: dict, path: str) -> None:
 
 def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> tuple[list[RoundRecord], dict]:
     """Run one experiment and write metrics.csv + summary.json to the output
-    directory (cfg.output_dir unless overridden here)."""
+    directory (cfg.output_dir unless overridden here).
+
+    summary.json carries "status": "ok".  A run that diverges (a
+    FloatingPointError from the local SGD checks) still writes metrics.csv
+    for the rounds that completed and a summary with "status": "diverged"
+    and the error message, then re-raises.
+    """
     experiment = Experiment(cfg)
-    records, summary = experiment.run()
     output_dir = output_dir if output_dir is not None else cfg.output_dir
+    try:
+        records, summary = experiment.run()
+    except FloatingPointError as exc:
+        summary = {**experiment.summary(), "status": "diverged", "error": str(exc)}
+        _write_artifacts(output_dir, experiment.records, summary)
+        raise
+    _write_artifacts(output_dir, records, summary)
+    return records, summary
+
+
+def _write_artifacts(output_dir: str, records: list[RoundRecord], summary: dict) -> None:
     if output_dir:
         os.makedirs(output_dir, exist_ok=True)
         write_metrics_csv(records, os.path.join(output_dir, "metrics.csv"))
         write_summary_json(summary, os.path.join(output_dir, "summary.json"))
-    return records, summary

@@ -17,6 +17,19 @@ forward and backward pass is written once, over arrays with an optional
 leading worker axis, so a single 2-D batch is simply the unstacked case of
 the same code.  No function here mutates its inputs, and randomness only
 enters through explicit generators.
+
+A step makes few numpy calls and keeps the bits of the plain composition.
+The forward pass adds the bias and applies the activation in place, and the
+backward pass writes each layer's gradient straight into the (M, d) buffer.
+The loss takes the class-axis max as an outer-axis reduce over a transposed
+copy: a reduce over a 4-long last axis costs several times more, and a max
+does not depend on the order it visits values.  Each label is picked by its
+flat position in the logits, which local_update_run builds once per round
+for all tau steps, and the batch mean is np.add.reduce over the batch size,
+which is what ndarray.mean computes.  The class-axis sum of the softmax stays
+numpy's own last-axis reduction: numpy adds 8 or more values there in
+pairwise lanes, so an outer-axis sum, which adds in sequence, would move the
+bits once there are 8 classes or more.
 """
 
 from __future__ import annotations
@@ -141,12 +154,6 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise FloatingPointError(f"non-finite values in {what}")
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
 def _check_batch(params: ParameterSet, features, labels) -> tuple[np.ndarray, np.ndarray]:
     """Features of shape (rows, d_in) with at least one row, and every label
     in [0, classes)."""
@@ -168,8 +175,15 @@ def _forward(weights: list, biases: list, activation: str, x: np.ndarray) -> tup
     a leading worker axis, matched between the layers and x."""
     acts = [x]
     for w, b in zip(weights[:-1], biases[:-1]):
-        acts.append(_activate(np.matmul(acts[-1], w) + b[..., None, :], activation))
-    logits = np.matmul(acts[-1], weights[-1]) + biases[-1][..., None, :]
+        h = np.matmul(acts[-1], w)
+        h += b[..., None, :]
+        if activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        else:
+            np.tanh(h, out=h)
+        acts.append(h)
+    logits = np.matmul(acts[-1], weights[-1])
+    logits += biases[-1][..., None, :]
     _require_finite(logits, "logits")
     return acts, logits
 
@@ -180,6 +194,17 @@ def forward(params: ParameterSet, batch: MiniBatch) -> np.ndarray:
     return _forward(params.weights, params.biases, params.activation, x)[1]
 
 
+def _label_index(labels: np.ndarray, classes: int) -> np.ndarray:
+    """Flat position of each label in its step's logits.
+
+    `labels` is a (steps, ..., batch) stack; step t's logits are (..., batch,
+    classes), and row r of them holds label y at r * classes + y of the
+    flattened array.
+    """
+    rows = np.arange(labels[0].size).reshape(labels.shape[1:])
+    return rows * classes + labels
+
+
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. the logits.
 
@@ -187,35 +212,49 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     the leading shape (a numpy scalar for one 2-D batch).  Stabilized with
     the log-sum-exp shift so large logits cannot overflow.
     """
-    z = logits - logits.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    log_probs = z - log_norm
-    classes = logits.shape[-1]
-    rows, cols = np.arange(labels.size), labels.ravel()
-    picked = log_probs.reshape(-1, classes)[rows, cols].reshape(labels.shape)
-    loss = -picked.mean(axis=-1)
+    labels = np.asarray(labels)
+    return _cross_entropy(logits, _label_index(labels[None], logits.shape[-1])[0])
+
+
+def _cross_entropy(logits: np.ndarray, label_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softmax_cross_entropy with each label given as its flat position in
+    `logits` (see _label_index); label_index has the labels' shape."""
+    batch = label_index.shape[-1]
+    # the class-axis max, reduced over the outer axis of a transposed copy
+    top = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0).T
+    log_probs = logits - top[..., None]
+    # the class-axis sum stays numpy's own last-axis reduction (see above)
+    log_norm = np.log(np.add.reduce(np.exp(log_probs), axis=-1))
+    log_probs -= log_norm[..., None]
+    loss = -(np.add.reduce(log_probs.reshape(-1)[label_index], axis=-1) / batch)
     dlogits = np.exp(log_probs)
-    dlogits.reshape(-1, classes)[rows, cols] -= 1.0
-    dlogits /= labels.shape[-1]
+    dlogits.reshape(-1)[label_index] -= 1.0
+    dlogits /= batch
     return loss, dlogits
 
 
 def _backprop(
-    weights: list, biases: list, activation: str, x: np.ndarray, y: np.ndarray,
+    weights: list, biases: list, activation: str, x: np.ndarray, label_index: np.ndarray,
     grad_w: list, grad_b: list,
 ) -> np.ndarray:
-    """Loss of each batch in the stack; writes its exact gradient through
-    the grad_w / grad_b views.  Shapes as in _forward."""
+    """Loss of each batch in the stack; writes its exact gradient into the
+    grad_w / grad_b views.  Shapes as in _forward; label_index as in
+    _cross_entropy."""
     acts, logits = _forward(weights, biases, activation, x)
-    loss, dz = softmax_cross_entropy(logits, y)
+    loss, dz = _cross_entropy(logits, label_index)
     for layer in range(len(weights) - 1, -1, -1):
         if layer < len(weights) - 1:
             a = acts[layer + 1]
-            dz = upstream * ((a > 0.0) if activation == "relu" else (1.0 - a * a))
-        grad_w[layer][...] = np.matmul(acts[layer].swapaxes(-1, -2), dz)
-        grad_b[layer][...] = dz.sum(axis=-2)
+            if activation == "relu":
+                np.multiply(dz, a > 0.0, out=dz)
+            else:
+                slope = a * a
+                np.subtract(1.0, slope, out=slope)
+                np.multiply(dz, slope, out=dz)
+        np.matmul(acts[layer].swapaxes(-1, -2), dz, out=grad_w[layer])
+        np.add.reduce(dz, axis=-2, out=grad_b[layer])
         if layer > 0:
-            upstream = np.matmul(dz, weights[layer].swapaxes(-1, -2))
+            dz = np.matmul(dz, weights[layer].swapaxes(-1, -2))
     return loss
 
 
@@ -223,8 +262,10 @@ def loss_and_grad(params: ParameterSet, batch: MiniBatch) -> tuple[float, Parame
     """Mean softmax cross-entropy and its exact gradient via backprop."""
     x, y = _check_batch(params, batch.features, batch.labels)
     grad = zeros_like(params)
+    label_index = _label_index(y[None], params.weights[-1].shape[1])[0]
     loss = _backprop(
-        params.weights, params.biases, params.activation, x, y, grad.weights, grad.biases
+        params.weights, params.biases, params.activation, x, label_index,
+        grad.weights, grad.biases,
     )
     _require_finite(grad.flat, "gradient")
     return float(loss), grad
@@ -288,21 +329,24 @@ def local_update_run(
     # every step gathers from ds.features, so checking it and the drawn
     # labels here covers all tau steps
     features, labels = _check_batch(params, ds.features, ds.labels[picks])
+    label_index = _label_index(labels, params.weights[-1].shape[1])
     current = np.tile(params.flat, (len(shards), 1))
     velocity = np.zeros_like(current)
     g_sum = np.zeros_like(current)
     grad = np.empty_like(current)
+    scaled = np.empty_like(current)
     losses = np.empty((len(shards), tau))
     weights, biases = _layer_views(current, params.shapes)
     grad_w, grad_b = _layer_views(grad, params.shapes)
     for step in range(tau):
-        x = features[picks[step]]
+        x = features.take(picks[step], axis=0)
         losses[:, step] = _backprop(
-            weights, biases, params.activation, x, labels[step], grad_w, grad_b
+            weights, biases, params.activation, x, label_index[step], grad_w, grad_b
         )
         _require_finite(grad, "gradient")
         g_sum += grad
         velocity *= momentum
         velocity += grad
-        current -= eta * velocity
+        np.multiply(velocity, eta, out=scaled)
+        current -= scaled
     return current, g_sum, losses

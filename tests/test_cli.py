@@ -46,6 +46,22 @@ def test_run_minimal_config_writes_artifacts(tmp_path, capsys):
     assert len(metrics) >= 2  # header + >= 1 data row
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["rounds"] == 4
+    assert summary["status"] == "ok"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_diverging_run_exits_1_and_still_writes_its_artifacts(tmp_path, capsys):
+    # a step of 1e300 drives the weights past the float range in the first round
+    cfg_path = write_config(tmp_path, {**MINIMAL, "eta": 1e300})
+    out_dir = tmp_path / "results"
+    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert "non-finite values" in err
+    metrics = (out_dir / "metrics.csv").read_text().splitlines()
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["status"] == "diverged"
+    assert summary["error"] in err
+    assert summary["rounds"] == len(metrics) - 1 == 0
 
 
 def test_run_rejects_negative_eta_with_key_in_message(tmp_path, capsys):

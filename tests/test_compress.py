@@ -398,6 +398,26 @@ def test_reconstruct_rows_rejects_a_mask_of_the_wrong_width():
         compress.reconstruct_rows(d, probs, np.ones(3, dtype=bool))
 
 
+def test_an_atom_whose_probability_underflows_to_zero_reconstructs_cleanly():
+    # a subnormal coefficient next to ordinary ones gets p = 0; it is never
+    # kept, and the estimator must neither divide by that p nor hold an inf
+    vec = np.array([5.1e-322, 300.0, -200.0, 100.0])
+    d = elementwise_of(vec)
+    probs = compress.probabilities(d, 2.0)
+    assert probs.probs[0] == 0.0 and (probs.probs[1:] > 0.0).all()
+    masks = np.array([[False, True, True, True], [False, False, True, False]])
+    with np.errstate(all="raise"):
+        rows = compress.reconstruct_rows(d, probs, masks)
+        sampled = compress.sample(d, probs, substream(4, "compress", 0, 0))
+        rec = compress.reconstruct(sampled)
+        scaled = sampled.coeffs
+    want = np.zeros((2, 4))
+    want[masks] = (vec / np.where(probs.probs > 0.0, probs.probs, 1.0))[masks.nonzero()[1]]
+    assert rows.tobytes() == want.tobytes()
+    assert not sampled.kept[0]
+    assert np.array_equal(rec[sampled.kept], scaled) and not rec[~sampled.kept].any()
+
+
 def test_sample_records_its_keep_mask():
     d = elementwise_of([3.0, -2.0, 1.0, 0.5])
     probs = compress.probabilities(d, 2.0)

@@ -477,6 +477,60 @@ def test_summary_json_is_strict_when_the_last_round_is_lost(tmp_path):
     assert loaded["rounds"] == 4
 
 
+def diverge_on_round(monkeypatch, bad_round):
+    """Make nn.local_update_run raise as the local SGD checks do, from round
+    `bad_round` on."""
+    calls = []
+    real = nn.local_update_run
+
+    def local_update_run(*args, **kwargs):
+        calls.append(len(calls))
+        if len(calls) > bad_round:
+            raise FloatingPointError("non-finite values in gradient")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "local_update_run", local_update_run)
+
+
+def load_strict(path):
+    def reject(constant):
+        raise ValueError(f"{path.name} holds the non-JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_a_diverging_run_writes_the_rounds_so_far_and_its_status(tmp_path, monkeypatch):
+    cfg = base_cfg(scheme="ffl", round_cap=6, output_dir=str(tmp_path))
+    finished = federation.run_experiment(dataclasses.replace(cfg, round_cap=3, output_dir=""))
+    diverge_on_round(monkeypatch, 3)
+    with pytest.raises(FloatingPointError, match="non-finite values in gradient"):
+        federation.run_experiment(cfg)
+    with open(tmp_path / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["round"] for row in rows] == ["0", "1", "2"]
+    summary = load_strict(tmp_path / "summary.json")
+    assert summary["status"] == "diverged"
+    assert summary["error"] == "non-finite values in gradient"
+    assert summary["rounds"] == 3
+    # the rounds that completed are the first three rounds of a finished run
+    assert summary["final_acc"] == finished[1]["final_acc"]
+    assert summary["total_sim_time_s"] == finished[1]["total_sim_time_s"]
+    assert finished[1]["status"] == "ok"
+
+
+def test_a_run_that_diverges_in_its_first_round_writes_an_empty_table(tmp_path, monkeypatch):
+    cfg = base_cfg(round_cap=4, output_dir=str(tmp_path))
+    diverge_on_round(monkeypatch, 0)
+    with pytest.raises(FloatingPointError):
+        federation.run_experiment(cfg)
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert lines == [",".join(federation.CSV_COLUMNS)]
+    summary = load_strict(tmp_path / "summary.json")
+    assert summary["status"] == "diverged" and summary["rounds"] == 0
+    assert summary["final_acc"] is None and summary["best_acc"] is None
+    assert summary["total_sim_time_s"] == 0.0 and summary["time_to_target_s"] == "inf"
+
+
 def test_sim_time_is_the_running_sum_of_round_times():
     cfg = base_cfg(scheme="ffl", round_cap=8, workers=3)
     records, summary = Experiment(cfg).run()

@@ -119,6 +119,40 @@ def test_loss_stable_for_huge_logits():
     assert np.isfinite(grad.flatten()).all()
 
 
+def plain_cross_entropy(logits, labels):
+    """The loss as plain numpy calls: the class-axis max and sum, a fancy
+    index pick and mean."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    classes = logits.shape[-1]
+    rows, cols = np.arange(labels.size), labels.ravel()
+    loss = -log_probs.reshape(-1, classes)[rows, cols].reshape(labels.shape).mean(axis=-1)
+    dlogits = np.exp(log_probs)
+    dlogits.reshape(-1, classes)[rows, cols] -= 1.0
+    dlogits /= labels.shape[-1]
+    return loss, dlogits
+
+
+# softmax_cross_entropy reduces the class max over the outer axis of a
+# transposed copy and replaces the fancy index and mean with a flat index and
+# np.add.reduce.  Both must give the plain composition's bits; the class-axis
+# sum sums 8 or more classes in pairwise lanes, so class counts on both sides
+# of 8 are covered, and a numpy release that regroups a reduction fails here.
+@pytest.mark.parametrize("classes", [1, 2, 4, 7, 8, 10, 33])
+@pytest.mark.parametrize("lead", [(1,), (37,), (512,), (8, 64), (3, 1), (2, 9)],
+                         ids=lambda lead: "x".join(map(str, lead)))
+def test_loss_equals_the_plain_numpy_composition_bitwise(classes, lead):
+    rng = np.random.default_rng(classes * 1000 + sum(lead))
+    scale = np.exp(3.0 * rng.standard_normal(lead))[..., None]  # rows from tiny to huge logits
+    logits = rng.standard_normal((*lead, classes)) * scale
+    labels = rng.integers(0, classes, lead)
+    loss, dlogits = nn.softmax_cross_entropy(logits, labels)
+    want_loss, want_dlogits = plain_cross_entropy(logits, labels)
+    assert np.shape(loss) == np.shape(want_loss) and dlogits.shape == logits.shape
+    assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+    assert dlogits.tobytes() == want_dlogits.tobytes()
+
+
 def test_single_layer_analytic_gradient():
     # one sample through a linear softmax layer: grad_W = x^T (softmax(z) - onehot)
     rng = np.random.default_rng(12)
