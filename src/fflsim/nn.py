@@ -223,7 +223,7 @@ def _cross_entropy(logits: np.ndarray, label_index: np.ndarray) -> tuple[np.ndar
     # the class-axis max, reduced over the outer axis of a transposed copy
     top = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0).T
     log_probs = logits - top[..., None]
-    # the class-axis sum stays numpy's own last-axis reduction (see above)
+    # the class-axis sum stays numpy's own last-axis reduction (module docstring)
     log_norm = np.log(np.add.reduce(np.exp(log_probs), axis=-1))
     log_probs -= log_norm[..., None]
     loss = -(np.add.reduce(log_probs.reshape(-1)[label_index], axis=-1) / batch)
