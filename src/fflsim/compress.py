@@ -22,6 +22,10 @@ their keep masks and reconstructs them into one (M, d) buffer with one
 vectorised pass per atom slot; only the budget clipping and each row's
 random draw go row by row.  The Monte Carlo checks reconstruct many keep
 masks of one decomposition with the same code.
+
+A payload has one form: its decomposition and a keep mask over the atoms.
+payload_bits and serialize read the kept slots, and serialize the rank-1
+blocks, straight from it.
 """
 
 from __future__ import annotations
@@ -38,16 +42,6 @@ from .nn import ParameterSet
 _DROP_TOL = 1e-12  # singular values this small are treated as zero atoms
 
 BASIS_KINDS = ("elementwise", "lowrank")
-
-
-@dataclass
-class OuterAtom:
-    """Rank-1 atom: the flattened outer product u v^T placed at `offset` in
-    the flat gradient vector (both factors unit L2 norm)."""
-
-    u: np.ndarray
-    v: np.ndarray
-    offset: int = 0
 
 
 @dataclass
@@ -77,20 +71,14 @@ class AtomicDecomposition:
     basis_kind: str
     dim: int
     coeffs: np.ndarray  # (B,): signed for elementwise, non-negative for lowrank
-    indices: np.ndarray | None = None  # elementwise: flat position per atom
+    slots: np.ndarray  # (W, R) bool
     blocks: list[RankOneBlock] | None = None  # lowrank
-    slots: np.ndarray | None = None  # (W, R); from `indices` for one elementwise vector
     lead: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.basis_kind not in BASIS_KINDS:
             raise ValueError(f"basis_kind must be one of {BASIS_KINDS}")
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.slots is None:
-            if self.basis_kind != "elementwise" or self.indices is None:
-                raise ValueError("give the slots, or the indices of an elementwise vector")
-            self.slots = np.zeros((1, self.dim), dtype=bool)
-            self.slots[0, self.indices] = True
         if np.count_nonzero(self.slots) != self.coeffs.size:
             raise ValueError(f"{self.coeffs.size} coefficients for "
                              f"{np.count_nonzero(self.slots)} atom slots")
@@ -108,19 +96,6 @@ class AtomicDecomposition:
     def atom_counts(self) -> np.ndarray:
         """(W,) atoms per row."""
         return np.count_nonzero(self.slots, axis=1)
-
-    @property
-    def outer_atoms(self) -> list[OuterAtom] | None:
-        """The rank-1 atoms in coefficient order (None for elementwise atoms)."""
-        if self.blocks is None:
-            return None
-        return [
-            OuterAtom(block.u[w, :, i], block.vt[w, i], block.offset)
-            for w in range(self.n_rows)
-            for block in self.blocks
-            for i in range(block.u.shape[2])
-            if self.slots[w, block.start + i]
-        ]
 
     def reconstruct_full(self) -> np.ndarray:
         """Dense sum_i lambda_i * a_i per row (no sampling); mostly for verification."""
@@ -169,15 +144,6 @@ class CompressedGradient:
         return self.source.coeffs[self.kept] / self.probs.probs[self.kept]
 
     @property
-    def indices(self) -> np.ndarray | None:
-        return None if self.source.indices is None else self.source.indices[self.kept]
-
-    @property
-    def outer_atoms(self) -> list[OuterAtom] | None:
-        atoms = self.source.outer_atoms
-        return None if atoms is None else [a for a, k in zip(atoms, self.kept) if k]
-
-    @property
     def payload_atoms(self) -> int:
         """Atoms sent over all rows."""
         return int(np.count_nonzero(self.kept))
@@ -223,9 +189,7 @@ def _scatter(out, decomp: AtomicDecomposition, scaled, keep) -> None:
 def _elementwise(rows: np.ndarray, lead: tuple[int, ...]) -> AtomicDecomposition:
     """Standard-basis atoms at the nonzero entries of each row of a (W, d) stack."""
     slots = rows != 0.0
-    indices = np.nonzero(slots)[1]  # row by row, ascending within a row
-    return AtomicDecomposition("elementwise", rows.shape[1], rows[slots], indices=indices,
-                               slots=slots, lead=lead)
+    return AtomicDecomposition("elementwise", rows.shape[1], rows[slots], slots, lead=lead)
 
 
 def _lowrank(parts, dim: int, lead: tuple[int, ...]) -> AtomicDecomposition:
@@ -245,23 +209,16 @@ def _lowrank(parts, dim: int, lead: tuple[int, ...]) -> AtomicDecomposition:
         blocks.append(RankOneBlock(offset, start, u[:, :, :r], vt[:, :r]))
         start += r
     slots = np.concatenate(slots, axis=1)
-    return AtomicDecomposition("lowrank", dim, np.concatenate(values, axis=1)[slots],
-                               blocks=blocks, slots=slots, lead=lead)
+    return AtomicDecomposition("lowrank", dim, np.concatenate(values, axis=1)[slots], slots,
+                               blocks=blocks, lead=lead)
 
 
-def decompose_elementwise(grad: np.ndarray, offset: int = 0, dim: int | None = None) -> AtomicDecomposition:
+def decompose_elementwise(grad: np.ndarray) -> AtomicDecomposition:
     """Standard-basis decomposition at the nonzero entries of a flat vector."""
-    g = np.asarray(grad, dtype=np.float64).ravel()
-    if dim is None:
-        dim = g.size + offset
-    row = np.zeros((1, dim))
-    row[0, offset : offset + g.size] = g
-    return _elementwise(row, ())
+    return _elementwise(np.asarray(grad, dtype=np.float64).reshape(1, -1), ())
 
 
-def decompose_lowrank(
-    grad_matrix: np.ndarray, r: int, offset: int = 0, dim: int | None = None
-) -> AtomicDecomposition:
+def decompose_lowrank(grad_matrix: np.ndarray, r: int) -> AtomicDecomposition:
     """Truncated SVD decomposition of one matrix into its leading r rank-1
     atoms, in descending singular-value order; a matrix of lower rank
     yields fewer than r atoms."""
@@ -270,9 +227,7 @@ def decompose_lowrank(
         raise ValueError(f"expected a matrix, got shape {mat.shape}")
     if not 1 <= r <= min(mat.shape):
         raise ValueError(f"rank must be in [1, {min(mat.shape)}], got {r}")
-    if dim is None:
-        dim = mat.size + offset
-    return _lowrank([(offset, mat[None], r)], dim, ())
+    return _lowrank([(0, mat[None], r)], mat.size, ())
 
 
 def decompose_bundle(bundle: ParameterSet, kind: str, s: float) -> AtomicDecomposition:
@@ -433,6 +388,14 @@ def sigma_terms(decomp: AtomicDecomposition) -> VarianceTerms:
     return VarianceTerms(sigma1, sigma2)
 
 
+def _kept_slots(compressed: CompressedGradient) -> np.ndarray:
+    """(W, R) mask of the slots whose atoms the payload sends."""
+    source = compressed.source
+    kept = np.zeros(source.slots.shape, dtype=bool)
+    kept[source.slots] = compressed.kept
+    return kept
+
+
 def payload_bits(compressed: CompressedGradient) -> int | np.ndarray:
     """Bits in serialize() of each row's payload, without building it: 96 per
     elementwise atom, 160 + 64 * (m + n) per rank-1 atom of an m x n block.
@@ -444,9 +407,7 @@ def payload_bits(compressed: CompressedGradient) -> int | np.ndarray:
         slot_bits = np.concatenate([
             np.full(b.u.shape[2], 160 + 64 * (b.u.shape[1] + b.vt.shape[2])) for b in source.blocks
         ])
-    kept = np.zeros(source.slots.shape, dtype=bool)
-    kept[source.slots] = compressed.kept
-    bits = kept @ slot_bits
+    bits = _kept_slots(compressed) @ slot_bits
     return int(bits[0]) if source.lead == () else bits
 
 
@@ -454,19 +415,21 @@ def serialize(compressed: CompressedGradient) -> bytes:
     """Wire form of a payload, every row's atoms after the previous row's;
     payload_bits gives each row's size.
 
-    elementwise: little-endian (u32 atom id, f64 coefficient) pairs, 12 bytes
-    per atom (96 bits).  lowrank: per atom a (u32 offset, u32 len(u),
-    u32 len(v)) header, the two factor vectors as f64, then the coefficient.
+    elementwise: little-endian (u32 flat position, f64 coefficient) pairs,
+    12 bytes per atom (96 bits).  lowrank: per atom a (u32 block offset,
+    u32 len(u), u32 len(v)) header, the two factor vectors as f64, then the
+    coefficient.
     """
-    if compressed.basis_kind == "elementwise":
-        return b"".join(
-            struct.pack("<Id", int(i), float(c))
-            for i, c in zip(compressed.indices, compressed.coeffs)
-        )
+    source = compressed.source
+    kept = np.argwhere(_kept_slots(compressed)).tolist()  # (row, slot) in coefficient order
+    coeffs = compressed.coeffs.tolist()
+    if source.blocks is None:
+        return b"".join(struct.pack("<Id", slot, c) for (_, slot), c in zip(kept, coeffs))
+    columns = [(block, i) for block in source.blocks for i in range(block.u.shape[2])]
     parts = []
-    for coeff, atom in zip(compressed.coeffs, compressed.outer_atoms):
-        parts.append(struct.pack("<III", int(atom.offset), atom.u.size, atom.v.size))
-        parts.append(atom.u.astype("<f8").tobytes())
-        parts.append(atom.v.astype("<f8").tobytes())
-        parts.append(struct.pack("<d", float(coeff)))
+    for (w, slot), c in zip(kept, coeffs):
+        block, i = columns[slot]
+        u, v = block.u[w, :, i], block.vt[w, i]
+        parts += [struct.pack("<III", block.offset, u.size, v.size),
+                  u.astype("<f8").tobytes(), v.astype("<f8").tobytes(), struct.pack("<d", c)]
     return b"".join(parts)

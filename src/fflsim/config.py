@@ -37,7 +37,6 @@ class ExperimentConfig:
     # optimization
     eta: float = 0.01
     server_momentum: float = 0.9
-    worker_momentum: float = 0.0
     batch_size: int = 64
     hidden_layers: list[int] = field(default_factory=lambda: [32])
     activation: str = "relu"
@@ -105,8 +104,6 @@ class ExperimentConfig:
             raise ConfigError(f"eta must be > 0, got {self.eta}")
         if not 0.0 <= self.server_momentum < 1.0:
             raise ConfigError(f"server_momentum must be in [0, 1), got {self.server_momentum}")
-        if not 0.0 <= self.worker_momentum < 1.0:
-            raise ConfigError(f"worker_momentum must be in [0, 1), got {self.worker_momentum}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if any(h < 1 for h in self.hidden_layers):

@@ -13,8 +13,9 @@ compressed).  The server's average is the sum of the rows whose packets
 survive, added in worker order, over their count; it takes one momentum SGD
 step with the average, and feeds the workers' mean training loss back into
 the scheduler for the next plan.  Named schemes are presets of three knobs
-(compression on/off, adaptive or pinned tau, adaptive or pinned s), so the
-baselines are literally the adaptive engine with parts switched off.
+(compression on/off, a pinned tau or none, a pinned s or none): every scheme
+runs the adaptive planner and its pins override the plan, so the baselines
+are literally the adaptive engine with parts switched off.
 """
 
 from __future__ import annotations
@@ -45,27 +46,25 @@ CSV_COLUMNS = (
 
 @dataclass
 class SchemePolicy:
-    """Knob preset for one scheme: compression on/off and whether each half
-    of the plan adapts or stays pinned."""
+    """Knob preset for one scheme: compression on/off, and a pin that
+    replaces the planner's tau or s (None lets that half of the plan adapt)."""
 
     compress: bool
-    adapt_tau: bool
-    adapt_s: bool
     tau_pin: int | None = None
     s_pin: float | None = None
 
 
 def policy_for(scheme: str, tau0: int, s0: float) -> SchemePolicy:
     if scheme == "ffl":
-        return SchemePolicy(compress=True, adapt_tau=True, adapt_s=True)
+        return SchemePolicy(compress=True)
     if scheme == "adacomm_like":
-        return SchemePolicy(compress=False, adapt_tau=True, adapt_s=False, s_pin=s0)
+        return SchemePolicy(compress=False, s_pin=s0)
     if scheme == "atomo_like":
-        return SchemePolicy(compress=True, adapt_tau=False, adapt_s=False, tau_pin=1, s_pin=s0)
+        return SchemePolicy(compress=True, tau_pin=1, s_pin=s0)
     if scheme == "fixed":
-        return SchemePolicy(compress=True, adapt_tau=False, adapt_s=False, tau_pin=tau0, s_pin=s0)
+        return SchemePolicy(compress=True, tau_pin=tau0, s_pin=s0)
     if scheme == "vanilla":
-        return SchemePolicy(compress=False, adapt_tau=False, adapt_s=False, tau_pin=1, s_pin=s0)
+        return SchemePolicy(compress=False, tau_pin=1, s_pin=s0)
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
@@ -173,17 +172,10 @@ class Experiment:
     # ---- plan handling ------------------------------------------------- #
 
     def _apply_policy(self, plan: schedule.RoundPlan) -> schedule.RoundPlan:
-        tau = self.policy.tau_pin if not self.policy.adapt_tau else plan.tau_k
-        s = self.policy.s_pin if not self.policy.adapt_s else plan.s_k
+        """The plan with the scheme's pins in place of the planner's values."""
+        tau = plan.tau_k if self.policy.tau_pin is None else self.policy.tau_pin
+        s = plan.s_k if self.policy.s_pin is None else self.policy.s_pin
         return schedule.RoundPlan(int(tau), float(s))
-
-    def _plan_after_feedback(self, mean_loss: float) -> None:
-        """Fold the round's loss feedback into the scheduler and stage the
-        next round's plan."""
-        if not (self.policy.adapt_tau or self.policy.adapt_s):
-            schedule.observe_loss(self.scheduler, mean_loss)
-            return
-        self._next_plan = self._apply_policy(schedule.plan_next(self.scheduler, mean_loss))
 
     # ---- the round ----------------------------------------------------- #
 
@@ -196,7 +188,7 @@ class Experiment:
         workers = [w.worker_id for w in self.workers]
         _, g_rows, losses = nn.local_update_run(
             self.params, self.train_set, [w.shard for w in self.workers], plan.tau_k, cfg.eta,
-            cfg.batch_size, [w.rng for w in self.workers], momentum=cfg.worker_momentum,
+            cfg.batch_size, [w.rng for w in self.workers],
         )
         worker_losses = losses.mean(axis=1)
         if self.policy.compress:
@@ -233,7 +225,7 @@ class Experiment:
                 self.params, ghat, cfg.eta, cfg.server_momentum, self.velocity
             )
             train_loss = float(np.mean(worker_losses[received]))
-            self._plan_after_feedback(train_loss)
+            self._next_plan = self._apply_policy(schedule.plan_next(self.scheduler, train_loss))
         else:
             self.skipped_rounds += 1
             train_loss = math.nan

@@ -7,16 +7,16 @@ view into it; gradients use the same container, so layer blocks keep stable
 offsets in the flat vector.
 
 Local SGD runs all M workers of a round in one stacked pass: their
-parameters, velocities and gradient sums are (M, d) buffers whose row j is
-laid out like a flat vector, and each step does one batched matmul per layer
-for every worker at once.  Before the first step each worker draws all tau
-of its mini-batches in one call on its own generator, giving a (tau, M,
-batch) index array; the drawn labels and the step arguments are checked
-once, and each step gathers only its own (M, batch, d_in) features.  The
-forward and backward pass is written once, over arrays with an optional
-leading worker axis, so a single 2-D batch is simply the unstacked case of
-the same code.  No function here mutates its inputs, and randomness only
-enters through explicit generators.
+parameters and gradient sums are (M, d) buffers whose row j is laid out like
+a flat vector, each step does one batched matmul per layer for every worker
+at once, and a local step is plain SGD, current -= eta * grad.  Before the
+first step each worker draws all tau of its mini-batches in one call on its
+own generator, giving a (tau, M, batch) index array; the drawn labels and
+the step arguments are checked once, and each step gathers only its own
+(M, batch, d_in) features.  The forward and backward pass is written once,
+over arrays with an optional leading worker axis, so a single 2-D batch is
+simply the unstacked case of the same code.  No function here mutates its
+inputs, and randomness only enters through explicit generators.
 
 A step makes few numpy calls and keeps the bits of the plain composition.
 The forward pass adds the bias and applies the activation in place, and the
@@ -271,7 +271,7 @@ def loss_and_grad(params: ParameterSet, batch: MiniBatch) -> tuple[float, Parame
     return float(loss), grad
 
 
-def _check_step(eta: float, momentum: float) -> None:
+def _check_step(eta: float, momentum: float = 0.0) -> None:
     if eta <= 0:
         raise ValueError(f"eta must be > 0, got {eta}")
     if not 0.0 <= momentum < 1.0:
@@ -304,7 +304,6 @@ def local_update_run(
     eta: float,
     batch_size: int,
     rngs: Sequence[np.random.Generator],
-    momentum: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run tau local SGD steps for M workers at once, all from `params`.
 
@@ -314,15 +313,15 @@ def local_update_run(
     (final parameters, summed gradients, per-step losses) with shapes
     (M, d), (M, d) and (M, tau); row j is laid out like params.flatten()
     and is bit for bit what worker j would get on its own.  The summed
-    gradient is the plain sum of the per-step mini-batch gradients, so with
-    momentum 0 it equals (start - final) / eta coordinate-wise.
+    gradient is the plain sum of the per-step mini-batch gradients, so it
+    equals (start - final) / eta up to rounding.
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     if len(shards) < 1 or len(shards) != len(rngs):
         raise ValueError(f"need one generator per shard and >= 1 shard, got {len(shards)} "
                          f"shards and {len(rngs)} generators")
-    _check_step(eta, momentum)
+    _check_step(eta)
     # (tau, M, batch): row picks[t, j] is worker j's mini-batch at step t
     picks = np.array([sample_indices(s, tau, batch_size, r) for s, r in zip(shards, rngs)])
     picks = picks.swapaxes(0, 1)
@@ -331,10 +330,8 @@ def local_update_run(
     features, labels = _check_batch(params, ds.features, ds.labels[picks])
     label_index = _label_index(labels, params.weights[-1].shape[1])
     current = np.tile(params.flat, (len(shards), 1))
-    velocity = np.zeros_like(current)
     g_sum = np.zeros_like(current)
     grad = np.empty_like(current)
-    scaled = np.empty_like(current)
     losses = np.empty((len(shards), tau))
     weights, biases = _layer_views(current, params.shapes)
     grad_w, grad_b = _layer_views(grad, params.shapes)
@@ -345,8 +342,5 @@ def local_update_run(
         )
         _require_finite(grad, "gradient")
         g_sum += grad
-        velocity *= momentum
-        velocity += grad
-        np.multiply(velocity, eta, out=scaled)
-        current -= scaled
+        current -= eta * grad
     return current, g_sum, losses

@@ -72,11 +72,13 @@ def test_run_rejects_negative_eta_with_key_in_message(tmp_path, capsys):
 
 
 # learning_rate was never a key; schedule, L, sigma1, sigma2, F_inf and probe_rounds
-# belonged to the deleted `full` schedule; the last four were channel keys that
-# disagreed with the wire format or that nothing read
+# belonged to the deleted `full` schedule; bits_per_atom to sec_per_atom_compress
+# were channel keys that disagreed with the wire format or that nothing read;
+# worker_momentum was a local-SGD knob that no run set
 UNKNOWN_KEYS = {"learning_rate": 0.1, "schedule": "conclusive", "L": 0.5, "sigma1": 1.0,
                 "sigma2": 1.0, "F_inf": 0.0, "probe_rounds": 2, "bits_per_atom": 96,
-                "bits_per_weight": 64, "noise_watts": 1e-3, "sec_per_atom_compress": 0.0}
+                "bits_per_weight": 64, "noise_watts": 1e-3, "sec_per_atom_compress": 0.0,
+                "worker_momentum": 0.5}
 
 
 @pytest.mark.parametrize("key", UNKNOWN_KEYS)

@@ -22,7 +22,7 @@ def test_elementwise_keeps_only_nonzeros():
     d = elementwise_of([0.0, 3.0, 0.0, -2.0, 0.0])
     assert d.basis_kind == "elementwise"
     assert d.n_atoms == 2
-    assert np.array_equal(d.indices, [1, 3])
+    assert np.array_equal(np.flatnonzero(d.slots[0]), [1, 3])
     assert np.array_equal(d.coeffs, [3.0, -2.0])
     assert np.array_equal(d.reconstruct_full(), [0.0, 3.0, 0.0, -2.0, 0.0])
 
@@ -31,13 +31,6 @@ def test_elementwise_zero_vector_empty():
     d = elementwise_of(np.zeros(4))
     assert d.n_atoms == 0
     assert np.array_equal(d.reconstruct_full(), np.zeros(4))
-
-
-def test_elementwise_offset_embedding():
-    d = compress.decompose_elementwise(np.array([1.0, -1.0]), offset=3, dim=7)
-    full = d.reconstruct_full()
-    assert full.shape == (7,)
-    assert np.array_equal(full, [0, 0, 0, 1.0, -1.0, 0, 0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -59,9 +52,9 @@ def test_lowrank_rank_one_exact():
     assert d.basis_kind == "lowrank"
     assert d.n_atoms == 1
     assert d.coeffs[0] == pytest.approx(7.5, rel=1e-9)
-    atom = d.outer_atoms[0]
-    assert np.linalg.norm(atom.u) == pytest.approx(1.0, rel=1e-12)
-    assert np.linalg.norm(atom.v) == pytest.approx(1.0, rel=1e-12)
+    block = d.blocks[0]
+    assert np.linalg.norm(block.u[0, :, 0]) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(block.vt[0, 0]) == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(d.reconstruct_full(), mat.ravel(), atol=1e-9)
 
 
@@ -116,9 +109,9 @@ def test_lowrank_near_tied_spectrum_stays_lowrank(seed):
     assert d.basis_kind == "lowrank"
     assert d.n_atoms == 3
     assert np.allclose(d.coeffs, jacobi_singular_values(mat)[:3], rtol=0, atol=1e-12)
-    for atom in d.outer_atoms:
-        assert np.linalg.norm(atom.u) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(atom.v) == pytest.approx(1.0, abs=1e-12)
+    block = d.blocks[0]
+    assert np.allclose(np.linalg.norm(block.u[0], axis=0), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(block.vt[0], axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 # ---- bundle decomposition ---- #
@@ -142,17 +135,12 @@ def test_bundle_lowrank_block_offsets_and_cap():
     assert d.basis_kind == "lowrank"
     # per-block rank is capped at min(ceil(s), min(m, n)): the first weight
     # block (6x5) and bias blocks (mx1, rank 1) contribute predictably
-    offsets = {atom.offset for atom in d.outer_atoms}
-    starts = [off for off, _ in bundle.blocks()]
-    assert offsets <= set(starts)
-    per_block = {off: 0 for off in starts}
-    for atom in d.outer_atoms:
-        per_block[atom.offset] += 1
-    by_start = dict(zip(starts, [arr.shape for _, arr in bundle.blocks()]))
-    for off, count in per_block.items():
-        shape = by_start[off]
-        m, n = shape if len(shape) == 2 else (shape[0], 1)
-        assert count <= min(2, min(m, n))
+    assert [b.offset for b in d.blocks] == [off for off, _ in bundle.blocks()]
+    for block, (_, arr) in zip(d.blocks, bundle.blocks()):
+        m, n = arr.shape if arr.ndim == 2 else (arr.shape[0], 1)
+        r = block.u.shape[2]
+        assert block.u.shape == (1, m, r) and block.vt.shape == (1, r, n)
+        assert np.count_nonzero(d.slots[0, block.start : block.start + r]) <= r <= min(2, m, n)
 
 
 def test_bundle_lowrank_bias_blocks_exact():
@@ -258,7 +246,7 @@ def test_probabilities_errors():
         # zero-valued coefficients are not valid atoms
         compress.probabilities(
             compress.AtomicDecomposition("elementwise", 3, np.array([1.0, 0.0]),
-                                         indices=np.array([0, 1])),
+                                         np.array([[True, True, False]])),
             1.5)
 
 
@@ -333,15 +321,22 @@ def test_expected_payload_matches_sum_of_probs():
 
 
 def _one_row_reference(cg):
-    """A payload's dense vector, scattered the way a single payload was
-    before reconstruction was batched: elementwise coefficients added at
+    """A one-row payload's dense vector, scattered the way a single payload
+    was before reconstruction was batched: elementwise coefficients added at
     their positions, rank-1 blocks added one atom at a time."""
+    source = cg.source
+    kept = np.zeros(source.slots.shape, dtype=bool)
+    kept[source.slots] = cg.kept
     out = np.zeros(cg.dim)
-    if cg.basis_kind == "elementwise":
-        out[cg.indices] += cg.coeffs
-    for coeff, atom in zip(cg.coeffs, cg.outer_atoms or []):
-        block = coeff * np.outer(atom.u, atom.v)
-        out[atom.offset : atom.offset + block.size] += block.ravel()
+    if source.blocks is None:
+        out[np.flatnonzero(kept[0])] += cg.coeffs
+        return out
+    coeffs = iter(cg.coeffs)
+    for block in source.blocks:
+        for i in range(block.u.shape[2]):
+            if kept[0, block.start + i]:
+                atom = next(coeffs) * np.outer(block.u[0, :, i], block.vt[0, i])
+                out[block.offset : block.offset + atom.size] += atom.ravel()
     return out
 
 
@@ -463,6 +458,7 @@ def test_one_stage_for_all_rows_equals_one_payload_per_row_bitwise(case):
     cg = compress.sample(decomp, compress.probabilities(decomp, s), streams())
     rows, bits = compress.reconstruct(cg), compress.payload_bits(cg)
     assert rows.shape == grads.shape and bits.shape == (m_rows,)
+    blobs = []
     for j, rng in enumerate(streams()):
         one = compress.decompose_bundle(layout.from_flat(grads[j]), basis, s)
         probs = compress.probabilities(one, s)
@@ -471,7 +467,10 @@ def test_one_stage_for_all_rows_equals_one_payload_per_row_bitwise(case):
         # scatter a single payload used before batching
         assert rows[j].tobytes() == compress.reconstruct(payload).tobytes()
         assert rows[j].tobytes() == _one_row_reference(payload).tobytes()
-        assert bits[j] == compress.payload_bits(payload) == 8 * len(compress.serialize(payload))
+        blobs.append(compress.serialize(payload))
+        assert bits[j] == compress.payload_bits(payload) == 8 * len(blobs[-1])
+    # the stack's wire form is every row's after the previous row's
+    assert compress.serialize(cg) == b"".join(blobs)
     assert cg.payload_atoms == int(np.count_nonzero(cg.kept))
     assert decomp.n_atoms == int(decomp.atom_counts.sum())
 
@@ -555,8 +554,9 @@ def test_serialize_lowrank_length_formula():
     cg = compress.select(d, compress.SelectionProbabilities(np.ones(d.n_atoms)),
                          np.ones(d.n_atoms, dtype=bool))
     blob = compress.serialize(cg)
-    expected = sum(12 + 8 * (a.u.size + a.v.size) + 8 for a in cg.outer_atoms)
-    assert len(blob) == expected
+    # a (u32 offset, u32 m, u32 n) header, u, v and the coefficient per atom
+    assert d.n_atoms == 2
+    assert len(blob) == 2 * (12 + 8 * (3 + 5) + 8)
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fflsim import compress, federation, netsim, nn
-from fflsim.config import ExperimentConfig
+from fflsim.config import SCHEMES, ExperimentConfig
 from fflsim.data import Dataset, MiniBatch, sample_minibatch
 from fflsim.errors import ConfigError
 from fflsim.federation import Experiment, evaluate, policy_for
@@ -125,13 +125,25 @@ def test_policy_for_rejects_unknown_scheme():
 
 
 def test_scheme_knobs():
-    assert policy_for("ffl", 30, 5.0) == federation.SchemePolicy(True, True, True)
-    assert policy_for("vanilla", 30, 5.0).tau_pin == 1
-    assert not policy_for("vanilla", 30, 5.0).compress
-    atomo = policy_for("atomo_like", 30, 5.0)
-    assert (atomo.compress, atomo.tau_pin, atomo.s_pin) == (True, 1, 5.0)
-    fixed = policy_for("fixed", 30, 5.0)
-    assert (fixed.tau_pin, fixed.s_pin) == (30, 5.0)
+    # three knobs per scheme: compression, and a pin for tau and for s
+    assert [f.name for f in dataclasses.fields(federation.SchemePolicy)] == [
+        "compress", "tau_pin", "s_pin"]
+    presets = {scheme: policy_for(scheme, 30, 5.0) for scheme in SCHEMES}
+    assert presets == {
+        "ffl": federation.SchemePolicy(True, None, None),
+        "adacomm_like": federation.SchemePolicy(False, None, 5.0),
+        "atomo_like": federation.SchemePolicy(True, 1, 5.0),
+        "fixed": federation.SchemePolicy(True, 30, 5.0),
+        "vanilla": federation.SchemePolicy(False, 1, 5.0),
+    }
+
+
+def test_pins_are_cast_so_an_integer_budget_prints_as_a_float(tmp_path):
+    cfg = base_cfg(scheme="fixed", tau0=2, s0=5, round_cap=2, output_dir=str(tmp_path))
+    federation.run_experiment(cfg)
+    with open(tmp_path / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(row["tau_k"], row["s_k"]) for row in rows] == [("2", "5.0")] * 2
 
 
 # ---- payload accounting ---- #
