@@ -19,7 +19,7 @@ import sys
 
 from .config import SCHEMES, ExperimentConfig, load_config
 from .errors import ConfigError
-from .federation import run_experiment, write_metrics_csv, write_summary_json
+from .federation import run_experiment
 
 log = logging.getLogger(__name__)
 
@@ -77,10 +77,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for scheme in args.schemes:
         cfg = dataclasses.replace(base, scheme=scheme)
         cfg.validate()
-        records, summary = run_experiment(cfg, output_dir="")  # per-scheme files below
-        write_metrics_csv(records, os.path.join(out_dir, f"metrics_{scheme}.csv"))
-        write_summary_json(summary, os.path.join(out_dir, f"summary_{scheme}.json"))
-        summaries[scheme] = summary
+        _, summaries[scheme] = run_experiment(
+            cfg, output_dir=out_dir, names=(f"metrics_{scheme}.csv", f"summary_{scheme}.json")
+        )
 
     ffl_time = summaries.get("ffl", {}).get("time_to_target_s", "inf")
     rows = []

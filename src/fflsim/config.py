@@ -12,12 +12,14 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
+from .compress import BASIS_KINDS
+from .data import PARTITION_MODES
 from .errors import ConfigError
 from .netsim import ChannelConfig
+from .nn import ACTIVATIONS
 
 SCHEMES = ("ffl", "adacomm_like", "atomo_like", "fixed", "vanilla")
 DATASETS = ("synthetic", "mnist")
-BASES = ("elementwise", "lowrank")
 STOPS = ("time", "rounds")
 
 
@@ -108,10 +110,10 @@ class ExperimentConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if any(h < 1 for h in self.hidden_layers):
             raise ConfigError(f"hidden_layers entries must be >= 1, got {self.hidden_layers}")
-        if self.activation not in ("relu", "tanh"):
-            raise ConfigError(f"activation must be 'relu' or 'tanh', got {self.activation!r}")
-        if self.basis not in BASES:
-            raise ConfigError(f"basis must be one of {BASES}, got {self.basis!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        if self.basis not in BASIS_KINDS:
+            raise ConfigError(f"basis must be one of {BASIS_KINDS}, got {self.basis!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.stop not in STOPS:
@@ -144,9 +146,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"subset_n and test_subset_n must be >= 1, got {self.subset_n}/{self.test_subset_n}"
             )
-        if self.partition_mode not in ("iid", "by_class"):
+        if self.partition_mode not in PARTITION_MODES:
             raise ConfigError(
-                f"partition_mode must be 'iid' or 'by_class', got {self.partition_mode!r}"
+                f"partition_mode must be one of {PARTITION_MODES}, got {self.partition_mode!r}"
             )
         if self.partition_mode == "by_class" and (
             self.classes_per_worker is None or self.classes_per_worker < 1

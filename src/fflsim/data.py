@@ -23,6 +23,8 @@ LABEL_MAGIC = 2049
 # A shard is an index array into a Dataset.
 Shard = np.ndarray
 
+PARTITION_MODES = ("iid", "by_class")
+
 
 @dataclass
 class Dataset:
@@ -74,8 +76,8 @@ class PartitionSpec:
     classes_per_worker: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("iid", "by_class"):
-            raise ConfigError(f"partition_mode must be 'iid' or 'by_class', got {self.mode!r}")
+        if self.mode not in PARTITION_MODES:
+            raise ConfigError(f"partition_mode must be one of {PARTITION_MODES}, got {self.mode!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.mode == "by_class" and (self.classes_per_worker is None or self.classes_per_worker < 1):

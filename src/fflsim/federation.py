@@ -15,7 +15,9 @@ step with the average, and feeds the workers' mean training loss back into
 the scheduler for the next plan.  Named schemes are presets of three knobs
 (compression on/off, a pinned tau or none, a pinned s or none): every scheme
 runs the adaptive planner and its pins override the plan, so the baselines
-are literally the adaptive engine with parts switched off.
+are literally the adaptive engine with parts switched off.  A round whose
+training loss is exactly 0 ends the run: the planner's loss ratio has no
+meaning there.
 """
 
 from __future__ import annotations
@@ -165,6 +167,7 @@ class Experiment:
         self.records: list[RoundRecord] = []
         self.round_index = 0
         self.skipped_rounds = 0
+        self.status = "ok"  # "zero_loss" once a round's training loss is 0
         self._next_plan = self._apply_policy(schedule.RoundPlan(cfg.tau0, cfg.s0))
         self._last_eval: tuple[float, float] | None = None  # (test loss, test accuracy)
         self._smoothed_acc: float | None = None
@@ -225,7 +228,11 @@ class Experiment:
                 self.params, ghat, cfg.eta, cfg.server_momentum, self.velocity
             )
             train_loss = float(np.mean(worker_losses[received]))
-            self._next_plan = self._apply_policy(schedule.plan_next(self.scheduler, train_loss))
+            if train_loss > 0.0:
+                self._next_plan = self._apply_policy(schedule.plan_next(self.scheduler, train_loss))
+            else:
+                self.status = "zero_loss"
+                log.info("round %d: training loss is 0, the run stops", k)
         else:
             self.skipped_rounds += 1
             train_loss = math.nan
@@ -267,6 +274,8 @@ class Experiment:
         cfg = self.cfg
         while True:
             self.run_round()
+            if self.status == "zero_loss":
+                break
             if cfg.stop == "rounds" and self.round_index >= cfg.round_cap:
                 break
             if cfg.stop == "time" and self.sim_time_s >= cfg.T_budget_s:
@@ -291,7 +300,7 @@ class Experiment:
             return math.nan if last is None else getattr(last, field)
 
         return {
-            "status": "ok",
+            "status": self.status,
             "scheme": cfg.scheme,
             "config": cfg.to_dict(),
             "rounds": len(self.records),
@@ -341,14 +350,20 @@ def write_summary_json(summary: dict, path: str) -> None:
         f.write("\n")
 
 
-def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> tuple[list[RoundRecord], dict]:
-    """Run one experiment and write metrics.csv + summary.json to the output
-    directory (cfg.output_dir unless overridden here).
+def run_experiment(
+    cfg: ExperimentConfig,
+    output_dir: str | None = None,
+    names: tuple[str, str] = ("metrics.csv", "summary.json"),
+) -> tuple[list[RoundRecord], dict]:
+    """Run one experiment and write its metrics table and summary, under
+    `names`, to the output directory (cfg.output_dir unless overridden
+    here; an empty one writes nothing).
 
-    summary.json carries "status": "ok".  A run that diverges (a
-    FloatingPointError from the local SGD checks) still writes metrics.csv
-    for the rounds that completed and a summary with "status": "diverged"
-    and the error message, then re-raises.
+    The summary carries "status": "ok", or "zero_loss" for a run that
+    stopped at a training loss of 0.  A run that diverges (a
+    FloatingPointError from the local SGD checks) still writes the table of
+    the rounds that completed and a summary with "status": "diverged" and
+    the error message, then re-raises.
     """
     experiment = Experiment(cfg)
     output_dir = output_dir if output_dir is not None else cfg.output_dir
@@ -356,14 +371,16 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> tupl
         records, summary = experiment.run()
     except FloatingPointError as exc:
         summary = {**experiment.summary(), "status": "diverged", "error": str(exc)}
-        _write_artifacts(output_dir, experiment.records, summary)
+        _write_artifacts(output_dir, names, experiment.records, summary)
         raise
-    _write_artifacts(output_dir, records, summary)
+    _write_artifacts(output_dir, names, records, summary)
     return records, summary
 
 
-def _write_artifacts(output_dir: str, records: list[RoundRecord], summary: dict) -> None:
+def _write_artifacts(
+    output_dir: str, names: tuple[str, str], records: list[RoundRecord], summary: dict
+) -> None:
     if output_dir:
         os.makedirs(output_dir, exist_ok=True)
-        write_metrics_csv(records, os.path.join(output_dir, "metrics.csv"))
-        write_summary_json(summary, os.path.join(output_dir, "summary.json"))
+        write_metrics_csv(records, os.path.join(output_dir, names[0]))
+        write_summary_json(summary, os.path.join(output_dir, names[1]))

@@ -64,6 +64,25 @@ def test_a_diverging_run_exits_1_and_still_writes_its_artifacts(tmp_path, capsys
     assert summary["rounds"] == len(metrics) - 1 == 0
 
 
+def test_a_run_whose_training_loss_reaches_zero_exits_0_with_its_artifacts(tmp_path, capsys):
+    # two classes of identical points and a large step: the loss reaches 0.0
+    cfg_path = write_config(tmp_path, {
+        "scheme": "ffl", "seed": 0, "workers": 4, "synthetic_classes": 2,
+        "synthetic_per_class": 200, "synthetic_test_per_class": 50, "synthetic_dim": 4,
+        "synthetic_spread": 0, "hidden_layers": [8], "eta": 1.0, "batch_size": 8,
+        "tau0": 5, "tau_ub": 5, "stop": "rounds", "round_cap": 300,
+    })
+    out_dir = tmp_path / "results"
+    code, out, _ = run_main(["run", "--config", cfg_path, "--out", str(out_dir)], capsys)
+    assert code == 0
+    assert "rounds=6" in out
+    metrics = (out_dir / "metrics.csv").read_text().splitlines()
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["status"] == "zero_loss"
+    assert summary["rounds"] == len(metrics) - 1 == 6
+    assert summary["final_train_loss"] == 0.0
+
+
 def test_run_rejects_negative_eta_with_key_in_message(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {**MINIMAL, "eta": -1})
     code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
@@ -212,6 +231,23 @@ def test_compare_unreached_target_reports_inf(tmp_path, capsys):
         assert fields[1] == "inf"
     summaries = json.loads((out_dir / "summary_ffl.json").read_text())
     assert summaries["time_to_target_s"] == "inf"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_compare_writes_the_artifacts_of_a_diverging_scheme_and_exits_1(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {**MINIMAL, "eta": 1e300})
+    out_dir = tmp_path / "cmp"
+    code, _, err = run_main(
+        ["compare", "--config", cfg_path, "--out", str(out_dir), "ffl", "vanilla"], capsys)
+    assert code == 1
+    assert "non-finite values" in err
+    metrics = (out_dir / "metrics_ffl.csv").read_text().splitlines()
+    summary = json.loads((out_dir / "summary_ffl.json").read_text())
+    assert summary["status"] == "diverged"
+    assert summary["error"] in err
+    assert summary["rounds"] == len(metrics) - 1 == 0
+    # the run stops at the first scheme that diverges
+    assert sorted(p.name for p in out_dir.iterdir()) == ["metrics_ffl.csv", "summary_ffl.json"]
 
 
 def test_compare_shares_seed_across_schemes(tmp_path, capsys):

@@ -543,6 +543,32 @@ def test_a_run_that_diverges_in_its_first_round_writes_an_empty_table(tmp_path, 
     assert summary["total_sim_time_s"] == 0.0 and summary["time_to_target_s"] == "inf"
 
 
+def zero_loss_cfg(scheme, output_dir):
+    """Two classes of identical points (spread 0) and a large step: the
+    training loss reaches exactly 0.0 within a few rounds."""
+    return ExperimentConfig(
+        seed=0, scheme=scheme, workers=4, synthetic_classes=2, synthetic_per_class=200,
+        synthetic_test_per_class=50, synthetic_dim=4, synthetic_spread=0.0, hidden_layers=[8],
+        eta=1.0, batch_size=8, tau0=5, tau_ub=5, stop="rounds", round_cap=300,
+        output_dir=output_dir,
+    )
+
+
+@pytest.mark.parametrize("scheme,rounds", [("ffl", 6), ("vanilla", 19)])
+def test_a_run_stops_with_its_artifacts_when_the_training_loss_is_zero(tmp_path, scheme, rounds):
+    records, summary = federation.run_experiment(zero_loss_cfg(scheme, str(tmp_path)))
+    assert len(records) == rounds
+    assert records[-1].train_loss == 0.0
+    assert all(r.train_loss > 0.0 for r in records[:-1])
+    with open(tmp_path / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["round"] for row in rows] == [str(k) for k in range(rounds)]
+    assert float(rows[-1]["train_loss"]) == 0.0
+    written = load_strict(tmp_path / "summary.json")
+    assert summary["status"] == written["status"] == "zero_loss"
+    assert written["rounds"] == rounds and written["final_train_loss"] == 0.0
+
+
 def test_sim_time_is_the_running_sum_of_round_times():
     cfg = base_cfg(scheme="ffl", round_cap=8, workers=3)
     records, summary = Experiment(cfg).run()
