@@ -131,14 +131,6 @@ class CompressedGradient:
     kept: np.ndarray  # (B,) keep mask over the source's atoms
 
     @property
-    def basis_kind(self) -> str:
-        return self.source.basis_kind
-
-    @property
-    def dim(self) -> int:
-        return self.source.dim
-
-    @property
     def coeffs(self) -> np.ndarray:
         """lambda_i / p_i of the kept atoms, row after row."""
         return self.source.coeffs[self.kept] / self.probs.probs[self.kept]

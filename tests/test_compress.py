@@ -327,7 +327,7 @@ def _one_row_reference(cg):
     source = cg.source
     kept = np.zeros(source.slots.shape, dtype=bool)
     kept[source.slots] = cg.kept
-    out = np.zeros(cg.dim)
+    out = np.zeros(source.dim)
     if source.blocks is None:
         out[np.flatnonzero(kept[0])] += cg.coeffs
         return out
