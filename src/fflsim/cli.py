@@ -58,7 +58,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     _, summary = run_experiment(cfg, output_dir=cfg.output_dir)
     print(
-        f"scheme={summary['scheme']} rounds={summary['rounds']} "
+        f"scheme={summary['scheme']} status={summary['status']} rounds={summary['rounds']} "
         f"final_acc={summary['final_acc']:.4f} time_to_target_s={summary['time_to_target_s']}"
     )
     return 0

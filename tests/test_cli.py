@@ -75,7 +75,7 @@ def test_a_run_whose_training_loss_reaches_zero_exits_0_with_its_artifacts(tmp_p
     out_dir = tmp_path / "results"
     code, out, _ = run_main(["run", "--config", cfg_path, "--out", str(out_dir)], capsys)
     assert code == 0
-    assert "rounds=6" in out
+    assert "status=zero_loss rounds=6" in out
     metrics = (out_dir / "metrics.csv").read_text().splitlines()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["status"] == "zero_loss"
