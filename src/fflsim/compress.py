@@ -19,7 +19,8 @@ fixed slots: the flat positions for elementwise atoms, and for rank-1 atoms
 the leading singular triplets of each layer block, taken from one stacked
 LAPACK SVD per block.  A round decomposes all M workers' updates, draws
 their keep masks and reconstructs them into one (M, d) buffer with one
-vectorised pass per atom slot; only the budget clipping and each row's
+vectorised pass per atom slot.  The budget clip also runs each of its rounds
+for all rows at once; only each row's l1 sum in a clip round and each row's
 random draw go row by row.  The Monte Carlo checks reconstruct many keep
 masks of one decomposition with the same code.
 
@@ -244,47 +245,50 @@ def decompose_bundle(bundle: ParameterSet, kind: str, s: float) -> AtomicDecompo
     return _lowrank(parts, bundle.dim, lead)
 
 
-def _clipped(lam: np.ndarray, s: float) -> np.ndarray:
-    """Probabilities of one row's |coefficients| lam under budget s < lam.size."""
-    n = lam.size
-    p = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    budget = float(s)
-    while True:
-        l1 = lam[active].sum()
-        oversized = active & (lam * budget > l1)
-        if not oversized.any():
-            break
-        budget -= int(oversized.sum())
-        active &= ~oversized
-        if not active.any():
-            break
-    if active.any():
-        l1 = lam[active].sum()
-        p[active] = lam[active] * (budget / l1)
-    return p
-
-
 def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabilities:
     """Variance-minimizing keep probabilities under expected-payload budget s,
     for each row's atoms.
 
     p_i = |lambda_i| * s / ||lambda||_1, clipping to 1 and redistributing the
     leftover budget whenever a coefficient is too large for that rule.  Each
-    row's probabilities sum to min(s, B_w).  The clipping runs row by row:
-    summing the rows as one zero-padded array would group the additions
-    differently.
+    row's probabilities sum to min(s, B_w).  Each clip round runs for all
+    rows at once; only each row's l1 is its own numpy sum of its active
+    coefficients, since summing the rows as one zero-padded array, or with
+    np.add.reduceat, would group the additions differently.
     """
     if s < 1:
         raise ValueError(f"sparsity budget s must be >= 1, got {s}")
     lam = np.abs(decomp.coeffs)
     if np.any(lam == 0.0):
         raise ValueError("decomposition contains zero atoms; drop them first")
+    counts = decomp.atom_counts
+    rows = np.arange(counts.size)
     p = np.ones(lam.size)
-    bounds = [0, *np.cumsum(decomp.atom_counts).tolist()]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if s < hi - lo:
-            p[lo:hi] = _clipped(lam[lo:hi], s)
+    budget = np.full(counts.size, float(s))
+    # a round works on the active atoms of the unsettled rows: `live` of them
+    # in each row, at positions `at`, row after row.  A row within its budget
+    # keeps every atom and never enters.
+    live = np.where(s < counts, counts, 0)
+    at = np.flatnonzero(np.repeat(live > 0, counts))
+    while at.size:
+        act = lam[at]
+        l1 = np.zeros(counts.size)
+        start = 0
+        for w, n in enumerate(live.tolist()):  # each row's own pairwise sum
+            if n:
+                l1[w] = act[start : start + n].sum()
+                start += n
+        big = act * np.repeat(budget, live) > np.repeat(l1, live)
+        clipped = np.bincount(np.repeat(rows, live)[big], minlength=counts.size)
+        # a row with no oversized atom is settled: the rule holds as it is
+        done = (live > 0) & (clipped == 0)
+        ratio = np.divide(budget, l1, out=np.zeros_like(l1), where=done)
+        settled = np.repeat(done, live)
+        p[at[settled]] = act[settled] * np.repeat(ratio, live)[settled]
+        # an oversized atom keeps p = 1 and leaves its row's budget
+        budget -= clipped
+        live = np.where(done, 0, live - clipped)
+        at = at[~(big | settled)]
     return SelectionProbabilities(p)
 
 

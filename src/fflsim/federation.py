@@ -17,7 +17,8 @@ the scheduler for the next plan.  Named schemes are presets of three knobs
 runs the adaptive planner and its pins override the plan, so the baselines
 are literally the adaptive engine with parts switched off.  A round whose
 training loss is exactly 0 ends the run: the planner's loss ratio has no
-meaning there.
+meaning there.  A run in which every round lost every packet ends with its
+own status, since its model and plan never left their start.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ class Experiment:
         uplink_s = [netsim.uplink_time(b, self.channel, j) for b, j in zip(bits, workers)]
         received = netsim.packets_survive(self.channel, cfg.seed, k, workers)
 
-        downlink_s = netsim.downlink_time(d, self.channel)
+        downlink_s = netsim.downlink_time(netsim.DENSE_BITS_PER_VALUE * d, self.channel)
         total_s = netsim.round_time(compute_s, uplink_s, downlink_s)
         self.sim_time_s += total_s
 
@@ -283,6 +284,8 @@ class Experiment:
             if self.round_index >= cfg.round_cap:
                 log.warning("round cap %d reached before the time budget", cfg.round_cap)
                 break
+        if self.skipped_rounds == len(self.records):
+            self.status = "all_rounds_lost"
         return self.records, self.summary()
 
     def summary(self) -> dict:
@@ -359,11 +362,12 @@ def run_experiment(
     `names`, to the output directory (cfg.output_dir unless overridden
     here; an empty one writes nothing).
 
-    The summary carries "status": "ok", or "zero_loss" for a run that
-    stopped at a training loss of 0.  A run that diverges (a
-    FloatingPointError from the local SGD checks) still writes the table of
-    the rounds that completed and a summary with "status": "diverged" and
-    the error message, then re-raises.
+    The summary carries "status": "ok", "zero_loss" for a run that
+    stopped at a training loss of 0, or "all_rounds_lost" for a run in
+    which no packet of any round arrived, so the model never moved.  A run
+    that diverges (a FloatingPointError from the local SGD checks) still
+    writes the table of the rounds that completed and a summary with
+    "status": "diverged" and the error message, then re-raises.
     """
     experiment = Experiment(cfg)
     output_dir = output_dir if output_dir is not None else cfg.output_dir

@@ -4,10 +4,11 @@ Uplink rates follow the Shannon capacity W * log2(1 + snr), with snr a
 ratio, unless a direct bit-rate override is configured; both accept
 per-worker lists.  An upload costs its size in bits over the worker's
 rate: compress.payload_bits for a compressed payload, DENSE_BITS_PER_VALUE
-per value for a dense vector.  A round costs the slowest worker's compute +
-uplink time plus one shared dense downlink, and uplink payloads lose their
-packet independently with a fixed probability; survival is drawn only when
-that probability is strictly between 0 and 1.
+per value for a dense vector.  The downlink is charged the same way, its
+bits over its rate; the server broadcasts the dense model.  A round costs
+the slowest worker's compute + uplink time plus one shared downlink, and
+uplink payloads lose their packet independently with a fixed probability;
+survival is drawn only when that probability is strictly between 0 and 1.
 """
 
 from __future__ import annotations
@@ -78,9 +79,11 @@ def uplink_time(bits: int, cfg: ChannelConfig, worker_id: int) -> float:
     return bits / link_rate(cfg, worker_id)
 
 
-def downlink_time(num_values: int, cfg: ChannelConfig) -> float:
-    """Seconds for the shared dense model broadcast."""
-    return (DENSE_BITS_PER_VALUE * num_values) / cfg.downlink_rate_bps
+def downlink_time(bits: int, cfg: ChannelConfig) -> float:
+    """Seconds to broadcast `bits` bits to every worker at once."""
+    if bits < 0:
+        raise ValueError(f"bits must be >= 0, got {bits}")
+    return bits / cfg.downlink_rate_bps
 
 
 def round_time(compute_s: list[float], uplink_s: list[float], downlink_s: float) -> float:

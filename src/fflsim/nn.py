@@ -21,15 +21,29 @@ inputs, and randomness only enters through explicit generators.
 A step makes few numpy calls and keeps the bits of the plain composition.
 The forward pass adds the bias and applies the activation in place, and the
 backward pass writes each layer's gradient straight into the (M, d) buffer.
-The loss takes the class-axis max as an outer-axis reduce over a transposed
-copy: a reduce over a 4-long last axis costs several times more, and a max
-does not depend on the order it visits values.  Each label is picked by its
-flat position in the logits, which local_update_run builds once per round
-for all tau steps, and the batch mean is np.add.reduce over the batch size,
-which is what ndarray.mean computes.  The class-axis sum of the softmax stays
-numpy's own last-axis reduction: numpy adds 8 or more values there in
-pairwise lanes, so an outer-axis sum, which adds in sequence, would move the
-bits once there are 8 classes or more.
+
+The loss works on one class-major copy of the logits, their transpose
+(classes, batch, M): the max, the shifts, both exps and the label pick run
+over whole rows there, where the logits' own layout gives numpy inner loops
+only as long as the class count.  Below 8 classes the class sum is an
+outer-axis reduce of that copy as well.  numpy adds fewer than 8 values in
+sequence, as an outer-axis reduce does, so the bits hold; from 8 classes up
+it adds in pairwise lanes, so there the sum stays a last-axis reduce of a
+class-last copy.  Each label is picked by its flat position in the
+class-major copy, which local_update_run builds once per round for all tau
+steps, and the batch mean is np.add.reduce over the batch size, which is
+what ndarray.mean computes.
+
+The loss hands the backward pass its gradient batch-major, as one C-ordered
+(batch, M, classes) array.  The output bias gradient is an outer-axis reduce
+of it over rows M * classes long, which adds the batch in the same order as
+a reduce over the batch axis of (M, batch, classes) (for one class numpy
+would add pairwise, but then every dlogit is 0).  Its swapped view (M,
+batch, classes) gives each worker a matrix with unit column stride, which
+BLAS reads as it is, so both output-layer matmuls take it without a copy.
+The hidden layers stay worker-major, (M, batch, H): batch-major, their bias
+reduce gets faster but their matmuls get slower by more, since BLAS then
+reads strided operands.
 """
 
 from __future__ import annotations
@@ -194,43 +208,53 @@ def forward(params: ParameterSet, batch: MiniBatch) -> np.ndarray:
     return _forward(params.weights, params.biases, params.activation, x)[1]
 
 
-def _label_index(labels: np.ndarray, classes: int) -> np.ndarray:
-    """Flat position of each label in its step's logits.
+def _label_index(labels: np.ndarray) -> np.ndarray:
+    """Flat position of each label in its step's class-major logits.
 
-    `labels` is a (steps, ..., batch) stack; step t's logits are (..., batch,
-    classes), and row r of them holds label y at r * classes + y of the
-    flattened array.
+    `labels` is a (steps, ..., batch) stack.  Step t's logits are (...,
+    batch, classes), and _cross_entropy works on a C-ordered copy of their
+    transpose, (classes, batch, ...reversed), where a row's label y sits in
+    class y's block at the row's position within a block.
     """
-    rows = np.arange(labels[0].size).reshape(labels.shape[1:])
-    return rows * classes + labels
+    shape = labels.shape[1:]
+    rows = np.arange(math.prod(shape)).reshape(shape[::-1]).T
+    return labels * rows.size + rows
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. the logits.
 
     logits are (..., batch, classes) and labels (..., batch); the loss has
-    the leading shape (a numpy scalar for one 2-D batch).  Stabilized with
-    the log-sum-exp shift so large logits cannot overflow.
+    the leading shape (a numpy scalar for one 2-D batch) and the gradient the
+    logits' shape, C-ordered.  Stabilized with the log-sum-exp shift so large
+    logits cannot overflow.
     """
-    labels = np.asarray(labels)
-    return _cross_entropy(logits, _label_index(labels[None], logits.shape[-1])[0])
+    loss, dlogits = _cross_entropy(logits, _label_index(np.asarray(labels)[None])[0])
+    # batch-major (batch, ...reversed, classes) back to (..., batch, classes)
+    n = dlogits.ndim
+    return loss, np.ascontiguousarray(dlogits.transpose(*range(n - 2, -1, -1), n - 1))
 
 
 def _cross_entropy(logits: np.ndarray, label_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """softmax_cross_entropy with each label given as its flat position in
-    `logits` (see _label_index); label_index has the labels' shape."""
+    the class-major logits (see _label_index); label_index has the labels'
+    shape.  The gradient comes back batch-major, C-ordered (batch,
+    ...reversed, classes): (batch, classes) for one batch, (batch, M,
+    classes) for a stack of M."""
     batch = label_index.shape[-1]
-    # the class-axis max, reduced over the outer axis of a transposed copy
-    top = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0).T
-    log_probs = logits - top[..., None]
-    # the class-axis sum stays numpy's own last-axis reduction (module docstring)
-    log_norm = np.log(np.add.reduce(np.exp(log_probs), axis=-1))
-    log_probs -= log_norm[..., None]
-    loss = -(np.add.reduce(log_probs.reshape(-1)[label_index], axis=-1) / batch)
-    dlogits = np.exp(log_probs)
-    dlogits.reshape(-1)[label_index] -= 1.0
-    dlogits /= batch
-    return loss, dlogits
+    z = logits.T.copy()  # class-major: every class pass runs over whole rows
+    z -= np.maximum.reduce(z, axis=0)
+    e = np.exp(z)
+    if len(z) < 8:  # numpy adds fewer than 8 values in order, as this does
+        total = np.add.reduce(e, axis=0)
+    else:  # and 8 or more in pairwise lanes, which need the classes last
+        total = np.add.reduce(np.ascontiguousarray(e.T), axis=-1).T
+    z -= np.log(total)
+    loss = -(np.add.reduce(z.reshape(-1)[label_index], axis=-1) / batch)
+    np.exp(z, out=e)
+    e.reshape(-1)[label_index] -= 1.0
+    e /= batch
+    return loss, np.ascontiguousarray(e.transpose(*range(1, e.ndim), 0))
 
 
 def _backprop(
@@ -242,6 +266,10 @@ def _backprop(
     _cross_entropy."""
     acts, logits = _forward(weights, biases, activation, x)
     loss, dz = _cross_entropy(logits, label_index)
+    # dz is batch-major: the output bias adds the batch in order over long
+    # rows, and the worker-major view is still one BLAS matrix per worker
+    np.add.reduce(dz, axis=0, out=grad_b[-1])
+    dz = dz.swapaxes(0, -2)
     for layer in range(len(weights) - 1, -1, -1):
         if layer < len(weights) - 1:
             a = acts[layer + 1]
@@ -251,8 +279,8 @@ def _backprop(
                 slope = a * a
                 np.subtract(1.0, slope, out=slope)
                 np.multiply(dz, slope, out=dz)
+            np.add.reduce(dz, axis=-2, out=grad_b[layer])
         np.matmul(acts[layer].swapaxes(-1, -2), dz, out=grad_w[layer])
-        np.add.reduce(dz, axis=-2, out=grad_b[layer])
         if layer > 0:
             dz = np.matmul(dz, weights[layer].swapaxes(-1, -2))
     return loss
@@ -262,7 +290,7 @@ def loss_and_grad(params: ParameterSet, batch: MiniBatch) -> tuple[float, Parame
     """Mean softmax cross-entropy and its exact gradient via backprop."""
     x, y = _check_batch(params, batch.features, batch.labels)
     grad = zeros_like(params)
-    label_index = _label_index(y[None], params.weights[-1].shape[1])[0]
+    label_index = _label_index(y[None])[0]
     loss = _backprop(
         params.weights, params.biases, params.activation, x, label_index,
         grad.weights, grad.biases,
@@ -328,7 +356,7 @@ def local_update_run(
     # every step gathers from ds.features, so checking it and the drawn
     # labels here covers all tau steps
     features, labels = _check_batch(params, ds.features, ds.labels[picks])
-    label_index = _label_index(labels, params.weights[-1].shape[1])
+    label_index = _label_index(labels)
     current = np.tile(params.flat, (len(shards), 1))
     g_sum = np.zeros_like(current)
     grad = np.empty_like(current)

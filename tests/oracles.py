@@ -3,7 +3,8 @@
 Everything here re-derives expected values through a different route than
 the library: one-sided Jacobi rotations instead of the LAPACK SVD, central
 finite differences instead of backprop, projected gradient descent instead
-of the closed-form probabilities, and straight-line formula transcriptions
+of the closed-form probabilities, a row-by-row budget clip instead of the
+one that clips every row at once, and straight-line formula transcriptions
 instead of the shared implementations.  The projected-gradient minimizer
 and its exact budget-box projection are the ones `fflsim selftest` runs,
 shared rather than copied.
@@ -66,6 +67,43 @@ def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 2000) -> f
     """The selftest's projected-gradient minimum of sum_i lambda_i^2 / p_i
     over the budget box, at 2000 iterations."""
     return selftest.minimize_variance_numeric(lam, s, iters)
+
+
+def clipped_reference(lam: np.ndarray, s: float) -> np.ndarray:
+    """Keep probabilities of one row's |coefficients| lam under budget
+    s < lam.size, clipped one row at a time: each round sums the row's
+    active coefficients, clips every atom with lam * budget > l1 to p = 1
+    and takes the clipped atoms out of the budget."""
+    n = lam.size
+    p = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    budget = float(s)
+    while True:
+        l1 = lam[active].sum()
+        oversized = active & (lam * budget > l1)
+        if not oversized.any():
+            break
+        budget -= int(oversized.sum())
+        active &= ~oversized
+        if not active.any():
+            break
+    if active.any():
+        l1 = lam[active].sum()
+        p[active] = lam[active] * (budget / l1)
+    return p
+
+
+def probabilities_reference(counts, coeffs: np.ndarray, s: float) -> np.ndarray:
+    """Keep probabilities of rows of `counts` atoms each, their coefficients
+    row after row, through clipped_reference row by row; a row with at most
+    s atoms keeps them all."""
+    lam = np.abs(coeffs)
+    p = np.ones(lam.size)
+    bounds = [0, *np.cumsum(counts).tolist()]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if s < hi - lo:
+            p[lo:hi] = clipped_reference(lam[lo:hi], s)
+    return p
 
 
 def mlp_forward_reference(weights, biases, activation: str, x: np.ndarray) -> np.ndarray:

@@ -49,6 +49,17 @@ def test_run_minimal_config_writes_artifacts(tmp_path, capsys):
     assert summary["status"] == "ok"
 
 
+def test_a_run_that_loses_every_packet_exits_0_with_its_status(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {**MINIMAL, "packet_failure_prob": 1.0})
+    out_dir = tmp_path / "results"
+    code, out, _ = run_main(["run", "--config", cfg_path, "--out", str(out_dir)], capsys)
+    assert code == 0
+    assert "status=all_rounds_lost rounds=4" in out
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["status"] == "all_rounds_lost"
+    assert summary["skipped_rounds"] == 4 and summary["final_train_loss"] is None
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_diverging_run_exits_1_and_still_writes_its_artifacts(tmp_path, capsys):
     # a step of 1e300 drives the weights past the float range in the first round
@@ -203,7 +214,7 @@ def test_compare_writes_per_scheme_and_joined_artifacts(tmp_path, capsys):
         assert (out_dir / f"summary_{scheme}.json").is_file()
     lines = (out_dir / "compare.csv").read_text().splitlines()
     assert lines[0] == ("scheme,time_to_target_s,final_acc,final_test_loss,rounds,total_atoms,"
-                        "speedup_vs_ffl")
+                        "speedup_vs_ffl,status")
     assert len(lines) == 3
     # the paper's objective, the test loss at the end of the run, per scheme
     for line, scheme in zip(lines[1:], ("ffl", "vanilla")):
@@ -213,9 +224,24 @@ def test_compare_writes_per_scheme_and_joined_artifacts(tmp_path, capsys):
         assert float(fields[3]) == summary["final_test_loss"]
     header, *table = out.splitlines()[-3:]
     assert header.split() == ["scheme", "time_to_target_s", "final_acc", "final_test_loss",
-                              "rounds", "total_atoms"]
+                              "rounds", "total_atoms", "status"]
     for row, line in zip(table, lines[1:]):
         assert row.split()[3] == f"{float(line.split(',')[3]):.4f}"
+
+
+def test_compare_reports_each_scheme_status(tmp_path, capsys):
+    # no packet ever arrives, so neither scheme's model moves
+    cfg_path = write_config(tmp_path, {**MINIMAL, "packet_failure_prob": 1.0})
+    out_dir = tmp_path / "cmp"
+    code, out, _ = run_main(
+        ["compare", "--config", cfg_path, "--out", str(out_dir), "ffl", "vanilla"], capsys)
+    assert code == 0
+    rows = (out_dir / "compare.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["all_rounds_lost"] * 2
+    assert [line.split()[-1] for line in out.splitlines()[-2:]] == ["all_rounds_lost"] * 2
+    for scheme in ("ffl", "vanilla"):
+        summary = json.loads((out_dir / f"summary_{scheme}.json").read_text())
+        assert summary["status"] == "all_rounds_lost"
 
 
 def test_compare_unreached_target_reports_inf(tmp_path, capsys):

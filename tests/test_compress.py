@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fflsim import compress, nn
 from fflsim.rng import substream
 
-from oracles import jacobi_singular_values, minimize_variance_numeric, project_budget_box
+from oracles import (
+    jacobi_singular_values, minimize_variance_numeric, probabilities_reference, project_budget_box,
+)
 
 
 def elementwise_of(vec):
@@ -248,6 +250,38 @@ def test_probabilities_errors():
             compress.AtomicDecomposition("elementwise", 3, np.array([1.0, 0.0]),
                                          np.array([[True, True, False]])),
             1.5)
+
+
+# A coefficient is a mantissa in [1, 10) times 10**k for k in [-6, 6], so a
+# row mixes magnitudes far enough apart to clip over several rounds.
+coefficients = st.builds(lambda m, k, sign: sign * m * 10.0**k, st.floats(1.0, 10.0),
+                         st.integers(-6, 6), st.sampled_from([-1.0, 1.0]))
+
+
+@st.composite
+def clip_rows(draw):
+    """(rows of 0-40 nonzero coefficients, 1-8 rows, budget s in [1, 12])."""
+    rows = draw(st.lists(st.lists(coefficients, max_size=40), min_size=1, max_size=8))
+    s = draw(st.one_of(st.integers(1, 12).map(float), st.floats(1.0, 12.0)))
+    return rows, s
+
+
+# probabilities clips every row at once, and each row's l1 must still be
+# added as the row-by-row clip adds it: a pairwise sum over the row's
+# compacted active coefficients.  Any other grouping of a sum moves a bit.
+@settings(max_examples=300, deadline=None)
+@given(clip_rows())
+# two clip rounds before the first row converges; an empty row; rows of s
+# atoms and of s + 1 atoms
+@example(([[1000.0, 100.0, 10.0] + [1.0] * 6, [], [3.0, -2.0, 1.0], [7.0] * 40], 3.0))
+@example(([[2.0] * 12, [-2.0] * 11, [1.0, 9.0] * 6 + [5.0]], 12.0))
+def test_probabilities_equal_the_row_by_row_clip_bitwise(case):
+    rows, s = case
+    slots = np.arange(40) < np.array([len(row) for row in rows])[:, None]
+    coeffs = np.array([c for row in rows for c in row])
+    decomp = compress.AtomicDecomposition("elementwise", 40, coeffs, slots, lead=(len(rows),))
+    want = probabilities_reference(decomp.atom_counts, decomp.coeffs, s)
+    assert compress.probabilities(decomp, s).probs.tobytes() == want.tobytes()
 
 
 # ---- sampling / reconstruction ---- #

@@ -13,6 +13,8 @@ from fflsim.errors import ConfigError
 from fflsim.federation import Experiment, evaluate, policy_for
 from fflsim.rng import substream
 
+from test_acceptance import _desk_cfg
+
 
 def base_cfg(**overrides):
     cfg = ExperimentConfig(
@@ -567,6 +569,26 @@ def test_a_run_stops_with_its_artifacts_when_the_training_loss_is_zero(tmp_path,
     written = load_strict(tmp_path / "summary.json")
     assert summary["status"] == written["status"] == "zero_loss"
     assert written["rounds"] == rounds and written["final_train_loss"] == 0.0
+
+
+@pytest.mark.parametrize("p_fail,status,skipped", [(1.0, "all_rounds_lost", 9), (0.1, "ok", 0)])
+def test_a_run_that_loses_every_packet_ends_with_its_own_status(tmp_path, p_fail, status, skipped):
+    # the desk config (p_fail 0.1 is one of its golden variants) fits 9
+    # rounds in 5 simulated seconds
+    cfg = dataclasses.replace(_desk_cfg("ffl", 0, p_fail=p_fail, budget=5.0),
+                              output_dir=str(tmp_path))
+    records, summary = federation.run_experiment(cfg)
+    written = load_strict(tmp_path / "summary.json")
+    assert summary["status"] == written["status"] == status
+    assert written["rounds"] == len(records) == 9
+    assert written["skipped_rounds"] == skipped
+    assert (written["final_train_loss"] is None) == (skipped == 9)
+
+
+def test_a_run_that_loses_only_some_rounds_is_ok():
+    records, summary = Experiment(base_cfg(packet_failure_prob=0.5, workers=1)).run()
+    assert 0 < summary["skipped_rounds"] < len(records)
+    assert summary["status"] == "ok"
 
 
 def test_sim_time_is_the_running_sum_of_round_times():

@@ -56,14 +56,22 @@ def test_dense_uplink_time_example():
 
 
 def test_downlink_time_dense_model():
+    # the broadcast of 100 float64 values, charged like an upload of its bits
     cfg = ChannelConfig(downlink_rate_bps=2e5)
-    assert netsim.downlink_time(100, cfg) == pytest.approx(100 * 64 / 2e5, abs=0)
+    bits = netsim.DENSE_BITS_PER_VALUE * 100
+    assert netsim.downlink_time(bits, cfg) == pytest.approx(100 * 64 / 2e5, abs=0)
+    assert netsim.downlink_time(0, cfg) == 0.0
 
 
 def test_uplink_time_rejects_negative():
     cfg = ChannelConfig()
     with pytest.raises(ValueError):
         netsim.uplink_time(-1, cfg, 0)
+
+
+def test_downlink_time_rejects_negative():
+    with pytest.raises(ValueError, match="bits must be >= 0"):
+        netsim.downlink_time(-1, ChannelConfig())
 
 
 def test_compression_dominance():

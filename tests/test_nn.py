@@ -133,11 +133,12 @@ def plain_cross_entropy(logits, labels):
     return loss, dlogits
 
 
-# softmax_cross_entropy reduces the class max over the outer axis of a
-# transposed copy and replaces the fancy index and mean with a flat index and
-# np.add.reduce.  Both must give the plain composition's bits; the class-axis
-# sum sums 8 or more classes in pairwise lanes, so class counts on both sides
-# of 8 are covered, and a numpy release that regroups a reduction fails here.
+# softmax_cross_entropy works on a class-major copy of the logits: it reduces
+# the class max, and below 8 classes the class sum, over that copy's outer
+# axis, and replaces the fancy index and mean with a flat index and
+# np.add.reduce.  All must give the plain composition's bits; numpy sums 8 or
+# more classes in pairwise lanes, so class counts on both sides of 8 are
+# covered, and a numpy release that regroups a reduction fails here.
 @pytest.mark.parametrize("classes", [1, 2, 4, 7, 8, 10, 33])
 @pytest.mark.parametrize("lead", [(1,), (37,), (512,), (8, 64), (3, 1), (2, 9)],
                          ids=lambda lead: "x".join(map(str, lead)))
@@ -151,6 +152,65 @@ def test_loss_equals_the_plain_numpy_composition_bitwise(classes, lead):
     assert np.shape(loss) == np.shape(want_loss) and dlogits.shape == logits.shape
     assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
     assert dlogits.tobytes() == want_dlogits.tobytes()
+
+
+@pytest.mark.parametrize("classes", [1, 4, 10])
+@pytest.mark.parametrize("lead", [(1,), (37,), (8, 64), (3, 1)], ids=lambda lead: "x".join(map(str, lead)))
+def test_softmax_cross_entropy_returns_dlogits_in_the_layout_of_its_logits(classes, lead):
+    # the loss works on a class-major copy and hands the stacked step its
+    # gradient batch-major; the public function gives it back C-ordered in
+    # the logits' shape and leaves the logits as they were
+    rng = np.random.default_rng(classes + sum(lead))
+    logits = rng.standard_normal((*lead, classes))
+    before = logits.copy()
+    _, dlogits = nn.softmax_cross_entropy(logits, rng.integers(0, classes, lead))
+    assert dlogits.shape == logits.shape and dlogits.flags.c_contiguous
+    assert logits.tobytes() == before.tobytes()
+
+
+def plain_backprop(weights, biases, x, labels):
+    """The gradient of a relu stack (M, batch, d_in) as plain worker-major
+    numpy calls: dlogits (M, batch, classes) from plain_cross_entropy, the
+    bias gradients as np.add.reduce over the batch axis, per-worker matmuls
+    of C-ordered operands.  Returns (loss, [dW0, db0, dW1, db1, ...])."""
+    acts = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        acts.append(np.maximum(np.matmul(acts[-1], w) + b[..., None, :], 0.0))
+    logits = np.matmul(acts[-1], weights[-1]) + biases[-1][..., None, :]
+    loss, dz = plain_cross_entropy(logits, labels)
+    grads = []
+    for layer in range(len(weights) - 1, -1, -1):
+        if layer < len(weights) - 1:
+            dz = dz * (acts[layer + 1] > 0.0)
+        grads[:0] = [np.matmul(acts[layer].swapaxes(-1, -2), dz), np.add.reduce(dz, axis=-2)]
+        if layer > 0:
+            dz = np.matmul(dz, weights[layer].swapaxes(-1, -2))
+    return loss, grads
+
+
+# The stacked step sums the output bias gradient over the outer axis of a
+# batch-major (batch, M, classes) array and reads the two output-layer
+# matmuls through its transposed view.  Both must give the bits of the
+# worker-major calls; class counts on both sides of 8 and a batch of one are
+# covered.
+@pytest.mark.parametrize("classes", [2, 3, 4, 7, 8, 10, 33])
+@pytest.mark.parametrize("workers", [1, 3, 8])
+@pytest.mark.parametrize("batch", [1, 37, 64])
+def test_stacked_gradient_equals_the_worker_major_calls_bitwise(classes, workers, batch):
+    rng = np.random.default_rng(classes * 100 + workers * 10 + batch)
+    params = make_params((5, 6, classes), seed=classes)
+    stack = np.tile(params.flat, (workers, 1)) + 0.3 * rng.standard_normal((workers, params.dim))
+    weights, biases = nn._layer_views(stack, params.shapes)
+    x = rng.standard_normal((workers, batch, 5))
+    labels = rng.integers(0, classes, (workers, batch))
+    grad = np.empty_like(stack)
+    grad_w, grad_b = nn._layer_views(grad, params.shapes)
+    loss = nn._backprop(weights, biases, "relu", x, nn._label_index(labels[None])[0],
+                        grad_w, grad_b)
+    want_loss, want = plain_backprop(weights, biases, x, labels)
+    assert grad_b[-1].tobytes() == want[-1].tobytes()
+    assert loss.tobytes() == want_loss.tobytes()
+    assert grad.tobytes() == np.concatenate([g.reshape(workers, -1) for g in want], axis=1).tobytes()
 
 
 def test_single_layer_analytic_gradient():
