@@ -1,15 +1,18 @@
 """Datasets, worker partitioning, and mini-batch sampling.
 
 A Dataset is an in-memory matrix of float64 features scaled to [0, 1] plus an
-int64 label per row.  A Shard is simply an index array into a Dataset, so
-partitions never copy feature rows.
+int64 label per row.  It stores its features once, as `rows`: each feature
+row followed by a 1.0, the input that nn multiplies by a layer's [W; b] in a
+single matmul.  `features` is the (n, d_in) view of `rows` without that
+column, so an in-place edit of either is seen by both.  A Shard is simply an
+index array into a Dataset, so partitions never copy feature rows.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,17 +29,29 @@ Shard = np.ndarray
 PARTITION_MODES = ("iid", "by_class")
 
 
+def with_ones_column(x: np.ndarray) -> np.ndarray:
+    """A float64 copy of (..., n) `x` with a trailing column of 1.0, (..., n + 1)."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., :-1] = x
+    out[..., -1] = 1.0
+    return out
+
+
 @dataclass
 class Dataset:
-    features: np.ndarray  # (n, d_in) float64 in [0, 1]
+    features: np.ndarray  # (n, d_in) float64 in [0, 1]; a view into `rows`
     labels: np.ndarray  # (n,) int64 in [0, n_classes)
     n_classes: int
+    # (n, d_in + 1): each feature row followed by 1.0
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or len(self.features) != len(self.labels):
+        if features.ndim != 2 or len(features) != len(self.labels):
             raise ValueError("features must be (n, d_in) with one label per row")
+        self.rows = with_ones_column(features)
+        self.features = self.rows[:, :-1]
         if len(self.features) < 1:
             raise ValueError("dataset must contain at least one sample")
         if self.n_classes < 2:

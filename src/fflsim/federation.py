@@ -106,11 +106,11 @@ def evaluate(params: nn.ParameterSet, test_set: Dataset, chunk: int = 512) -> tu
     correct = 0
     for start in range(0, test_set.n, chunk):
         stop = min(start + chunk, test_set.n)
-        batch = nn.MiniBatch(test_set.features[start:stop], test_set.labels[start:stop])
-        logits = nn.forward(params, batch)
-        loss, _ = nn.softmax_cross_entropy(logits, batch.labels)
+        labels = test_set.labels[start:stop]
+        logits = nn.forward_rows(params, test_set.rows[start:stop])
+        loss, _ = nn.softmax_cross_entropy(logits, labels)
         total_loss += loss * (stop - start)
-        correct += int((logits.argmax(axis=1) == batch.labels).sum())
+        correct += int((logits.argmax(axis=1) == labels).sum())
     return total_loss / test_set.n, correct / test_set.n
 
 

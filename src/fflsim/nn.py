@@ -1,10 +1,30 @@
 """Dense feed-forward network with manual backpropagation.
 
 All tensors are float64 numpy arrays in C order.  A ParameterSet keeps the
-whole model in one flat vector, in block order W0, b0, W1, b1, ..., and
-exposes each layer's weight matrix (fan_in x fan_out) and bias vector as a
-view into it; gradients use the same container, so layer blocks keep stable
-offsets in the flat vector.
+whole model in one flat vector, in block order W0, b0, W1, b1, ...; gradients
+use the same container, so layer blocks keep stable offsets in the flat
+vector.  Each layer's bias is stored right after its weights, so the two
+blocks together are one (fan_in + 1, fan_out) matrix [W; b] whose last row is
+the bias, and a ParameterSet exposes that view as `layers[i]` (and its rows
+as `weights[i]` and `biases[i]`).
+
+Every layer is one matmul.  The input rows and every hidden activation end in
+a column of ones, so [a 1] @ [W; b] is the layer's affine map, and in the
+backward pass [a 1]^T @ dz writes the weight and bias gradients in one call,
+straight into the gradient buffer; nothing adds or reduces a bias on its own.
+A Dataset stores its features with that column once (Dataset.rows), so each
+step gathers its input in one contiguous take; forward and loss_and_grad add
+the column to a MiniBatch themselves.
+
+The elementwise passes run over whole contiguous buffers, never over the
+strided view without the ones column.  A hidden activation is computed into
+the first columns of a (..., batch, H + 1) buffer whose last column is 1.0,
+and the activation runs over all of it: relu(1) is 1, so relu keeps the
+column, while tanh(1) is not, so tanh sets the column to 1.0 again.  The
+hidden gradient dz @ [W; b]^T carries a spare last column, the gradient of
+the ones, which nothing reads: the activation's mask multiplies the whole
+buffer, and the next weight-gradient matmul reads dz[..., :-1], a stride
+BLAS takes as it is.
 
 Local SGD runs all M workers of a round in one stacked pass: their
 parameters and gradient sums are (M, d) buffers whose row j is laid out like
@@ -13,14 +33,11 @@ at once, and a local step is plain SGD, current -= eta * grad.  Before the
 first step each worker draws all tau of its mini-batches in one call on its
 own generator, giving a (tau, M, batch) index array; the drawn labels and
 the step arguments are checked once, and each step gathers only its own
-(M, batch, d_in) features.  The forward and backward pass is written once,
+(M, batch, d_in + 1) rows.  The forward and backward pass is written once,
 over arrays with an optional leading worker axis, so a single 2-D batch is
-simply the unstacked case of the same code.  No function here mutates its
-inputs, and randomness only enters through explicit generators.
-
-A step makes few numpy calls and keeps the bits of the plain composition.
-The forward pass adds the bias and applies the activation in place, and the
-backward pass writes each layer's gradient straight into the (M, d) buffer.
+simply the unstacked case of the same code, and each worker's rows get the
+bits of that worker's own 2-D calls.  No function here mutates its inputs,
+and randomness only enters through explicit generators.
 
 The loss works on one class-major copy of the logits, their transpose
 (classes, batch, M): the max, the shifts, both exps and the label pick run
@@ -32,18 +49,9 @@ it adds in pairwise lanes, so there the sum stays a last-axis reduce of a
 class-last copy.  Each label is picked by its flat position in the
 class-major copy, which local_update_run builds once per round for all tau
 steps, and the batch mean is np.add.reduce over the batch size, which is
-what ndarray.mean computes.
-
-The loss hands the backward pass its gradient batch-major, as one C-ordered
-(batch, M, classes) array.  The output bias gradient is an outer-axis reduce
-of it over rows M * classes long, which adds the batch in the same order as
-a reduce over the batch axis of (M, batch, classes) (for one class numpy
-would add pairwise, but then every dlogit is 0).  Its swapped view (M,
-batch, classes) gives each worker a matrix with unit column stride, which
-BLAS reads as it is, so both output-layer matmuls take it without a copy.
-The hidden layers stay worker-major, (M, batch, H): batch-major, their bias
-reduce gets faster but their matmuls get slower by more, since BLAS then
-reads strided operands.
+what ndarray.mean computes.  The gradient goes back in the logits' layout,
+(M, batch, classes), one C-ordered matrix per worker for both output-layer
+matmuls.
 """
 
 from __future__ import annotations
@@ -56,7 +64,9 @@ import numpy as np
 
 # sample_minibatch stays importable from this module, where perfbench's tracer
 # tests look it up; the runner itself draws with sample_indices.
-from .data import Dataset, MiniBatch, Shard, sample_indices, sample_minibatch  # noqa: F401
+from .data import (  # noqa: F401
+    Dataset, MiniBatch, Shard, sample_indices, sample_minibatch, with_ones_column,
+)
 from .errors import ConfigError
 
 ACTIVATIONS = ("relu", "tanh")
@@ -79,28 +89,30 @@ class MlpSpec:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
-def _layer_views(buf: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> tuple[list, list]:
-    """(weights, biases) as views into the last axis of `buf`.
+def _layer_views(buf: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> list[np.ndarray]:
+    """Each layer's [W; b] as a view into the last axis of `buf`.
 
-    Block i of a (..., d) buffer is viewed with shape (..., *shapes[i]), so a
-    flat vector gives the plain layers and an (M, d) buffer gives every
-    layer stacked over M.  Writing through a view writes `buf`.
+    Layer i's weights and bias are blocks 2i and 2i + 1, stored back to back,
+    so together they are one (fan_in + 1, fan_out) matrix whose last row is
+    the bias.  A flat vector gives the plain layers and an (M, d) buffer
+    gives every layer stacked over M.  Writing through a view writes `buf`.
     """
     lead = buf.shape[:-1]
     views, pos = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(buf[..., pos : pos + size].reshape(lead + shape))
+    for fan_in, fan_out in shapes[0::2]:
+        size = (fan_in + 1) * fan_out
+        views.append(buf[..., pos : pos + size].reshape(lead + (fan_in + 1, fan_out)))
         pos += size
-    return views[0::2], views[1::2]
+    return views
 
 
 class ParameterSet:
     """Per-layer weights and biases as views into one flat vector; also the
     container for gradients.
 
-    `flat` is that vector in block order W0, b0, W1, b1, ...; writing
-    through `weights` or `biases` writes it.
+    `flat` is that vector in block order W0, b0, W1, b1, ...; `layers` holds
+    each layer's [W; b] matrix, and `weights` and `biases` its rows above
+    and its last row.  Writing through any of them writes `flat`.
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray], activation: str = "relu"):
@@ -111,7 +123,9 @@ class ParameterSet:
 
     def _bind(self, flat: np.ndarray) -> None:
         self.flat = flat
-        self.weights, self.biases = _layer_views(flat, self.shapes)
+        self.layers = _layer_views(flat, self.shapes)
+        self.weights = [layer[..., :-1, :] for layer in self.layers]
+        self.biases = [layer[..., -1, :] for layer in self.layers]
 
     @property
     def dim(self) -> int:
@@ -119,7 +133,7 @@ class ParameterSet:
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layers)
 
     def copy(self) -> "ParameterSet":
         return self.from_flat(self.flat.copy())
@@ -184,20 +198,25 @@ def _check_batch(params: ParameterSet, features, labels) -> tuple[np.ndarray, np
     return x, y
 
 
-def _forward(weights: list, biases: list, activation: str, x: np.ndarray) -> tuple[list, np.ndarray]:
-    """Hidden activations (input first) and logits; every array may carry
-    a leading worker axis, matched between the layers and x."""
+def _forward(layers: list, activation: str, x: np.ndarray) -> tuple[list, np.ndarray]:
+    """Hidden activations (input first) and logits.  x and every hidden
+    activation end in a column of ones, so each layer is one matmul by its
+    [W; b]; every array may carry a leading worker axis, matched between
+    the layers and x."""
     acts = [x]
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.matmul(acts[-1], w)
-        h += b[..., None, :]
+    for layer in layers[:-1]:
+        h = np.empty(x.shape[:-1] + (layer.shape[-1] + 1,))
+        h[..., -1] = 1.0
+        np.matmul(acts[-1], layer, out=h[..., :-1])
+        # the activation runs over the whole contiguous buffer: relu keeps
+        # the ones, tanh(1) does not, so its column is set again
         if activation == "relu":
             np.maximum(h, 0.0, out=h)
         else:
             np.tanh(h, out=h)
+            h[..., -1] = 1.0
         acts.append(h)
-    logits = np.matmul(acts[-1], weights[-1])
-    logits += biases[-1][..., None, :]
+    logits = np.matmul(acts[-1], layers[-1])
     _require_finite(logits, "logits")
     return acts, logits
 
@@ -205,7 +224,16 @@ def _forward(weights: list, biases: list, activation: str, x: np.ndarray) -> tup
 def forward(params: ParameterSet, batch: MiniBatch) -> np.ndarray:
     """Logits (batch x classes); raw affine output, no softmax applied."""
     x, _ = _check_batch(params, batch.features, batch.labels)
-    return _forward(params.weights, params.biases, params.activation, x)[1]
+    return _forward(params.layers, params.activation, with_ones_column(x))[1]
+
+
+def forward_rows(params: ParameterSet, rows: np.ndarray) -> np.ndarray:
+    """Logits of input rows that already end in a column of ones, such as a
+    slice of Dataset.rows, which is read without a copy."""
+    d_in = params.weights[0].shape[0]
+    if rows.ndim != 2 or rows.shape[-1] != d_in + 1:
+        raise ConfigError(f"rows have shape {rows.shape}, expected 2 axes ending in {d_in + 1}")
+    return _forward(params.layers, params.activation, rows)[1]
 
 
 def _label_index(labels: np.ndarray) -> np.ndarray:
@@ -229,18 +257,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     logits' shape, C-ordered.  Stabilized with the log-sum-exp shift so large
     logits cannot overflow.
     """
-    loss, dlogits = _cross_entropy(logits, _label_index(np.asarray(labels)[None])[0])
-    # batch-major (batch, ...reversed, classes) back to (..., batch, classes)
-    n = dlogits.ndim
-    return loss, np.ascontiguousarray(dlogits.transpose(*range(n - 2, -1, -1), n - 1))
+    return _cross_entropy(logits, _label_index(np.asarray(labels)[None])[0])
 
 
 def _cross_entropy(logits: np.ndarray, label_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """softmax_cross_entropy with each label given as its flat position in
     the class-major logits (see _label_index); label_index has the labels'
-    shape.  The gradient comes back batch-major, C-ordered (batch,
-    ...reversed, classes): (batch, classes) for one batch, (batch, M,
-    classes) for a stack of M."""
+    shape."""
     batch = label_index.shape[-1]
     z = logits.T.copy()  # class-major: every class pass runs over whole rows
     z -= np.maximum.reduce(z, axis=0)
@@ -254,35 +277,33 @@ def _cross_entropy(logits: np.ndarray, label_index: np.ndarray) -> tuple[np.ndar
     np.exp(z, out=e)
     e.reshape(-1)[label_index] -= 1.0
     e /= batch
-    return loss, np.ascontiguousarray(e.transpose(*range(1, e.ndim), 0))
+    return loss, np.ascontiguousarray(e.T)
 
 
 def _backprop(
-    weights: list, biases: list, activation: str, x: np.ndarray, label_index: np.ndarray,
-    grad_w: list, grad_b: list,
+    layers: list, activation: str, x: np.ndarray, label_index: np.ndarray, grads: list
 ) -> np.ndarray:
     """Loss of each batch in the stack; writes its exact gradient into the
-    grad_w / grad_b views.  Shapes as in _forward; label_index as in
+    [W; b] views `grads`.  Shapes as in _forward; label_index as in
     _cross_entropy."""
-    acts, logits = _forward(weights, biases, activation, x)
+    acts, logits = _forward(layers, activation, x)
     loss, dz = _cross_entropy(logits, label_index)
-    # dz is batch-major: the output bias adds the batch in order over long
-    # rows, and the worker-major view is still one BLAS matrix per worker
-    np.add.reduce(dz, axis=0, out=grad_b[-1])
-    dz = dz.swapaxes(0, -2)
-    for layer in range(len(weights) - 1, -1, -1):
-        if layer < len(weights) - 1:
-            a = acts[layer + 1]
-            if activation == "relu":
-                np.multiply(dz, a > 0.0, out=dz)
-            else:
-                slope = a * a
-                np.subtract(1.0, slope, out=slope)
-                np.multiply(dz, slope, out=dz)
-            np.add.reduce(dz, axis=-2, out=grad_b[layer])
-        np.matmul(acts[layer].swapaxes(-1, -2), dz, out=grad_w[layer])
-        if layer > 0:
-            dz = np.matmul(dz, weights[layer].swapaxes(-1, -2))
+    for layer in range(len(layers) - 1, -1, -1):
+        # [a 1]^T dz: the weight rows and, from the ones, the bias row
+        np.matmul(acts[layer].swapaxes(-1, -2), dz, out=grads[layer])
+        if layer == 0:
+            break
+        # the gradient of [a 1]; its last column, that of the ones, is
+        # spare, and the mask runs over the whole contiguous buffer
+        dz = np.matmul(dz, layers[layer].swapaxes(-1, -2))
+        a = acts[layer]
+        if activation == "relu":
+            np.multiply(dz, a > 0.0, out=dz)
+        else:
+            slope = a * a
+            np.subtract(1.0, slope, out=slope)
+            np.multiply(dz, slope, out=dz)
+        dz = dz[..., :-1]
     return loss
 
 
@@ -290,11 +311,8 @@ def loss_and_grad(params: ParameterSet, batch: MiniBatch) -> tuple[float, Parame
     """Mean softmax cross-entropy and its exact gradient via backprop."""
     x, y = _check_batch(params, batch.features, batch.labels)
     grad = zeros_like(params)
-    label_index = _label_index(y[None])[0]
-    loss = _backprop(
-        params.weights, params.biases, params.activation, x, label_index,
-        grad.weights, grad.biases,
-    )
+    x, label_index = with_ones_column(x), _label_index(y[None])[0]
+    loss = _backprop(params.layers, params.activation, x, label_index, grad.layers)
     _require_finite(grad.flat, "gradient")
     return float(loss), grad
 
@@ -353,21 +371,19 @@ def local_update_run(
     # (tau, M, batch): row picks[t, j] is worker j's mini-batch at step t
     picks = np.array([sample_indices(s, tau, batch_size, r) for s, r in zip(shards, rngs)])
     picks = picks.swapaxes(0, 1)
-    # every step gathers from ds.features, so checking it and the drawn
-    # labels here covers all tau steps
-    features, labels = _check_batch(params, ds.features, ds.labels[picks])
+    # every step gathers from ds.rows, so checking its features and the
+    # drawn labels here covers all tau steps
+    _, labels = _check_batch(params, ds.features, ds.labels[picks])
     label_index = _label_index(labels)
     current = np.tile(params.flat, (len(shards), 1))
     g_sum = np.zeros_like(current)
     grad = np.empty_like(current)
     losses = np.empty((len(shards), tau))
-    weights, biases = _layer_views(current, params.shapes)
-    grad_w, grad_b = _layer_views(grad, params.shapes)
+    layers = _layer_views(current, params.shapes)
+    grad_layers = _layer_views(grad, params.shapes)
     for step in range(tau):
-        x = features.take(picks[step], axis=0)
-        losses[:, step] = _backprop(
-            weights, biases, params.activation, x, label_index[step], grad_w, grad_b
-        )
+        x = ds.rows.take(picks[step], axis=0)
+        losses[:, step] = _backprop(layers, params.activation, x, label_index[step], grad_layers)
         _require_finite(grad, "gradient")
         g_sum += grad
         current -= eta * grad

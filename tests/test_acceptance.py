@@ -360,15 +360,15 @@ def test_criterion_10_determinism(tmp_path, capsys):
 # lanes, so a loss that regroups that sum moves these bytes and not the
 # 4-class ones.
 DESK_GOLDEN_SHA256 = {
-    "ffl": "e2128dd0c54b5b6c26b6c8ef0f34c661fcdacba2a87828933bfd4fab78cde50c",
-    "atomo_like": "3883bdcdf16cbb2dc8c7d00f71145b315bfc97e33864569ebfbef522c84dca48",
-    "adacomm_like": "839a3e6b87a7e7bc4fcb671e92018ad440fbaa7f9ae979abffc0593ce9c9ef77",
-    "ffl-lowrank": "81f502107eb92749ded81ed580828cd014a58c39cc3624341488c86f50d80ab9",
-    "atomo_like-lowrank": "25f0a284d92494d77df707a067f41551da235ad3f174778bd9b0f62888b3956f",
-    "ffl-p_fail_0.1": "1edd2ce7b7c30dd7e9c90ca1a1821c12b0da5470e227e5a236a3786d6c8bce3a",
-    "ffl-tanh": "e4fe98de7c87c500bf4d1ca6a97b83d0daf56ed46d273e8c6762476fc2bb5395",
-    "ffl-two_hidden": "21d7be78a110583279410a140127e9502a46775176a7f24fc47106698a1a9c09",
-    "ffl-classes10": "6faa6324fb7b3597f5d1f83c9cb6aa7213853be6a9e149479a0112c20d5ada01",
+    "ffl": "32dbb7b2ea2b2f8911e8f8dfbb4d4af6ef5a35ceaed9035202157f7caa5ee6a6",
+    "atomo_like": "d5c76d5d01814b6cbb16cd36a4cc84b7264cdcec079351f588bc3a183137dcb4",
+    "adacomm_like": "4797475fe2c8c84def0056e1272e875cae8fe5af76d1c875af6264b350155c17",
+    "ffl-lowrank": "e557342e67580813aa23f87850ab3b9a77ba8df1d9f40c032d446bf56d0095fa",
+    "atomo_like-lowrank": "f714e759fa08b81381ebbb31e443d9c4a40d81066d135fc03fd40c407aed34bd",
+    "ffl-p_fail_0.1": "b6772940ad58869fe2120540b0ebb041b7186ccc20618ee353cf687c2119429b",
+    "ffl-tanh": "18b1f7c4f33e13ee8db11b185c8bffced5a844977356e63ad111ace3c4b1935a",
+    "ffl-two_hidden": "ddf0d04b5e48330485cbb7c9787e04847a0f680dfd59405288db2ed73845305d",
+    "ffl-classes10": "55c97fd7e0abdaa6216939cf0eccc2bb6802f723aa07adc0a5e28af486ddf6f4",
 }
 DESK_GOLDEN_VARIANTS = {
     "lowrank": {"basis": "lowrank"},

@@ -74,6 +74,14 @@ def test_synthetic_task_is_learnable():
     assert reached is not None and reached <= 500
 
 
+def test_dataset_rows_end_in_ones_and_features_is_their_view():
+    ds = data.Dataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 0]), n_classes=2)
+    assert ds.rows.shape == (3, 3) and (ds.rows[:, -1] == 1.0).all()
+    assert np.shares_memory(ds.features, ds.rows)
+    ds.features[1] = 0.5  # an in-place edit leaves no stale copy
+    assert ds.rows[1].tolist() == [0.5, 0.5, 1.0]
+
+
 # ---- take / split ---- #
 
 def test_take_subsets():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fflsim import nn
-from fflsim.data import MiniBatch, gen_synthetic, sample_indices, sample_minibatch
+from fflsim.data import MiniBatch, gen_synthetic, sample_indices, sample_minibatch, with_ones_column
 from fflsim.errors import ConfigError
 from fflsim.rng import substream
 
@@ -58,6 +58,25 @@ def test_blocks_cover_flat_vector():
     assert sum(arr.size for _, arr in params.blocks()) == params.dim
 
 
+@pytest.mark.parametrize("sizes", [(5, 3), (5, 6, 3), (5, 6, 4, 3)],
+                         ids=lambda sizes: "-".join(map(str, sizes)))
+def test_each_layer_is_a_view_of_weights_over_bias(sizes):
+    rng = np.random.default_rng(len(sizes))
+    fans = list(zip(sizes[:-1], sizes[1:]))
+    weights = [rng.standard_normal(fan) for fan in fans]
+    biases = [rng.standard_normal(fan[1]) for fan in fans]
+    params = nn.ParameterSet(weights, biases)
+    pos = 0
+    for layer, w, b, (fan_in, fan_out) in zip(params.layers, weights, biases, fans):
+        assert layer.shape == (fan_in + 1, fan_out)
+        assert np.shares_memory(layer, params.flat)
+        assert layer[:-1].tobytes() == w.tobytes() and layer[-1].tobytes() == b.tobytes()
+        # W then b, back to back in the flat vector
+        assert layer.tobytes() == params.flat[pos : pos + layer.size].tobytes()
+        pos += layer.size
+    assert pos == params.dim
+
+
 # ---- forward ---- #
 
 def test_forward_zero_weights_zero_logits():
@@ -83,6 +102,28 @@ def test_forward_matches_reference(activation):
     got = nn.forward(params, MiniBatch(x, np.zeros(8, dtype=np.int64)))
     want = mlp_forward_reference(params.weights, params.biases, activation, x)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_the_ones_column_stays_exactly_one_after_the_activation(activation):
+    # the activation runs over the whole buffer: relu(1) is 1, tanh(1) is not
+    rng = np.random.default_rng(17)
+    params = make_params((6, 9, 5, 3), activation, seed=17)
+    x = with_ones_column(rng.standard_normal((4, 7, 6)))
+    stack = np.tile(params.flat, (4, 1))
+    acts, _ = nn._forward(nn._layer_views(stack, params.shapes), activation, x)
+    assert [a.shape for a in acts] == [(4, 7, 7), (4, 7, 10), (4, 7, 6)]
+    for a in acts:
+        assert (a[..., -1] == 1.0).all()
+
+
+def test_forward_rows_reads_dataset_rows_as_forward_reads_a_batch():
+    ds, _ = small_task(2)
+    params = make_params((5, 6, 3), "tanh", seed=2)
+    want = nn.forward(params, MiniBatch(ds.features[10:30], ds.labels[10:30]))
+    assert nn.forward_rows(params, ds.rows[10:30]).tobytes() == want.tobytes()
+    with pytest.raises(ConfigError):
+        nn.forward_rows(params, ds.features[10:30])
 
 
 def test_forward_dimension_mismatch_is_config_error():
@@ -168,31 +209,31 @@ def test_softmax_cross_entropy_returns_dlogits_in_the_layout_of_its_logits(class
     assert logits.tobytes() == before.tobytes()
 
 
-def plain_backprop(weights, biases, x, labels):
-    """The gradient of a relu stack (M, batch, d_in) as plain worker-major
-    numpy calls: dlogits (M, batch, classes) from plain_cross_entropy, the
-    bias gradients as np.add.reduce over the batch axis, per-worker matmuls
-    of C-ordered operands.  Returns (loss, [dW0, db0, dW1, db1, ...])."""
-    acts = [x]
-    for w, b in zip(weights[:-1], biases[:-1]):
-        acts.append(np.maximum(np.matmul(acts[-1], w) + b[..., None, :], 0.0))
-    logits = np.matmul(acts[-1], weights[-1]) + biases[-1][..., None, :]
-    loss, dz = plain_cross_entropy(logits, labels)
+def plain_backprop(layers, x, labels):
+    """Loss and flat gradient of one worker's relu model as plain 2-D numpy
+    calls: each layer is [a 1] @ [W; b], dlogits come from
+    plain_cross_entropy, each layer's gradient is [a 1].T @ dz, and the
+    hidden gradient is dz @ [W; b].T without its last column.  The
+    transposes are views, as in the stacked step: BLAS may round a product
+    of a transposed copy differently."""
+    ones = np.ones((len(x), 1))
+    acts = [np.concatenate([x, ones], axis=1)]
+    for layer in layers[:-1]:
+        acts.append(np.concatenate([np.maximum(np.matmul(acts[-1], layer), 0.0), ones], axis=1))
+    loss, dz = plain_cross_entropy(np.matmul(acts[-1], layers[-1]), labels)
     grads = []
-    for layer in range(len(weights) - 1, -1, -1):
-        if layer < len(weights) - 1:
-            dz = dz * (acts[layer + 1] > 0.0)
-        grads[:0] = [np.matmul(acts[layer].swapaxes(-1, -2), dz), np.add.reduce(dz, axis=-2)]
-        if layer > 0:
-            dz = np.matmul(dz, weights[layer].swapaxes(-1, -2))
-    return loss, grads
+    for i in range(len(layers) - 1, -1, -1):
+        grads[:0] = [np.matmul(acts[i].T, dz)]
+        if i > 0:
+            dz = np.matmul(dz, layers[i].T)[:, :-1] * (acts[i][:, :-1] > 0.0)
+    return loss, np.concatenate([g.ravel() for g in grads])
 
 
-# The stacked step sums the output bias gradient over the outer axis of a
-# batch-major (batch, M, classes) array and reads the two output-layer
-# matmuls through its transposed view.  Both must give the bits of the
-# worker-major calls; class counts on both sides of 8 and a batch of one are
-# covered.
+# The stacked step runs each layer as one batched matmul by the [W; b] views
+# of the (M, d) buffer, reads the hidden gradient without its spare column
+# through a strided view and writes every gradient straight into its rows.
+# All must give the bits of separate 2-D calls per worker; class counts on
+# both sides of 8 and a batch of one are covered.
 @pytest.mark.parametrize("classes", [2, 3, 4, 7, 8, 10, 33])
 @pytest.mark.parametrize("workers", [1, 3, 8])
 @pytest.mark.parametrize("batch", [1, 37, 64])
@@ -200,17 +241,16 @@ def test_stacked_gradient_equals_the_worker_major_calls_bitwise(classes, workers
     rng = np.random.default_rng(classes * 100 + workers * 10 + batch)
     params = make_params((5, 6, classes), seed=classes)
     stack = np.tile(params.flat, (workers, 1)) + 0.3 * rng.standard_normal((workers, params.dim))
-    weights, biases = nn._layer_views(stack, params.shapes)
     x = rng.standard_normal((workers, batch, 5))
     labels = rng.integers(0, classes, (workers, batch))
     grad = np.empty_like(stack)
-    grad_w, grad_b = nn._layer_views(grad, params.shapes)
-    loss = nn._backprop(weights, biases, "relu", x, nn._label_index(labels[None])[0],
-                        grad_w, grad_b)
-    want_loss, want = plain_backprop(weights, biases, x, labels)
-    assert grad_b[-1].tobytes() == want[-1].tobytes()
-    assert loss.tobytes() == want_loss.tobytes()
-    assert grad.tobytes() == np.concatenate([g.reshape(workers, -1) for g in want], axis=1).tobytes()
+    loss = nn._backprop(nn._layer_views(stack, params.shapes), "relu", with_ones_column(x),
+                        nn._label_index(labels[None])[0], nn._layer_views(grad, params.shapes))
+    for j in range(workers):
+        layers = [layer.copy() for layer in nn._layer_views(stack[j], params.shapes)]
+        want_loss, want = plain_backprop(layers, x[j], labels[j])
+        assert loss[j].tobytes() == want_loss.tobytes()
+        assert grad[j].tobytes() == want.tobytes()
 
 
 def test_single_layer_analytic_gradient():
@@ -415,12 +455,13 @@ def three_workers(ds):
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-@pytest.mark.parametrize("hidden", [(32,), (32, 16)])
+@pytest.mark.parametrize("hidden", [(32,), (32, 16), ()])
 @pytest.mark.parametrize("start_bias", [0.0, 0.5])
 @pytest.mark.parametrize("tau", [1, 3])
 def test_stacked_workers_equal_separate_runs_bitwise(activation, hidden, start_bias, tau):
     # init_params starts every bias at 0; start_bias 0.5 also runs the
-    # stacked bias add on nonzero biases from the first step
+    # stacked bias rows nonzero from the first step; hidden () is a model
+    # whose only layer maps the inputs to the logits
     ds, _ = small_task(4)
     params = make_params((5, *hidden, 3), activation, seed=4)
     for b in params.biases:
@@ -503,7 +544,7 @@ def test_checks_fire_once_before_the_first_step(monkeypatch):
     real_backprop = nn._backprop
 
     def backprop(*args):
-        steps.append(args[3].shape)
+        steps.append(args[2].shape)
         return real_backprop(*args)
 
     monkeypatch.setattr(nn, "_backprop", backprop)
@@ -517,4 +558,4 @@ def test_checks_fire_once_before_the_first_step(monkeypatch):
     assert np.array_equal(params.flat, before)
     ds.labels[bad_row] = 0
     nn.local_update_run(params, ds, shards, tau, 0.05, 8, rngs())
-    assert steps == [(3, 8, 5)] * tau  # one (M, batch, d_in) gather per step
+    assert steps == [(3, 8, 6)] * tau  # one (M, batch, d_in + 1) gather per step
