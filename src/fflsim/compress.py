@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,14 +75,16 @@ class AtomicDecomposition:
     slots: np.ndarray  # (W, R) bool
     blocks: list[RankOneBlock] | None = None  # lowrank
     lead: tuple[int, ...] = ()
+    atom_counts: np.ndarray = field(init=False, repr=False)  # (W,) atoms per row
 
     def __post_init__(self) -> None:
         if self.basis_kind not in BASIS_KINDS:
             raise ValueError(f"basis_kind must be one of {BASIS_KINDS}")
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if np.count_nonzero(self.slots) != self.coeffs.size:
+        self.atom_counts = np.count_nonzero(self.slots, axis=1)
+        if self.atom_counts.sum() != self.coeffs.size:
             raise ValueError(f"{self.coeffs.size} coefficients for "
-                             f"{np.count_nonzero(self.slots)} atom slots")
+                             f"{self.atom_counts.sum()} atom slots")
 
     @property
     def n_atoms(self) -> int:
@@ -92,11 +94,6 @@ class AtomicDecomposition:
     @property
     def n_rows(self) -> int:
         return self.slots.shape[0]
-
-    @property
-    def atom_counts(self) -> np.ndarray:
-        """(W,) atoms per row."""
-        return np.count_nonzero(self.slots, axis=1)
 
     def reconstruct_full(self) -> np.ndarray:
         """Dense sum_i lambda_i * a_i per row (no sampling); mostly for verification."""
