@@ -50,16 +50,16 @@ class Dataset:
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if features.ndim != 2 or len(features) != len(self.labels):
             raise ValueError("features must be (n, d_in) with one label per row")
-        self.rows = with_ones_column(features)
-        self.features = self.rows[:, :-1]
-        if len(self.features) < 1:
+        if len(features) < 1:
             raise ValueError("dataset must contain at least one sample")
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
-        if not np.isfinite(self.features).all():
+        if not np.isfinite(features).all():
             raise ValueError("features contain non-finite values")
         if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
             raise ValueError("labels outside [0, n_classes)")
+        self.rows = with_ones_column(features)
+        self.features = self.rows[:, :-1]
 
     @property
     def n(self) -> int:
