@@ -67,10 +67,12 @@ def test_each_layer_is_a_view_of_weights_over_bias(sizes):
     biases = [rng.standard_normal(fan[1]) for fan in fans]
     params = nn.ParameterSet(weights, biases)
     pos = 0
-    for layer, w, b, (fan_in, fan_out) in zip(params.layers, weights, biases, fans):
+    for i, (w, b, (fan_in, fan_out)) in enumerate(zip(weights, biases, fans)):
+        layer = params.layers[i]
         assert layer.shape == (fan_in + 1, fan_out)
         assert np.shares_memory(layer, params.flat)
-        assert layer[:-1].tobytes() == w.tobytes() and layer[-1].tobytes() == b.tobytes()
+        assert layer[:-1].tobytes() == params.weights[i].tobytes() == w.tobytes()
+        assert layer[-1].tobytes() == params.biases[i].tobytes() == b.tobytes()
         # W then b, back to back in the flat vector
         assert layer.tobytes() == params.flat[pos : pos + layer.size].tobytes()
         pos += layer.size
