@@ -200,9 +200,9 @@ def test_loss_equals_the_plain_numpy_composition_bitwise(classes, lead):
 @pytest.mark.parametrize("classes", [1, 4, 10])
 @pytest.mark.parametrize("lead", [(1,), (37,), (8, 64), (3, 1)], ids=lambda lead: "x".join(map(str, lead)))
 def test_softmax_cross_entropy_returns_dlogits_in_the_layout_of_its_logits(classes, lead):
-    # the loss works on a class-major copy and hands the stacked step its
-    # gradient batch-major; the public function gives it back C-ordered in
-    # the logits' shape and leaves the logits as they were
+    # the loss works on a class-major copy of the logits; the gradient comes
+    # back C-ordered in the logits' shape, and the logits are left as they
+    # were
     rng = np.random.default_rng(classes + sum(lead))
     logits = rng.standard_normal((*lead, classes))
     before = logits.copy()
