@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -13,7 +14,7 @@ from fflsim.errors import ConfigError
 from fflsim.federation import Experiment, evaluate, policy_for
 from fflsim.rng import substream
 
-from test_acceptance import _desk_cfg
+from test_acceptance import DESK_GOLDEN_SHA256, DESK_GOLDEN_VARIANTS, _desk_cfg
 
 
 def base_cfg(**overrides):
@@ -584,6 +585,47 @@ def test_a_run_that_loses_every_packet_ends_with_its_own_status(tmp_path, p_fail
     assert written["skipped_rounds"] == skipped
     assert (written["final_train_loss"] is None) == (skipped == 9)
 
+
+
+# SHA-256 of summary.json, pinned beside the metrics.csv goldens of
+# test_acceptance.py so that every summary entry, the status and the clock
+# included, is held to the bytes too.  The nine desk golden variants run for
+# 15 simulated seconds; three more runs end with each other status or
+# evaluate only every third round.
+SUMMARY_SHA256 = {
+    "adacomm_like": "2cd484d8410b0bc3ad110e391a4eb60c30a76c586ac4fec63aab38f9ecb8d3e6",
+    "atomo_like": "c13b8e124f2a030045f035cb6661c9822d344a0c04528f56120c2c0c651d8224",
+    "atomo_like-lowrank": "e40dfbca508e70fe5c71c1fa4150b3b26d5ae85791d9785e777e94af2ff5898e",
+    "ffl": "3abd593d12297d10235e1f7703712dff267655f18b738ec528c90dacdb7bdee6",
+    "ffl-classes10": "dd34a3b52f1f55c4d11628a3b859a2d3d5a8e499262651a884e7cdbf23d2d489",
+    "ffl-lowrank": "7748d81a5b787dd985d5767aa83f6555917b55c71c28397a85e83f6449b1970e",
+    "ffl-p_fail_0.1": "ccf4aa04d00c8187b4df36ed55910cc6d4ff293682d0c49e9dc0a38fcdc8ed6d",
+    "ffl-tanh": "3ce5fc0478927b3f92c2ed5156975ebc8e00efdc4368fa95a737458c1407c630",
+    "ffl-two_hidden": "dd92462d1c9a00a724baf770257591a7e61743d415faa8917ad071b4e1d1e1d7",
+    "ffl-p_fail_1.0": "0d28835fdff95e676072473af8693c6027c1f34fe3e17f03437cefbf5be12f8c",
+    "ffl-zero_loss": "cc9c2e53f03b963e29c53a69175d30608cb02e9d7e6cfbcd28ca86b196288693",
+    "ffl-eval_stride_3": "3f50a5585cd343cf74caa986b0a575d8788bd670b712e3d909c26a1e921abd9b",
+}
+
+
+def summary_golden_cfg(name):
+    if name == "ffl-p_fail_1.0":
+        return _desk_cfg("ffl", 0, p_fail=1.0, budget=5.0)  # all_rounds_lost
+    if name == "ffl-zero_loss":
+        return zero_loss_cfg("ffl", "")
+    if name == "ffl-eval_stride_3":
+        return dataclasses.replace(_desk_cfg("ffl", 0, budget=15.0), eval_stride=3)
+    scheme, _, variant = name.partition("-")
+    return dataclasses.replace(_desk_cfg(scheme, 0, budget=15.0),
+                               **DESK_GOLDEN_VARIANTS.get(variant, {}))
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_SHA256))
+def test_summary_json_golden_sha256(name, tmp_path):
+    # the directory is an argument, so the config echo carries no tmp path
+    federation.run_experiment(summary_golden_cfg(name), output_dir=str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
+    assert digest == SUMMARY_SHA256[name]
 
 def test_a_run_that_loses_only_some_rounds_is_ok():
     records, summary = Experiment(base_cfg(packet_failure_prob=0.5, workers=1)).run()
