@@ -19,6 +19,11 @@ are literally the adaptive engine with parts switched off.  A round whose
 training loss is exactly 0 ends the run: the planner's loss ratio has no
 meaning there.  A run in which every round lost every packet ends with its
 own status, since its model and plan never left their start.
+
+The round records are the run's only history: the round number, the
+simulated clock, the last evaluation, the skipped-round count and the
+status are all read from them, so the table written to metrics.csv and the
+summary cannot disagree, even for a run that diverges mid-round.
 """
 
 from __future__ import annotations
@@ -93,9 +98,8 @@ class RoundRecord:
     uplink_max_s: float
     downlink_s: float
     compute_max_s: float
-    # extra telemetry, not part of the CSV schema
-    expected_atoms: float = 0.0
-    expected_atoms_var: float = 0.0
+    # read by the summary and carried over by rounds that do not evaluate;
+    # not part of the CSV schema
     smoothed_acc: float = 0.0
     test_loss: float = math.nan
 
@@ -164,14 +168,8 @@ class Experiment:
             tau0=cfg.tau0, s0=cfg.s0, tau_ub=cfg.tau_ub, s_ub=cfg.s_ub,
             loss_smoothing=cfg.loss_smoothing,
         )
-        self.sim_time_s = 0.0
         self.records: list[RoundRecord] = []
-        self.round_index = 0
-        self.skipped_rounds = 0
-        self.status = "ok"  # "zero_loss" once a round's training loss is 0
         self._next_plan = self._apply_policy(schedule.RoundPlan(cfg.tau0, cfg.s0))
-        self._last_eval: tuple[float, float] | None = None  # (test loss, test accuracy)
-        self._smoothed_acc: float | None = None
 
     # ---- plan handling ------------------------------------------------- #
 
@@ -185,7 +183,8 @@ class Experiment:
 
     def run_round(self) -> RoundRecord:
         cfg = self.cfg
-        k = self.round_index
+        last = self.records[-1] if self.records else None
+        k = len(self.records)
         plan = self._next_plan
         d = self.params.dim
 
@@ -207,19 +206,16 @@ class Experiment:
             rows = compress.reconstruct(payloads)
             bits = compress.payload_bits(payloads).tolist()
             atoms_sent = payloads.payload_atoms
-            expected_atoms = float(probs.probs.sum())
-            expected_var = float((probs.probs * (1.0 - probs.probs)).sum())
         else:
             rows = g_rows
             bits = [netsim.DENSE_BITS_PER_VALUE * d] * len(workers)
-            atoms_sent, expected_atoms, expected_var = 0, 0.0, 0.0
-        compute_s = [plan.tau_k * self.channel.sec_per_local_step] * len(workers)
+            atoms_sent = 0
+        compute_s = plan.tau_k * self.channel.sec_per_local_step
         uplink_s = [netsim.uplink_time(b, self.channel, j) for b, j in zip(bits, workers)]
         received = netsim.packets_survive(self.channel, cfg.seed, k, workers)
 
         downlink_s = netsim.downlink_time(netsim.DENSE_BITS_PER_VALUE * d, self.channel)
         total_s = netsim.round_time(compute_s, uplink_s, downlink_s)
-        self.sim_time_s += total_s
 
         count = np.count_nonzero(received)
         if count:
@@ -232,96 +228,95 @@ class Experiment:
             if train_loss > 0.0:
                 self._next_plan = self._apply_policy(schedule.plan_next(self.scheduler, train_loss))
             else:
-                self.status = "zero_loss"
                 log.info("round %d: training loss is 0, the run stops", k)
         else:
-            self.skipped_rounds += 1
             train_loss = math.nan
             log.warning("round %d: no payload survived, model update skipped", k)
 
-        if k % cfg.eval_stride == 0 or self._last_eval is None:
-            self._last_eval = evaluate(self.params, self.test_set)
-            acc = self._last_eval[1]
-            if self._smoothed_acc is None:
-                self._smoothed_acc = acc
-            else:
-                c = cfg.loss_smoothing
-                self._smoothed_acc = c * self._smoothed_acc + (1.0 - c) * acc
+        # round 0 always evaluates, so a round that does not has a last record
+        if k % cfg.eval_stride == 0:
+            test_loss, test_acc = evaluate(self.params, self.test_set)
+            c = cfg.loss_smoothing
+            smoothed_acc = test_acc if last is None else c * last.smoothed_acc + (1.0 - c) * test_acc
+        else:
+            test_loss, test_acc, smoothed_acc = last.test_loss, last.test_acc, last.smoothed_acc
 
         record = RoundRecord(
             round=k,
-            sim_time_s=self.sim_time_s,
+            sim_time_s=(0.0 if last is None else last.sim_time_s) + total_s,
             tau_k=plan.tau_k,
             s_k=plan.s_k,
             train_loss=train_loss,
             smoothed_loss=self.scheduler.smoothed if self.scheduler.smoothed is not None else math.nan,
-            test_acc=self._last_eval[1],
+            test_acc=test_acc,
             received_workers=count,
             atoms_sent_total=atoms_sent,
             round_time_s=total_s,
             uplink_max_s=max(uplink_s),
             downlink_s=downlink_s,
-            compute_max_s=max(compute_s),
-            expected_atoms=expected_atoms,
-            expected_atoms_var=expected_var,
-            smoothed_acc=self._smoothed_acc,
-            test_loss=self._last_eval[0],
+            compute_max_s=compute_s,
+            smoothed_acc=smoothed_acc,
+            test_loss=test_loss,
         )
         self.records.append(record)
-        self.round_index += 1
         return record
 
     def run(self) -> tuple[list[RoundRecord], dict]:
         cfg = self.cfg
         while True:
-            self.run_round()
-            if self.status == "zero_loss":
+            record = self.run_round()
+            if record.train_loss == 0.0:
                 break
-            if cfg.stop == "rounds" and self.round_index >= cfg.round_cap:
+            if cfg.stop == "rounds" and len(self.records) >= cfg.round_cap:
                 break
-            if cfg.stop == "time" and self.sim_time_s >= cfg.T_budget_s:
+            if cfg.stop == "time" and record.sim_time_s >= cfg.T_budget_s:
                 break
-            if self.round_index >= cfg.round_cap:
+            if len(self.records) >= cfg.round_cap:
                 log.warning("round cap %d reached before the time budget", cfg.round_cap)
                 break
-        if self.skipped_rounds == len(self.records):
-            self.status = "all_rounds_lost"
         return self.records, self.summary()
 
     def summary(self) -> dict:
-        """The run so far; the `final_*` and `best_acc` entries are NaN
-        (null in summary.json) when no round has completed."""
-        cfg = self.cfg
-        time_to_target: float | str = "inf"
-        for record in self.records:
-            if record.smoothed_acc >= cfg.target_accuracy:
-                time_to_target = record.sim_time_s
-                break
-        last = self.records[-1] if self.records else None
+        """The run so far, read from the config and the round records alone;
+        the `final_*` and `best_acc` entries are NaN (null in summary.json)
+        when no round has completed."""
+        cfg, records = self.cfg, self.records
+        last = records[-1] if records else None
+        # counted in Python ints: json.dump rejects a numpy integer
+        skipped = sum(1 for r in records if r.received_workers == 0)
+        if last is not None and last.train_loss == 0.0:
+            status = "zero_loss"
+        elif last is not None and skipped == len(records):
+            status = "all_rounds_lost"
+        else:
+            status = "ok"
+        time_to_target = next(
+            (r.sim_time_s for r in records if r.smoothed_acc >= cfg.target_accuracy), "inf"
+        )
 
         def final(field: str) -> float:
             return math.nan if last is None else getattr(last, field)
 
         return {
-            "status": self.status,
+            "status": status,
             "scheme": cfg.scheme,
             "config": cfg.to_dict(),
-            "rounds": len(self.records),
+            "rounds": len(records),
             "final_acc": final("test_acc"),
-            "best_acc": max((r.test_acc for r in self.records), default=math.nan),
+            "best_acc": max((r.test_acc for r in records), default=math.nan),
             "final_smoothed_acc": final("smoothed_acc"),
             "final_train_loss": final("train_loss"),
             "final_smoothed_loss": final("smoothed_loss"),
             "final_test_loss": final("test_loss"),
             "target_accuracy": cfg.target_accuracy,
             "time_to_target_s": time_to_target,
-            "total_sim_time_s": self.sim_time_s,
+            "total_sim_time_s": 0.0 if last is None else last.sim_time_s,
             # per-round metrics.csv columns summed over rounds
-            "total_compute_s": sum(r.compute_max_s for r in self.records),
-            "total_uplink_s": sum(r.uplink_max_s for r in self.records),
-            "total_downlink_s": sum(r.downlink_s for r in self.records),
-            "total_atoms_sent": sum(r.atoms_sent_total for r in self.records),
-            "skipped_rounds": self.skipped_rounds,
+            "total_compute_s": sum(r.compute_max_s for r in records),
+            "total_uplink_s": sum(r.uplink_max_s for r in records),
+            "total_downlink_s": sum(r.downlink_s for r in records),
+            "total_atoms_sent": sum(r.atoms_sent_total for r in records),
+            "skipped_rounds": skipped,
         }
 
 

@@ -5,9 +5,10 @@ ratio, unless a direct bit-rate override is configured; both accept
 per-worker lists.  An upload costs its size in bits over the worker's
 rate: compress.payload_bits for a compressed payload, DENSE_BITS_PER_VALUE
 per value for a dense vector.  The downlink is charged the same way, its
-bits over its rate; the server broadcasts the dense model.  A round costs
-the slowest worker's compute + uplink time plus one shared downlink, and
-uplink payloads lose their packet independently with a fixed probability;
+bits over its rate; the server broadcasts the dense model.  Every worker
+runs the round's tau local steps at the same speed, so a round costs that
+one compute time, the slowest uplink and one shared downlink; uplink
+payloads lose their packet independently with a fixed probability;
 survival is drawn only when that probability is strictly between 0 and 1.
 """
 
@@ -86,11 +87,13 @@ def downlink_time(bits: int, cfg: ChannelConfig) -> float:
     return bits / cfg.downlink_rate_bps
 
 
-def round_time(compute_s: list[float], uplink_s: list[float], downlink_s: float) -> float:
-    """Straggler round time: max_j (compute_j + uplink_j) plus the downlink."""
-    if len(compute_s) != len(uplink_s) or not compute_s:
-        raise ValueError("compute_s and uplink_s must be equal-length, non-empty lists")
-    total = max(y + u for y, u in zip(compute_s, uplink_s)) + downlink_s
+def round_time(compute_s: float, uplink_s: list[float], downlink_s: float) -> float:
+    """Straggler round time: the workers' shared compute time plus the
+    slowest uplink, plus the downlink.  Rounding is monotone, so this is
+    max_j (compute_s + uplink_s[j]) + downlink_s to the bit."""
+    if not uplink_s:
+        raise ValueError("uplink_s must be a non-empty list")
+    total = compute_s + max(uplink_s) + downlink_s
     if not total > 0:
         raise ValueError(f"round time must be > 0 s, got {total}")
     return total

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,23 +153,41 @@ def test_pins_are_cast_so_an_integer_budget_prints_as_a_float(tmp_path):
 
 # ---- payload accounting ---- #
 
-def test_transmitted_atoms_track_expected_count():
+def spy_on_probabilities(monkeypatch):
+    """Record, for each compress.probabilities call (one a round, for all
+    workers), the expected atom count sum(p) and its variance sum(p (1 - p))."""
+    sums = []
+    real = compress.probabilities
+
+    def probabilities(*args, **kwargs):
+        probs = real(*args, **kwargs)
+        p = probs.probs
+        sums.append((float(p.sum()), float((p * (1.0 - p)).sum())))
+        return probs
+
+    monkeypatch.setattr(compress, "probabilities", probabilities)
+    return sums
+
+
+def test_transmitted_atoms_track_expected_count(monkeypatch):
     cfg = base_cfg(scheme="fixed", tau0=1, s0=5.0, workers=4, round_cap=40)
+    sums = spy_on_probabilities(monkeypatch)
     exp = Experiment(cfg)
     for _ in range(40):
         exp.run_round()
+    assert len(sums) == 40
     observed = sum(r.atoms_sent_total for r in exp.records)
-    expected = sum(r.expected_atoms for r in exp.records)
-    var = sum(r.expected_atoms_var for r in exp.records)
+    expected = sum(mean for mean, _ in sums)
+    var = sum(v for _, v in sums)
     assert abs(observed - expected) <= 3.0 * math.sqrt(var) + 1e-9
 
 
-def test_expected_atoms_close_to_budget_times_workers():
+def test_expected_atoms_close_to_budget_times_workers(monkeypatch):
     cfg = base_cfg(scheme="fixed", tau0=1, s0=5.0, workers=3)
-    exp = Experiment(cfg)
-    record = exp.run_round()
+    sums = spy_on_probabilities(monkeypatch)
+    Experiment(cfg).run_round()
     # sum of probabilities per worker is min(s, B); here B >> s
-    assert record.expected_atoms == pytest.approx(3 * 5.0, rel=1e-9)
+    assert sums[0][0] == pytest.approx(3 * 5.0, rel=1e-9)
 
 
 # ---- training sanity ---- #
@@ -443,6 +463,12 @@ def test_metrics_csv_schema(tmp_path):
     assert lines[1].split(",")[0] == "0"
 
 
+def test_readme_lists_the_metrics_csv_columns():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### metrics.csv columns", 1)[1].split("`")[1]
+    assert tuple(column.strip() for column in block.split(",")) == federation.CSV_COLUMNS
+
+
 def test_run_experiment_writes_artifacts(tmp_path):
     cfg = base_cfg(round_cap=3, output_dir=str(tmp_path / "out"))
     records, summary = federation.run_experiment(cfg)
@@ -492,19 +518,19 @@ def test_summary_json_is_strict_when_the_last_round_is_lost(tmp_path):
     assert loaded["rounds"] == 4
 
 
-def diverge_on_round(monkeypatch, bad_round):
-    """Make nn.local_update_run raise as the local SGD checks do, from round
-    `bad_round` on."""
+def diverge_on_round(monkeypatch, bad_round, module=nn, name="local_update_run"):
+    """Make `module.name`, called once a round, raise as the non-finite
+    checks do, from round `bad_round` on."""
     calls = []
-    real = nn.local_update_run
+    real = getattr(module, name)
 
-    def local_update_run(*args, **kwargs):
+    def diverging(*args, **kwargs):
         calls.append(len(calls))
         if len(calls) > bad_round:
             raise FloatingPointError("non-finite values in gradient")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(nn, "local_update_run", local_update_run)
+    monkeypatch.setattr(module, name, diverging)
 
 
 def load_strict(path):
@@ -544,6 +570,34 @@ def test_a_run_that_diverges_in_its_first_round_writes_an_empty_table(tmp_path, 
     assert summary["status"] == "diverged" and summary["rounds"] == 0
     assert summary["final_acc"] is None and summary["best_acc"] is None
     assert summary["total_sim_time_s"] == 0.0 and summary["time_to_target_s"] == "inf"
+
+
+@pytest.mark.parametrize("scheme,stage", [("fixed", "local_update_run"), ("vanilla", "evaluate")])
+def test_a_run_that_diverges_in_its_first_round_reports_no_simulated_time(tmp_path, scheme, stage):
+    # a worker's first local step at eta 1e200 leaves weights near 1e200: with
+    # tau 3 its next step overflows the logits inside local SGD; with tau 1
+    # the server's step does the same, and the evaluation after it overflows
+    cfg = base_cfg(scheme=scheme, tau0=3, eta=1e200, server_momentum=0.0,
+                   output_dir=str(tmp_path))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError) as raised:
+        federation.run_experiment(cfg)
+    assert stage in [frame.name for frame in traceback.extract_tb(raised.tb)]
+    assert (tmp_path / "metrics.csv").read_text().splitlines() == [",".join(federation.CSV_COLUMNS)]
+    summary = load_strict(tmp_path / "summary.json")
+    assert summary["rounds"] == 0 and summary["total_sim_time_s"] == 0.0
+
+
+def test_a_run_that_diverges_in_evaluate_reports_the_clock_of_its_last_row(tmp_path, monkeypatch):
+    # round 3 raises in its evaluation, after its model step and its round time
+    diverge_on_round(monkeypatch, 3, federation, "evaluate")
+    cfg = base_cfg(scheme="ffl", eval_stride=1, output_dir=str(tmp_path))
+    with pytest.raises(FloatingPointError):
+        federation.run_experiment(cfg)
+    with open(tmp_path / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["round"] for row in rows] == ["0", "1", "2"]
+    summary = load_strict(tmp_path / "summary.json")
+    assert summary["total_sim_time_s"] == float(rows[-1]["sim_time_s"])
 
 
 def zero_loss_cfg(scheme, output_dir):
@@ -651,6 +705,31 @@ def test_summary_final_test_loss_is_the_last_evaluation(scheme):
     loss, acc = evaluate(experiment.params, experiment.test_set)
     assert summary["final_test_loss"] == loss
     assert summary["final_acc"] == acc
+
+
+def test_rounds_between_evaluations_carry_the_last_one_over(monkeypatch):
+    cfg = base_cfg(scheme="ffl", tau0=10, eta=0.05, round_cap=11, eval_stride=3,
+                   loss_smoothing=0.3)
+    evaluations = []
+    real = federation.evaluate
+
+    def evaluate(*args, **kwargs):
+        evaluations.append(real(*args, **kwargs))
+        return evaluations[-1]
+
+    monkeypatch.setattr(federation, "evaluate", evaluate)
+    records, summary = Experiment(cfg).run()
+    assert len(evaluations) == 4  # rounds 0, 3, 6 and 9
+    assert len({acc for _, acc in evaluations}) > 1
+    smoothed = None
+    for record in records:
+        if record.round % 3 == 0:
+            loss, acc = evaluations[record.round // 3]
+            # the EMA of the evaluated accuracies only
+            smoothed = acc if smoothed is None else 0.3 * smoothed + 0.7 * acc
+        assert (record.test_loss, record.test_acc, record.smoothed_acc) == (loss, acc, smoothed)
+    assert records[-1].round == 10
+    assert summary["final_test_loss"] == evaluations[-1][0]
 
 
 def test_timing_fields_consistent():
