@@ -332,22 +332,18 @@ def reconstruct_rows(
     decomp: AtomicDecomposition,
     probs: SelectionProbabilities,
     masks: np.ndarray,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Dense estimator rows for an (n, B) keep mask over decomp's B atoms.
+    """Dense estimator rows, an (n * W, d) array, for an (n, B) keep mask
+    over decomp's B atoms.
 
     For a one-row decomposition row t equals reconstruct(select(decomp,
     probs, masks[t])) bit for bit; for W rows, row t * W + w is mask t
-    applied to row w.  The rows are written into `out`, an (n * W, d)
-    array, when it is given, and into a new array otherwise.
+    applied to row w.
     """
     keep = np.asarray(masks, dtype=bool)
     if keep.ndim != 2 or keep.shape[1] != decomp.n_atoms:
         raise ValueError(f"expected an (n, {decomp.n_atoms}) keep mask, got shape {keep.shape}")
-    if out is None:
-        out = np.zeros((keep.shape[0] * decomp.n_rows, decomp.dim))
-    else:
-        out.fill(0.0)
+    out = np.zeros((keep.shape[0] * decomp.n_rows, decomp.dim))
     # an atom with p = 0 is never kept, so its slot is left at 0 rather
     # than divided by zero (a subnormal coefficient can get p = 0)
     p = probs.probs

@@ -131,10 +131,6 @@ class ParameterSet:
     def dim(self) -> int:
         return self.flat.shape[-1]
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
     def copy(self) -> "ParameterSet":
         return self.from_flat(self.flat.copy())
 

@@ -413,9 +413,6 @@ def test_reconstruct_rows_equals_one_row_at_a_time_bitwise(case):
     assert rows.shape == (len(masks), decomp.dim)
     # tobytes: bit for bit, signed zeros included
     assert rows.tobytes() == one_at_a_time.tobytes() == before_batching.tobytes()
-    dirty = np.full_like(rows, np.nan)
-    assert compress.reconstruct_rows(decomp, probs, masks, out=dirty) is dirty
-    assert dirty.tobytes() == rows.tobytes()
 
 
 def test_reconstruct_rows_rejects_a_mask_of_the_wrong_width():
