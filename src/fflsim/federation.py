@@ -20,10 +20,10 @@ training loss is exactly 0 ends the run: the planner's loss ratio has no
 meaning there.  A run in which every round lost every packet ends with its
 own status, since its model and plan never left their start.
 
-The round records are the run's only history: the round number, the
-simulated clock, the last evaluation, the skipped-round count and the
-status are all read from them, so the table written to metrics.csv and the
-summary cannot disagree, even for a run that diverges mid-round.
+The round records are the run's only history: the round number, the clock,
+the last evaluation, the skipped-round count and the status are read from
+them, so summary.json cannot disagree with metrics.csv, even after a run
+diverges mid-round.
 """
 
 from __future__ import annotations
@@ -237,7 +237,9 @@ class Experiment:
         if k % cfg.eval_stride == 0:
             test_loss, test_acc = evaluate(self.params, self.test_set)
             c = cfg.loss_smoothing
-            smoothed_acc = test_acc if last is None else c * last.smoothed_acc + (1.0 - c) * test_acc
+            smoothed_acc = (
+                test_acc if last is None else c * last.smoothed_acc + (1.0 - c) * test_acc
+            )
         else:
             test_loss, test_acc, smoothed_acc = last.test_loss, last.test_acc, last.smoothed_acc
 

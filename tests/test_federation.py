@@ -16,7 +16,7 @@ from fflsim.errors import ConfigError
 from fflsim.federation import Experiment, evaluate, policy_for
 from fflsim.rng import substream
 
-from test_acceptance import DESK_GOLDEN_SHA256, DESK_GOLDEN_VARIANTS, _desk_cfg
+from test_acceptance import DESK_GOLDEN_VARIANTS, _desk_cfg
 
 
 def base_cfg(**overrides):
@@ -640,7 +640,6 @@ def test_a_run_that_loses_every_packet_ends_with_its_own_status(tmp_path, p_fail
     assert (written["final_train_loss"] is None) == (skipped == 9)
 
 
-
 # SHA-256 of summary.json, pinned beside the metrics.csv goldens of
 # test_acceptance.py so that every summary entry, the status and the clock
 # included, is held to the bytes too.  The nine desk golden variants run for
@@ -680,6 +679,7 @@ def test_summary_json_golden_sha256(name, tmp_path):
     federation.run_experiment(summary_golden_cfg(name), output_dir=str(tmp_path))
     digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
     assert digest == SUMMARY_SHA256[name]
+
 
 def test_a_run_that_loses_only_some_rounds_is_ok():
     records, summary = Experiment(base_cfg(packet_failure_prob=0.5, workers=1)).run()
