@@ -681,6 +681,36 @@ def test_summary_json_golden_sha256(name, tmp_path):
     assert digest == SUMMARY_SHA256[name]
 
 
+# The outcome of the two lowrank desk goldens without the columns that carry
+# the last bits of the losses: the SHA-256 of metrics.csv cut to its exact
+# columns, and the final losses to 1e-12.  A change that only rounds the
+# rank-1 sums differently moves the goldens of test_acceptance.py but not
+# these pins.
+LOWRANK_OUTCOME = {
+    "ffl": ("aa11b49b973dfe98154bb506c87dac68b8e410f92f2d1cb228b0bc2af339c408",
+            0.13185676181077183, 0.17814823331360566),
+    "atomo_like": ("f18ece780195d44be02d247be85314edcb07b4f9e1786ee6ee541563332cb5b9",
+                   0.6057441000828556, 0.6053939336911012),
+}
+ROUNDED_COLUMNS = ("train_loss", "smoothed_loss", "s_k")
+
+
+@pytest.mark.parametrize("scheme", sorted(LOWRANK_OUTCOME))
+def test_lowrank_desk_outcome_is_pinned_apart_from_rounding(scheme, tmp_path):
+    cfg = dataclasses.replace(_desk_cfg(scheme, 0), basis="lowrank")
+    records, summary = Experiment(cfg).run()
+    path = tmp_path / "metrics.csv"
+    federation.write_metrics_csv(records, str(path))
+    table = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    keep = [i for i, column in enumerate(table[0]) if column not in ROUNDED_COLUMNS]
+    exact = "".join(",".join(row[i] for i in keep) + "\n" for row in table)
+    digest, train_loss, test_loss = LOWRANK_OUTCOME[scheme]
+    assert len(keep) == len(federation.CSV_COLUMNS) - len(ROUNDED_COLUMNS)
+    assert hashlib.sha256(exact.encode()).hexdigest() == digest
+    assert summary["final_train_loss"] == pytest.approx(train_loss, rel=1e-12, abs=0.0)
+    assert summary["final_test_loss"] == pytest.approx(test_loss, rel=1e-12, abs=0.0)
+
+
 def test_a_run_that_loses_only_some_rounds_is_ok():
     records, summary = Experiment(base_cfg(packet_failure_prob=0.5, workers=1)).run()
     assert 0 < summary["skipped_rounds"] < len(records)
