@@ -18,11 +18,12 @@ the W = 1 case of the same code.  A decomposition holds each row's atoms in
 fixed slots: the flat positions for elementwise atoms, and for rank-1 atoms
 the leading singular triplets of each layer block, taken from one stacked
 LAPACK SVD per block.  A round decomposes all M workers' updates, draws
-their keep masks and reconstructs them into one (M, d) buffer with one
-vectorised pass per atom slot.  The budget clip also runs each of its rounds
-for all rows at once; only each row's l1 sum in a clip round and each row's
-random draw go row by row.  The Monte Carlo checks reconstruct many keep
-masks of one decomposition with the same code.
+their keep masks and reconstructs them into one (M, d) buffer: one scatter
+for elementwise atoms, one batched matmul per layer block for rank-1 atoms.
+The budget clip also runs each of its rounds for all rows at once; only each
+row's l1 sum in a clip round and each row's random draw go row by row.  The
+Monte Carlo checks reconstruct many keep masks of one decomposition with the
+same code.
 
 A payload has one form: its decomposition and a keep mask over the atoms.
 payload_bits and serialize read the kept slots, and serialize the rank-1
@@ -146,34 +147,25 @@ def _scatter(out, decomp: AtomicDecomposition, scaled, keep) -> None:
 
     Elementwise atoms sit at distinct positions of a row, so one scatter
     writes every row.  Rank-1 atoms overlap within their layer block, so each
-    row adds its kept atoms one slot at a time in slot order, the order a
-    single payload has always used: slot i of a block adds
-    np.where(kept, c_i * (u_a v_b), 0.0) to every row at once, the same
-    products as np.outer(u, v) scaled by c_i.  Adding +0.0 leaves a row
-    unchanged, since a row that starts at +0.0 and only adds never holds
-    -0.0.
+    block adds (u * c) @ vt to every row at once, where c holds each slot's
+    scaled coefficient if the atom is kept and 0.0 if not: BLAS sums a
+    block's kept atoms inside one matmul and never forms them one by one.
     """
     n = keep.shape[0]
     rows = out.reshape(n, decomp.n_rows, decomp.dim)
+    kept = np.where(keep, scaled, 0.0)
     if decomp.blocks is None:
-        rows[:, decomp.slots] = np.where(keep, scaled, 0.0)
+        rows[:, decomp.slots] = kept
         return
-    coeff = np.zeros(decomp.slots.shape)
-    coeff[decomp.slots] = scaled
-    kept = np.zeros((n, *decomp.slots.shape), dtype=bool)
-    kept[:, decomp.slots] = keep
+    coeff = np.zeros((n, *decomp.slots.shape))
+    coeff[:, decomp.slots] = kept
     for block in decomp.blocks:
         _, m, r = block.u.shape
         cols = block.vt.shape[-1]
         view = rows[..., block.offset : block.offset + m * cols].reshape(
             n, decomp.n_rows, m, cols)
-        for i in range(r):
-            slot = block.start + i
-            hit = kept[:, :, slot]
-            if hit.any():
-                outer = block.u[:, :, i, None] * block.vt[:, i, None, :]
-                atom = coeff[:, slot, None, None] * outer
-                view += np.where(hit[..., None, None], atom, 0.0)
+        # added, not written: a row that starts at +0.0 never holds -0.0
+        view += (block.u * coeff[:, :, None, block.start : block.start + r]) @ block.vt
 
 
 def _elementwise(rows: np.ndarray, lead: tuple[int, ...]) -> AtomicDecomposition:

@@ -363,8 +363,8 @@ DESK_GOLDEN_SHA256 = {
     "ffl": "32dbb7b2ea2b2f8911e8f8dfbb4d4af6ef5a35ceaed9035202157f7caa5ee6a6",
     "atomo_like": "d5c76d5d01814b6cbb16cd36a4cc84b7264cdcec079351f588bc3a183137dcb4",
     "adacomm_like": "4797475fe2c8c84def0056e1272e875cae8fe5af76d1c875af6264b350155c17",
-    "ffl-lowrank": "e557342e67580813aa23f87850ab3b9a77ba8df1d9f40c032d446bf56d0095fa",
-    "atomo_like-lowrank": "f714e759fa08b81381ebbb31e443d9c4a40d81066d135fc03fd40c407aed34bd",
+    "ffl-lowrank": "55411a1712d1ee27f78b659a30ba044dd1d0bfddf4cc48c737a4160baa82f9e7",
+    "atomo_like-lowrank": "1bdf987230c0e49780dcac7843c546e9e608a988cbf0ad9c79acfcc5becccc0a",
     "ffl-p_fail_0.1": "b6772940ad58869fe2120540b0ebb041b7186ccc20618ee353cf687c2119429b",
     "ffl-tanh": "18b1f7c4f33e13ee8db11b185c8bffced5a844977356e63ad111ace3c4b1935a",
     "ffl-two_hidden": "ddf0d04b5e48330485cbb7c9787e04847a0f680dfd59405288db2ed73845305d",

@@ -357,21 +357,40 @@ def test_expected_payload_matches_sum_of_probs():
 def _one_row_reference(cg):
     """A one-row payload's dense vector, scattered the way a single payload
     was before reconstruction was batched: elementwise coefficients added at
-    their positions, rank-1 blocks added one atom at a time."""
+    their positions, rank-1 blocks added one atom at a time.
+
+    Also returns each entry's rounding bound for the rank-1 sums taken in
+    another order: 4 * r * eps * sum_i |c_i * u_a * v_b| over the kept atoms
+    of an r-slot block, and 0 for elementwise entries."""
     source = cg.source
     kept = np.zeros(source.slots.shape, dtype=bool)
     kept[source.slots] = cg.kept
     out = np.zeros(source.dim)
+    bound = np.zeros(source.dim)
     if source.blocks is None:
         out[np.flatnonzero(kept[0])] += cg.coeffs
-        return out
+        return out, bound
     coeffs = iter(cg.coeffs)
     for block in source.blocks:
-        for i in range(block.u.shape[2]):
+        r = block.u.shape[2]
+        for i in range(r):
             if kept[0, block.start + i]:
                 atom = next(coeffs) * np.outer(block.u[0, :, i], block.vt[0, i])
-                out[block.offset : block.offset + atom.size] += atom.ravel()
-    return out
+                at = slice(block.offset, block.offset + atom.size)
+                out[at] += atom.ravel()
+                bound[at] += 4 * r * np.finfo(np.float64).eps * np.abs(atom).ravel()
+    return out, bound
+
+
+def assert_matches_the_one_row_reference(row, cg):
+    """Elementwise payloads bit for bit, signed zeros included; rank-1
+    payloads within the reference's rounding bound, since a block's kept
+    atoms are summed in one matmul rather than one at a time."""
+    reference, bound = _one_row_reference(cg)
+    if cg.source.blocks is None:
+        assert row.tobytes() == reference.tobytes()
+    else:
+        assert (np.abs(row - reference) <= bound).all()
 
 
 @st.composite
@@ -409,10 +428,11 @@ def test_reconstruct_rows_equals_one_row_at_a_time_bitwise(case):
     rows = compress.reconstruct_rows(decomp, probs, masks)
     payloads = [compress.select(decomp, probs, mask) for mask in masks]
     one_at_a_time = np.array([compress.reconstruct(cg) for cg in payloads])
-    before_batching = np.array([_one_row_reference(cg) for cg in payloads])
     assert rows.shape == (len(masks), decomp.dim)
     # tobytes: bit for bit, signed zeros included
-    assert rows.tobytes() == one_at_a_time.tobytes() == before_batching.tobytes()
+    assert rows.tobytes() == one_at_a_time.tobytes()
+    for row, cg in zip(rows, payloads):
+        assert_matches_the_one_row_reference(row, cg)
 
 
 def test_reconstruct_rows_rejects_a_mask_of_the_wrong_width():
@@ -497,7 +517,7 @@ def test_one_stage_for_all_rows_equals_one_payload_per_row_bitwise(case):
         # tobytes: bit for bit, signed zeros included; also against the
         # scatter a single payload used before batching
         assert rows[j].tobytes() == compress.reconstruct(payload).tobytes()
-        assert rows[j].tobytes() == _one_row_reference(payload).tobytes()
+        assert_matches_the_one_row_reference(rows[j], payload)
         blobs.append(compress.serialize(payload))
         assert bits[j] == compress.payload_bits(payload) == 8 * len(blobs[-1])
     # the stack's wire form is every row's after the previous row's

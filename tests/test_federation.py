@@ -651,7 +651,7 @@ SUMMARY_SHA256 = {
     "atomo_like-lowrank": "e40dfbca508e70fe5c71c1fa4150b3b26d5ae85791d9785e777e94af2ff5898e",
     "ffl": "3abd593d12297d10235e1f7703712dff267655f18b738ec528c90dacdb7bdee6",
     "ffl-classes10": "dd34a3b52f1f55c4d11628a3b859a2d3d5a8e499262651a884e7cdbf23d2d489",
-    "ffl-lowrank": "7748d81a5b787dd985d5767aa83f6555917b55c71c28397a85e83f6449b1970e",
+    "ffl-lowrank": "7a5aadc8cccf18f915f7286b8613fe91e05898b6414807d8d2081706407e6106",
     "ffl-p_fail_0.1": "ccf4aa04d00c8187b4df36ed55910cc6d4ff293682d0c49e9dc0a38fcdc8ed6d",
     "ffl-tanh": "3ce5fc0478927b3f92c2ed5156975ebc8e00efdc4368fa95a737458c1407c630",
     "ffl-two_hidden": "dd92462d1c9a00a724baf770257591a7e61743d415faa8917ad071b4e1d1e1d7",
