@@ -112,7 +112,7 @@ def evaluate(params: nn.ParameterSet, test_set: Dataset, chunk: int = 512) -> tu
         stop = min(start + chunk, test_set.n)
         labels = test_set.labels[start:stop]
         logits = nn.forward_rows(params, test_set.rows[start:stop])
-        loss, _ = nn.softmax_cross_entropy(logits, labels)
+        loss = nn.cross_entropy(logits, labels)
         total_loss += loss * (stop - start)
         correct += int((logits.argmax(axis=1) == labels).sum())
     return total_loss / test_set.n, correct / test_set.n

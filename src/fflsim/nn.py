@@ -51,7 +51,8 @@ class-major copy, which local_update_run builds once per round for all tau
 steps, and the batch mean is np.add.reduce over the batch size, which is
 what ndarray.mean computes.  The gradient goes back in the logits' layout,
 (M, batch, classes), one C-ordered matrix per worker for both output-layer
-matmuls.
+matmuls.  cross_entropy, which evaluation uses, runs the same log-softmax
+and label pick and stops before the gradient.
 """
 
 from __future__ import annotations
@@ -256,11 +257,15 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     return _cross_entropy(logits, _label_index(np.asarray(labels)[None])[0])
 
 
-def _cross_entropy(logits: np.ndarray, label_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """softmax_cross_entropy with each label given as its flat position in
-    the class-major logits (see _label_index); label_index has the labels'
-    shape."""
-    batch = label_index.shape[-1]
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The loss of softmax_cross_entropy, bit for bit, without its gradient."""
+    label_index = _label_index(np.asarray(labels)[None])[0]
+    return _mean_nll(_log_softmax(logits)[0], label_index)
+
+
+def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The class-major log-probabilities (classes, batch, ...reversed) of
+    (..., batch, classes) logits, and a spare buffer of their shape."""
     z = logits.T.copy()  # class-major: every class pass runs over whole rows
     z -= np.maximum.reduce(z, axis=0)
     e = np.exp(z)
@@ -269,10 +274,23 @@ def _cross_entropy(logits: np.ndarray, label_index: np.ndarray) -> tuple[np.ndar
     else:  # and 8 or more in pairwise lanes, which need the classes last
         total = np.add.reduce(np.ascontiguousarray(e.T), axis=-1).T
     z -= np.log(total)
-    loss = -(np.add.reduce(z.reshape(-1)[label_index], axis=-1) / batch)
+    return z, e
+
+
+def _mean_nll(z: np.ndarray, label_index: np.ndarray) -> np.ndarray:
+    """Mean negative log-probability of the labels over each batch."""
+    return -(np.add.reduce(z.reshape(-1)[label_index], axis=-1) / label_index.shape[-1])
+
+
+def _cross_entropy(logits: np.ndarray, label_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softmax_cross_entropy with each label given as its flat position in
+    the class-major logits (see _label_index); label_index has the labels'
+    shape."""
+    z, e = _log_softmax(logits)
+    loss = _mean_nll(z, label_index)
     np.exp(z, out=e)
     e.reshape(-1)[label_index] -= 1.0
-    e /= batch
+    e /= label_index.shape[-1]
     return loss, np.ascontiguousarray(e.T)
 
 
