@@ -259,13 +259,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The loss of softmax_cross_entropy, bit for bit, without its gradient."""
-    label_index = _label_index(np.asarray(labels)[None])[0]
-    return _mean_nll(_log_softmax(logits)[0], label_index)
+    return _log_softmax_loss(logits, _label_index(np.asarray(labels)[None])[0])[0]
 
 
-def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The class-major log-probabilities (classes, batch, ...reversed) of
-    (..., batch, classes) logits, and a spare buffer of their shape."""
+def _log_softmax_loss(
+    logits: np.ndarray, label_index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loss of _cross_entropy, the class-major log-probabilities
+    (classes, batch, ...reversed) and a spare buffer of their shape."""
     z = logits.T.copy()  # class-major: every class pass runs over whole rows
     z -= np.maximum.reduce(z, axis=0)
     e = np.exp(z)
@@ -274,20 +275,15 @@ def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:  # and 8 or more in pairwise lanes, which need the classes last
         total = np.add.reduce(np.ascontiguousarray(e.T), axis=-1).T
     z -= np.log(total)
-    return z, e
-
-
-def _mean_nll(z: np.ndarray, label_index: np.ndarray) -> np.ndarray:
-    """Mean negative log-probability of the labels over each batch."""
-    return -(np.add.reduce(z.reshape(-1)[label_index], axis=-1) / label_index.shape[-1])
+    loss = -(np.add.reduce(z.reshape(-1)[label_index], axis=-1) / label_index.shape[-1])
+    return loss, z, e
 
 
 def _cross_entropy(logits: np.ndarray, label_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """softmax_cross_entropy with each label given as its flat position in
     the class-major logits (see _label_index); label_index has the labels'
     shape."""
-    z, e = _log_softmax(logits)
-    loss = _mean_nll(z, label_index)
+    loss, z, e = _log_softmax_loss(logits, label_index)
     np.exp(z, out=e)
     e.reshape(-1)[label_index] -= 1.0
     e /= label_index.shape[-1]
