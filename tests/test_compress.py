@@ -515,7 +515,8 @@ def test_one_stage_for_all_rows_equals_one_payload_per_row_bitwise(case):
         probs = compress.probabilities(one, s)
         payload = compress.select(one, probs, rng.random(one.n_atoms) < probs.probs)
         # tobytes: bit for bit, signed zeros included; also against the
-        # scatter a single payload used before batching
+        # scatter a single payload used before batching (within rounding
+        # for rank-1 atoms)
         assert rows[j].tobytes() == compress.reconstruct(payload).tobytes()
         assert_matches_the_one_row_reference(rows[j], payload)
         blobs.append(compress.serialize(payload))
