@@ -1,21 +1,24 @@
 """Experiment configuration: one flat JSON object, fully validated.
 
-Unknown keys are rejected and every validation error names the offending
-key, so a bad config fails fast with an actionable message.  The effective
-config (defaults filled in) is echoed into summary.json; loading that echo
-reproduces the run exactly.
+ExperimentConfig is the one place a setting is declared, defaulted and
+validated; netsim and data read their settings from it.  Unknown keys are
+rejected, every value is checked against its field's annotation and then its
+range, and every validation error names the offending key, so a bad config
+fails fast with an actionable message.  The effective config (defaults filled
+in) is echoed into summary.json; loading that echo reproduces the run exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 
 from .compress import BASIS_KINDS
 from .data import PARTITION_MODES
 from .errors import ConfigError
-from .netsim import ChannelConfig
 from .nn import ACTIVATIONS
 
 SCHEMES = ("ffl", "adacomm_like", "atomo_like", "fixed", "vanilla")
@@ -90,7 +93,11 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
+        for name, (annotation, fits) in _FIELD_CHECKS.items():
+            value = getattr(self, name)
+            if not fits(value):
+                raise ConfigError(f"{name} must be of type {annotation}, got {value!r}")
+        if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
@@ -154,17 +161,48 @@ class ExperimentConfig:
             self.classes_per_worker is None or self.classes_per_worker < 1
         ):
             raise ConfigError("classes_per_worker must be >= 1 when partition_mode='by_class'")
-        self.channel().validate(self.workers)
+        if self.bandwidth_hz <= 0:
+            raise ConfigError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
+        if (self.snr is None) == (self.uplink_rate_bps is None):
+            raise ConfigError("exactly one of snr and uplink_rate_bps must be set")
+        for name, value in (("snr", self.snr), ("uplink_rate_bps", self.uplink_rate_bps)):
+            if value is None:
+                continue
+            values = value if isinstance(value, list) else [value]
+            if isinstance(value, list) and len(value) != self.workers:
+                raise ConfigError(f"{name} lists one value per worker: got {len(value)} for"
+                                  f" {self.workers} workers")
+            if any(v <= 0 for v in values):
+                raise ConfigError(f"{name} entries must be > 0, got {value}")
+        if self.downlink_rate_bps <= 0:
+            raise ConfigError(f"downlink_rate_bps must be > 0, got {self.downlink_rate_bps}")
+        if not 0.0 <= self.packet_failure_prob <= 1.0:
+            raise ConfigError(
+                f"packet_failure_prob must be in [0, 1], got {self.packet_failure_prob}"
+            )
+        if self.sec_per_local_step <= 0:
+            raise ConfigError(f"sec_per_local_step must be > 0, got {self.sec_per_local_step}")
 
-    def channel(self) -> ChannelConfig:
-        return ChannelConfig(
-            bandwidth_hz=self.bandwidth_hz,
-            snr=self.snr,
-            uplink_rate_bps=self.uplink_rate_bps,
-            downlink_rate_bps=self.downlink_rate_bps,
-            packet_failure_prob=self.packet_failure_prob,
-            sec_per_local_step=self.sec_per_local_step,
-        )
+
+def _fits(annotation) -> typing.Callable[[object], bool]:
+    """Whether a value fits `annotation`: an int fits float, a bool fits no
+    number, and a list fits only if every item does."""
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
+        options = [_fits(arg) for arg in typing.get_args(annotation)]
+        return lambda value: any(fits(value) for fits in options)
+    if typing.get_origin(annotation) is list:
+        (item,) = typing.get_args(annotation)
+        fits_item = _fits(item)
+        return lambda value: isinstance(value, list) and all(map(fits_item, value))
+    accepted = (int, float) if annotation is float else annotation
+    return lambda value: isinstance(value, accepted) and not isinstance(value, bool)
+
+
+# resolved once, at import: typing.get_type_hints costs far more than the checks
+_FIELD_CHECKS = {  # field -> (its annotation as written, a check of a value against it)
+    name: (ExperimentConfig.__annotations__[name], _fits(hint))
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
 
 
 def load_config(path: str) -> ExperimentConfig:

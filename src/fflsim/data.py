@@ -76,29 +76,6 @@ class MiniBatch:
     labels: np.ndarray  # (b,)
 
 
-@dataclass
-class PartitionSpec:
-    """How to split a dataset across workers.
-
-    mode "iid" deals a uniform shuffle round-robin style; mode "by_class"
-    gives each worker samples from `classes_per_worker` classes only, with the
-    class-to-worker assignment drawn round-robin from a seed-shuffled class
-    list so that every class is held by at least one worker.
-    """
-
-    mode: str
-    workers: int
-    classes_per_worker: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in PARTITION_MODES:
-            raise ConfigError(f"partition_mode must be one of {PARTITION_MODES}, got {self.mode!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.mode == "by_class" and (self.classes_per_worker is None or self.classes_per_worker < 1):
-            raise ConfigError("classes_per_worker must be >= 1 in by_class mode")
-
-
 def gen_synthetic(
     classes: int, per_class: int, d_in: int, spread: float, rng: np.random.Generator
 ) -> Dataset:
@@ -207,16 +184,23 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     return Dataset(features, labels, n_classes=int(labels.max()) + 1)
 
 
-def partition(ds: Dataset, spec: PartitionSpec, rng: np.random.Generator) -> list[Shard]:
-    """Split a dataset into per-worker shards.
+def partition(ds: Dataset, mode: str, workers: int, rng: np.random.Generator,
+              classes_per_worker: int | None = None) -> list[Shard]:
+    """Split a dataset into `workers` shards.
+
+    Mode "iid" deals out a uniform shuffle in contiguous runs; mode "by_class"
+    gives each worker samples from `classes_per_worker` classes only, drawn
+    round-robin from a seed-shuffled class list so that every class is held by
+    some worker.  ExperimentConfig validates these plain values (config
+    imports this module); only the checks that need the dataset are made here.
 
     Shards are always pairwise disjoint and their sizes differ by at most one.
     In iid mode every sample is used.  In by_class mode a worker only ever
     sees its assigned classes; when class supplies cannot fill every worker's
     quota, the surplus samples are dropped to keep shard sizes balanced.
     """
-    m = spec.workers
-    if spec.mode == "iid":
+    m = workers
+    if mode == "iid":
         perm = rng.permutation(ds.n)
         base, extra = divmod(ds.n, m)
         shards, pos = [], 0
@@ -226,7 +210,7 @@ def partition(ds: Dataset, spec: PartitionSpec, rng: np.random.Generator) -> lis
             pos += size
         return shards
 
-    c = spec.classes_per_worker
+    c = classes_per_worker
     n_classes = ds.n_classes
     if c > n_classes:
         raise ConfigError(f"classes_per_worker={c} exceeds the {n_classes} dataset classes")

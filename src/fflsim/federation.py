@@ -39,7 +39,7 @@ import numpy as np
 
 from . import compress, netsim, nn, schedule
 from .config import ExperimentConfig
-from .data import Dataset, Shard, gen_synthetic, load_idx, partition, PartitionSpec, split_per_class, take
+from .data import Dataset, Shard, gen_synthetic, load_idx, partition, split_per_class, take
 from .errors import ConfigError
 from .rng import substream
 
@@ -78,7 +78,6 @@ def policy_for(scheme: str, tau0: int, s0: float) -> SchemePolicy:
 
 @dataclass
 class WorkerState:
-    worker_id: int
     shard: Shard
     rng: np.random.Generator
 
@@ -150,14 +149,12 @@ class Experiment:
     def __init__(self, cfg: ExperimentConfig):
         cfg.validate()
         self.cfg = cfg
-        self.channel = cfg.channel()
         self.policy = policy_for(cfg.scheme, cfg.tau0, cfg.s0)
         self.train_set, self.test_set = _build_datasets(cfg)
-        spec = PartitionSpec(cfg.partition_mode, cfg.workers, cfg.classes_per_worker)
-        shards = partition(self.train_set, spec, substream(cfg.seed, "partition"))
+        shards = partition(self.train_set, cfg.partition_mode, cfg.workers,
+                           substream(cfg.seed, "partition"), cfg.classes_per_worker)
         self.workers = [
-            WorkerState(j, shards[j], substream(cfg.seed, "worker", j))
-            for j in range(cfg.workers)
+            WorkerState(shards[j], substream(cfg.seed, "worker", j)) for j in range(cfg.workers)
         ]
         mlp = nn.MlpSpec(
             (self.train_set.d_in, *cfg.hidden_layers, self.train_set.n_classes), cfg.activation
@@ -188,7 +185,7 @@ class Experiment:
         plan = self._next_plan
         d = self.params.dim
 
-        workers = [w.worker_id for w in self.workers]
+        workers = range(len(self.workers))
         _, g_rows, losses = nn.local_update_run(
             self.params, self.train_set, [w.shard for w in self.workers], plan.tau_k, cfg.eta,
             cfg.batch_size, [w.rng for w in self.workers],
@@ -197,7 +194,7 @@ class Experiment:
         if self.policy.compress:
             decomp = compress.decompose_bundle(self.params.from_flat(g_rows), cfg.basis, plan.s_k)
             for j in np.flatnonzero(decomp.atom_counts == 0):
-                log.warning("round %d worker %d: zero gradient, empty payload", k, workers[j])
+                log.warning("round %d worker %d: zero gradient, empty payload", k, j)
             probs = compress.probabilities(decomp, plan.s_k)
             payloads = compress.sample(
                 decomp, probs, [substream(cfg.seed, "compress", j, k) for j in workers]
@@ -210,11 +207,11 @@ class Experiment:
             rows = g_rows
             bits = [netsim.DENSE_BITS_PER_VALUE * d] * len(workers)
             atoms_sent = 0
-        compute_s = plan.tau_k * self.channel.sec_per_local_step
-        uplink_s = [netsim.uplink_time(b, self.channel, j) for b, j in zip(bits, workers)]
-        received = netsim.packets_survive(self.channel, cfg.seed, k, workers)
+        compute_s = plan.tau_k * cfg.sec_per_local_step
+        uplink_s = [netsim.uplink_time(b, cfg, j) for j, b in enumerate(bits)]
+        received = netsim.packets_survive(cfg, cfg.seed, k, workers)
 
-        downlink_s = netsim.downlink_time(netsim.DENSE_BITS_PER_VALUE * d, self.channel)
+        downlink_s = netsim.downlink_time(netsim.DENSE_BITS_PER_VALUE * d, cfg)
         total_s = netsim.round_time(compute_s, uplink_s, downlink_s)
 
         count = np.count_nonzero(received)

@@ -1,9 +1,15 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from fflsim import cli
-from fflsim.config import ExperimentConfig, load_config
+from fflsim.compress import BASIS_KINDS
+from fflsim.config import DATASETS, SCHEMES, STOPS, ExperimentConfig, load_config
+from fflsim.data import PARTITION_MODES
+from fflsim.nn import ACTIVATIONS
 from fflsim.errors import ConfigError
 
 MINIMAL = {
@@ -324,13 +330,75 @@ def test_config_validation_names_bad_keys():
         assert field in str(err.value)
 
 
+# one wrongly typed value per field: a float where an int belongs, a string
+# or a bool where a number belongs, a non-list or a bad item where a list belongs
+WRONG_TYPES = {
+    "seed": 1.5, "scheme": 1, "output_dir": None, "tau0": 2.5, "tau_ub": "30", "s0": "5",
+    "s_ub": True, "loss_smoothing": None, "eta": "0.01", "server_momentum": [0.9],
+    "batch_size": 8.5, "hidden_layers": "32", "activation": None, "basis": 0, "workers": 2.5,
+    "stop": False, "T_budget_s": "600", "round_cap": 2e4, "target_accuracy": None,
+    "eval_stride": 1.0, "dataset": ["synthetic"], "synthetic_classes": 4.0,
+    "synthetic_per_class": "1000", "synthetic_test_per_class": True, "synthetic_dim": 16.5,
+    "synthetic_spread": "0.35", "mnist_dir": 1, "subset_n": 2000.0, "test_subset_n": None,
+    "partition_mode": None, "classes_per_worker": 1.5, "bandwidth_hz": "1e6",
+    "snr": "1.0", "uplink_rate_bps": [1e5, "2e5"], "downlink_rate_bps": True,
+    "packet_failure_prob": None, "sec_per_local_step": "5e-3",
+}
+
+
+def test_every_field_has_a_wrongly_typed_case():
+    assert set(WRONG_TYPES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("key", WRONG_TYPES)
+def test_a_wrongly_typed_value_is_a_config_error_naming_its_key(key):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**{key: WRONG_TYPES[key]}).validate()
+    assert str(err.value).startswith(f"{key} must be of type ")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("workers", True), ("hidden_layers", [32, 16.0]), ("hidden_layers", [True]),
+    ("snr", [1.0, None]), ("uplink_rate_bps", (1e5, 1e5)),
+])
+def test_bools_and_list_items_are_type_checked(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be of type "):
+        ExperimentConfig(**{"workers": 2, key: value}).validate()
+
+
+def test_an_int_is_accepted_where_a_float_is_expected():
+    ExperimentConfig(workers=2, eta=1, s0=5, s_ub=9, T_budget_s=60, snr=[1, 3.0],
+                     uplink_rate_bps=None, mnist_dir=None, classes_per_worker=None).validate()
+
+
+@pytest.mark.parametrize("key, value", [("workers", 2.5), ("batch_size", 8.5),
+                                        ("hidden_layers", "32"), ("eta", "0.01"),
+                                        ("tau0", 2.5)])
+def test_run_exits_2_on_a_wrongly_typed_value(tmp_path, capsys, key, value):
+    cfg_path = write_config(tmp_path, {**MINIMAL, key: value})
+    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert f"config error: {key} must be of type " in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_lists_only_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Selected config keys", 1)[1].split("\n### ", 1)[0]
+    bullets = section[section.index("\n- "):]
+    names = set(re.findall(r"`([^`]+)`", bullets))
+    values = {*SCHEMES, *STOPS, *DATASETS, *PARTITION_MODES, *ACTIVATIONS, *BASIS_KINDS}
+    keys = names - values
+    assert len(keys) >= 20
+    assert keys <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
 def test_snr_config_replaces_default_rate(tmp_path):
     cfg_path = write_config(tmp_path, {**MINIMAL, "snr": 1.0})
     cfg = load_config(cfg_path)
-    channel = cfg.channel()
-    assert channel.uplink_rate_bps is None
-    assert channel.snr == 1.0
-    channel.validate(cfg.workers)
+    assert cfg.uplink_rate_bps is None
+    assert cfg.snr == 1.0
+    cfg.validate()
 
 
 def test_logging_env_fallback(monkeypatch, capsys):

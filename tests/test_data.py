@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fflsim import data, nn
+from fflsim.config import ExperimentConfig
 from fflsim.errors import ConfigError, IdxFormatError
 from fflsim.rng import substream
 
@@ -186,8 +187,7 @@ def test_load_idx_header_truncated(tmp_path):
 def test_partition_iid_sizes_and_coverage():
     ds = data.gen_synthetic(4, 26, 4, 0.2, substream(8, "data"))  # n = 104
     ds = data.take(ds, np.arange(103))  # deliberately uneven: 103 rows
-    spec = data.PartitionSpec(mode="iid", workers=4)
-    shards = data.partition(ds, spec, substream(8, "partition"))
+    shards = data.partition(ds, "iid", 4, substream(8, "partition"))
     sizes = sorted(len(s) for s in shards)
     assert sizes == [25, 26, 26, 26]
     merged = np.sort(np.concatenate(shards))
@@ -196,17 +196,15 @@ def test_partition_iid_sizes_and_coverage():
 
 def test_partition_iid_deterministic():
     ds = data.gen_synthetic(3, 30, 4, 0.2, substream(9, "data"))
-    spec = data.PartitionSpec(mode="iid", workers=5)
-    a = data.partition(ds, spec, substream(9, "partition"))
-    b = data.partition(ds, spec, substream(9, "partition"))
+    a = data.partition(ds, "iid", 5, substream(9, "partition"))
+    b = data.partition(ds, "iid", 5, substream(9, "partition"))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
 
 def test_partition_by_class_singleton_labels():
     ds = data.gen_synthetic(4, 40, 4, 0.2, substream(10, "data"))
-    spec = data.PartitionSpec(mode="by_class", workers=4, classes_per_worker=1)
-    shards = data.partition(ds, spec, substream(10, "partition"))
+    shards = data.partition(ds, "by_class", 4, substream(10, "partition"), 1)
     label_sets = [set(ds.labels[s].tolist()) for s in shards]
     assert all(len(ls) == 1 for ls in label_sets)
     assert set().union(*label_sets) == {0, 1, 2, 3}
@@ -214,8 +212,7 @@ def test_partition_by_class_singleton_labels():
 
 def test_partition_by_class_coverage_and_balance():
     ds = data.gen_synthetic(6, 60, 4, 0.2, substream(11, "data"))
-    spec = data.PartitionSpec(mode="by_class", workers=4, classes_per_worker=2)
-    shards = data.partition(ds, spec, substream(11, "partition"))
+    shards = data.partition(ds, "by_class", 4, substream(11, "partition"), 2)
     label_sets = [set(ds.labels[s].tolist()) for s in shards]
     assert all(len(ls) <= 2 for ls in label_sets)
     assert set().union(*label_sets) == set(range(6))
@@ -225,18 +222,33 @@ def test_partition_by_class_coverage_and_balance():
 
 def test_partition_by_class_infeasible():
     ds = data.gen_synthetic(8, 10, 4, 0.2, substream(12, "data"))
-    spec = data.PartitionSpec(mode="by_class", workers=3, classes_per_worker=2)
-    with pytest.raises(ConfigError):
-        data.partition(ds, spec, substream(12, "partition"))
+    with pytest.raises(ConfigError, match="cannot cover all 8 classes"):
+        data.partition(ds, "by_class", 3, substream(12, "partition"), 2)
 
 
-def test_partition_spec_validation():
-    with pytest.raises(ConfigError):
-        data.PartitionSpec(mode="striped", workers=4)
-    with pytest.raises(ConfigError):
-        data.PartitionSpec(mode="iid", workers=0)
-    with pytest.raises(ConfigError):
-        data.PartitionSpec(mode="by_class", workers=4)  # needs classes_per_worker
+def test_partition_by_class_rejects_more_classes_than_the_dataset_has():
+    ds = data.gen_synthetic(3, 10, 4, 0.2, substream(12, "data"))
+    with pytest.raises(ConfigError, match="exceeds the 3 dataset classes"):
+        data.partition(ds, "by_class", 4, substream(12, "partition"), 4)
+
+
+def test_partition_by_class_rejects_a_worker_left_without_samples():
+    # two classes of 1 sample each cannot fill 3 single-class workers
+    ds = data.gen_synthetic(2, 1, 4, 0.2, substream(12, "data"))
+    with pytest.raises(ConfigError, match="without samples"):
+        data.partition(ds, "by_class", 3, substream(12, "partition"), 1)
+
+
+def test_partition_settings_are_validated_by_the_config():
+    cases = [
+        (dict(partition_mode="striped"), "partition_mode must be one of"),
+        (dict(partition_mode="by_class"), "classes_per_worker must be >= 1"),
+        (dict(partition_mode="by_class", classes_per_worker=0), "classes_per_worker must be >= 1"),
+        (dict(workers=0), "workers must be >= 1"),
+    ]
+    for overrides, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**overrides).validate()
 
 
 @settings(max_examples=25, deadline=None)
@@ -244,8 +256,7 @@ def test_partition_spec_validation():
        per_class=st.integers(3, 20))
 def test_partition_iid_property(workers, n_classes, per_class):
     ds = data.gen_synthetic(n_classes, per_class, 3, 0.2, substream(13, "data"))
-    shards = data.partition(ds, data.PartitionSpec(mode="iid", workers=workers),
-                            substream(13, "partition"))
+    shards = data.partition(ds, "iid", workers, substream(13, "partition"))
     assert len(shards) == workers
     sizes = [len(s) for s in shards]
     assert max(sizes) - min(sizes) <= 1
@@ -260,9 +271,7 @@ def test_partition_by_class_property(workers, cpw):
     if workers * cpw < n_classes:
         return
     ds = data.gen_synthetic(n_classes, 24, 3, 0.2, substream(14, "data"))
-    shards = data.partition(
-        ds, data.PartitionSpec(mode="by_class", workers=workers, classes_per_worker=cpw),
-        substream(14, "partition"))
+    shards = data.partition(ds, "by_class", workers, substream(14, "partition"), cpw)
     label_sets = [set(ds.labels[s].tolist()) for s in shards]
     assert all(0 < len(ls) <= cpw for ls in label_sets)
     assert set().union(*label_sets) == set(range(n_classes))

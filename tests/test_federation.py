@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fflsim import compress, federation, netsim, nn
+from fflsim import compress, data, federation, netsim, nn
 from fflsim.config import SCHEMES, ExperimentConfig
 from fflsim.data import Dataset, MiniBatch, sample_minibatch
 from fflsim.errors import ConfigError
@@ -72,8 +72,7 @@ def test_identical_shards_average_equals_centralized():
     exp = Experiment(cfg)
     full = np.arange(exp.train_set.n)
     exp.workers = [
-        federation.WorkerState(j, full, substream(cfg.seed, "worker", 0))
-        for j in range(4)
+        federation.WorkerState(full, substream(cfg.seed, "worker", 0)) for _ in range(4)
     ]
     ref_params = exp.params.copy()
     rng = substream(cfg.seed, "worker", 0)
@@ -730,6 +729,22 @@ def test_lowrank_desk_outcome_is_pinned_apart_from_rounding(scheme, tmp_path):
     assert hashlib.sha256(exact.encode()).hexdigest() == digest
     assert summary["final_train_loss"] == pytest.approx(train_loss, rel=1e-12, abs=0.0)
     assert summary["final_test_loss"] == pytest.approx(test_loss, rel=1e-12, abs=0.0)
+
+
+def test_a_by_class_run_gives_each_worker_one_class_and_runs_to_the_end():
+    cfg = base_cfg(scheme="ffl", partition_mode="by_class", classes_per_worker=1, workers=4,
+                   synthetic_classes=4, round_cap=2)
+    exp = Experiment(cfg)
+    want = data.partition(exp.train_set, "by_class", 4, substream(cfg.seed, "partition"), 1)
+    classes = [set(exp.train_set.labels[w.shard].tolist()) for w in exp.workers]
+    assert all(len(held) == 1 for held in classes)
+    assert set().union(*classes) == {0, 1, 2, 3}
+    assert len(exp.workers) == len(want) == 4
+    for worker, shard in zip(exp.workers, want):
+        assert np.array_equal(worker.shard, shard)
+    records, summary = exp.run()
+    assert len(records) == 2
+    assert summary["status"] == "ok"
 
 
 def test_a_run_that_loses_only_some_rounds_is_ok():

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fflsim.errors import ConfigError
 from fflsim import netsim
-from fflsim.netsim import ChannelConfig
+from fflsim.config import ExperimentConfig
+from fflsim.errors import ConfigError
 from fflsim.rng import substream
 
 
 def snr_cfg(snr, **kw):
-    return ChannelConfig(snr=snr, uplink_rate_bps=None, **kw)
+    return ExperimentConfig(snr=snr, uplink_rate_bps=None, **kw)
 
 
 # ---- link rate ---- #
@@ -26,12 +26,12 @@ def test_link_rate_snr_inversion_recovers_target_rate():
 
 
 def test_link_rate_override_beats_shannon():
-    cfg = ChannelConfig(uplink_rate_bps=5e4)
+    cfg = ExperimentConfig(uplink_rate_bps=5e4)
     assert netsim.link_rate(cfg, 0) == 5e4
 
 
 def test_link_rate_per_worker_lists():
-    cfg = ChannelConfig(uplink_rate_bps=[1e5, 2e5])
+    cfg = ExperimentConfig(uplink_rate_bps=[1e5, 2e5])
     assert netsim.link_rate(cfg, 0) == 1e5
     assert netsim.link_rate(cfg, 1) == 2e5
     snr_list = snr_cfg([1.0, 3.0], bandwidth_hz=1e6)
@@ -41,7 +41,7 @@ def test_link_rate_per_worker_lists():
 # ---- uplink / downlink times ---- #
 
 def test_uplink_time_examples():
-    cfg = ChannelConfig(uplink_rate_bps=1e5)
+    cfg = ExperimentConfig(uplink_rate_bps=1e5)
     assert netsim.uplink_time(0, cfg, 0) == 0.0
     # 7 elementwise atoms of 96 bits
     assert netsim.uplink_time(96 * 7, cfg, 0) == pytest.approx(6.72e-3, rel=1e-12)
@@ -51,31 +51,31 @@ def test_uplink_time_examples():
 
 def test_dense_uplink_time_example():
     # a dense upload of 317 float64 values
-    cfg = ChannelConfig(uplink_rate_bps=1e5)
+    cfg = ExperimentConfig(uplink_rate_bps=1e5)
     assert netsim.uplink_time(64 * 317, cfg, 0) == pytest.approx(0.202880, rel=1e-12)
 
 
 def test_downlink_time_dense_model():
     # the broadcast of 100 float64 values, charged like an upload of its bits
-    cfg = ChannelConfig(downlink_rate_bps=2e5)
+    cfg = ExperimentConfig(downlink_rate_bps=2e5)
     bits = netsim.DENSE_BITS_PER_VALUE * 100
     assert netsim.downlink_time(bits, cfg) == pytest.approx(100 * 64 / 2e5, abs=0)
     assert netsim.downlink_time(0, cfg) == 0.0
 
 
 def test_uplink_time_rejects_negative():
-    cfg = ChannelConfig()
+    cfg = ExperimentConfig()
     with pytest.raises(ValueError):
         netsim.uplink_time(-1, cfg, 0)
 
 
 def test_downlink_time_rejects_negative():
     with pytest.raises(ValueError, match="bits must be >= 0"):
-        netsim.downlink_time(-1, ChannelConfig())
+        netsim.downlink_time(-1, ExperimentConfig())
 
 
 def test_compression_dominance():
-    cfg = ChannelConfig(uplink_rate_bps=1e5)
+    cfg = ExperimentConfig(uplink_rate_bps=1e5)
     d = 317
     s_atoms = 9
     assert 96 * s_atoms < 64 * d
@@ -123,15 +123,15 @@ def test_round_time_rejects_a_round_that_is_not_positive():
 # ---- packet failures ---- #
 
 def test_packet_survives_extremes():
-    always = ChannelConfig(packet_failure_prob=0.0)
-    never = ChannelConfig(packet_failure_prob=1.0)
+    always = ExperimentConfig(packet_failure_prob=0.0)
+    never = ExperimentConfig(packet_failure_prob=1.0)
     rng = substream(0, "net", 0, 0)
     assert all(netsim.packet_survives(rng, always) for _ in range(100))
     assert not any(netsim.packet_survives(rng, never) for _ in range(100))
 
 
 def test_packet_failure_rate_monte_carlo():
-    cfg = ChannelConfig(packet_failure_prob=0.4)
+    cfg = ExperimentConfig(packet_failure_prob=0.4)
     rng = substream(1, "net", 0, 0)
     n = 100000
     failures = sum(not netsim.packet_survives(rng, cfg) for _ in range(n))
@@ -140,7 +140,7 @@ def test_packet_failure_rate_monte_carlo():
 
 
 def test_packet_draws_deterministic_per_stream():
-    cfg = ChannelConfig(packet_failure_prob=0.5)
+    cfg = ExperimentConfig(packet_failure_prob=0.5)
     a = [netsim.packet_survives(substream(7, "net", j, k), cfg)
          for j in range(4) for k in range(5)]
     b = [netsim.packet_survives(substream(7, "net", j, k), cfg)
@@ -154,43 +154,43 @@ def test_packets_survive_draws_nothing_at_probability_zero_or_one(monkeypatch):
 
     monkeypatch.setattr(netsim, "substream", no_stream)
     ids = [0, 1, 2, 3, 4]
-    survived = netsim.packets_survive(ChannelConfig(packet_failure_prob=0.0), 7, 3, ids)
-    lost = netsim.packets_survive(ChannelConfig(packet_failure_prob=1.0), 7, 3, ids)
+    survived = netsim.packets_survive(ExperimentConfig(packet_failure_prob=0.0), 7, 3, ids)
+    lost = netsim.packets_survive(ExperimentConfig(packet_failure_prob=1.0), 7, 3, ids)
     assert survived.dtype == bool and survived.tolist() == [True] * 5
     assert lost.dtype == bool and lost.tolist() == [False] * 5
 
 
 @pytest.mark.parametrize("p", [1e-9, 0.3, 1.0 - 1e-9])
 def test_packets_survive_is_one_draw_per_worker_stream(p):
-    cfg = ChannelConfig(packet_failure_prob=p)
+    cfg = ExperimentConfig(packet_failure_prob=p)
     for k in range(5):
         want = [netsim.packet_survives(substream(7, "net", j, k), cfg) for j in range(6)]
         assert netsim.packets_survive(cfg, 7, k, range(6)).tolist() == want
 
 
-# ---- config validation ---- #
+# ---- channel settings, validated by ExperimentConfig ---- #
 
 def test_validate_accepts_defaults():
-    ChannelConfig().validate(workers=4)
+    ExperimentConfig(workers=4).validate()
 
 
 def test_validate_requires_exactly_one_rate_source():
     with pytest.raises(ConfigError) as err:
-        ChannelConfig(snr=1.0).validate(workers=2)
+        ExperimentConfig(workers=2, snr=1.0).validate()
     assert "snr" in str(err.value) and "uplink_rate_bps" in str(err.value)
     with pytest.raises(ConfigError):
-        ChannelConfig(snr=None, uplink_rate_bps=None).validate(workers=2)
+        ExperimentConfig(workers=2, snr=None, uplink_rate_bps=None).validate()
 
 
 def test_validate_rejects_zero_snr():
     with pytest.raises(ConfigError) as err:
-        snr_cfg(0.0).validate(workers=2)
+        snr_cfg(0.0, workers=2).validate()
     assert "snr" in str(err.value)
 
 
 def test_validate_per_worker_list_lengths():
     with pytest.raises(ConfigError) as err:
-        ChannelConfig(uplink_rate_bps=[1e5, 1e5]).validate(workers=3)
+        ExperimentConfig(workers=3, uplink_rate_bps=[1e5, 1e5]).validate()
     assert "uplink_rate_bps" in str(err.value)
 
 
@@ -203,5 +203,5 @@ def test_validate_names_offending_key():
     ]
     for overrides, key in cases:
         with pytest.raises(ConfigError) as err:
-            ChannelConfig(**overrides).validate(workers=2)
+            ExperimentConfig(workers=2, **overrides).validate()
         assert key in str(err.value)
