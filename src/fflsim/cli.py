@@ -75,10 +75,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     os.makedirs(out_dir, exist_ok=True)
     summaries = {}
     for scheme in args.schemes:
-        cfg = dataclasses.replace(base, scheme=scheme)
-        cfg.validate()
         _, summaries[scheme] = run_experiment(
-            cfg, output_dir=out_dir, names=(f"metrics_{scheme}.csv", f"summary_{scheme}.json")
+            dataclasses.replace(base, scheme=scheme), output_dir=out_dir,
+            names=(f"metrics_{scheme}.csv", f"summary_{scheme}.json"),
         )
 
     ffl_time = summaries.get("ffl", {}).get("time_to_target_s", "inf")

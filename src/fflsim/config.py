@@ -1,9 +1,13 @@
 """Experiment configuration: one flat JSON object, fully validated.
 
 ExperimentConfig is the one place a setting is declared, defaulted and
-validated; netsim and data read their settings from it.  Unknown keys are
-rejected, every value is checked against its field's annotation and then its
-range, and every validation error names the offending key, so a bad config
+validated; netsim and data read their settings from it.  Each field's
+annotation declares its type and, where it has one, the rule for its accepted
+values, e.g. `eta: Annotated[float, _above(0)]`; a list setting's rule holds
+for each item, and None is exempt.  Every rule is written so that NaN fails
+it.  Unknown keys are rejected, every value is checked against its type and
+then its rule, then the few rules that tie two settings together are
+checked, and every validation error names the offending key, so a bad config
 fails fast with an actionable message.  The effective config (defaults filled
 in) is echoed into summary.json; loading that echo reproduces the run exactly.
 """
@@ -15,6 +19,7 @@ import json
 import types
 import typing
 from dataclasses import dataclass, field
+from typing import Annotated
 
 from .compress import BASIS_KINDS
 from .data import PARTITION_MODES
@@ -26,55 +31,79 @@ DATASETS = ("synthetic", "mnist")
 STOPS = ("time", "rounds")
 
 
+class _Rule(typing.NamedTuple):
+    """The values a setting accepts: `text` completes "<key> must be ...",
+    and `ok` is false for every other value, NaN included."""
+
+    text: str
+    ok: typing.Callable[[object], bool]
+
+
+def _above(lo) -> _Rule:
+    return _Rule(f"> {lo}", lambda v: v > lo)
+
+
+def _at_least(lo) -> _Rule:
+    return _Rule(f">= {lo}", lambda v: v >= lo)
+
+
+def _one_of(choices: tuple[str, ...]) -> _Rule:
+    return _Rule(f"one of {choices}", lambda v: v in choices)
+
+
+_FRACTION = _Rule("in [0, 1)", lambda v: 0 <= v < 1)
+_PROBABILITY = _Rule("in [0, 1]", lambda v: 0 <= v <= 1)
+
+
 @dataclass
 class ExperimentConfig:
-    seed: int = 0
-    scheme: str = "ffl"
+    seed: Annotated[int, _at_least(0)] = 0
+    scheme: Annotated[str, _one_of(SCHEMES)] = "ffl"
     output_dir: str = "out"
 
     # schedule anchors and bounds
-    tau0: int = 30
-    tau_ub: int = 30
-    s0: float = 5.0
-    s_ub: float = 9.0
-    loss_smoothing: float = 0.3
+    tau0: Annotated[int, _at_least(1)] = 30
+    tau_ub: Annotated[int, _at_least(1)] = 30
+    s0: Annotated[float, _at_least(1)] = 5.0
+    s_ub: Annotated[float, _at_least(1)] = 9.0
+    loss_smoothing: Annotated[float, _FRACTION] = 0.3
 
     # optimization
-    eta: float = 0.01
-    server_momentum: float = 0.9
-    batch_size: int = 64
-    hidden_layers: list[int] = field(default_factory=lambda: [32])
-    activation: str = "relu"
-    basis: str = "elementwise"
+    eta: Annotated[float, _above(0)] = 0.01
+    server_momentum: Annotated[float, _FRACTION] = 0.9
+    batch_size: Annotated[int, _at_least(1)] = 64
+    hidden_layers: Annotated[list[int], _at_least(1)] = field(default_factory=lambda: [32])
+    activation: Annotated[str, _one_of(ACTIVATIONS)] = "relu"
+    basis: Annotated[str, _one_of(BASIS_KINDS)] = "elementwise"
 
     # run control
-    workers: int = 8
-    stop: str = "time"
-    T_budget_s: float = 600.0
-    round_cap: int = 20000
-    target_accuracy: float = 0.9
-    eval_stride: int = 1
+    workers: Annotated[int, _at_least(1)] = 8
+    stop: Annotated[str, _one_of(STOPS)] = "time"
+    T_budget_s: Annotated[float, _above(0)] = 600.0
+    round_cap: Annotated[int, _at_least(1)] = 20000
+    target_accuracy: Annotated[float, _Rule("in (0, 1]", lambda v: 0 < v <= 1)] = 0.9
+    eval_stride: Annotated[int, _at_least(1)] = 1
 
     # dataset
-    dataset: str = "synthetic"
-    synthetic_classes: int = 4
-    synthetic_per_class: int = 1000
-    synthetic_test_per_class: int = 250
-    synthetic_dim: int = 16
-    synthetic_spread: float = 0.35
+    dataset: Annotated[str, _one_of(DATASETS)] = "synthetic"
+    synthetic_classes: Annotated[int, _at_least(2)] = 4
+    synthetic_per_class: Annotated[int, _at_least(1)] = 1000
+    synthetic_test_per_class: Annotated[int, _at_least(1)] = 250
+    synthetic_dim: Annotated[int, _at_least(1)] = 16
+    synthetic_spread: Annotated[float, _at_least(0)] = 0.35
     mnist_dir: str | None = None
-    subset_n: int = 2000
-    test_subset_n: int = 1000
-    partition_mode: str = "iid"
-    classes_per_worker: int | None = None
+    subset_n: Annotated[int, _at_least(1)] = 2000
+    test_subset_n: Annotated[int, _at_least(1)] = 1000
+    partition_mode: Annotated[str, _one_of(PARTITION_MODES)] = "iid"
+    classes_per_worker: Annotated[int | None, _at_least(1)] = None
 
     # channel
-    bandwidth_hz: float = 1e6
-    snr: float | list[float] | None = None
-    uplink_rate_bps: float | list[float] | None = 1e5
-    downlink_rate_bps: float = 1e5
-    packet_failure_prob: float = 0.0
-    sec_per_local_step: float = 5e-3
+    bandwidth_hz: Annotated[float, _above(0)] = 1e6
+    snr: Annotated[float | list[float] | None, _above(0)] = None
+    uplink_rate_bps: Annotated[float | list[float] | None, _above(0)] = 1e5
+    downlink_rate_bps: Annotated[float, _above(0)] = 1e5
+    packet_failure_prob: Annotated[float, _PROBABILITY] = 0.0
+    sec_per_local_step: Annotated[float, _above(0)] = 5e-3
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -93,95 +122,28 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def validate(self) -> None:
-        for name, (annotation, fits) in _FIELD_CHECKS.items():
+        for name, (kind, fits, rule) in _FIELD_CHECKS.items():
             value = getattr(self, name)
             if not fits(value):
-                raise ConfigError(f"{name} must be of type {annotation}, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.tau_ub < 1 or not 1 <= self.tau0 <= self.tau_ub:
-            raise ConfigError(
-                f"tau0/tau_ub must satisfy 1 <= tau0 <= tau_ub, got {self.tau0}/{self.tau_ub}"
-            )
-        if self.s_ub < 1 or not 1 <= self.s0 <= self.s_ub:
-            raise ConfigError(f"s0/s_ub must satisfy 1 <= s0 <= s_ub, got {self.s0}/{self.s_ub}")
-        if not 0.0 <= self.loss_smoothing < 1.0:
-            raise ConfigError(f"loss_smoothing must be in [0, 1), got {self.loss_smoothing}")
-        if self.eta <= 0:
-            raise ConfigError(f"eta must be > 0, got {self.eta}")
-        if not 0.0 <= self.server_momentum < 1.0:
-            raise ConfigError(f"server_momentum must be in [0, 1), got {self.server_momentum}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if any(h < 1 for h in self.hidden_layers):
-            raise ConfigError(f"hidden_layers entries must be >= 1, got {self.hidden_layers}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if self.basis not in BASIS_KINDS:
-            raise ConfigError(f"basis must be one of {BASIS_KINDS}, got {self.basis!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.stop not in STOPS:
-            raise ConfigError(f"stop must be one of {STOPS}, got {self.stop!r}")
-        if self.T_budget_s <= 0:
-            raise ConfigError(f"T_budget_s must be > 0, got {self.T_budget_s}")
-        if self.round_cap < 1:
-            raise ConfigError(f"round_cap must be >= 1, got {self.round_cap}")
-        if not 0.0 < self.target_accuracy <= 1.0:
-            raise ConfigError(f"target_accuracy must be in (0, 1], got {self.target_accuracy}")
-        if self.eval_stride < 1:
-            raise ConfigError(f"eval_stride must be >= 1, got {self.eval_stride}")
-        if self.dataset not in DATASETS:
-            raise ConfigError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
+                raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
+            if rule is not None and value is not None and not all(
+                map(rule.ok, value if isinstance(value, list) else (value,))
+            ):
+                raise ConfigError(f"{name} must be {rule.text}, got {value!r}")
+        if self.tau0 > self.tau_ub:
+            raise ConfigError(f"tau0 must be <= tau_ub, got tau0={self.tau0}, tau_ub={self.tau_ub}")
+        if self.s0 > self.s_ub:
+            raise ConfigError(f"s0 must be <= s_ub, got s0={self.s0}, s_ub={self.s_ub}")
         if self.dataset == "mnist" and not self.mnist_dir:
             raise ConfigError("mnist_dir must point at the IDX files when dataset='mnist'")
-        if self.dataset == "synthetic":
-            if self.synthetic_classes < 2:
-                raise ConfigError(f"synthetic_classes must be >= 2, got {self.synthetic_classes}")
-            if self.synthetic_per_class < 1 or self.synthetic_test_per_class < 1:
-                raise ConfigError(
-                    "synthetic_per_class and synthetic_test_per_class must be >= 1, got "
-                    f"{self.synthetic_per_class}/{self.synthetic_test_per_class}"
-                )
-            if self.synthetic_dim < 1:
-                raise ConfigError(f"synthetic_dim must be >= 1, got {self.synthetic_dim}")
-            if self.synthetic_spread < 0:
-                raise ConfigError(f"synthetic_spread must be >= 0, got {self.synthetic_spread}")
-        if self.subset_n < 1 or self.test_subset_n < 1:
-            raise ConfigError(
-                f"subset_n and test_subset_n must be >= 1, got {self.subset_n}/{self.test_subset_n}"
-            )
-        if self.partition_mode not in PARTITION_MODES:
-            raise ConfigError(
-                f"partition_mode must be one of {PARTITION_MODES}, got {self.partition_mode!r}"
-            )
-        if self.partition_mode == "by_class" and (
-            self.classes_per_worker is None or self.classes_per_worker < 1
-        ):
+        if self.partition_mode == "by_class" and self.classes_per_worker is None:
             raise ConfigError("classes_per_worker must be >= 1 when partition_mode='by_class'")
-        if self.bandwidth_hz <= 0:
-            raise ConfigError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
         if (self.snr is None) == (self.uplink_rate_bps is None):
             raise ConfigError("exactly one of snr and uplink_rate_bps must be set")
         for name, value in (("snr", self.snr), ("uplink_rate_bps", self.uplink_rate_bps)):
-            if value is None:
-                continue
-            values = value if isinstance(value, list) else [value]
             if isinstance(value, list) and len(value) != self.workers:
                 raise ConfigError(f"{name} lists one value per worker: got {len(value)} for"
                                   f" {self.workers} workers")
-            if any(v <= 0 for v in values):
-                raise ConfigError(f"{name} entries must be > 0, got {value}")
-        if self.downlink_rate_bps <= 0:
-            raise ConfigError(f"downlink_rate_bps must be > 0, got {self.downlink_rate_bps}")
-        if not 0.0 <= self.packet_failure_prob <= 1.0:
-            raise ConfigError(
-                f"packet_failure_prob must be in [0, 1], got {self.packet_failure_prob}"
-            )
-        if self.sec_per_local_step <= 0:
-            raise ConfigError(f"sec_per_local_step must be > 0, got {self.sec_per_local_step}")
 
 
 def _fits(annotation) -> typing.Callable[[object], bool]:
@@ -198,10 +160,17 @@ def _fits(annotation) -> typing.Callable[[object], bool]:
     return lambda value: isinstance(value, accepted) and not isinstance(value, bool)
 
 
+def _field_check(hint) -> tuple[str, typing.Callable[[object], bool], _Rule | None]:
+    """A field's type as written, a check of a value against that type, and
+    the field's rule (None if it declares none)."""
+    kind, rule = typing.get_args(hint) if typing.get_origin(hint) is Annotated else (hint, None)
+    return (kind.__name__ if isinstance(kind, type) else str(kind)), _fits(kind), rule
+
+
 # resolved once, at import: typing.get_type_hints costs far more than the checks
-_FIELD_CHECKS = {  # field -> (its annotation as written, a check of a value against it)
-    name: (ExperimentConfig.__annotations__[name], _fits(hint))
-    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+_FIELD_CHECKS = {
+    name: _field_check(hint)
+    for name, hint in typing.get_type_hints(ExperimentConfig, include_extras=True).items()
 }
 
 

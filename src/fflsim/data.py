@@ -195,12 +195,18 @@ def partition(ds: Dataset, mode: str, workers: int, rng: np.random.Generator,
     imports this module); only the checks that need the dataset are made here.
 
     Shards are always pairwise disjoint and their sizes differ by at most one.
-    In iid mode every sample is used.  In by_class mode a worker only ever
-    sees its assigned classes; when class supplies cannot fill every worker's
-    quota, the surplus samples are dropped to keep shard sizes balanced.
+    In iid mode every sample is used, and there must be at least one sample
+    per worker.  In by_class mode a worker only ever sees its assigned
+    classes; when class supplies cannot fill every worker's quota, the
+    surplus samples are dropped to keep shard sizes balanced.
     """
     m = workers
     if mode == "iid":
+        if m > ds.n:
+            raise ConfigError(
+                f"workers={m} exceeds the {ds.n} training rows: an iid partition"
+                " would leave a worker without samples"
+            )
         perm = rng.permutation(ds.n)
         base, extra = divmod(ds.n, m)
         shards, pos = [], 0

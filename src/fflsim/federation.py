@@ -128,14 +128,19 @@ def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
             data_rng,
         )
         return split_per_class(full, cfg.synthetic_per_class)
-    train = load_idx(
-        os.path.join(cfg.mnist_dir, "train-images-idx3-ubyte"),
-        os.path.join(cfg.mnist_dir, "train-labels-idx1-ubyte"),
-    )
-    test = load_idx(
-        os.path.join(cfg.mnist_dir, "t10k-images-idx3-ubyte"),
-        os.path.join(cfg.mnist_dir, "t10k-labels-idx1-ubyte"),
-    )
+    try:
+        train = load_idx(
+            os.path.join(cfg.mnist_dir, "train-images-idx3-ubyte"),
+            os.path.join(cfg.mnist_dir, "train-labels-idx1-ubyte"),
+        )
+        test = load_idx(
+            os.path.join(cfg.mnist_dir, "t10k-images-idx3-ubyte"),
+            os.path.join(cfg.mnist_dir, "t10k-labels-idx1-ubyte"),
+        )
+    except FileNotFoundError as exc:
+        raise ConfigError(
+            f"mnist_dir={cfg.mnist_dir!r} has no IDX file {os.path.basename(exc.filename)}"
+        ) from None
     if cfg.subset_n < train.n:
         train = take(train, data_rng.choice(train.n, size=cfg.subset_n, replace=False))
     if cfg.test_subset_n < test.n:

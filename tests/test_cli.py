@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -380,6 +382,98 @@ def test_run_exits_2_on_a_wrongly_typed_value(tmp_path, capsys, key, value):
     assert code == 2
     assert f"config error: {key} must be of type " in err
     assert not (tmp_path / "o").exists()
+
+
+HINTS = typing.get_type_hints(ExperimentConfig, include_extras=True)
+RULES = {name: typing.get_args(hint)[1] for name, hint in HINTS.items()
+         if typing.get_origin(hint) is typing.Annotated}
+FLOAT_FIELDS = [name for name, hint in typing.get_type_hints(ExperimentConfig).items()
+                if hint is float or float in typing.get_args(hint)]
+
+# one well-typed value outside its field's rule, for every field that declares one
+OUT_OF_RANGE = {
+    "seed": -1, "scheme": "fedavg", "tau0": 0, "tau_ub": 0, "s0": 0.5, "s_ub": 0.5,
+    "loss_smoothing": 1.0, "eta": 0.0, "server_momentum": -0.1, "batch_size": 0,
+    "hidden_layers": [32, 0], "activation": "sigmoid", "basis": "fourier", "workers": 0,
+    "stop": "never", "T_budget_s": -1.0, "round_cap": 0, "target_accuracy": 0.0,
+    "eval_stride": 0, "dataset": "cifar", "synthetic_classes": 1, "synthetic_per_class": 0,
+    "synthetic_test_per_class": 0, "synthetic_dim": 0, "synthetic_spread": -0.1,
+    "subset_n": 0, "test_subset_n": 0, "partition_mode": "striped", "classes_per_worker": 0,
+    "bandwidth_hz": 0.0, "snr": [1.0, 0.0], "uplink_rate_bps": 0.0,
+    "downlink_rate_bps": -1e5, "packet_failure_prob": 1.5, "sec_per_local_step": 0.0,
+}
+
+
+def test_every_field_with_a_rule_has_an_out_of_range_case():
+    assert set(OUT_OF_RANGE) == set(RULES)
+    assert set(RULES) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {
+        "output_dir", "mnist_dir"}
+    assert len(FLOAT_FIELDS) == 14 and set(FLOAT_FIELDS) <= set(RULES)
+
+
+def assert_rejected_by_rule(key, overrides):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**overrides).validate()
+    message = str(err.value)
+    assert message.startswith(f"{key} must be ") and " of type " not in message
+
+
+@pytest.mark.parametrize("key", OUT_OF_RANGE)
+def test_an_out_of_range_value_is_a_config_error_naming_its_key(key):
+    assert_rejected_by_rule(key, {"workers": 2, key: OUT_OF_RANGE[key]})
+
+
+@pytest.mark.parametrize("key, value", [
+    *((key, math.nan) for key in FLOAT_FIELDS),
+    ("snr", [1.0, math.nan]), ("uplink_rate_bps", [1e5, math.nan]),
+])
+def test_nan_fails_every_float_rule(key, value):
+    assert_rejected_by_rule(key, {"workers": 2, key: value})
+
+
+def test_every_default_satisfies_its_rule():
+    # validate checks every field's rule, the synthetic_* ones whatever the dataset
+    ExperimentConfig().validate()
+    ExperimentConfig(dataset="mnist", mnist_dir="idx").validate()
+
+
+@pytest.mark.parametrize("key", ["eta", "T_budget_s"])
+def test_run_exits_2_on_a_bare_nan(tmp_path, capsys, key):
+    cfg_path = write_config(tmp_path, {**MINIMAL, "stop": "time", key: math.nan})
+    assert f'"{key}": NaN' in Path(cfg_path).read_text()
+    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert f"config error: {key} must be > 0, got nan" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_exits_2_when_iid_workers_outnumber_training_rows(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {**MINIMAL, "synthetic_classes": 2,
+                                       "synthetic_per_class": 2, "workers": 8})
+    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "config error: workers=8 exceeds the 4 training rows" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_exits_2_when_mnist_dir_has_no_idx_files(tmp_path, capsys):
+    idx_dir = tmp_path / "idx"
+    idx_dir.mkdir()
+    cfg_path = write_config(tmp_path, {**MINIMAL, "dataset": "mnist", "mnist_dir": str(idx_dir)})
+    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert f"config error: mnist_dir={str(idx_dir)!r} has no IDX file train-images-idx3-ubyte" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_exits_1_on_a_malformed_idx_file(tmp_path, capsys):
+    idx_dir = tmp_path / "idx"
+    idx_dir.mkdir()
+    (idx_dir / "train-images-idx3-ubyte").write_bytes(b"\x00\x00\x08\x01")  # a labels magic
+    cfg_path = write_config(tmp_path, {**MINIMAL, "dataset": "mnist", "mnist_dir": str(idx_dir)})
+    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert "bad magic 2049" in err
 
 
 def test_readme_lists_only_config_keys():

@@ -220,6 +220,13 @@ def test_partition_by_class_coverage_and_balance():
     assert max(sizes) - min(sizes) <= 1
 
 
+def test_partition_iid_rejects_more_workers_than_rows():
+    ds = data.gen_synthetic(2, 2, 4, 0.2, substream(12, "data"))
+    with pytest.raises(ConfigError, match="^workers=5 exceeds the 4 training rows"):
+        data.partition(ds, "iid", 5, substream(12, "partition"))
+    assert [len(s) for s in data.partition(ds, "iid", 4, substream(12, "partition"))] == [1] * 4
+
+
 def test_partition_by_class_infeasible():
     ds = data.gen_synthetic(8, 10, 4, 0.2, substream(12, "data"))
     with pytest.raises(ConfigError, match="cannot cover all 8 classes"):
@@ -256,6 +263,10 @@ def test_partition_settings_are_validated_by_the_config():
        per_class=st.integers(3, 20))
 def test_partition_iid_property(workers, n_classes, per_class):
     ds = data.gen_synthetic(n_classes, per_class, 3, 0.2, substream(13, "data"))
+    if workers > ds.n:
+        with pytest.raises(ConfigError, match=f"workers={workers} exceeds the {ds.n} training rows"):
+            data.partition(ds, "iid", workers, substream(13, "partition"))
+        return
     shards = data.partition(ds, "iid", workers, substream(13, "partition"))
     assert len(shards) == workers
     sizes = [len(s) for s in shards]
