@@ -179,20 +179,22 @@ def _lowrank(parts, dim: int, lead: tuple[int, ...]) -> AtomicDecomposition:
 
     One LAPACK SVD per block stack; in each row the leading singular values
     > _DROP_TOL * max(1, sigma_1) are kept, so a block of lower rank yields
-    fewer than r atoms.
+    fewer than r atoms.  LAPACK returns each row's singular values in
+    descending order, so one comparison of all blocks' values with their
+    floors gives every block's kept slots as a prefix of its r.
     """
-    blocks, values, slots, start = [], [], [], 0
+    blocks, values, tops, widths, start = [], [], [], [], 0
     for offset, mats, r in parts:
         u, sv, vt = np.linalg.svd(mats, full_matrices=False)
-        sv = sv[:, :r]
-        count = np.count_nonzero(sv > _DROP_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
-        slots.append(np.arange(r) < count[:, None])
-        values.append(sv)
+        values.append(sv[:, :r])
+        tops.append(sv[:, 0])
+        widths.append(r)
         blocks.append(RankOneBlock(offset, start, u[:, :, :r], vt[:, :r]))
         start += r
-    slots = np.concatenate(slots, axis=1)
-    return AtomicDecomposition("lowrank", dim, np.concatenate(values, axis=1)[slots], slots,
-                               blocks=blocks, lead=lead)
+    values = np.concatenate(values, axis=1)
+    floors = _DROP_TOL * np.maximum(1.0, np.stack(tops, axis=1))
+    slots = values > floors.repeat(widths, axis=1)
+    return AtomicDecomposition("lowrank", dim, values[slots], slots, blocks=blocks, lead=lead)
 
 
 def decompose_elementwise(grad: np.ndarray) -> AtomicDecomposition:
@@ -248,7 +250,7 @@ def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabiliti
     if s < 1:
         raise ValueError(f"sparsity budget s must be >= 1, got {s}")
     lam = np.abs(decomp.coeffs)
-    if np.any(lam == 0.0):
+    if (lam == 0.0).any():
         raise ValueError("decomposition contains zero atoms; drop them first")
     counts = decomp.atom_counts
     rows = np.arange(counts.size)
@@ -258,22 +260,22 @@ def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabiliti
     # in each row, at positions `at`, row after row.  A row within its budget
     # keeps every atom and never enters.
     live = np.where(s < counts, counts, 0)
-    at = np.flatnonzero(np.repeat(live > 0, counts))
+    at = np.flatnonzero((live > 0).repeat(counts))
     while at.size:
         act = lam[at]
         l1 = np.zeros(counts.size)
         start = 0
         for w, n in enumerate(live.tolist()):  # each row's own pairwise sum
             if n:
-                l1[w] = act[start : start + n].sum()
+                l1[w] = np.add.reduce(act[start : start + n])
                 start += n
-        big = act * np.repeat(budget, live) > np.repeat(l1, live)
-        clipped = np.bincount(np.repeat(rows, live)[big], minlength=counts.size)
+        big = act * budget.repeat(live) > l1.repeat(live)
+        clipped = np.bincount(rows.repeat(live)[big], minlength=counts.size)
         # a row with no oversized atom is settled: the rule holds as it is
         done = (live > 0) & (clipped == 0)
         ratio = np.divide(budget, l1, out=np.zeros_like(l1), where=done)
-        settled = np.repeat(done, live)
-        p[at[settled]] = act[settled] * np.repeat(ratio, live)[settled]
+        settled = done.repeat(live)
+        p[at[settled]] = act[settled] * ratio.repeat(live)[settled]
         # an oversized atom keeps p = 1 and leaves its row's budget
         budget -= clipped
         live = np.where(done, 0, live - clipped)

@@ -5,17 +5,20 @@ validated; netsim and data read their settings from it.  Each field's
 annotation declares its type and, where it has one, the rule for its accepted
 values, e.g. `eta: Annotated[float, _above(0)]`; a list setting's rule holds
 for each item, and None is exempt.  Every rule is written so that NaN fails
-it.  Unknown keys are rejected, every value is checked against its type and
-then its rule, then the few rules that tie two settings together are
-checked, and every validation error names the offending key, so a bad config
-fails fast with an actionable message.  The effective config (defaults filled
-in) is echoed into summary.json; loading that echo reproduces the run exactly.
+it, and a float setting's rule also fails +-inf (stop="rounds" is the way to
+run without a time budget).  Unknown keys are rejected, every value is
+checked against its type and then its rule, then the few rules that tie two
+settings together are checked, and every validation error names the
+offending key, so a bad config fails fast with an actionable message.  The
+effective config (defaults filled in) is echoed into summary.json; loading
+that echo reproduces the run exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -160,10 +163,18 @@ def _fits(annotation) -> typing.Callable[[object], bool]:
     return lambda value: isinstance(value, accepted) and not isinstance(value, bool)
 
 
+def _finite(rule: _Rule) -> _Rule:
+    """`rule`, held only by finite values: the rule of a float setting."""
+    return _Rule(f"finite and {rule.text}", lambda v: -math.inf < v < math.inf and rule.ok(v))
+
+
 def _field_check(hint) -> tuple[str, typing.Callable[[object], bool], _Rule | None]:
     """A field's type as written, a check of a value against that type, and
-    the field's rule (None if it declares none)."""
+    the field's rule (None if it declares none), finite-only if the type
+    admits a float."""
     kind, rule = typing.get_args(hint) if typing.get_origin(hint) is Annotated else (hint, None)
+    if rule is not None and (kind is float or float in typing.get_args(kind)):
+        rule = _finite(rule)
     return (kind.__name__ if isinstance(kind, type) else str(kind)), _fits(kind), rule
 
 

@@ -195,11 +195,12 @@ class Experiment:
             self.params, self.train_set, [w.shard for w in self.workers], plan.tau_k, cfg.eta,
             cfg.batch_size, [w.rng for w in self.workers],
         )
-        worker_losses = losses.mean(axis=1)
+        worker_losses = np.add.reduce(losses, axis=1) / losses.shape[1]
         if self.policy.compress:
             decomp = compress.decompose_bundle(self.params.from_flat(g_rows), cfg.basis, plan.s_k)
-            for j in np.flatnonzero(decomp.atom_counts == 0):
-                log.warning("round %d worker %d: zero gradient, empty payload", k, j)
+            if not decomp.atom_counts.all():
+                for j in np.flatnonzero(decomp.atom_counts == 0):
+                    log.warning("round %d worker %d: zero gradient, empty payload", k, j)
             probs = compress.probabilities(decomp, plan.s_k)
             payloads = compress.sample(
                 decomp, probs, [substream(cfg.seed, "compress", j, k) for j in workers]
@@ -222,11 +223,11 @@ class Experiment:
         count = np.count_nonzero(received)
         if count:
             # an axis-0 sum adds the received rows in worker order
-            ghat = self.params.from_flat(rows[received].sum(axis=0) / count)
+            ghat = self.params.from_flat(np.add.reduce(rows[received], axis=0) / count)
             self.params, self.velocity = nn.sgd_step(
                 self.params, ghat, cfg.eta, cfg.server_momentum, self.velocity
             )
-            train_loss = float(np.mean(worker_losses[received]))
+            train_loss = float(np.add.reduce(worker_losses[received]) / count)
             if train_loss > 0.0:
                 self._next_plan = self._apply_policy(schedule.plan_next(self.scheduler, train_loss))
             else:

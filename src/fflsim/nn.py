@@ -175,7 +175,7 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParameterSet:
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise FloatingPointError(f"non-finite values in {what}")
 
 

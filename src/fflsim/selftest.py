@@ -5,6 +5,8 @@ Monte Carlo for the estimator moments, a projected-gradient minimizer for
 the selection probabilities, central finite differences for backprop, and
 direct ratio arithmetic for the schedule.  The full test suite runs larger
 versions of the same checks; this subset is sized to finish in seconds.
+The projected-gradient loop calls ufuncs directly, since np.clip/np.sum's
+dispatch outweighs its few-value arithmetic; the results match them bit for bit.
 """
 
 from __future__ import annotations
@@ -25,29 +27,34 @@ def project_budget_box(p: np.ndarray, s: float, lo: float = 1e-12) -> np.ndarray
     knots at p - 1 and p - lo.  It is evaluated at every knot; the shift is
     interpolated on the segment whose end sums bracket s.
     """
-    knots = np.sort(np.concatenate((p - 1.0, p - lo)))
+    knots = np.concatenate((p - 1.0, p - lo))
+    knots.sort()
     # non-increasing as computed too: each clipped entry is, and rounding keeps order
-    totals = np.clip(p - knots[:, None], lo, 1.0).sum(axis=1)
-    j = int(np.searchsorted(-totals, -s))  # first knot whose sum is <= s
+    totals = np.add.reduce(np.minimum(np.maximum(p - knots[:, None], lo), 1.0), axis=1)
+    j = int((-totals).searchsorted(-s))  # first knot whose sum is <= s
     if j == 0:  # s >= n: every entry at its cap
         return np.ones_like(p)
     if j == knots.size:  # s <= n * lo: every entry at its floor
         return np.full_like(p, lo)
     # totals[j - 1] > s >= totals[j], so the segment is not flat
-    k0, k1, t0, t1 = knots[j - 1], knots[j], totals[j - 1], totals[j]
-    return np.clip(p - (k0 + (t0 - s) * (k1 - k0) / (t0 - t1)), lo, 1.0)
+    k0, k1 = knots[j - 1 : j + 1].tolist()
+    t0, t1 = totals[j - 1 : j + 1].tolist()
+    return np.minimum(np.maximum(p - (k0 + (t0 - s) * (k1 - k0) / (t0 - t1)), lo), 1.0)
 
 
 def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 4000) -> float:
     """Projected-gradient minimum of sum lambda_i^2 / p_i over the budget box."""
     lam2 = lam**2
+    neg_lam2 = -lam2
     p = project_budget_box(np.full(lam.size, s / lam.size), s)
-    best = float(np.sum(lam2 / p))
-    step = 0.1 / max(1.0, lam2.max())
+    best = float(np.add.reduce(lam2 / p))
+    step = 0.1 / max(1.0, float(lam2.max()))
     for it in range(iters):
-        grad = -lam2 / p**2
-        p = project_budget_box(p - step * grad / (1.0 + it / 50.0), s)
-        best = min(best, float(np.sum(lam2 / p)))
+        # the gradient -lambda^2 / p^2, scaled by a step that decays with it
+        p = project_budget_box(p - step * (neg_lam2 / (p * p)) / (1.0 + it / 50.0), s)
+        value = float(np.add.reduce(lam2 / p))
+        if value < best:
+            best = value
     return best
 
 

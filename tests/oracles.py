@@ -7,7 +7,9 @@ of the closed-form probabilities, a row-by-row budget clip instead of the
 one that clips every row at once, and straight-line formula transcriptions
 instead of the shared implementations.  The projected-gradient minimizer
 and its exact budget-box projection are the ones `fflsim selftest` runs,
-shared rather than copied.
+shared rather than copied; their earlier np.clip / np.sum / np.searchsorted
+form is kept here as the reference the selftest's direct ufunc calls must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -67,6 +69,34 @@ def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 2000) -> f
     """The selftest's projected-gradient minimum of sum_i lambda_i^2 / p_i
     over the budget box, at 2000 iterations."""
     return selftest.minimize_variance_numeric(lam, s, iters)
+
+
+def project_budget_box_reference(p: np.ndarray, s: float, lo: float = 1e-12) -> np.ndarray:
+    """The selftest's budget-box projection written with np.clip, np.sum
+    and np.searchsorted."""
+    knots = np.sort(np.concatenate((p - 1.0, p - lo)))
+    totals = np.clip(p - knots[:, None], lo, 1.0).sum(axis=1)
+    j = int(np.searchsorted(-totals, -s))
+    if j == 0:
+        return np.ones_like(p)
+    if j == knots.size:
+        return np.full_like(p, lo)
+    k0, k1, t0, t1 = knots[j - 1], knots[j], totals[j - 1], totals[j]
+    return np.clip(p - (k0 + (t0 - s) * (k1 - k0) / (t0 - t1)), lo, 1.0)
+
+
+def minimize_variance_reference(lam: np.ndarray, s: float, iters: int = 4000) -> float:
+    """The selftest's projected-gradient minimum written with np.clip and
+    np.sum, through project_budget_box_reference."""
+    lam2 = lam**2
+    p = project_budget_box_reference(np.full(lam.size, s / lam.size), s)
+    best = float(np.sum(lam2 / p))
+    step = 0.1 / max(1.0, lam2.max())
+    for it in range(iters):
+        grad = -lam2 / p**2
+        p = project_budget_box_reference(p - step * grad / (1.0 + it / 50.0), s)
+        best = min(best, float(np.sum(lam2 / p)))
+    return best
 
 
 def clipped_reference(lam: np.ndarray, s: float) -> np.ndarray:

@@ -426,8 +426,11 @@ def test_an_out_of_range_value_is_a_config_error_naming_its_key(key):
 @pytest.mark.parametrize("key, value", [
     *((key, math.nan) for key in FLOAT_FIELDS),
     ("snr", [1.0, math.nan]), ("uplink_rate_bps", [1e5, math.nan]),
+    *((key, inf) for inf in (math.inf, -math.inf) for key in FLOAT_FIELDS),
+    *((key, [1e5, inf]) for inf in (math.inf, -math.inf) for key in ("snr", "uplink_rate_bps")),
 ])
 def test_nan_fails_every_float_rule(key, value):
+    # +-inf too: no float setting accepts a non-finite value
     assert_rejected_by_rule(key, {"workers": 2, key: value})
 
 
@@ -439,12 +442,15 @@ def test_every_default_satisfies_its_rule():
 
 @pytest.mark.parametrize("key", ["eta", "T_budget_s"])
 def test_run_exits_2_on_a_bare_nan(tmp_path, capsys, key):
-    cfg_path = write_config(tmp_path, {**MINIMAL, "stop": "time", key: math.nan})
-    assert f'"{key}": NaN' in Path(cfg_path).read_text()
-    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
-    assert code == 2
-    assert f"config error: {key} must be > 0, got nan" in err
-    assert not (tmp_path / "o").exists()
+    # and on a bare Infinity or -Infinity, which json.load reads as well
+    for value, literal in ((math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")):
+        cfg_path = write_config(tmp_path, {**MINIMAL, "stop": "time", key: value})
+        assert f'"{key}": {literal}' in Path(cfg_path).read_text()
+        out = tmp_path / "o"
+        code, _, err = run_main(["run", "--config", cfg_path, "--out", str(out)], capsys)
+        assert code == 2
+        assert f"config error: {key} must be finite and > 0, got {value}" in err
+        assert not out.exists()
 
 
 def test_run_exits_2_when_iid_workers_outnumber_training_rows(tmp_path, capsys):

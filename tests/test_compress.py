@@ -10,7 +10,8 @@ from fflsim import compress, nn
 from fflsim.rng import substream
 
 from oracles import (
-    jacobi_singular_values, minimize_variance_numeric, probabilities_reference, project_budget_box,
+    jacobi_singular_values, minimize_variance_numeric, minimize_variance_reference,
+    probabilities_reference, project_budget_box, project_budget_box_reference,
 )
 
 
@@ -543,6 +544,42 @@ def test_stacked_drop_tolerance_is_per_row():
     assert decomp.coeffs[:2].tobytes() == alone.coeffs.tobytes()
 
 
+def lowrank_reference(parts):
+    """Kept slots and coefficients of _lowrank's blocks, with each block's
+    slots built on their own: in each row, the first `count` of them, where
+    `count` is the number of that row's singular values above its floor."""
+    slots, values = [], []
+    for _, mats, r in parts:
+        _, sv, _ = np.linalg.svd(mats, full_matrices=False)
+        sv = sv[:, :r]
+        count = np.count_nonzero(sv > compress._DROP_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
+        slots.append(np.arange(r) < count[:, None])
+        values.append(sv)
+    slots = np.concatenate(slots, axis=1)
+    return slots, np.concatenate(values, axis=1)[slots]
+
+
+def test_lowrank_slots_from_one_comparison_equal_each_blocks_own_count():
+    # rows whose blocks differ in rank: row 0 all zero, row 1's first block
+    # rank 1, row 2's a near-tied spectrum and its last block rank 2
+    rng = np.random.default_rng(8)
+    wide = np.zeros((4, 4, 6))
+    wide[1] = np.outer(rng.standard_normal(4), rng.standard_normal(6))
+    wide[2] = near_tied_matrix(1)
+    wide[3] = rng.standard_normal((4, 6))
+    column = rng.standard_normal((4, 5, 1))
+    column[0] = 0.0
+    square = np.zeros((4, 3, 3))
+    square[1:] = rng.standard_normal((3, 3, 3))
+    square[2, :, 0] = 1e-13  # rank 2 plus an entry below the drop floor
+    parts = [(0, wide, 3), (24, column, 1), (29, square, 3)]
+    decomp = compress._lowrank(parts, 38, (4,))
+    slots, coeffs = lowrank_reference(parts)
+    assert decomp.atom_counts.tolist() == [0, 5, 6, 7]
+    assert decomp.slots.dtype == bool and np.array_equal(decomp.slots, slots)
+    assert decomp.coeffs.tobytes() == coeffs.tobytes()
+
+
 def test_stage_rejects_a_generator_count_that_is_not_one_per_row():
     layout = make_bundle(5)
     decomp = compress.decompose_bundle(layout.from_flat(np.ones((3, layout.dim))), "lowrank", 2.0)
@@ -693,3 +730,54 @@ def test_budget_projection_handles_ties(p, s, expected):
     x = project_budget_box(p, s)
     np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-15)
     assert_budget_box_projection(p, s, x)
+
+
+# ---- the selftest's oracle against its np.clip form ---- #
+
+def selftest_trials():
+    """The (lam, s) draws of `fflsim selftest`'s probability-optimality
+    check: ten trials, the first three with a clipped atom."""
+    rng = np.random.default_rng(13)
+    trials = []
+    for trial in range(10):
+        size = int(rng.integers(2, 7))
+        lam = np.exp(rng.standard_normal(size))
+        if trial < 3:
+            lam[0] *= 20.0
+        trials.append((lam, float(rng.uniform(1.0, size))))
+    return trials
+
+
+def sized_trials():
+    """One (lam, s) draw of every size 1-30, s in [1, size]."""
+    rng = np.random.default_rng(31)
+    return [(np.exp(rng.standard_normal(n)), float(rng.uniform(1.0, n))) for n in range(1, 31)]
+
+
+@pytest.mark.parametrize("trials, iters", [(selftest_trials, 400), (sized_trials, 50)])
+def test_minimum_equals_the_np_clip_form_bitwise(trials, iters):
+    for lam, s in trials():
+        assert (minimize_variance_numeric(lam, s, iters).hex()
+                == minimize_variance_reference(lam, s, iters).hex())
+
+
+def test_projection_equals_the_np_clip_form_bitwise():
+    rng = np.random.default_rng(29)
+    for n in range(1, 31):
+        for scale in (0.1, 1.0, 100.0):
+            p = scale * rng.standard_normal(n)
+            for s in (float(rng.uniform(n * LO, n)), float(rng.uniform(1.0, n)), float(n)):
+                x = project_budget_box(p, s)
+                assert x.tobytes() == project_budget_box_reference(p, s).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 4, 30])
+def test_both_early_returns_equal_the_np_clip_form(size):
+    lam = np.exp(np.random.default_rng(size).standard_normal(size))
+    p = lam / lam.sum()
+    for s, fill in ((float(size), 1.0), (size * LO / 2, LO)):
+        x = project_budget_box(p, s)
+        assert np.array_equal(x, np.full(size, fill))
+        assert x.tobytes() == project_budget_box_reference(p, s).tobytes()
+        assert (minimize_variance_numeric(lam, s, 20).hex()
+                == minimize_variance_reference(lam, s, 20).hex())
