@@ -397,4 +397,6 @@ def local_update_run(
         _require_finite(grad, "gradient")
         g_sum += grad
         current -= eta * grad
+    # finite logits can still give a batch loss whose sum overflows
+    _require_finite(losses, "loss")
     return current, g_sum, losses

@@ -5,8 +5,11 @@ Monte Carlo for the estimator moments, a projected-gradient minimizer for
 the selection probabilities, central finite differences for backprop, and
 direct ratio arithmetic for the schedule.  The full test suite runs larger
 versions of the same checks; this subset is sized to finish in seconds.
-The projected-gradient loop calls ufuncs directly, since np.clip/np.sum's
-dispatch outweighs its few-value arithmetic; the results match them bit for bit.
+The projected-gradient loop works on a few values at a time, so it runs on
+lists of Python floats, where numpy's per-call dispatch would outweigh the
+arithmetic.  It sums in np.add.reduce's order and finds the projection's knot
+by bisection; its results match the np.clip / np.sum / np.searchsorted form
+bit for bit.
 """
 
 from __future__ import annotations
@@ -17,42 +20,94 @@ from . import compress, nn, schedule
 from .data import MiniBatch
 
 _CHUNK = 10_000  # Monte Carlo rows reconstructed per call
+_LO = 1e-12  # the budget box's floor
 
 
-def project_budget_box(p: np.ndarray, s: float, lo: float = 1e-12) -> np.ndarray:
+def _reduce_sum(xs: list[float]) -> float:
+    """Sum of floats, rounded as np.add.reduce rounds a contiguous float64
+    vector: fewer than 8 values in sequence, up to 128 in 8 pairwise lanes,
+    more as two halves cut at a multiple of 8."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            r0 += xs[i]
+            r1 += xs[i + 1]
+            r2 += xs[i + 2]
+            r3 += xs[i + 3]
+            r4 += xs[i + 4]
+            r5 += xs[i + 5]
+            r6 += xs[i + 6]
+            r7 += xs[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for x in xs[tail:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _reduce_sum(xs[:half]) + _reduce_sum(xs[half:])
+
+
+def _shifted_clip(p: list[float], shift: float, lo: float) -> list[float]:
+    """min(max(x - shift, lo), 1.0) for each x in p, written as comparisons,
+    which give the same floats faster."""
+    return [lo if (y := x - shift) < lo else 1.0 if y > 1.0 else y for x in p]
+
+
+def _project(p: list[float], s: float, lo: float) -> list[float]:
+    """project_budget_box on a list of floats."""
+    knots = [x - 1.0 for x in p] + [x - lo for x in p]
+    knots.sort()
+    # bisect for the first knot whose sum is <= s; the sums are non-increasing
+    # as computed too: each clipped entry is, and rounding keeps order
+    j, end = 0, len(knots)
+    t0 = t1 = 0.0  # the sums at knots j - 1 and end, once computed
+    while j < end:
+        mid = (j + end) // 2
+        t = _reduce_sum(_shifted_clip(p, knots[mid], lo))
+        if t <= s:
+            end, t1 = mid, t
+        else:
+            j, t0 = mid + 1, t
+    if j == 0:  # s >= n: every entry at its cap
+        return [1.0] * len(p)
+    if j == len(knots):  # s <= n * lo: every entry at its floor
+        return [lo] * len(p)
+    # t0 > s >= t1, so the segment is not flat
+    k0, k1 = knots[j - 1], knots[j]
+    shift = k0 + (t0 - s) * (k1 - k0) / (t0 - t1)
+    return _shifted_clip(p, shift, lo)
+
+
+def project_budget_box(p: np.ndarray, s: float, lo: float = _LO) -> np.ndarray:
     """Euclidean projection onto {sum x = s, lo <= x <= 1}: clip(p - shift, lo, 1)
     for the Lagrange shift whose clipped sum is s.
 
     The clipped sum is piecewise linear and non-increasing in the shift, with
-    knots at p - 1 and p - lo.  It is evaluated at every knot; the shift is
-    interpolated on the segment whose end sums bracket s.
+    knots at p - 1 and p - lo.  A bisection over the sorted knots finds the
+    segment whose end sums bracket s, and the shift is interpolated on it.
     """
-    knots = np.concatenate((p - 1.0, p - lo))
-    knots.sort()
-    # non-increasing as computed too: each clipped entry is, and rounding keeps order
-    totals = np.add.reduce(np.minimum(np.maximum(p - knots[:, None], lo), 1.0), axis=1)
-    j = int((-totals).searchsorted(-s))  # first knot whose sum is <= s
-    if j == 0:  # s >= n: every entry at its cap
-        return np.ones_like(p)
-    if j == knots.size:  # s <= n * lo: every entry at its floor
-        return np.full_like(p, lo)
-    # totals[j - 1] > s >= totals[j], so the segment is not flat
-    k0, k1 = knots[j - 1 : j + 1].tolist()
-    t0, t1 = totals[j - 1 : j + 1].tolist()
-    return np.minimum(np.maximum(p - (k0 + (t0 - s) * (k1 - k0) / (t0 - t1)), lo), 1.0)
+    return np.array(_project(p.tolist(), s, lo), dtype=np.float64)
 
 
 def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 4000) -> float:
     """Projected-gradient minimum of sum lambda_i^2 / p_i over the budget box."""
-    lam2 = lam**2
-    neg_lam2 = -lam2
-    p = project_budget_box(np.full(lam.size, s / lam.size), s)
-    best = float(np.add.reduce(lam2 / p))
-    step = 0.1 / max(1.0, float(lam2.max()))
+    lam2 = [x * x for x in lam.tolist()]
+    neg_lam2 = [-a for a in lam2]
+    p = _project([s / lam.size] * lam.size, s, _LO)
+    best = _reduce_sum([a / b for a, b in zip(lam2, p)])
+    step = 0.1 / max(1.0, max(lam2))
     for it in range(iters):
         # the gradient -lambda^2 / p^2, scaled by a step that decays with it
-        p = project_budget_box(p - step * (neg_lam2 / (p * p)) / (1.0 + it / 50.0), s)
-        value = float(np.add.reduce(lam2 / p))
+        decay = 1.0 + it / 50.0
+        p = _project([x - step * (a / (x * x)) / decay for a, x in zip(neg_lam2, p)], s, _LO)
+        value = _reduce_sum([a / b for a, b in zip(lam2, p)])
         if value < best:
             best = value
     return best

@@ -8,8 +8,9 @@ one that clips every row at once, and straight-line formula transcriptions
 instead of the shared implementations.  The projected-gradient minimizer
 and its exact budget-box projection are the ones `fflsim selftest` runs,
 shared rather than copied; their earlier np.clip / np.sum / np.searchsorted
-form is kept here as the reference the selftest's direct ufunc calls must
-match bit for bit.
+form is kept here as the reference that the selftest's loop over Python
+floats, with its sum in np.add.reduce's order and its bisection over the
+knots, must match bit for bit.
 """
 
 from __future__ import annotations

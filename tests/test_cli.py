@@ -83,6 +83,23 @@ def test_a_diverging_run_exits_1_and_still_writes_its_artifacts(tmp_path, capsys
     assert summary["rounds"] == len(metrics) - 1 == 0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_run_whose_training_loss_overflows_exits_1_with_its_artifacts(tmp_path, capsys):
+    # finite logits and gradients in round 1, but a batch's summed loss overflows
+    cfg_path = write_config(tmp_path, {
+        **MINIMAL, "seed": 3, "round_cap": 10, "synthetic_per_class": 60,
+        "synthetic_test_per_class": 30, "synthetic_dim": 8, "hidden_layers": [8],
+        "eta": 1e155,
+    })
+    out_dir = tmp_path / "results"
+    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert "non-finite values in loss" in err
+    metrics = (out_dir / "metrics.csv").read_text().splitlines()
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["status"] == "diverged"
+    assert summary["rounds"] == len(metrics) - 1 == 1
+
 def test_a_run_whose_training_loss_reaches_zero_exits_0_with_its_artifacts(tmp_path, capsys):
     # two classes of identical points and a large step: the loss reaches 0.0
     cfg_path = write_config(tmp_path, {
@@ -301,8 +318,13 @@ def test_compare_shares_seed_across_schemes(tmp_path, capsys):
 def test_selftest_passes(capsys):
     code, out, _ = run_main(["selftest"], capsys)
     assert code == 0
-    assert "PASS" in out
-    assert "FAIL" not in out
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "PASS  compression unbiasedness",
+        "PASS  compression variance law",
+        "PASS  selection probability optimality",
+        "PASS  backprop gradient check",
+        "PASS  cube-root schedule",
+    ]
 
 
 # ---- config loading ---- #

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from fflsim import compress, nn
 from fflsim.rng import substream
+from fflsim.selftest import _reduce_sum
 
 from oracles import (
     jacobi_singular_values, minimize_variance_numeric, minimize_variance_reference,
@@ -781,3 +782,57 @@ def test_both_early_returns_equal_the_np_clip_form(size):
         assert x.tobytes() == project_budget_box_reference(p, s).tobytes()
         assert (minimize_variance_numeric(lam, s, 20).hex()
                 == minimize_variance_reference(lam, s, 20).hex())
+
+
+@pytest.mark.parametrize("p", [
+    [0.3, 0.3, 0.3, 0.3],  # every knot tied with three others
+    [2.0, 2.0, 0.5, -1.0, 0.5, 2.0, 0.25],
+    [0.75 + LO, 1.75, 0.25],  # p - lo of one entry is p - 1 of another
+    [1.0 + LO, 2.0, 0.0, 1.0],
+    np.random.default_rng(41).choice([-0.5, 0.2, 0.7, 1.5], 23),
+])
+def test_a_budget_equal_to_a_knots_total_equals_the_np_clip_form(p):
+    p = np.array(p)
+    # the knots and their clipped sums as project_budget_box_reference has them
+    knots = np.sort(np.concatenate((p - 1.0, p - LO)))
+    assert np.unique(knots).size < knots.size  # the bisection meets tied knots
+    totals = np.clip(p - knots[:, None], LO, 1.0).sum(axis=1)
+    for s in totals.tolist():  # each knot's sum, from the cap n to the floor n * lo
+        x = project_budget_box(p, s)
+        assert x.tobytes() == project_budget_box_reference(p, s).tobytes()
+        # and a budget a step to either side of it
+        for t in (np.nextafter(s, -np.inf), np.nextafter(s, np.inf)):
+            assert (project_budget_box(p, float(t)).tobytes()
+                    == project_budget_box_reference(p, float(t)).tobytes())
+
+
+def test_budget_projection_returns_a_new_float64_vector_of_its_inputs_length():
+    p = np.random.default_rng(43).standard_normal(9)
+    before = p.tobytes()
+    for s in (9.0, 3.5, 9 * LO):  # all capped, interpolated, all floored
+        x = project_budget_box(p, s)
+        assert x.dtype == np.float64 and x.shape == p.shape
+        assert x is not p and p.tobytes() == before
+
+
+# ---- the selftest's sum in numpy's order ---- #
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_reduce_sum_rounds_as_np_add_reduce(rows):
+    """Every size 1-300, as a vector and as the rows of a 2-D array: in
+    sequence below 8 values, in 8 pairwise lanes up to 128, in two halves
+    above.  The values span many decades in both signs, so another order
+    of the additions rounds differently."""
+    rng = np.random.default_rng(47)
+    in_order = 0
+    for n in range(1, 301):
+        shape = n if rows is None else (rows, n)
+        a = rng.standard_normal(shape) * np.exp(8.0 * rng.standard_normal(shape))
+        sums = np.add.reduce(a, axis=-1)
+        for row, expected in zip(a.reshape(-1, n), np.atleast_1d(sums)):
+            assert _reduce_sum(row.tolist()).hex() == float(expected).hex(), n
+            total = 0.0
+            for v in row.tolist():
+                total += v
+            in_order += total != expected
+    assert in_order > 0  # a plain running sum would fail

@@ -620,6 +620,21 @@ def test_a_run_that_diverges_in_evaluate_reports_the_clock_of_its_last_row(tmp_p
     assert summary["total_sim_time_s"] == float(rows[-1]["sim_time_s"])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_run_whose_training_loss_overflows_ends_diverged_with_its_artifacts(tmp_path):
+    # at eta 1e155 round 1's logits and gradients stay finite, but a batch's
+    # summed loss overflows to inf
+    cfg = base_cfg(eta=1e155, output_dir=str(tmp_path))
+    with pytest.raises(FloatingPointError, match="non-finite values in loss"):
+        federation.run_experiment(cfg)
+    with open(tmp_path / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["round"] for row in rows] == ["0"]
+    summary = load_strict(tmp_path / "summary.json")
+    assert summary["status"] == "diverged"
+    assert summary["error"] == "non-finite values in loss"
+    assert summary["rounds"] == 1
+
 def zero_loss_cfg(scheme, output_dir):
     """Two classes of identical points (spread 0) and a large step: the
     training loss reaches exactly 0.0 within a few rounds."""
