@@ -56,7 +56,7 @@ def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
-    _, summary = run_experiment(cfg, output_dir=cfg.output_dir)
+    _, summary = run_experiment(cfg)
     print(
         f"scheme={summary['scheme']} status={summary['status']} rounds={summary['rounds']} "
         f"final_acc={summary['final_acc']:.4f} time_to_target_s={summary['time_to_target_s']}"
@@ -76,7 +76,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     summaries = {}
     for scheme in args.schemes:
         _, summaries[scheme] = run_experiment(
-            dataclasses.replace(base, scheme=scheme), output_dir=out_dir,
+            dataclasses.replace(base, scheme=scheme),
             names=(f"metrics_{scheme}.csv", f"summary_{scheme}.json"),
         )
 

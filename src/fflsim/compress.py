@@ -14,16 +14,17 @@ p = 1 and the rule is re-applied to the remaining atoms with the leftover
 budget until it is feasible.
 
 Every function works on a stack of W gradients at once, and one gradient is
-the W = 1 case of the same code.  A decomposition holds each row's atoms in
-fixed slots: the flat positions for elementwise atoms, and for rank-1 atoms
-the leading singular triplets of each layer block, taken from one stacked
-LAPACK SVD per block.  A round decomposes all M workers' updates, draws
-their keep masks and reconstructs them into one (M, d) buffer: one scatter
-for elementwise atoms, one batched matmul per layer block for rank-1 atoms.
-The budget clip also runs each of its rounds for all rows at once; only each
-row's l1 sum in a clip round and each row's random draw go row by row.  The
-Monte Carlo checks reconstruct many keep masks of one decomposition with the
-same code.
+the W = 1 case of the same code, a one-row stack: its reconstruction is
+(1, d), its payload size (1,), and sample takes one generator per row.  A
+decomposition holds each row's atoms in fixed slots: the flat positions for
+elementwise atoms, and for rank-1 atoms the leading singular triplets of
+each layer block, taken from one stacked LAPACK SVD per block.  A round
+decomposes all M workers' updates, draws their keep masks and reconstructs
+them into one (M, d) buffer: one scatter for elementwise atoms, one batched
+matmul per layer block for rank-1 atoms.  The budget clip also runs each of
+its rounds for all rows at once; only each row's l1 sum in a clip round and
+each row's random draw go row by row.  The Monte Carlo checks reconstruct
+many keep masks of one decomposition with the same code.
 
 A payload has one form: its decomposition and a keep mask over the atoms.
 payload_bits and serialize read the kept slots, and serialize the rank-1
@@ -66,8 +67,6 @@ class AtomicDecomposition:
     atoms slot j is flat position j (R = dim), for rank-1 atoms each layer
     block has its r slots side by side.  Row w's atoms are its set slots in
     order, and `coeffs` holds every row's coefficients, row after row.
-    `lead` is the gradients' leading shape: () for one vector, (W,) for a
-    stack.
     """
 
     basis_kind: str
@@ -75,7 +74,6 @@ class AtomicDecomposition:
     coeffs: np.ndarray  # (B,): signed for elementwise, non-negative for lowrank
     slots: np.ndarray  # (W, R) bool
     blocks: list[RankOneBlock] | None = None  # lowrank
-    lead: tuple[int, ...] = ()
     atom_counts: np.ndarray = field(init=False, repr=False)  # (W,) atoms per row
 
     def __post_init__(self) -> None:
@@ -97,10 +95,11 @@ class AtomicDecomposition:
         return self.slots.shape[0]
 
     def reconstruct_full(self) -> np.ndarray:
-        """Dense sum_i lambda_i * a_i per row (no sampling); mostly for verification."""
+        """Dense sum_i lambda_i * a_i per row (no sampling), a (W, d) array;
+        mostly for verification."""
         out = np.zeros((self.n_rows, self.dim))
         _scatter(out, self, self.coeffs, np.ones((1, self.n_atoms), dtype=bool))
-        return out.reshape(self.lead + (self.dim,))
+        return out
 
 
 @dataclass
@@ -168,13 +167,13 @@ def _scatter(out, decomp: AtomicDecomposition, scaled, keep) -> None:
         view += (block.u * coeff[:, :, None, block.start : block.start + r]) @ block.vt
 
 
-def _elementwise(rows: np.ndarray, lead: tuple[int, ...]) -> AtomicDecomposition:
+def _elementwise(rows: np.ndarray) -> AtomicDecomposition:
     """Standard-basis atoms at the nonzero entries of each row of a (W, d) stack."""
     slots = rows != 0.0
-    return AtomicDecomposition("elementwise", rows.shape[1], rows[slots], slots, lead=lead)
+    return AtomicDecomposition("elementwise", rows.shape[1], rows[slots], slots)
 
 
-def _lowrank(parts, dim: int, lead: tuple[int, ...]) -> AtomicDecomposition:
+def _lowrank(parts, dim: int) -> AtomicDecomposition:
     """Rank-1 atoms of (offset, (W, m, n) stack, r) layer blocks.
 
     One LAPACK SVD per block stack; in each row the leading singular values
@@ -194,29 +193,30 @@ def _lowrank(parts, dim: int, lead: tuple[int, ...]) -> AtomicDecomposition:
     values = np.concatenate(values, axis=1)
     floors = _DROP_TOL * np.maximum(1.0, np.stack(tops, axis=1))
     slots = values > floors.repeat(widths, axis=1)
-    return AtomicDecomposition("lowrank", dim, values[slots], slots, blocks=blocks, lead=lead)
+    return AtomicDecomposition("lowrank", dim, values[slots], slots, blocks=blocks)
 
 
 def decompose_elementwise(grad: np.ndarray) -> AtomicDecomposition:
-    """Standard-basis decomposition at the nonzero entries of a flat vector."""
-    return _elementwise(np.asarray(grad, dtype=np.float64).reshape(1, -1), ())
+    """Standard-basis decomposition at the nonzero entries of a flat vector,
+    as a one-row stack."""
+    return _elementwise(np.asarray(grad, dtype=np.float64).reshape(1, -1))
 
 
 def decompose_lowrank(grad_matrix: np.ndarray, r: int) -> AtomicDecomposition:
     """Truncated SVD decomposition of one matrix into its leading r rank-1
-    atoms, in descending singular-value order; a matrix of lower rank
-    yields fewer than r atoms."""
+    atoms, in descending singular-value order, as a one-row stack over the
+    flattened matrix; a matrix of lower rank yields fewer than r atoms."""
     mat = np.asarray(grad_matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {mat.shape}")
     if not 1 <= r <= min(mat.shape):
         raise ValueError(f"rank must be in [1, {min(mat.shape)}], got {r}")
-    return _lowrank([(0, mat[None], r)], mat.size, ())
+    return _lowrank([(0, mat[None], r)], mat.size)
 
 
 def decompose_bundle(bundle: ParameterSet, kind: str, s: float) -> AtomicDecomposition:
     """Decompose a layered gradient, or a stack of them, into one atom set
-    per gradient.
+    per gradient: a stack of W gives W rows, one gradient one row.
 
     elementwise: standard-basis atoms over the flat vector.  lowrank: each
     layer block contributes up to ceil(s) rank-1 atoms from its SVD (biases
@@ -225,15 +225,14 @@ def decompose_bundle(bundle: ParameterSet, kind: str, s: float) -> AtomicDecompo
     """
     if kind not in BASIS_KINDS:
         raise ValueError(f"basis kind must be one of {BASIS_KINDS}, got {kind!r}")
-    lead = bundle.flat.shape[:-1]
     if kind == "elementwise":
-        return _elementwise(bundle.flat.reshape(-1, bundle.dim), lead)
+        return _elementwise(bundle.flat.reshape(-1, bundle.dim))
     parts = []
     for offset, arr in bundle.blocks():
-        shape = arr.shape[len(lead):]
+        shape = arr.shape[bundle.flat.ndim - 1:]
         m, n = shape if len(shape) == 2 else (shape[0], 1)
         parts.append((offset, arr.reshape(-1, m, n), min(int(math.ceil(s)), m, n)))
-    return _lowrank(parts, bundle.dim, lead)
+    return _lowrank(parts, bundle.dim)
 
 
 def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabilities:
@@ -296,17 +295,15 @@ def select(
 def sample(
     decomp: AtomicDecomposition,
     probs: SelectionProbabilities,
-    rngs: np.random.Generator | Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
 ) -> CompressedGradient:
     """Independent Bernoulli(p_i) keep/drop per atom, kept atoms scaled by 1/p_i.
 
     Row w draws its mask as rngs[w].random(B_w) < p_w, on a generator of its
-    own (one generator may stand for a one-row decomposition).  An empty row
-    draws nothing and sends the zero payload; the caller is expected to log
-    that row as degenerate.
+    own: `rngs` is a sequence of one generator per row, also for a one-row
+    decomposition.  An empty row draws nothing and sends the zero payload;
+    the caller is expected to log that row as degenerate.
     """
-    if isinstance(rngs, np.random.Generator):
-        rngs = [rngs]
     if len(rngs) != decomp.n_rows:
         raise ValueError(f"need one generator per row: got {len(rngs)} for {decomp.n_rows} rows")
     draws = [rng.random(n) for rng, n in zip(rngs, decomp.atom_counts.tolist()) if n]
@@ -315,11 +312,9 @@ def sample(
 
 
 def reconstruct(compressed: CompressedGradient) -> np.ndarray:
-    """Dense estimator of each row's payload, shaped like the decomposed
-    gradients: a d-vector for one, (W, d) for a stack."""
-    source = compressed.source
-    rows = reconstruct_rows(source, compressed.probs, compressed.kept[None])
-    return rows.reshape(source.lead + (source.dim,))
+    """Dense estimator of each row's payload, a (W, d) array: (1, d) for
+    one decomposed gradient."""
+    return reconstruct_rows(compressed.source, compressed.probs, compressed.kept[None])
 
 
 def reconstruct_rows(
@@ -330,9 +325,9 @@ def reconstruct_rows(
     """Dense estimator rows, an (n * W, d) array, for an (n, B) keep mask
     over decomp's B atoms.
 
-    For a one-row decomposition row t equals reconstruct(select(decomp,
-    probs, masks[t])) bit for bit; for W rows, row t * W + w is mask t
-    applied to row w.
+    For a one-row decomposition row t equals the one row of
+    reconstruct(select(decomp, probs, masks[t])) bit for bit; for W rows,
+    row t * W + w is mask t applied to row w.
     """
     keep = np.asarray(masks, dtype=bool)
     if keep.ndim != 2 or keep.shape[1] != decomp.n_atoms:
@@ -379,10 +374,10 @@ def _kept_slots(compressed: CompressedGradient) -> np.ndarray:
     return kept
 
 
-def payload_bits(compressed: CompressedGradient) -> int | np.ndarray:
+def payload_bits(compressed: CompressedGradient) -> np.ndarray:
     """Bits in serialize() of each row's payload, without building it: 96 per
     elementwise atom, 160 + 64 * (m + n) per rank-1 atom of an m x n block.
-    An int for one gradient, a (W,) array for a stack."""
+    A (W,) integer array: (1,) for one decomposed gradient."""
     source = compressed.source
     if source.blocks is None:
         slot_bits = np.full(source.dim, 96)  # u32 position, f64 coefficient
@@ -390,8 +385,7 @@ def payload_bits(compressed: CompressedGradient) -> int | np.ndarray:
         slot_bits = np.concatenate([
             np.full(b.u.shape[2], 160 + 64 * (b.u.shape[1] + b.vt.shape[2])) for b in source.blocks
         ])
-    bits = _kept_slots(compressed) @ slot_bits
-    return int(bits[0]) if source.lead == () else bits
+    return _kept_slots(compressed) @ slot_bits
 
 
 def serialize(compressed: CompressedGradient) -> bytes:

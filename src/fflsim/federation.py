@@ -5,20 +5,22 @@ every worker runs tau_k local SGD steps, sums its per-step mini-batch
 gradients, optionally compresses that sum, and uploads it.  The local steps
 of all workers run as one stacked pass (nn.local_update_run), which returns
 each worker's gradient sum as one row of an (M, d) array in the flat
-parameter layout.  Compression is one stage over those rows: one
-decomposition of all M rows, their keep probabilities and masks, and one
-reconstruction into a second (M, d) buffer whose row j is worker j's payload
-as the server reconstructs it (the gradient rows themselves when nothing is
-compressed).  The server's average is the sum of the rows whose packets
-survive, added in worker order, over their count; it takes one momentum SGD
-step with the average, and feeds the workers' mean training loss back into
-the scheduler for the next plan.  Named schemes are presets of three knobs
-(compression on/off, a pinned tau or none, a pinned s or none): every scheme
-runs the adaptive planner and its pins override the plan, so the baselines
-are literally the adaptive engine with parts switched off.  A round whose
-training loss is exactly 0 ends the run: the planner's loss ratio has no
-meaning there.  A run in which every round lost every packet ends with its
-own status, since its model and plan never left their start.
+parameter layout, and its per-step losses; the workers' final parameters are
+never formed, since the server steps with the uploads alone.  Compression is
+one stage over those rows: one decomposition of all M rows, their keep
+probabilities and masks, and one reconstruction into a second (M, d) buffer
+whose row j is worker j's payload as the server reconstructs it (the
+gradient rows themselves when nothing is compressed).  The server's average
+is the sum of the rows whose packets survive, added in worker order, over
+their count; it takes one momentum SGD step with the average, and feeds the
+workers' mean training loss back into the scheduler for the next plan.
+Named schemes are presets of three knobs (compression on/off, a pinned tau
+or none, a pinned s or none): every scheme runs the adaptive planner and its
+pins override the plan, so the baselines are literally the adaptive engine
+with parts switched off.  A round whose training loss is exactly 0 ends the
+run: the planner's loss ratio has no meaning there.  A run in which every
+round lost every packet ends with its own status, since its model and plan
+never left their start.
 
 The round records are the run's only history: the round number, the clock,
 the last evaluation, the skipped-round count and the status are read from
@@ -141,6 +143,13 @@ def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         raise ConfigError(
             f"mnist_dir={cfg.mnist_dir!r} has no IDX file {os.path.basename(exc.filename)}"
         ) from None
+    # the model is sized by the training pair, so the t10k pair must fit it
+    if test.d_in != train.d_in:
+        raise ConfigError(f"mnist_dir={cfg.mnist_dir!r}: t10k images have {test.d_in} pixels, "
+                          f"train images {train.d_in}")
+    if test.n_classes > train.n_classes:
+        raise ConfigError(f"mnist_dir={cfg.mnist_dir!r}: t10k labels reach {test.n_classes - 1}, "
+                          f"train labels only {train.n_classes - 1}")
     if cfg.subset_n < train.n:
         train = take(train, data_rng.choice(train.n, size=cfg.subset_n, replace=False))
     if cfg.test_subset_n < test.n:
@@ -191,7 +200,7 @@ class Experiment:
         d = self.params.dim
 
         workers = range(len(self.workers))
-        _, g_rows, losses = nn.local_update_run(
+        g_rows, losses = nn.local_update_run(
             self.params, self.train_set, [w.shard for w in self.workers], plan.tau_k, cfg.eta,
             cfg.batch_size, [w.rng for w in self.workers],
         )
@@ -215,7 +224,7 @@ class Experiment:
             atoms_sent = 0
         compute_s = plan.tau_k * cfg.sec_per_local_step
         uplink_s = [netsim.uplink_time(b, cfg, j) for j, b in enumerate(bits)]
-        received = netsim.packets_survive(cfg, cfg.seed, k, workers)
+        received = netsim.packets_survive(cfg, k)
 
         downlink_s = netsim.downlink_time(netsim.DENSE_BITS_PER_VALUE * d, cfg)
         total_s = netsim.round_time(compute_s, uplink_s, downlink_s)

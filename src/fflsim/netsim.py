@@ -73,17 +73,19 @@ def packet_survives(rng: np.random.Generator, cfg: ExperimentConfig) -> bool:
     return float(rng.random()) >= cfg.packet_failure_prob
 
 
-def packets_survive(cfg: ExperimentConfig, seed: int, round_index: int, worker_ids) -> np.ndarray:
-    """Which of a round's uplink packets arrive, one per worker.
+def packets_survive(cfg: ExperimentConfig, round_index: int) -> np.ndarray:
+    """Which of a round's uplink packets arrive, one per worker, in worker
+    order over cfg.workers.
 
     At packet_failure_prob 0 every packet survives and at 1 none does, so no
     draw is made.  Otherwise worker j's packet gets one packet_survives draw
-    on substream(seed, "net", j, round_index).
+    on substream(cfg.seed, "net", j, round_index).
     """
     p = cfg.packet_failure_prob
     if p in (0.0, 1.0):
-        return np.full(len(worker_ids), p == 0.0)
+        return np.full(cfg.workers, p == 0.0)
     return np.array(
-        [packet_survives(substream(seed, "net", j, round_index), cfg) for j in worker_ids],
+        [packet_survives(substream(cfg.seed, "net", j, round_index), cfg)
+         for j in range(cfg.workers)],
         dtype=bool,
     )

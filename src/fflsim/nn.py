@@ -29,15 +29,18 @@ BLAS takes as it is.
 Local SGD runs all M workers of a round in one stacked pass: their
 parameters and gradient sums are (M, d) buffers whose row j is laid out like
 a flat vector, each step does one batched matmul per layer for every worker
-at once, and a local step is plain SGD, current -= eta * grad.  Before the
-first step each worker draws all tau of its mini-batches in one call on its
-own generator, giving a (tau, M, batch) index array; the drawn labels and
-the step arguments are checked once, and each step gathers only its own
-(M, batch, d_in + 1) rows.  The forward and backward pass is written once,
-over arrays with an optional leading worker axis, so a single 2-D batch is
-simply the unstacked case of the same code, and each worker's rows get the
-bits of that worker's own 2-D calls.  No function here mutates its inputs,
-and randomness only enters through explicit generators.
+at once, and a local step is plain SGD, current -= eta * grad.  The runner
+returns only the gradient sums and the losses, so each step applies the
+previous step's update first, and the update after the last step, which
+nothing would read, is never made.  Before the first step each worker
+draws all tau of its mini-batches in one call on its own generator, giving
+a (tau, M, batch) index array; the drawn labels and the step arguments are
+checked once, and each step gathers only its own (M, batch, d_in + 1) rows.
+The forward and backward pass is written once, over arrays with an optional
+leading worker axis, so a single 2-D batch is simply the unstacked case of
+the same code, and each worker's rows get the bits of that worker's own 2-D
+calls.  No function here mutates its inputs, and randomness only enters
+through explicit generators.
 
 The loss works on one class-major copy of the logits, their transpose
 (classes, batch, M): the max, the shifts, both exps and the label pick run
@@ -360,17 +363,17 @@ def local_update_run(
     eta: float,
     batch_size: int,
     rngs: Sequence[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run tau local SGD steps for M workers at once, all from `params`.
 
     Worker j draws all tau of its mini-batches from shards[j] with one call
     on rngs[j]; the batches and the step arguments are checked once, before
     the first step, so a bad input raises before any work is done.  Returns
-    (final parameters, summed gradients, per-step losses) with shapes
-    (M, d), (M, d) and (M, tau); row j is laid out like params.flatten()
-    and is bit for bit what worker j would get on its own.  The summed
-    gradient is the plain sum of the per-step mini-batch gradients, so it
-    equals (start - final) / eta up to rounding.
+    (summed gradients, per-step losses) with shapes (M, d) and (M, tau);
+    row j is laid out like params.flatten() and is bit for bit what worker
+    j would get on its own.  The summed gradient is the plain sum of the
+    per-step mini-batch gradients, so the final parameters, which are not
+    formed, would be params - eta * g_sum up to rounding.
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
@@ -392,11 +395,12 @@ def local_update_run(
     layers = _layer_views(current, params.shapes)
     grad_layers = _layer_views(grad, params.shapes)
     for step in range(tau):
+        if step:  # the previous step's update; the last step's feeds nothing
+            current -= eta * grad
         x = ds.rows.take(picks[step], axis=0)
         losses[:, step] = _backprop(layers, params.activation, x, label_index[step], grad_layers)
         _require_finite(grad, "gradient")
         g_sum += grad
-        current -= eta * grad
     # finite logits can still give a batch loss whose sum overflows
     _require_finite(losses, "loss")
-    return current, g_sum, losses
+    return g_sum, losses

@@ -85,15 +85,15 @@ def _project(p: list[float], s: float, lo: float) -> list[float]:
     return _shifted_clip(p, shift, lo)
 
 
-def project_budget_box(p: np.ndarray, s: float, lo: float = _LO) -> np.ndarray:
+def project_budget_box(p: np.ndarray, s: float) -> np.ndarray:
     """Euclidean projection onto {sum x = s, lo <= x <= 1}: clip(p - shift, lo, 1)
-    for the Lagrange shift whose clipped sum is s.
+    for the Lagrange shift whose clipped sum is s, with lo the floor _LO.
 
     The clipped sum is piecewise linear and non-increasing in the shift, with
     knots at p - 1 and p - lo.  A bisection over the sorted knots finds the
     segment whose end sums bracket s, and the shift is interpolated on it.
     """
-    return np.array(_project(p.tolist(), s, lo), dtype=np.float64)
+    return np.array(_project(p.tolist(), s, _LO), dtype=np.float64)
 
 
 def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 4000) -> float:

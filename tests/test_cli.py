@@ -5,6 +5,7 @@ import re
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fflsim import cli
@@ -13,6 +14,8 @@ from fflsim.config import DATASETS, SCHEMES, STOPS, ExperimentConfig, load_confi
 from fflsim.data import PARTITION_MODES
 from fflsim.nn import ACTIVATIONS
 from fflsim.errors import ConfigError
+
+from test_data import write_idx_pair
 
 MINIMAL = {
     "scheme": "vanilla",
@@ -502,6 +505,48 @@ def test_run_exits_1_on_a_malformed_idx_file(tmp_path, capsys):
     code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
     assert code == 1
     assert "bad magic 2049" in err
+
+
+def write_mnist_dir(tmp_path, train, test):
+    """An mnist_dir with the train and t10k IDX pairs of two (images, labels)."""
+    idx_dir = tmp_path / "idx"
+    idx_dir.mkdir()
+    for prefix, (images, labels) in (("train", train), ("t10k", test)):
+        pair_dir = tmp_path / prefix
+        pair_dir.mkdir()
+        img_path, lab_path = write_idx_pair(pair_dir, images, labels)
+        img_path.rename(idx_dir / f"{prefix}-images-idx3-ubyte")
+        lab_path.rename(idx_dir / f"{prefix}-labels-idx1-ubyte")
+    return idx_dir
+
+
+def idx_images(n, side, labels):
+    rng = np.random.default_rng(n + side)
+    images = rng.integers(0, 256, size=(n, side, side), dtype=np.uint8)
+    return images, np.array([labels[i % len(labels)] for i in range(n)], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("test_pair,message", [
+    # a t10k label the model, sized by the train labels 0-2, has no logit for
+    (idx_images(10, 2, [0, 1, 2, 3]), "t10k labels reach 3, train labels only 2"),
+    # t10k images of another size than the model's input
+    (idx_images(10, 3, [0, 1, 2]), "t10k images have 9 pixels, train images 4"),
+], ids=["label", "size"])
+def test_run_exits_2_before_round_0_on_a_mismatched_mnist_pair(tmp_path, capsys, test_pair,
+                                                                message):
+    idx_dir = write_mnist_dir(tmp_path, idx_images(20, 2, [0, 1, 2]), test_pair)
+    cfg_path = write_config(tmp_path, {**MINIMAL, "dataset": "mnist", "mnist_dir": str(idx_dir)})
+    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert f"config error: mnist_dir={str(idx_dir)!r}: {message}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_accepts_a_t10k_set_with_fewer_classes(tmp_path, capsys):
+    idx_dir = write_mnist_dir(tmp_path, idx_images(20, 2, [0, 1, 2]), idx_images(10, 2, [0, 1]))
+    cfg_path = write_config(tmp_path, {**MINIMAL, "dataset": "mnist", "mnist_dir": str(idx_dir)})
+    code, out, _ = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
+    assert code == 0 and "status=ok rounds=4" in out
 
 
 def test_readme_lists_only_config_keys():

@@ -28,13 +28,13 @@ def test_elementwise_keeps_only_nonzeros():
     assert d.n_atoms == 2
     assert np.array_equal(np.flatnonzero(d.slots[0]), [1, 3])
     assert np.array_equal(d.coeffs, [3.0, -2.0])
-    assert np.array_equal(d.reconstruct_full(), [0.0, 3.0, 0.0, -2.0, 0.0])
+    assert np.array_equal(d.reconstruct_full(), [[0.0, 3.0, 0.0, -2.0, 0.0]])
 
 
 def test_elementwise_zero_vector_empty():
     d = elementwise_of(np.zeros(4))
     assert d.n_atoms == 0
-    assert np.array_equal(d.reconstruct_full(), np.zeros(4))
+    assert np.array_equal(d.reconstruct_full(), np.zeros((1, 4)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -42,7 +42,7 @@ def test_elementwise_zero_vector_empty():
                   elements=st.floats(-1e6, 1e6, allow_nan=False)))
 def test_elementwise_round_trip_property(vec):
     d = elementwise_of(vec)
-    assert np.array_equal(d.reconstruct_full(), vec)
+    assert np.array_equal(d.reconstruct_full(), vec[None])
     assert d.n_atoms == int(np.count_nonzero(vec))
 
 
@@ -281,7 +281,7 @@ def test_probabilities_equal_the_row_by_row_clip_bitwise(case):
     rows, s = case
     slots = np.arange(40) < np.array([len(row) for row in rows])[:, None]
     coeffs = np.array([c for row in rows for c in row])
-    decomp = compress.AtomicDecomposition("elementwise", 40, coeffs, slots, lead=(len(rows),))
+    decomp = compress.AtomicDecomposition("elementwise", 40, coeffs, slots)
     want = probabilities_reference(decomp.atom_counts, decomp.coeffs, s)
     assert compress.probabilities(decomp, s).probs.tobytes() == want.tobytes()
 
@@ -302,17 +302,17 @@ def test_sample_all_ones_probs_is_lossless():
     vec = rng.standard_normal(30)
     d = elementwise_of(vec)
     probs = compress.SelectionProbabilities(np.ones(d.n_atoms))
-    cg = compress.sample(d, probs, substream(0, "compress", 0, 0))
+    cg = compress.sample(d, probs, [substream(0, "compress", 0, 0)])
     assert cg.payload_atoms == d.n_atoms
-    assert np.array_equal(compress.reconstruct(cg), vec)
+    assert np.array_equal(compress.reconstruct(cg), vec[None])
 
 
 def test_sample_empty_decomposition_zero_payload():
     d = elementwise_of(np.zeros(6))
     cg = compress.sample(d, compress.SelectionProbabilities(np.empty(0)),
-                         substream(0, "compress", 0, 0))
+                         [substream(0, "compress", 0, 0)])
     assert cg.payload_atoms == 0
-    assert np.array_equal(compress.reconstruct(cg), np.zeros(6))
+    assert np.array_equal(compress.reconstruct(cg), np.zeros((1, 6)))
 
 
 def test_sample_lowrank_reconstruction_span():
@@ -320,8 +320,8 @@ def test_sample_lowrank_reconstruction_span():
     mat = rng.standard_normal((4, 4))
     d = compress.decompose_lowrank(mat, r=4)
     probs = compress.SelectionProbabilities(np.ones(d.n_atoms))
-    cg = compress.sample(d, probs, substream(1, "compress", 0, 0))
-    assert np.allclose(compress.reconstruct(cg), mat.ravel(), atol=1e-8)
+    cg = compress.sample(d, probs, [substream(1, "compress", 0, 0)])
+    assert np.allclose(compress.reconstruct(cg), mat.ravel()[None], atol=1e-8)
 
 
 def test_monte_carlo_unbiased_and_variance():
@@ -335,7 +335,7 @@ def test_monte_carlo_unbiased_and_variance():
     total = np.zeros(d.dim)
     total_sq = 0.0
     for row in mask:
-        rec = compress.reconstruct(compress.select(d, probs, row))
+        (rec,) = compress.reconstruct(compress.select(d, probs, row))
         total += rec
         total_sq += float(np.sum((rec - vec) ** 2))
     mean = total / n
@@ -429,7 +429,7 @@ def test_reconstruct_rows_equals_one_row_at_a_time_bitwise(case):
     decomp, probs, masks = case
     rows = compress.reconstruct_rows(decomp, probs, masks)
     payloads = [compress.select(decomp, probs, mask) for mask in masks]
-    one_at_a_time = np.array([compress.reconstruct(cg) for cg in payloads])
+    one_at_a_time = np.concatenate([compress.reconstruct(cg) for cg in payloads])
     assert rows.shape == (len(masks), decomp.dim)
     # tobytes: bit for bit, signed zeros included
     assert rows.tobytes() == one_at_a_time.tobytes()
@@ -456,8 +456,8 @@ def test_an_atom_whose_probability_underflows_to_zero_reconstructs_cleanly():
     masks = np.array([[False, True, True, True], [False, False, True, False]])
     with np.errstate(all="raise"):
         rows = compress.reconstruct_rows(d, probs, masks)
-        sampled = compress.sample(d, probs, substream(4, "compress", 0, 0))
-        rec = compress.reconstruct(sampled)
+        sampled = compress.sample(d, probs, [substream(4, "compress", 0, 0)])
+        (rec,) = compress.reconstruct(sampled)
         scaled = sampled.coeffs
     want = np.zeros((2, 4))
     want[masks] = (vec / np.where(probs.probs > 0.0, probs.probs, 1.0))[masks.nonzero()[1]]
@@ -469,9 +469,9 @@ def test_an_atom_whose_probability_underflows_to_zero_reconstructs_cleanly():
 def test_sample_records_its_keep_mask():
     d = elementwise_of([3.0, -2.0, 1.0, 0.5])
     probs = compress.probabilities(d, 2.0)
-    cg = compress.sample(d, probs, substream(4, "compress", 0, 0))
+    cg = compress.sample(d, probs, [substream(4, "compress", 0, 0)])
     assert cg.kept.shape == (d.n_atoms,) and cg.kept.sum() == cg.payload_atoms
-    assert np.array_equal(compress.reconstruct_rows(d, probs, cg.kept[None])[0],
+    assert np.array_equal(compress.reconstruct_rows(d, probs, cg.kept[None]),
                           compress.reconstruct(cg))
 
 
@@ -519,10 +519,10 @@ def test_one_stage_for_all_rows_equals_one_payload_per_row_bitwise(case):
         # tobytes: bit for bit, signed zeros included; also against the
         # scatter a single payload used before batching (within rounding
         # for rank-1 atoms)
-        assert rows[j].tobytes() == compress.reconstruct(payload).tobytes()
+        assert rows[j].tobytes() == compress.reconstruct(payload)[0].tobytes()
         assert_matches_the_one_row_reference(rows[j], payload)
         blobs.append(compress.serialize(payload))
-        assert bits[j] == compress.payload_bits(payload) == 8 * len(blobs[-1])
+        assert [bits[j]] == compress.payload_bits(payload).tolist() == [8 * len(blobs[-1])]
     # the stack's wire form is every row's after the previous row's
     assert compress.serialize(cg) == b"".join(blobs)
     assert cg.payload_atoms == int(np.count_nonzero(cg.kept))
@@ -574,7 +574,7 @@ def test_lowrank_slots_from_one_comparison_equal_each_blocks_own_count():
     square[1:] = rng.standard_normal((3, 3, 3))
     square[2, :, 0] = 1e-13  # rank 2 plus an entry below the drop floor
     parts = [(0, wide, 3), (24, column, 1), (29, square, 3)]
-    decomp = compress._lowrank(parts, 38, (4,))
+    decomp = compress._lowrank(parts, 38)
     slots, coeffs = lowrank_reference(parts)
     assert decomp.atom_counts.tolist() == [0, 5, 6, 7]
     assert decomp.slots.dtype == bool and np.array_equal(decomp.slots, slots)
@@ -587,6 +587,24 @@ def test_stage_rejects_a_generator_count_that_is_not_one_per_row():
     probs = compress.probabilities(decomp, 2.0)
     with pytest.raises(ValueError, match="one generator per row"):
         compress.sample(decomp, probs, [substream(0, "compress", j, 0) for j in range(2)])
+
+
+@pytest.mark.parametrize("decompose", [
+    lambda mat: compress.decompose_elementwise(mat.ravel()),
+    lambda mat: compress.decompose_lowrank(mat, 2),
+], ids=["elementwise", "lowrank"])
+def test_a_single_gradient_is_a_one_row_stack(decompose):
+    mat = np.random.default_rng(10).standard_normal((3, 4))
+    d = decompose(mat)
+    assert d.n_rows == 1
+    probs = compress.probabilities(d, 2.0)
+    cg = compress.sample(d, probs, [substream(0, "compress", 0, 0)])
+    assert d.reconstruct_full().shape == compress.reconstruct(cg).shape == (1, 12)
+    bits = compress.payload_bits(cg)
+    assert bits.shape == (1,) and bits.tolist() == [8 * len(compress.serialize(cg))]
+    # one generator per row, also for one row: a bare generator is refused
+    with pytest.raises((TypeError, ValueError)):
+        compress.sample(d, probs, substream(0, "compress", 0, 0))
 
 
 # ---- variance terms ---- #
@@ -656,17 +674,17 @@ def test_payload_bits_is_the_serialized_size(case):
     decomp, probs, masks = case
     for mask in masks:
         cg = compress.select(decomp, probs, mask)
-        assert compress.payload_bits(cg) == 8 * len(compress.serialize(cg))
+        assert compress.payload_bits(cg).tolist() == [8 * len(compress.serialize(cg))]
 
 
 def test_payload_bits_of_a_rank_one_atom_of_a_16_by_32_block():
     d = compress.decompose_lowrank(np.random.default_rng(2).standard_normal((16, 32)), r=1)
     cg = compress.select(d, compress.SelectionProbabilities(np.ones(1)), np.ones(1, dtype=bool))
-    assert compress.payload_bits(cg) == 3232
+    assert compress.payload_bits(cg).tolist() == [3232]
     empty = compress.sample(compress.decompose_elementwise(np.zeros(5)),
                             compress.SelectionProbabilities(np.empty(0)),
-                            substream(0, "compress", 0, 0))
-    assert compress.payload_bits(empty) == 0 == len(compress.serialize(empty))
+                            [substream(0, "compress", 0, 0)])
+    assert compress.payload_bits(empty).tolist() == [0] and compress.serialize(empty) == b""
 
 
 # ---- budget projection oracle self-check ---- #

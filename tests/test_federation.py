@@ -245,7 +245,7 @@ def worker_payloads(exp, g_rows_per_round, basis):
         for j, g_row in enumerate(g_rows):
             decomp = compress.decompose_bundle(exp.params.from_flat(g_row), basis, record.s_k)
             probs = compress.probabilities(decomp, record.s_k)
-            out.append(compress.sample(decomp, probs, substream(exp.cfg.seed, "compress", j, k)))
+            out.append(compress.sample(decomp, probs, [substream(exp.cfg.seed, "compress", j, k)]))
     return out
 
 
@@ -263,7 +263,7 @@ def test_server_mean_equals_the_worker_order_loop(monkeypatch, scheme, basis):
 
     def local_update_run(*args, **kwargs):
         out = real_run(*args, **kwargs)
-        grads.append(out[1].copy())
+        grads.append(out[0].copy())
         return out
 
     def packet_survives(*args, **kwargs):
@@ -282,7 +282,7 @@ def test_server_mean_equals_the_worker_order_loop(monkeypatch, scheme, basis):
     if scheme == "adacomm_like":
         payloads = [row for g_rows in grads for row in g_rows]
     else:
-        payloads = [compress.reconstruct(cg) for cg in worker_payloads(exp, grads, basis)]
+        payloads = [compress.reconstruct(cg)[0] for cg in worker_payloads(exp, grads, basis)]
 
     expected = []
     for k, record in enumerate(records):
@@ -314,7 +314,7 @@ def test_uplink_charges_the_bits_each_payload_serialises_to(monkeypatch, scheme,
 
     def local_update_run(*args, **kwargs):
         out = real_run(*args, **kwargs)
-        grads.append(out[1].copy())
+        grads.append(out[0].copy())
         return out
 
     monkeypatch.setattr(nn, "local_update_run", local_update_run)
@@ -354,9 +354,9 @@ def test_zero_gradient_warns_once_per_empty_worker(monkeypatch, caplog, basis):
     real_run = nn.local_update_run
 
     def local_update_run(*args, **kwargs):
-        final, g_rows, losses = real_run(*args, **kwargs)
+        g_rows, losses = real_run(*args, **kwargs)
         g_rows[[0, 2]] = 0.0
-        return final, g_rows, losses
+        return g_rows, losses
 
     monkeypatch.setattr(nn, "local_update_run", local_update_run)
     exp = Experiment(base_cfg(scheme="ffl", basis=basis, workers=3))

@@ -153,19 +153,18 @@ def test_packets_survive_draws_nothing_at_probability_zero_or_one(monkeypatch):
         raise AssertionError("no generator should be built")
 
     monkeypatch.setattr(netsim, "substream", no_stream)
-    ids = [0, 1, 2, 3, 4]
-    survived = netsim.packets_survive(ExperimentConfig(packet_failure_prob=0.0), 7, 3, ids)
-    lost = netsim.packets_survive(ExperimentConfig(packet_failure_prob=1.0), 7, 3, ids)
+    survived = netsim.packets_survive(ExperimentConfig(packet_failure_prob=0.0, workers=5), 3)
+    lost = netsim.packets_survive(ExperimentConfig(packet_failure_prob=1.0, workers=5), 3)
     assert survived.dtype == bool and survived.tolist() == [True] * 5
     assert lost.dtype == bool and lost.tolist() == [False] * 5
 
 
 @pytest.mark.parametrize("p", [1e-9, 0.3, 1.0 - 1e-9])
 def test_packets_survive_is_one_draw_per_worker_stream(p):
-    cfg = ExperimentConfig(packet_failure_prob=p)
+    cfg = ExperimentConfig(packet_failure_prob=p, workers=6, seed=7)
     for k in range(5):
         want = [netsim.packet_survives(substream(7, "net", j, k), cfg) for j in range(6)]
-        assert netsim.packets_survive(cfg, 7, k, range(6)).tolist() == want
+        assert netsim.packets_survive(cfg, k).tolist() == want
 
 
 # ---- channel settings, validated by ExperimentConfig ---- #
