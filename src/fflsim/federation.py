@@ -22,6 +22,12 @@ run: the planner's loss ratio has no meaning there.  A run in which every
 round lost every packet ends with its own status, since its model and plan
 never left their start.
 
+Every random stream is derived once, in Experiment.__init__: "data",
+"partition", "init", per worker a "worker" mini-batch stream and a separate
+"compress" keep-mask stream (so compressing draws no mini-batch), and one
+"net" stream of packet survivals.  Each round draws on from where the last
+one stopped.
+
 The round records are the run's only history: the round number, the clock,
 the last evaluation, the skipped-round count and the status are read from
 them, so summary.json cannot disagree with metrics.csv, even after a run
@@ -81,7 +87,8 @@ def policy_for(scheme: str, tau0: int, s0: float) -> SchemePolicy:
 @dataclass
 class WorkerState:
     shard: Shard
-    rng: np.random.Generator
+    rng: np.random.Generator  # mini-batch draws
+    keep_rng: np.random.Generator  # keep-mask draws of compress.sample
 
 
 @dataclass
@@ -168,8 +175,11 @@ class Experiment:
         shards = partition(self.train_set, cfg.partition_mode, cfg.workers,
                            substream(cfg.seed, "partition"), cfg.classes_per_worker)
         self.workers = [
-            WorkerState(shards[j], substream(cfg.seed, "worker", j)) for j in range(cfg.workers)
+            WorkerState(shards[j], substream(cfg.seed, "worker", j),
+                        substream(cfg.seed, "compress", j))
+            for j in range(cfg.workers)
         ]
+        self.net_rng = substream(cfg.seed, "net")
         mlp = nn.MlpSpec(
             (self.train_set.d_in, *cfg.hidden_layers, self.train_set.n_classes), cfg.activation
         )
@@ -199,7 +209,6 @@ class Experiment:
         plan = self._next_plan
         d = self.params.dim
 
-        workers = range(len(self.workers))
         g_rows, losses = nn.local_update_run(
             self.params, self.train_set, [w.shard for w in self.workers], plan.tau_k, cfg.eta,
             cfg.batch_size, [w.rng for w in self.workers],
@@ -211,20 +220,18 @@ class Experiment:
                 for j in np.flatnonzero(decomp.atom_counts == 0):
                     log.warning("round %d worker %d: zero gradient, empty payload", k, j)
             probs = compress.probabilities(decomp, plan.s_k)
-            payloads = compress.sample(
-                decomp, probs, [substream(cfg.seed, "compress", j, k) for j in workers]
-            )
+            payloads = compress.sample(decomp, probs, [w.keep_rng for w in self.workers])
             # row j: worker j's update as the server reconstructs it
             rows = compress.reconstruct(payloads)
             bits = compress.payload_bits(payloads).tolist()
             atoms_sent = payloads.payload_atoms
         else:
             rows = g_rows
-            bits = [netsim.DENSE_BITS_PER_VALUE * d] * len(workers)
+            bits = [netsim.DENSE_BITS_PER_VALUE * d] * cfg.workers
             atoms_sent = 0
         compute_s = plan.tau_k * cfg.sec_per_local_step
         uplink_s = [netsim.uplink_time(b, cfg, j) for j, b in enumerate(bits)]
-        received = netsim.packets_survive(cfg, k)
+        received = netsim.packets_survive(cfg, self.net_rng)
 
         downlink_s = netsim.downlink_time(netsim.DENSE_BITS_PER_VALUE * d, cfg)
         total_s = netsim.round_time(compute_s, uplink_s, downlink_s)

@@ -9,7 +9,8 @@ bits over its rate; the server broadcasts the dense model.  Every worker
 runs the round's tau local steps at the same speed, so a round costs that
 one compute time, the slowest uplink and one shared downlink; uplink
 payloads lose their packet independently with a fixed probability;
-survival is drawn only when that probability is strictly between 0 and 1.
+survival is drawn only when that probability is strictly between 0 and 1,
+from a generator the caller owns, so netsim holds no randomness of its own.
 The channel settings are read by name from the ExperimentConfig.
 """
 
@@ -19,8 +20,6 @@ import math
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .rng import substream
 
 if TYPE_CHECKING:  # annotation only: netsim needs nothing of config at run time
     from .config import ExperimentConfig
@@ -68,24 +67,14 @@ def round_time(compute_s: float, uplink_s: list[float], downlink_s: float) -> fl
     return total
 
 
-def packet_survives(rng: np.random.Generator, cfg: ExperimentConfig) -> bool:
-    """One Bernoulli survival draw; False with probability packet_failure_prob."""
-    return float(rng.random()) >= cfg.packet_failure_prob
-
-
-def packets_survive(cfg: ExperimentConfig, round_index: int) -> np.ndarray:
+def packets_survive(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     """Which of a round's uplink packets arrive, one per worker, in worker
-    order over cfg.workers.
+    order over cfg.workers; each is lost with probability packet_failure_prob.
 
     At packet_failure_prob 0 every packet survives and at 1 none does, so no
-    draw is made.  Otherwise worker j's packet gets one packet_survives draw
-    on substream(cfg.seed, "net", j, round_index).
+    draw is made.  Otherwise the round takes cfg.workers uniforms from `rng`.
     """
     p = cfg.packet_failure_prob
     if p in (0.0, 1.0):
         return np.full(cfg.workers, p == 0.0)
-    return np.array(
-        [packet_survives(substream(cfg.seed, "net", j, round_index), cfg)
-         for j in range(cfg.workers)],
-        dtype=bool,
-    )
+    return rng.random(cfg.workers) >= p

@@ -2,9 +2,10 @@
 
 Every source of randomness in a run is a substream derived from the single
 master seed and a label path, e.g. substream(seed, "worker", 3) or
-substream(seed, "compress", j, k).  The derivation hashes the canonical
-string form of the path with SHA-256, so streams are independent of each
-other, of platform, and of the order in which they are created.
+substream(seed, "net").  The derivation hashes the canonical string form of
+the path with SHA-256, so streams are independent of each other, of
+platform, and of the order in which they are created.  A run derives each of
+its streams once, when it is set up, and every later draw continues it.
 """
 
 from __future__ import annotations

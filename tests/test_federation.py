@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fflsim import compress, data, federation, netsim, nn
+from fflsim import rng as rng_module
 from fflsim.config import SCHEMES, ExperimentConfig
 from fflsim.data import Dataset, MiniBatch, sample_minibatch
 from fflsim.errors import ConfigError
@@ -72,7 +73,8 @@ def test_identical_shards_average_equals_centralized():
     exp = Experiment(cfg)
     full = np.arange(exp.train_set.n)
     exp.workers = [
-        federation.WorkerState(full, substream(cfg.seed, "worker", 0)) for _ in range(4)
+        federation.WorkerState(full, substream(cfg.seed, "worker", 0), w.keep_rng)
+        for w in exp.workers
     ]
     ref_params = exp.params.copy()
     rng = substream(cfg.seed, "worker", 0)
@@ -239,13 +241,16 @@ def test_partial_packet_loss_still_updates():
 
 def worker_payloads(exp, g_rows_per_round, basis):
     """Every worker's payload of every round, compressed on its own through
-    the one-gradient API from the gradient row the round computed for it."""
+    the one-gradient API from the gradient row the round computed for it,
+    with the masks drawn on in round order from a fresh copy of the worker's
+    keep-mask stream."""
+    keep_rngs = [substream(exp.cfg.seed, "compress", j) for j in range(exp.cfg.workers)]
     out = []
-    for k, (record, g_rows) in enumerate(zip(exp.records, g_rows_per_round)):
-        for j, g_row in enumerate(g_rows):
+    for record, g_rows in zip(exp.records, g_rows_per_round):
+        for g_row, rng in zip(g_rows, keep_rngs):
             decomp = compress.decompose_bundle(exp.params.from_flat(g_row), basis, record.s_k)
             probs = compress.probabilities(decomp, record.s_k)
-            out.append(compress.sample(decomp, probs, [substream(exp.cfg.seed, "compress", j, k)]))
+            out.append(compress.sample(decomp, probs, [rng]))
     return out
 
 
@@ -259,23 +264,24 @@ def test_server_mean_equals_the_worker_order_loop(monkeypatch, scheme, basis):
     # worker order
     cfg = base_cfg(scheme=scheme, basis=basis, workers=3, packet_failure_prob=0.5, round_cap=30)
     grads, survived, directions = [], [], []
-    real_run, real_survives, real_step = nn.local_update_run, netsim.packet_survives, nn.sgd_step
+    real_run, real_survives, real_step = nn.local_update_run, netsim.packets_survive, nn.sgd_step
 
     def local_update_run(*args, **kwargs):
         out = real_run(*args, **kwargs)
         grads.append(out[0].copy())
         return out
 
-    def packet_survives(*args, **kwargs):
-        survived.append(real_survives(*args, **kwargs))
-        return survived[-1]
+    def packets_survive(*args, **kwargs):
+        out = real_survives(*args, **kwargs)
+        survived.extend(out.tolist())
+        return out
 
     def sgd_step(params, grad, *args, **kwargs):
         directions.append(grad.flat.copy())
         return real_step(params, grad, *args, **kwargs)
 
     monkeypatch.setattr(nn, "local_update_run", local_update_run)
-    monkeypatch.setattr(netsim, "packet_survives", packet_survives)
+    monkeypatch.setattr(netsim, "packets_survive", packets_survive)
     monkeypatch.setattr(nn, "sgd_step", sgd_step)
     exp = Experiment(cfg)
     records, _ = exp.run()
@@ -330,23 +336,23 @@ def test_uplink_charges_the_bits_each_payload_serialises_to(monkeypatch, scheme,
         assert record.uplink_max_s == max(b / rate for b, rate in zip(bits, rates))
 
 
-@pytest.mark.parametrize("p_fail,streams", [(0.0, ["compress"]), (0.5, ["compress", "net"])])
-def test_a_round_builds_one_compress_stream_per_worker(monkeypatch, p_fail, streams):
-    # a lossless round draws no survival; a lossy one draws one per worker
+@pytest.mark.parametrize("p_fail", [0.0, 0.5])
+def test_no_round_builds_a_stream(monkeypatch, p_fail):
+    # every stream is built by Experiment.__init__; rounds only draw on them
     cfg = base_cfg(scheme="atomo_like", workers=3, packet_failure_prob=p_fail)
     exp = Experiment(cfg)
     built = []
 
-    def counting(seed, *path):
+    def spy(seed, *path):
         built.append(path)
         return substream(seed, *path)
 
-    monkeypatch.setattr(federation, "substream", counting)
-    monkeypatch.setattr(netsim, "substream", counting)
+    for module in (rng_module, federation, netsim):
+        monkeypatch.setattr(module, "substream", spy, raising=False)
     exp.run_round()
     exp.run_round()
-    assert sorted(built) == sorted((label, j, k) for label in streams
-                                   for j in range(3) for k in range(2))
+    assert built == []
+    assert all(r.atoms_sent_total > 0 for r in exp.records)
 
 
 @pytest.mark.parametrize("basis", compress.BASIS_KINDS)

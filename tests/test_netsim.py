@@ -122,49 +122,51 @@ def test_round_time_rejects_a_round_that_is_not_positive():
 
 # ---- packet failures ---- #
 
-def test_packet_survives_extremes():
-    always = ExperimentConfig(packet_failure_prob=0.0)
-    never = ExperimentConfig(packet_failure_prob=1.0)
-    rng = substream(0, "net", 0, 0)
-    assert all(netsim.packet_survives(rng, always) for _ in range(100))
-    assert not any(netsim.packet_survives(rng, never) for _ in range(100))
+class CountingGenerator:
+    """A generator that counts the uniforms drawn through `random`."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = 0
+
+    def random(self, size):
+        self.drawn += size
+        return self.rng.random(size)
 
 
 def test_packet_failure_rate_monte_carlo():
-    cfg = ExperimentConfig(packet_failure_prob=0.4)
-    rng = substream(1, "net", 0, 0)
     n = 100000
-    failures = sum(not netsim.packet_survives(rng, cfg) for _ in range(n))
+    cfg = ExperimentConfig(packet_failure_prob=0.4, workers=n)
+    failures = n - np.count_nonzero(netsim.packets_survive(cfg, substream(1, "net")))
     stderr = math.sqrt(0.4 * 0.6 / n)
     assert abs(failures / n - 0.4) <= 3 * stderr
 
 
 def test_packet_draws_deterministic_per_stream():
-    cfg = ExperimentConfig(packet_failure_prob=0.5)
-    a = [netsim.packet_survives(substream(7, "net", j, k), cfg)
-         for j in range(4) for k in range(5)]
-    b = [netsim.packet_survives(substream(7, "net", j, k), cfg)
-         for j in range(4) for k in range(5)]
-    assert a == b
+    cfg = ExperimentConfig(packet_failure_prob=0.5, workers=4)
+    a, b = substream(7, "net"), substream(7, "net")
+    for _ in range(5):
+        assert netsim.packets_survive(cfg, a).tolist() == netsim.packets_survive(cfg, b).tolist()
 
 
-def test_packets_survive_draws_nothing_at_probability_zero_or_one(monkeypatch):
-    def no_stream(*args):
-        raise AssertionError("no generator should be built")
-
-    monkeypatch.setattr(netsim, "substream", no_stream)
-    survived = netsim.packets_survive(ExperimentConfig(packet_failure_prob=0.0, workers=5), 3)
-    lost = netsim.packets_survive(ExperimentConfig(packet_failure_prob=1.0, workers=5), 3)
+def test_packets_survive_draws_nothing_at_probability_zero_or_one():
+    rng = CountingGenerator(0)
+    survived = netsim.packets_survive(ExperimentConfig(packet_failure_prob=0.0, workers=5), rng)
+    lost = netsim.packets_survive(ExperimentConfig(packet_failure_prob=1.0, workers=5), rng)
     assert survived.dtype == bool and survived.tolist() == [True] * 5
     assert lost.dtype == bool and lost.tolist() == [False] * 5
+    assert rng.drawn == 0
 
 
 @pytest.mark.parametrize("p", [1e-9, 0.3, 1.0 - 1e-9])
 def test_packets_survive_is_one_draw_per_worker_stream(p):
-    cfg = ExperimentConfig(packet_failure_prob=p, workers=6, seed=7)
+    # one uniform per worker per round, in worker order, from the one stream
+    cfg = ExperimentConfig(packet_failure_prob=p, workers=6)
+    rng, replay = CountingGenerator(7), np.random.default_rng(7)
     for k in range(5):
-        want = [netsim.packet_survives(substream(7, "net", j, k), cfg) for j in range(6)]
-        assert netsim.packets_survive(cfg, k).tolist() == want
+        want = [float(replay.random()) >= p for _ in range(6)]
+        assert netsim.packets_survive(cfg, rng).tolist() == want
+        assert rng.drawn == 6 * (k + 1)
 
 
 # ---- channel settings, validated by ExperimentConfig ---- #
