@@ -360,15 +360,15 @@ def test_criterion_10_determinism(tmp_path, capsys):
 # lanes, so a loss that regroups that sum moves these bytes and not the
 # 4-class ones.
 DESK_GOLDEN_SHA256 = {
-    "ffl": "32dbb7b2ea2b2f8911e8f8dfbb4d4af6ef5a35ceaed9035202157f7caa5ee6a6",
-    "atomo_like": "d5c76d5d01814b6cbb16cd36a4cc84b7264cdcec079351f588bc3a183137dcb4",
+    "ffl": "5b4992256953867d039b33cebe8dd0aa5f411f0864ad52620a51b6b5030740e1",
+    "atomo_like": "2f596bcd20e1027d0d51d4a6b34edeb4a4a59f9eac2889138cb93bd35b729914",
     "adacomm_like": "4797475fe2c8c84def0056e1272e875cae8fe5af76d1c875af6264b350155c17",
-    "ffl-lowrank": "55411a1712d1ee27f78b659a30ba044dd1d0bfddf4cc48c737a4160baa82f9e7",
-    "atomo_like-lowrank": "1bdf987230c0e49780dcac7843c546e9e608a988cbf0ad9c79acfcc5becccc0a",
-    "ffl-p_fail_0.1": "b6772940ad58869fe2120540b0ebb041b7186ccc20618ee353cf687c2119429b",
-    "ffl-tanh": "18b1f7c4f33e13ee8db11b185c8bffced5a844977356e63ad111ace3c4b1935a",
-    "ffl-two_hidden": "ddf0d04b5e48330485cbb7c9787e04847a0f680dfd59405288db2ed73845305d",
-    "ffl-classes10": "55c97fd7e0abdaa6216939cf0eccc2bb6802f723aa07adc0a5e28af486ddf6f4",
+    "ffl-lowrank": "f322d5469fa1786d068e747c9525b5aee76a675cc5d1072e8c9f9be7eb68910b",
+    "atomo_like-lowrank": "72fb7dc4c332441328ed6c5a7e5f7acf5f4028d87b3f0958bf50d89e7da97a9d",
+    "ffl-p_fail_0.1": "588178edcb3d406b54416d1174e53cd70b8638306dd19fa9908deb2500f223a8",
+    "ffl-tanh": "85a929667627720a237512c982a3c75d234e249700d31c9cdc92c47ebded01ec",
+    "ffl-two_hidden": "b4bbc5a73ed249029843598953d139828bf80743bc8216bdfbe1ea4c582b8bf8",
+    "ffl-classes10": "8606f6443d00a4de6d2d2f6413e4c434eaae5281ff18691b013e6b0a96ec0be1",
 }
 DESK_GOLDEN_VARIANTS = {
     "lowrank": {"basis": "lowrank"},
