@@ -230,17 +230,18 @@ def partition(ds: Dataset, mode: str, workers: int, rng: np.random.Generator,
     base, extra = divmod(ds.n, m)
     quota = [base + (1 if j < extra else 0) for j in range(m)]
     shards: list[list[int]] = [[] for _ in range(m)]
-    while True:
-        eligible = [
-            j
-            for j in range(m)
-            if len(shards[j]) < quota[j] and any(pools[cls] for cls in class_sets[j])
-        ]
-        if not eligible:
-            break
-        j = min(eligible, key=lambda jj: (len(shards[jj]), jj))
-        cls = max(class_sets[j], key=lambda cc: len(pools[cc]))
-        shards[j].append(pools[cls].pop())
+    # each pass deals one sample, from its fullest class, to every worker still
+    # open, in index order; a worker at its quota or out of samples closes for
+    # good, since pools only shrink
+    open_workers = range(m)
+    while open_workers:
+        still_open = []
+        for j in open_workers:
+            if len(shards[j]) < quota[j] and any(pools[cls] for cls in class_sets[j]):
+                cls = max(class_sets[j], key=lambda cc: len(pools[cc]))
+                shards[j].append(pools[cls].pop())
+                still_open.append(j)
+        open_workers = still_open
     floor = min(len(s) for s in shards)
     dropped = sum(len(pool) for pool in pools.values())
     for j in range(m):

@@ -4,8 +4,9 @@ Everything here re-derives expected values through a different route than
 the library: one-sided Jacobi rotations instead of the LAPACK SVD, central
 finite differences instead of backprop, projected gradient descent instead
 of the closed-form probabilities, a row-by-row budget clip instead of the
-one that clips every row at once, and straight-line formula transcriptions
-instead of the shared implementations.  The projected-gradient minimizer
+one that clips every row at once, a greedy by_class deal instead of the
+round-robin one, and straight-line formula transcriptions instead of the
+shared implementations.  The projected-gradient minimizer
 and its exact budget-box projection are the ones `fflsim selftest` runs,
 shared rather than copied; their earlier np.clip / np.sum / np.searchsorted
 form is kept here as the reference that the selftest's loop over Python
@@ -135,6 +136,36 @@ def probabilities_reference(counts, coeffs: np.ndarray, s: float) -> np.ndarray:
         if s < hi - lo:
             p[lo:hi] = clipped_reference(lam[lo:hi], s)
     return p
+
+
+def partition_by_class_greedy(ds, workers: int, rng: np.random.Generator,
+                              classes_per_worker: int) -> list[np.ndarray]:
+    """data.partition's by_class shards, dealt by its earlier greedy loop:
+    every sample goes to the least-filled open worker (lowest index on a
+    tie), and each step rebuilds the list of open workers.  Same draws from
+    `rng` and the same trim to balance; the feasibility checks are left out,
+    so a worker may end with no samples."""
+    m, c, n_classes = workers, classes_per_worker, ds.n_classes
+    shuffled = rng.permutation(n_classes)
+    class_sets = [[int(shuffled[(j * c + t) % n_classes]) for t in range(c)] for j in range(m)]
+    pools = {int(cls): list(rng.permutation(np.flatnonzero(ds.labels == cls)))
+             for cls in range(n_classes)}
+    base, extra = divmod(ds.n, m)
+    quota = [base + (1 if j < extra else 0) for j in range(m)]
+    shards: list[list[int]] = [[] for _ in range(m)]
+    while True:
+        eligible = [
+            j
+            for j in range(m)
+            if len(shards[j]) < quota[j] and any(pools[cls] for cls in class_sets[j])
+        ]
+        if not eligible:
+            break
+        j = min(eligible, key=lambda jj: (len(shards[jj]), jj))
+        cls = max(class_sets[j], key=lambda cc: len(pools[cc]))
+        shards[j].append(pools[cls].pop())
+    floor = min(len(s) for s in shards)
+    return [np.asarray(s[: floor + 1], dtype=np.int64) for s in shards]
 
 
 def mlp_forward_reference(weights, biases, activation: str, x: np.ndarray) -> np.ndarray:

@@ -2,13 +2,14 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fflsim import data, nn
 from fflsim.config import ExperimentConfig
 from fflsim.errors import ConfigError, IdxFormatError
 from fflsim.rng import substream
+from oracles import partition_by_class_greedy
 
 
 # ---- synthetic generation ---- #
@@ -288,6 +289,25 @@ def test_partition_by_class_property(workers, cpw):
     assert set().union(*label_sets) == set(range(n_classes))
     flat = np.concatenate(shards)
     assert len(np.unique(flat)) == len(flat)  # no index duplicated across shards
+
+
+@settings(max_examples=200, deadline=None)
+@given(supplies=st.lists(st.integers(0, 30), min_size=2, max_size=7), workers=st.integers(1, 9),
+       cpw=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_partition_by_class_deals_the_greedy_references_shards(supplies, workers, cpw, seed):
+    # uneven class supplies, an empty class and classes shared between
+    # workers; the labels arrive in a seed-shuffled order
+    n_classes = len(supplies)
+    labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(n_classes), supplies))
+    assume(labels.size > 0 and n_classes <= workers * cpw and cpw <= n_classes)
+    ds = data.Dataset(np.zeros((labels.size, 1)), labels, n_classes)
+    want = partition_by_class_greedy(ds, workers, substream(seed, "partition"), cpw)
+    if min(len(s) for s in want) == 0:
+        with pytest.raises(ConfigError, match="without samples"):
+            data.partition(ds, "by_class", workers, substream(seed, "partition"), cpw)
+        return
+    got = data.partition(ds, "by_class", workers, substream(seed, "partition"), cpw)
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
 
 # ---- minibatch sampling ---- #
