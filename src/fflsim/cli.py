@@ -71,8 +71,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     base = _effective_config(args)
-    out_dir = base.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = base.output_dir  # empty: print the table and write nothing, as `run` does
     summaries = {}
     for scheme in args.schemes:
         _, summaries[scheme] = run_experiment(
@@ -91,11 +90,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             speedup = t / ffl_time
         rows.append([scheme, t, s["final_acc"], s["final_test_loss"], s["rounds"],
                      s["total_atoms_sent"], speedup, s["status"]])
-    compare_path = os.path.join(out_dir, "compare.csv")
-    with open(compare_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(COMPARE_COLUMNS)
-        writer.writerows(rows)
+    if out_dir:
+        with open(os.path.join(out_dir, "compare.csv"), "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(COMPARE_COLUMNS)
+            writer.writerows(rows)
     print(f"{'scheme':<14} {'time_to_target_s':>18} {'final_acc':>10} {'final_test_loss':>16} "
           f"{'rounds':>8} {'total_atoms':>12}  status")
     for row in rows:

@@ -287,6 +287,18 @@ def test_compare_unreached_target_reports_inf(tmp_path, capsys):
     assert summaries["time_to_target_s"] == "inf"
 
 
+@pytest.mark.parametrize("where", ["config", "--out"])
+def test_compare_with_an_empty_output_dir_prints_its_table_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, where):
+    cfg_path = write_config(tmp_path, {**MINIMAL, "output_dir": "" if where == "config" else "cmp"})
+    out_args = ["--out", ""] if where == "--out" else []
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(["compare", "--config", cfg_path, *out_args, "ffl", "vanilla"], capsys)
+    assert code == 0, err
+    assert [line.split()[0] for line in out.splitlines()[-3:]] == ["scheme", "ffl", "vanilla"]
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_compare_writes_the_artifacts_of_a_diverging_scheme_and_exits_1(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {**MINIMAL, "eta": 1e300})
