@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import traceback
 from pathlib import Path
 
@@ -493,6 +494,21 @@ def test_readme_lists_the_metrics_csv_columns():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("### metrics.csv columns", 1)[1].split("`")[1]
     assert tuple(column.strip() for column in block.split(",")) == federation.CSV_COLUMNS
+
+
+def test_readme_lists_the_stream_labels_a_run_derives(monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("fans out into named substreams", 1)[1].split(".", 1)[0]
+    listed = re.findall(r"`([^`]+)`", sentence)
+    derived = []
+
+    def spy(seed, *path):
+        derived.append(path[0])
+        return substream(seed, *path)
+
+    monkeypatch.setattr(federation, "substream", spy)
+    Experiment(base_cfg(scheme="ffl", packet_failure_prob=0.5))
+    assert len(listed) == len(set(listed)) and set(listed) == set(derived)
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
