@@ -293,7 +293,8 @@ def test_compare_with_an_empty_output_dir_prints_its_table_and_writes_nothing(
     cfg_path = write_config(tmp_path, {**MINIMAL, "output_dir": "" if where == "config" else "cmp"})
     out_args = ["--out", ""] if where == "--out" else []
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_main(["compare", "--config", cfg_path, *out_args, "ffl", "vanilla"], capsys)
+    code, out, err = run_main(["compare", "--config", cfg_path, *out_args, "ffl", "vanilla"],
+                              capsys)
     assert code == 0, err
     assert [line.split()[0] for line in out.splitlines()[-3:]] == ["scheme", "ffl", "vanilla"]
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
