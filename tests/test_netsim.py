@@ -134,6 +134,14 @@ class CountingGenerator:
         return self.rng.random(size)
 
 
+def test_packet_survives_extremes():
+    always = ExperimentConfig(packet_failure_prob=0.0, workers=4)
+    never = ExperimentConfig(packet_failure_prob=1.0, workers=4)
+    rng = substream(0, "net")
+    assert all(netsim.packets_survive(always, rng).all() for _ in range(100))
+    assert not any(netsim.packets_survive(never, rng).any() for _ in range(100))
+
+
 def test_packet_failure_rate_monte_carlo():
     n = 100000
     cfg = ExperimentConfig(packet_failure_prob=0.4, workers=n)
