@@ -67,9 +67,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     if len(args.schemes) < 2:
         raise ConfigError(f"compare needs at least two schemes, got {args.schemes}")
-    for scheme in args.schemes:
+    for i, scheme in enumerate(args.schemes):
         if scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+        if scheme in args.schemes[:i]:
+            raise ConfigError(f"scheme {scheme!r} is given twice; compare runs each scheme once")
     base = _effective_config(args)
     out_dir = base.output_dir  # empty: print the table and write nothing, as `run` does
     summaries = {}

@@ -6,12 +6,12 @@ annotation declares its type and, where it has one, the rule for its accepted
 values, e.g. `eta: Annotated[float, _above(0)]`; a list setting's rule holds
 for each item, and None is exempt.  Every rule is written so that NaN fails
 it, and a float setting's rule also fails +-inf (stop="rounds" is the way to
-run without a time budget).  Unknown keys are rejected, every value is
-checked against its type and then its rule, then the few rules that tie two
-settings together are checked, and every validation error names the
-offending key, so a bad config fails fast with an actionable message.  The
-effective config (defaults filled in) is echoed into summary.json; loading
-that echo reproduces the run exactly.
+run without a time budget).  Unknown keys and keys given twice in the file
+are rejected, every value is checked against its type and then its rule,
+then the few rules that tie two settings together are checked, and every
+validation error names the offending key, so a bad config fails fast with an
+actionable message.  The effective config (defaults filled in) is echoed into
+summary.json; loading that echo reproduces the run exactly.
 """
 
 from __future__ import annotations
@@ -185,14 +185,27 @@ _FIELD_CHECKS = {
 }
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict, rejecting a key given twice, which
+    json.load would otherwise resolve silently to its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config key {key!r} is given more than once")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
+            raw = json.load(f, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read as UTF-8 text: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     return ExperimentConfig.from_dict(raw)

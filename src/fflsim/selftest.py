@@ -7,9 +7,12 @@ direct ratio arithmetic for the schedule.  The full test suite runs larger
 versions of the same checks; this subset is sized to finish in seconds.
 The projected-gradient loop works on a few values at a time, so it runs on
 lists of Python floats, where numpy's per-call dispatch would outweigh the
-arithmetic.  It sums in np.add.reduce's order and finds the projection's knot
-by bisection; its results match the np.clip / np.sum / np.searchsorted form
-bit for bit.
+arithmetic.  It sums in np.add.reduce's order.  Each projection of the
+descent first probes the knots that bracketed the budget in the previous
+iteration, which a small step rarely moves, and bisects the sorted knots only
+when they no longer bracket it; a projection without that hint bisects from
+the start.  The results match the np.clip / np.sum / np.searchsorted form bit
+for bit.
 """
 
 from __future__ import annotations
@@ -60,29 +63,58 @@ def _shifted_clip(p: list[float], shift: float, lo: float) -> list[float]:
     return [lo if (y := x - shift) < lo else 1.0 if y > 1.0 else y for x in p]
 
 
-def _project(p: list[float], s: float, lo: float) -> list[float]:
-    """project_budget_box on a list of floats."""
+def _clipped_sum(p: list[float], shift: float, lo: float) -> float:
+    """_reduce_sum(_shifted_clip(p, shift, lo)) bit for bit.  Below 8 values
+    both add in sequence, so the clipped values are added as they are made,
+    without a list."""
+    if len(p) >= 8:
+        return _reduce_sum(_shifted_clip(p, shift, lo))
+    total = 0.0
+    for x in p:
+        total += lo if (y := x - shift) < lo else 1.0 if y > 1.0 else y
+    return total
+
+
+def _project(
+    p: list[float], s: float, lo: float, hint: int | None = None
+) -> tuple[list[float], int]:
+    """project_budget_box on a list of floats, with the index j of the first
+    knot whose sum is <= s.  A hint, such as the j of the previous projection
+    of a descent, is probed first: the sums at knots hint and hint - 1 settle
+    j when they bracket s, and otherwise bound the bisection."""
     knots = [x - 1.0 for x in p] + [x - lo for x in p]
     knots.sort()
     # bisect for the first knot whose sum is <= s; the sums are non-increasing
-    # as computed too: each clipped entry is, and rounding keeps order
+    # as computed too: each clipped entry is, and rounding keeps order, so the
+    # knot is unique and a probe at any index narrows the search to it
     j, end = 0, len(knots)
     t0 = t1 = 0.0  # the sums at knots j - 1 and end, once computed
+    if hint is not None and 0 < hint < end:
+        t = _clipped_sum(p, knots[hint], lo)
+        if t > s:
+            j, t0 = hint + 1, t
+        else:
+            end, t1 = hint, t
+            t = _clipped_sum(p, knots[hint - 1], lo)
+            if t > s:
+                j, t0 = hint, t
+            else:
+                end, t1 = hint - 1, t
     while j < end:
         mid = (j + end) // 2
-        t = _reduce_sum(_shifted_clip(p, knots[mid], lo))
+        t = _clipped_sum(p, knots[mid], lo)
         if t <= s:
             end, t1 = mid, t
         else:
             j, t0 = mid + 1, t
     if j == 0:  # s >= n: every entry at its cap
-        return [1.0] * len(p)
+        return [1.0] * len(p), j
     if j == len(knots):  # s <= n * lo: every entry at its floor
-        return [lo] * len(p)
+        return [lo] * len(p), j
     # t0 > s >= t1, so the segment is not flat
     k0, k1 = knots[j - 1], knots[j]
     shift = k0 + (t0 - s) * (k1 - k0) / (t0 - t1)
-    return _shifted_clip(p, shift, lo)
+    return _shifted_clip(p, shift, lo), j
 
 
 def project_budget_box(p: np.ndarray, s: float) -> np.ndarray:
@@ -92,21 +124,28 @@ def project_budget_box(p: np.ndarray, s: float) -> np.ndarray:
     The clipped sum is piecewise linear and non-increasing in the shift, with
     knots at p - 1 and p - lo.  A bisection over the sorted knots finds the
     segment whose end sums bracket s, and the shift is interpolated on it.
+    This projection has no earlier bracket to try, so it always bisects from
+    the full range; minimize_variance_numeric probes the previous
+    iteration's bracket first.
     """
-    return np.array(_project(p.tolist(), s, _LO), dtype=np.float64)
+    return np.array(_project(p.tolist(), s, _LO)[0], dtype=np.float64)
 
 
 def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 4000) -> float:
-    """Projected-gradient minimum of sum lambda_i^2 / p_i over the budget box."""
+    """Projected-gradient minimum of sum lambda_i^2 / p_i over the budget box.
+    Each projection starts from the previous one's bracketing knot, which a
+    small step rarely moves."""
     lam2 = [x * x for x in lam.tolist()]
     neg_lam2 = [-a for a in lam2]
-    p = _project([s / lam.size] * lam.size, s, _LO)
+    p, j = _project([s / lam.size] * lam.size, s, _LO)
     best = _reduce_sum([a / b for a, b in zip(lam2, p)])
     step = 0.1 / max(1.0, max(lam2))
     for it in range(iters):
         # the gradient -lambda^2 / p^2, scaled by a step that decays with it
         decay = 1.0 + it / 50.0
-        p = _project([x - step * (a / (x * x)) / decay for a, x in zip(neg_lam2, p)], s, _LO)
+        p, j = _project(
+            [x - step * (a / (x * x)) / decay for a, x in zip(neg_lam2, p)], s, _LO, j
+        )
         value = _reduce_sum([a / b for a, b in zip(lam2, p)])
         if value < best:
             best = value

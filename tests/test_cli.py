@@ -153,6 +153,30 @@ def test_run_missing_config_file(tmp_path, capsys):
     assert "absent.json" in err
 
 
+def test_run_rejects_a_config_directory(tmp_path, capsys):
+    code, _, err = run_main(["run", "--config", str(tmp_path)], capsys)
+    assert code == 2
+    assert str(tmp_path) in err
+
+
+def test_run_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_main(["run", "--config", str(path)], capsys)
+    assert code == 2
+    assert "utf16.json" in err
+
+
+def test_run_rejects_a_key_given_twice(tmp_path, capsys):
+    # json.load alone keeps the last value: this run would train at eta 0.5
+    path = tmp_path / "twice.json"
+    path.write_text('{"eta": 0.01, "eta": 0.5, "stop": "rounds", "round_cap": 1,'
+                    ' "output_dir": ""}')
+    code, _, err = run_main(["run", "--config", str(path)], capsys)
+    assert code == 2
+    assert "'eta'" in err
+
+
 def test_run_malformed_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -229,6 +253,16 @@ def test_compare_rejects_unknown_scheme(tmp_path, capsys):
     code, _, err = run_main(["compare", "--config", cfg_path, "ffl", "fancy"], capsys)
     assert code == 2
     assert "fancy" in err
+
+
+def test_compare_rejects_a_repeated_scheme_before_any_run(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, MINIMAL)
+    out_dir = tmp_path / "cmp"
+    code, out, err = run_main(
+        ["compare", "--config", cfg_path, "--out", str(out_dir), "ffl", "vanilla", "ffl"], capsys)
+    assert code == 2
+    assert "'ffl'" in err
+    assert out == "" and not out_dir.exists()
 
 
 def test_compare_writes_per_scheme_and_joined_artifacts(tmp_path, capsys):

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fflsim import compress, nn
+from fflsim import compress, nn, selftest
 from fflsim.rng import substream
-from fflsim.selftest import _reduce_sum
+from fflsim.selftest import _clipped_sum, _project, _reduce_sum, _shifted_clip
 
 from oracles import (
     jacobi_singular_values, minimize_variance_numeric, minimize_variance_reference,
@@ -802,13 +802,16 @@ def test_both_early_returns_equal_the_np_clip_form(size):
                 == minimize_variance_reference(lam, s, 20).hex())
 
 
-@pytest.mark.parametrize("p", [
+TIED_KNOTS = [
     [0.3, 0.3, 0.3, 0.3],  # every knot tied with three others
     [2.0, 2.0, 0.5, -1.0, 0.5, 2.0, 0.25],
     [0.75 + LO, 1.75, 0.25],  # p - lo of one entry is p - 1 of another
     [1.0 + LO, 2.0, 0.0, 1.0],
     np.random.default_rng(41).choice([-0.5, 0.2, 0.7, 1.5], 23),
-])
+]
+
+
+@pytest.mark.parametrize("p", TIED_KNOTS)
 def test_a_budget_equal_to_a_knots_total_equals_the_np_clip_form(p):
     p = np.array(p)
     # the knots and their clipped sums as project_budget_box_reference has them
@@ -822,6 +825,70 @@ def test_a_budget_equal_to_a_knots_total_equals_the_np_clip_form(p):
         for t in (np.nextafter(s, -np.inf), np.nextafter(s, np.inf)):
             assert (project_budget_box(p, float(t)).tobytes()
                     == project_budget_box_reference(p, float(t)).tobytes())
+
+
+def hinted_projection_cases():
+    """(p, s) pairs: every knot's own total of the tied-knot inputs and a
+    step to either side of it, then random p of every size 1-30 with a
+    budget inside, at and below the box."""
+    for p in map(np.array, TIED_KNOTS):
+        knots = np.sort(np.concatenate((p - 1.0, p - LO)))
+        for s in np.clip(p - knots[:, None], LO, 1.0).sum(axis=1).tolist():
+            for t in (np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf)):
+                yield p.tolist(), float(t)
+    rng = np.random.default_rng(53)
+    for n in range(1, 31):
+        p = rng.standard_normal(n)
+        for s in (float(rng.uniform(n * LO, n)), float(rng.uniform(1.0, n)), float(n), n * LO / 2):
+            yield p.tolist(), s
+
+
+def count_clipped_sums(monkeypatch):
+    """A list that grows by one for each clipped sum the selftest computes."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _clipped_sum(*args)
+
+    monkeypatch.setattr(selftest, "_clipped_sum", spy)
+    return calls
+
+
+def test_a_hinted_projection_equals_the_cold_one(monkeypatch):
+    """Every hint, in range or not, gives the cold projection's bytes and
+    bracket index; the right hint settles the bracket in two sums."""
+    sums = count_clipped_sums(monkeypatch)
+    for p, s in hinted_projection_cases():
+        cold, j = _project(p, s, LO)
+        for hint in range(2 * len(p) + 2):
+            sums.clear()
+            x, k = _project(p, s, LO, hint)
+            assert (k, np.array(x).tobytes()) == (j, np.array(cold).tobytes()), (p, s, hint)
+            if hint == j and 0 < j < 2 * len(p):
+                assert len(sums) == 2
+
+
+def test_clipped_sum_equals_the_sum_of_the_clipped_list_bitwise():
+    """Sizes 1-30 cover both sides of 8, where np.add.reduce's order changes."""
+    rng = np.random.default_rng(59)
+    for n in range(1, 31):
+        for scale in (0.1, 1.0, 100.0):
+            p = (scale * rng.standard_normal(n)).tolist()
+            for shift in (*rng.uniform(-2.0, 2.0, 4).tolist(), min(p) - 1.0, max(p)):
+                expected = _reduce_sum(_shifted_clip(p, shift, LO))
+                assert _clipped_sum(p, shift, LO).hex() == expected.hex(), (n, shift)
+
+
+def test_the_descent_takes_about_two_sums_per_projection(monkeypatch):
+    """A count, not a timing: each iteration of the selftest's descent
+    probes its previous bracket, two sums when the bracket holds.  A
+    bisection from the full range takes about 3.7 on these trials."""
+    sums = count_clipped_sums(monkeypatch)
+    iters = 4000
+    for lam, s in selftest_trials():
+        minimize_variance_numeric(lam, s, iters)
+    assert len(sums) / (len(selftest_trials()) * iters) < 2.1
 
 
 def test_budget_projection_returns_a_new_float64_vector_of_its_inputs_length():
