@@ -7,12 +7,14 @@ direct ratio arithmetic for the schedule.  The full test suite runs larger
 versions of the same checks; this subset is sized to finish in seconds.
 The projected-gradient loop works on a few values at a time, so it runs on
 lists of Python floats, where numpy's per-call dispatch would outweigh the
-arithmetic.  It sums in np.add.reduce's order.  Each projection of the
-descent first probes the knots that bracketed the budget in the previous
-iteration, which a small step rarely moves, and bisects the sorted knots only
-when they no longer bracket it; a projection without that hint bisects from
-the start.  The results match the np.clip / np.sum / np.searchsorted form bit
-for bit.
+arithmetic.  It sums in np.add.reduce's order.  Each iteration of the
+descent is one call of _hinted_step, which tries the two knots that bracketed
+the budget in the previous iteration, since a small step rarely moves them:
+below 8 values it sums at both knots in one pass over the values and, when
+they still bracket the budget, builds the projection and the objective in one
+more.  When the bracket has moved, the iteration falls back to _project,
+which bisects all the sorted knots, as project_budget_box does.  The results
+match the np.clip / np.sum / np.searchsorted form bit for bit.
 """
 
 from __future__ import annotations
@@ -75,13 +77,9 @@ def _clipped_sum(p: list[float], shift: float, lo: float) -> float:
     return total
 
 
-def _project(
-    p: list[float], s: float, lo: float, hint: int | None = None
-) -> tuple[list[float], int]:
+def _project(p: list[float], s: float, lo: float) -> tuple[list[float], int]:
     """project_budget_box on a list of floats, with the index j of the first
-    knot whose sum is <= s.  A hint, such as the j of the previous projection
-    of a descent, is probed first: the sums at knots hint and hint - 1 settle
-    j when they bracket s, and otherwise bound the bisection."""
+    knot whose sum is <= s, found by bisection over all the sorted knots."""
     knots = [x - 1.0 for x in p] + [x - lo for x in p]
     knots.sort()
     # bisect for the first knot whose sum is <= s; the sums are non-increasing
@@ -89,17 +87,6 @@ def _project(
     # knot is unique and a probe at any index narrows the search to it
     j, end = 0, len(knots)
     t0 = t1 = 0.0  # the sums at knots j - 1 and end, once computed
-    if hint is not None and 0 < hint < end:
-        t = _clipped_sum(p, knots[hint], lo)
-        if t > s:
-            j, t0 = hint + 1, t
-        else:
-            end, t1 = hint, t
-            t = _clipped_sum(p, knots[hint - 1], lo)
-            if t > s:
-                j, t0 = hint, t
-            else:
-                end, t1 = hint - 1, t
     while j < end:
         mid = (j + end) // 2
         t = _clipped_sum(p, knots[mid], lo)
@@ -117,6 +104,42 @@ def _project(
     return _shifted_clip(p, shift, lo), j
 
 
+def _hinted_step(
+    q: list[float], s: float, lo: float, j: int, lam2: list[float]
+) -> tuple[list[float], float] | None:
+    """_project(q, s, lo) and sum lam2 / p, bit for bit, when knot j is still
+    the first whose sum is <= s; None when it is not, or is an end knot.
+    Below 8 values one pass over q takes the sums at knots j - 1 and j, and
+    one more builds p and the objective: numpy adds fewer than 8 values in
+    sequence, so each sum can be added as its terms are made."""
+    n = len(q)
+    if not 0 < j < 2 * n:
+        return None
+    knots = [x - 1.0 for x in q] + [x - lo for x in q]
+    knots.sort()
+    k0, k1 = knots[j - 1], knots[j]
+    if n < 8:
+        t0 = t1 = 0.0
+        for x in q:
+            t0 += lo if (y := x - k0) < lo else 1.0 if y > 1.0 else y
+            t1 += lo if (y := x - k1) < lo else 1.0 if y > 1.0 else y
+    else:
+        t0, t1 = _clipped_sum(q, k0, lo), _clipped_sum(q, k1, lo)
+    if not t0 > s >= t1:
+        return None
+    shift = k0 + (t0 - s) * (k1 - k0) / (t0 - t1)
+    if n >= 8:
+        p = _shifted_clip(q, shift, lo)
+        return p, _reduce_sum([a / b for a, b in zip(lam2, p)])
+    p = []
+    value = 0.0
+    for x, a in zip(q, lam2):
+        y = lo if (y := x - shift) < lo else 1.0 if y > 1.0 else y
+        p.append(y)
+        value += a / y
+    return p, value
+
+
 def project_budget_box(p: np.ndarray, s: float) -> np.ndarray:
     """Euclidean projection onto {sum x = s, lo <= x <= 1}: clip(p - shift, lo, 1)
     for the Lagrange shift whose clipped sum is s, with lo the floor _LO.
@@ -125,7 +148,7 @@ def project_budget_box(p: np.ndarray, s: float) -> np.ndarray:
     knots at p - 1 and p - lo.  A bisection over the sorted knots finds the
     segment whose end sums bracket s, and the shift is interpolated on it.
     This projection has no earlier bracket to try, so it always bisects from
-    the full range; minimize_variance_numeric probes the previous
+    the full range; minimize_variance_numeric tries the previous
     iteration's bracket first.
     """
     return np.array(_project(p.tolist(), s, _LO)[0], dtype=np.float64)
@@ -133,8 +156,9 @@ def project_budget_box(p: np.ndarray, s: float) -> np.ndarray:
 
 def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 4000) -> float:
     """Projected-gradient minimum of sum lambda_i^2 / p_i over the budget box.
-    Each projection starts from the previous one's bracketing knot, which a
-    small step rarely moves."""
+    Each iteration projects and evaluates in one _hinted_step call at the
+    previous projection's bracketing knot, which a small step rarely moves,
+    and bisects with _project only when that knot no longer brackets s."""
     lam2 = [x * x for x in lam.tolist()]
     neg_lam2 = [-a for a in lam2]
     p, j = _project([s / lam.size] * lam.size, s, _LO)
@@ -143,10 +167,13 @@ def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 4000) -> f
     for it in range(iters):
         # the gradient -lambda^2 / p^2, scaled by a step that decays with it
         decay = 1.0 + it / 50.0
-        p, j = _project(
-            [x - step * (a / (x * x)) / decay for a, x in zip(neg_lam2, p)], s, _LO, j
-        )
-        value = _reduce_sum([a / b for a, b in zip(lam2, p)])
+        q = [x - step * (a / (x * x)) / decay for a, x in zip(neg_lam2, p)]
+        hinted = _hinted_step(q, s, _LO, j, lam2)
+        if hinted is None:  # the bracket moved: bisect all the knots
+            p, j = _project(q, s, _LO)
+            value = _reduce_sum([a / b for a, b in zip(lam2, p)])
+        else:
+            p, value = hinted
         if value < best:
             best = value
     return best

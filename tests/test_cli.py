@@ -15,6 +15,7 @@ from fflsim.data import PARTITION_MODES
 from fflsim.nn import ACTIVATIONS
 from fflsim.errors import ConfigError
 
+from test_acceptance import _desk_cfg
 from test_data import write_idx_pair
 
 MINIMAL = {
@@ -605,6 +606,27 @@ def test_readme_lists_only_config_keys():
     keys = names - values
     assert len(keys) >= 20
     assert keys <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize("name, changes", [
+    ("desk", {}),
+    ("uplink_bound", {"downlink_rate_bps": 1e7, "uplink_rate_bps": 1e4}),
+])
+def test_a_scenario_file_is_the_acceptance_desk_config(name, changes):
+    """Field by field, output_dir included: the acceptance tests' desk
+    config stays the source of truth for the committed scenarios."""
+    expected = dataclasses.asdict(dataclasses.replace(_desk_cfg("ffl", 0), **changes))
+    assert dataclasses.asdict(load_config(str(SCENARIOS / f"{name}.json"))) == expected
+
+
+def test_readme_lists_every_scenario_with_its_compare_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Scenarios", 1)[1].split("\n### ", 1)[0]
+    listed = re.findall(r"`fflsim compare --config scenarios/(\w+)\.json ", section)
+    assert listed == sorted(path.stem for path in SCENARIOS.glob("*.json"))
 
 
 def test_snr_config_replaces_default_rate(tmp_path):

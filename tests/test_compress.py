@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from fflsim import compress, nn, selftest
 from fflsim.rng import substream
-from fflsim.selftest import _clipped_sum, _project, _reduce_sum, _shifted_clip
+from fflsim.selftest import _clipped_sum, _hinted_step, _project, _reduce_sum, _shifted_clip
 
 from oracles import (
     jacobi_singular_values, minimize_variance_numeric, minimize_variance_reference,
@@ -843,30 +843,23 @@ def hinted_projection_cases():
             yield p.tolist(), s
 
 
-def count_clipped_sums(monkeypatch):
-    """A list that grows by one for each clipped sum the selftest computes."""
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return _clipped_sum(*args)
-
-    monkeypatch.setattr(selftest, "_clipped_sum", spy)
-    return calls
-
-
-def test_a_hinted_projection_equals_the_cold_one(monkeypatch):
+def test_a_hinted_projection_equals_the_cold_one():
     """Every hint, in range or not, gives the cold projection's bytes and
-    bracket index; the right hint settles the bracket in two sums."""
-    sums = count_clipped_sums(monkeypatch)
+    objective, or None and the cold bisection takes over: the right hint
+    settles the bracket in one helper call, and no other hint settles one."""
+    rng = np.random.default_rng(67)
     for p, s in hinted_projection_cases():
         cold, j = _project(p, s, LO)
+        lam2 = np.exp(rng.standard_normal(len(p))).tolist()
+        value = _reduce_sum([a / b for a, b in zip(lam2, cold)])
         for hint in range(2 * len(p) + 2):
-            sums.clear()
-            x, k = _project(p, s, LO, hint)
-            assert (k, np.array(x).tobytes()) == (j, np.array(cold).tobytes()), (p, s, hint)
+            hinted = _hinted_step(p, s, LO, hint, lam2)
             if hint == j and 0 < j < 2 * len(p):
-                assert len(sums) == 2
+                assert hinted is not None, (p, s, hint)
+                x, v = hinted
+                assert (np.array(x).tobytes(), v.hex()) == (np.array(cold).tobytes(), value.hex())
+            else:
+                assert hinted is None, (p, s, hint)
 
 
 def test_clipped_sum_equals_the_sum_of_the_clipped_list_bitwise():
@@ -880,15 +873,58 @@ def test_clipped_sum_equals_the_sum_of_the_clipped_list_bitwise():
                 assert _clipped_sum(p, shift, LO).hex() == expected.hex(), (n, shift)
 
 
+def record_calls(monkeypatch, name):
+    """A list that grows by (args, result) for each call of selftest.<name>."""
+    calls = []
+    real = getattr(selftest, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(selftest, name, spy)
+    return calls
+
+
 def test_the_descent_takes_about_two_sums_per_projection(monkeypatch):
-    """A count, not a timing: each iteration of the selftest's descent
-    probes its previous bracket, two sums when the bracket holds.  A
-    bisection from the full range takes about 3.7 on these trials."""
-    sums = count_clipped_sums(monkeypatch)
+    """A count, not a timing: each iteration of the selftest's descent takes
+    the sums at its previous bracket's two knots in one hinted step, and
+    bisects all the knots only when the bracket moved, 19 times in these
+    40,000 iterations."""
+    projections = record_calls(monkeypatch, "_project")
     iters = 4000
     for lam, s in selftest_trials():
         minimize_variance_numeric(lam, s, iters)
-    assert len(sums) / (len(selftest_trials()) * iters) < 2.1
+    fallbacks = len(projections) - len(selftest_trials())  # one cold start per descent
+    assert fallbacks < 0.005 * len(selftest_trials()) * iters
+
+
+def test_the_descent_runs_its_hinted_step_and_its_cold_fallback(monkeypatch):
+    """On the draws of test_minimum_equals_the_np_clip_form_bitwise
+    [sized_trials-50], on both sides of 8 values: the hinted step settles an
+    iteration, and misses one whose previous bracket was an inner knot, so
+    the cold bisection projects it."""
+    steps = record_calls(monkeypatch, "_hinted_step")
+    projections = record_calls(monkeypatch, "_project")
+    for lam, s in sized_trials():
+        minimize_variance_numeric(lam, s, 50)
+    assert len(steps) == len(sized_trials()) * 50
+    missed = [len(q) for (q, _, _, j, _), result in steps if result is None and 0 < j < 2 * len(q)]
+    settled = [len(q) for (q, *_), result in steps if result is not None]
+    assert min(missed) < 8 <= max(missed) and min(settled) < 8 <= max(settled)
+    misses = sum(result is None for _, result in steps)
+    assert len(projections) == len(sized_trials()) + misses
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_minimum_on_either_side_of_8_values_equals_the_np_clip_form_bitwise(n):
+    """The hinted step adds in one pass below 8 values and in numpy's lanes
+    from 8 on; 400 iterations give the rounding room to tell the two."""
+    rng = np.random.default_rng(71 + n)
+    for _ in range(3):
+        lam, s = np.exp(rng.standard_normal(n)), float(rng.uniform(1.0, n))
+        assert (minimize_variance_numeric(lam, s, 400).hex()
+                == minimize_variance_reference(lam, s, 400).hex())
 
 
 def test_budget_projection_returns_a_new_float64_vector_of_its_inputs_length():
