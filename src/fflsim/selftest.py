@@ -5,19 +5,21 @@ Monte Carlo for the estimator moments, a projected-gradient minimizer for
 the selection probabilities, central finite differences for backprop, and
 direct ratio arithmetic for the schedule.  The full test suite runs larger
 versions of the same checks; this subset is sized to finish in seconds.
-The projected-gradient loop works on a few values at a time, so it runs on
-lists of Python floats, where numpy's per-call dispatch would outweigh the
-arithmetic.  It sums in np.add.reduce's order.  Each iteration of the
-descent is one call of _hinted_step, which tries the two knots that bracketed
-the budget in the previous iteration, since a small step rarely moves them:
-below 8 values it sums at both knots in one pass over the values and, when
-they still bracket the budget, builds the projection and the objective in one
-more.  When the bracket has moved, the iteration falls back to _project,
-which bisects all the sorted knots, as project_budget_box does.  The results
-match the np.clip / np.sum / np.searchsorted form bit for bit.
+The projected-gradient oracle takes 1-7 values, where numpy's per-call
+dispatch would outweigh the arithmetic, so it runs on lists of Python
+floats.  numpy adds fewer than 8 values in sequence, so adding each sum in
+order as its terms are made gives np.sum's bits.  Every projection is one
+_project call, given the index of the knot that bracketed the budget in the
+previous iteration: a small step rarely moves it, so one pass over the
+values sums at that knot and the one before, and a second builds the
+projection and the objective.  Only a cold start or a moved bracket
+bisects all the sorted knots.  The results match the np.clip / np.sum /
+np.searchsorted form bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,152 +30,92 @@ _CHUNK = 10_000  # Monte Carlo rows reconstructed per call
 _LO = 1e-12  # the budget box's floor
 
 
-def _reduce_sum(xs: list[float]) -> float:
-    """Sum of floats, rounded as np.add.reduce rounds a contiguous float64
-    vector: fewer than 8 values in sequence, up to 128 in 8 pairwise lanes,
-    more as two halves cut at a multiple of 8."""
-    n = len(xs)
-    if n < 8:
-        total = 0.0
-        for x in xs:
-            total += x
-        return total
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            r0 += xs[i]
-            r1 += xs[i + 1]
-            r2 += xs[i + 2]
-            r3 += xs[i + 3]
-            r4 += xs[i + 4]
-            r5 += xs[i + 5]
-            r6 += xs[i + 6]
-            r7 += xs[i + 7]
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for x in xs[tail:]:
-            total += x
-        return total
-    half = n // 2
-    half -= half % 8
-    return _reduce_sum(xs[:half]) + _reduce_sum(xs[half:])
+def _values(x: np.ndarray) -> list[float]:
+    """x as a list of Python floats, refused unless it holds 1-7 of them:
+    from 8 values on, numpy no longer adds in the order _project does."""
+    if not 1 <= x.size <= 7:
+        raise ValueError(f"the selftest oracle takes 1-7 values, got {x.size}")
+    return x.tolist()
 
 
-def _shifted_clip(p: list[float], shift: float, lo: float) -> list[float]:
-    """min(max(x - shift, lo), 1.0) for each x in p, written as comparisons,
-    which give the same floats faster."""
-    return [lo if (y := x - shift) < lo else 1.0 if y > 1.0 else y for x in p]
-
-
-def _clipped_sum(p: list[float], shift: float, lo: float) -> float:
-    """_reduce_sum(_shifted_clip(p, shift, lo)) bit for bit.  Below 8 values
-    both add in sequence, so the clipped values are added as they are made,
-    without a list."""
-    if len(p) >= 8:
-        return _reduce_sum(_shifted_clip(p, shift, lo))
+def _clipped_sum(q: list[float], shift: float, lo: float) -> float:
+    """The sum of min(max(x - shift, lo), 1.0) over q, added in order; the
+    comparisons give the same floats as min and max, faster."""
     total = 0.0
-    for x in p:
+    for x in q:
         total += lo if (y := x - shift) < lo else 1.0 if y > 1.0 else y
     return total
 
 
-def _project(p: list[float], s: float, lo: float) -> tuple[list[float], int]:
-    """project_budget_box on a list of floats, with the index j of the first
-    knot whose sum is <= s, found by bisection over all the sorted knots."""
-    knots = [x - 1.0 for x in p] + [x - lo for x in p]
-    knots.sort()
-    # bisect for the first knot whose sum is <= s; the sums are non-increasing
-    # as computed too: each clipped entry is, and rounding keeps order, so the
-    # knot is unique and a probe at any index narrows the search to it
-    j, end = 0, len(knots)
-    t0 = t1 = 0.0  # the sums at knots j - 1 and end, once computed
-    while j < end:
-        mid = (j + end) // 2
-        t = _clipped_sum(p, knots[mid], lo)
-        if t <= s:
-            end, t1 = mid, t
-        else:
-            j, t0 = mid + 1, t
-    if j == 0:  # s >= n: every entry at its cap
-        return [1.0] * len(p), j
-    if j == len(knots):  # s <= n * lo: every entry at its floor
-        return [lo] * len(p), j
-    # t0 > s >= t1, so the segment is not flat
-    k0, k1 = knots[j - 1], knots[j]
-    shift = k0 + (t0 - s) * (k1 - k0) / (t0 - t1)
-    return _shifted_clip(p, shift, lo), j
-
-
-def _hinted_step(
+def _project(
     q: list[float], s: float, lo: float, j: int, lam2: list[float]
-) -> tuple[list[float], float] | None:
-    """_project(q, s, lo) and sum lam2 / p, bit for bit, when knot j is still
-    the first whose sum is <= s; None when it is not, or is an end knot.
-    Below 8 values one pass over q takes the sums at knots j - 1 and j, and
-    one more builds p and the objective: numpy adds fewer than 8 values in
-    sequence, so each sum can be added as its terms are made."""
-    n = len(q)
-    if not 0 < j < 2 * n:
-        return None
+) -> tuple[list[float], int, float]:
+    """The projection p of q onto {sum x = s, lo <= x <= 1}, the index of the
+    first sorted knot whose clipped sum is <= s, and sum lam2 / p.  The hint
+    j is the index the previous projection returned, or 0 for none.
+
+    p is clip(q - shift, lo, 1) for the Lagrange shift whose clipped sum is
+    s.  That sum is piecewise linear and non-increasing in the shift, with
+    knots at q - 1 and q - lo.  One pass sums at the hinted knots j - 1 and
+    j; when they no longer bracket s, or j is an end knot, a bisection over
+    all the knots finds the bracket.  The sums are non-increasing as
+    computed too, since each clipped entry is and rounding keeps order, so
+    the bracket is unique and any hint gives the same bits.
+    """
+    n2 = 2 * len(q)
     knots = [x - 1.0 for x in q] + [x - lo for x in q]
     knots.sort()
-    k0, k1 = knots[j - 1], knots[j]
-    if n < 8:
-        t0 = t1 = 0.0
+    t0 = t1 = 0.0  # the sums at knots j - 1 and j; 0.0 > s >= 0.0 never holds
+    if 0 < j < n2:
+        k0, k1 = knots[j - 1], knots[j]
         for x in q:
             t0 += lo if (y := x - k0) < lo else 1.0 if y > 1.0 else y
             t1 += lo if (y := x - k1) < lo else 1.0 if y > 1.0 else y
-    else:
-        t0, t1 = _clipped_sum(q, k0, lo), _clipped_sum(q, k1, lo)
     if not t0 > s >= t1:
-        return None
-    shift = k0 + (t0 - s) * (k1 - k0) / (t0 - t1)
-    if n >= 8:
-        p = _shifted_clip(q, shift, lo)
-        return p, _reduce_sum([a / b for a, b in zip(lam2, p)])
+        j, end = 0, n2
+        while j < end:
+            mid = (j + end) // 2
+            k = knots[mid]
+            t = _clipped_sum(q, k, lo)
+            if t <= s:
+                end, k1, t1 = mid, k, t
+            else:
+                j, k0, t0 = mid + 1, k, t
+    if 0 < j < n2:  # t0 > s >= t1 at knots k0 and k1, so the segment is not flat
+        shift = k0 + (t0 - s) * (k1 - k0) / (t0 - t1)
+    else:  # s >= n puts every entry at its cap, s <= n * lo at its floor
+        shift = -math.inf if j == 0 else math.inf
     p = []
     value = 0.0
     for x, a in zip(q, lam2):
         y = lo if (y := x - shift) < lo else 1.0 if y > 1.0 else y
         p.append(y)
         value += a / y
-    return p, value
+    return p, j, value
 
 
 def project_budget_box(p: np.ndarray, s: float) -> np.ndarray:
-    """Euclidean projection onto {sum x = s, lo <= x <= 1}: clip(p - shift, lo, 1)
-    for the Lagrange shift whose clipped sum is s, with lo the floor _LO.
-
-    The clipped sum is piecewise linear and non-increasing in the shift, with
-    knots at p - 1 and p - lo.  A bisection over the sorted knots finds the
-    segment whose end sums bracket s, and the shift is interpolated on it.
-    This projection has no earlier bracket to try, so it always bisects from
-    the full range; minimize_variance_numeric tries the previous
-    iteration's bracket first.
-    """
-    return np.array(_project(p.tolist(), s, _LO)[0], dtype=np.float64)
+    """Euclidean projection of 1-7 finite values onto {sum x = s, lo <= x <= 1},
+    with lo the floor _LO: clip(p - shift, lo, 1) for the Lagrange shift
+    whose clipped sum is s, found by bisecting all the knots."""
+    q = _values(p)
+    # no hint; q stands in for lam2, as the objective is not wanted
+    return np.array(_project(q, s, _LO, 0, q)[0], dtype=np.float64)
 
 
 def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 4000) -> float:
-    """Projected-gradient minimum of sum lambda_i^2 / p_i over the budget box.
-    Each iteration projects and evaluates in one _hinted_step call at the
-    previous projection's bracketing knot, which a small step rarely moves,
-    and bisects with _project only when that knot no longer brackets s."""
-    lam2 = [x * x for x in lam.tolist()]
+    """Projected-gradient minimum of sum lambda_i^2 / p_i over the budget box,
+    for 1-7 values.  Each iteration is one _project call, hinted with the
+    previous projection's bracket."""
+    lam2 = [x * x for x in _values(lam)]
     neg_lam2 = [-a for a in lam2]
-    p, j = _project([s / lam.size] * lam.size, s, _LO)
-    best = _reduce_sum([a / b for a, b in zip(lam2, p)])
+    p, j, best = _project([s / lam.size] * lam.size, s, _LO, 0, lam2)
     step = 0.1 / max(1.0, max(lam2))
     for it in range(iters):
         # the gradient -lambda^2 / p^2, scaled by a step that decays with it
         decay = 1.0 + it / 50.0
         q = [x - step * (a / (x * x)) / decay for a, x in zip(neg_lam2, p)]
-        hinted = _hinted_step(q, s, _LO, j, lam2)
-        if hinted is None:  # the bracket moved: bisect all the knots
-            p, j = _project(q, s, _LO)
-            value = _reduce_sum([a / b for a, b in zip(lam2, p)])
-        else:
-            p, value = hinted
+        p, j, value = _project(q, s, _LO, j, lam2)
         if value < best:
             best = value
     return best
@@ -224,15 +166,23 @@ def _check_variance_law() -> tuple[bool, str]:
     return ok, f"worst relative variance gap = {worst:.3f}"
 
 
-def _check_probability_optimality() -> tuple[bool, str]:
+def probability_trials() -> list[tuple[np.ndarray, float]]:
+    """The (lam, s) draws of the probability-optimality check: ten trials of
+    2-6 values, the first three with one value large enough to be clipped."""
     rng = np.random.default_rng(13)
-    worst = -np.inf
+    trials = []
     for trial in range(10):
         size = int(rng.integers(2, 7))
         lam = np.exp(rng.standard_normal(size))
         if trial < 3:  # force clipping cases too
             lam[0] *= 20.0
-        s = float(rng.uniform(1.0, size))
+        trials.append((lam, float(rng.uniform(1.0, size))))
+    return trials
+
+
+def _check_probability_optimality() -> tuple[bool, str]:
+    worst = -np.inf
+    for lam, s in probability_trials():
         decomp = compress.decompose_elementwise(lam)
         probs = compress.probabilities(decomp, s)
         closed = float(np.sum(lam**2 / probs.probs))

@@ -6,12 +6,12 @@ finite differences instead of backprop, projected gradient descent instead
 of the closed-form probabilities, a row-by-row budget clip instead of the
 one that clips every row at once, a greedy by_class deal instead of the
 round-robin one, and straight-line formula transcriptions instead of the
-shared implementations.  The projected-gradient minimizer
-and its exact budget-box projection are the ones `fflsim selftest` runs,
-shared rather than copied; their earlier np.clip / np.sum / np.searchsorted
-form is kept here as the reference that the selftest's loop over Python
-floats, with its sum in np.add.reduce's order and its search of the knots
-from the previous bracket, must match bit for bit.
+shared implementations.  The projected-gradient minimizer and its exact
+budget-box projection are the ones `fflsim selftest` runs, shared rather
+than copied.  They take 1-7 values and run as one helper over Python floats
+that adds each sum in order and starts each projection's knot search from
+the previous bracket; their earlier np.clip / np.sum / np.searchsorted form
+is kept here as the reference that helper must match bit for bit.
 """
 
 from __future__ import annotations

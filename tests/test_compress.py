@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from fflsim import compress, nn, selftest
 from fflsim.rng import substream
-from fflsim.selftest import _clipped_sum, _hinted_step, _project, _reduce_sum, _shifted_clip
+from fflsim.selftest import _clipped_sum, _project
 
 from oracles import (
     jacobi_singular_values, minimize_variance_numeric, minimize_variance_reference,
@@ -712,9 +712,9 @@ def assert_budget_box_projection(p, s, x):
 
 @st.composite
 def budget_box_inputs(draw):
-    n = draw(st.integers(1, 30))
-    # |p| <= 100: the shift is rounded to ulp(p), so beyond ~1e3 no float64
-    # projection of 30 free entries can hold the 1e-12 sum tolerance
+    n = draw(st.integers(1, 7))
+    # |p| <= 100: the shift is rounded to ulp(p), and every free entry carries
+    # that error into the sum, so far beyond ~1e3 it outgrows the 1e-12 tolerance
     p = draw(hnp.arrays(np.float64, n, elements=st.floats(-100.0, 100.0, allow_nan=False)))
     s = draw(st.floats(n * LO, float(n)))
     return p, s
@@ -753,27 +753,16 @@ def test_budget_projection_handles_ties(p, s, expected):
 
 # ---- the selftest's oracle against its np.clip form ---- #
 
-def selftest_trials():
-    """The (lam, s) draws of `fflsim selftest`'s probability-optimality
-    check: ten trials, the first three with a clipped atom."""
-    rng = np.random.default_rng(13)
-    trials = []
-    for trial in range(10):
-        size = int(rng.integers(2, 7))
-        lam = np.exp(rng.standard_normal(size))
-        if trial < 3:
-            lam[0] *= 20.0
-        trials.append((lam, float(rng.uniform(1.0, size))))
-    return trials
-
-
 def sized_trials():
-    """One (lam, s) draw of every size 1-30, s in [1, size]."""
+    """One (lam, s) draw of every size 1-7, s in [1, size]."""
     rng = np.random.default_rng(31)
-    return [(np.exp(rng.standard_normal(n)), float(rng.uniform(1.0, n))) for n in range(1, 31)]
+    return [(np.exp(rng.standard_normal(n)), float(rng.uniform(1.0, n))) for n in range(1, 8)]
 
 
-@pytest.mark.parametrize("trials, iters", [(selftest_trials, 400), (sized_trials, 50)])
+@pytest.mark.parametrize("trials, iters", [
+    pytest.param(selftest.probability_trials, 400, id="selftest_trials-400"),
+    pytest.param(sized_trials, 50, id="sized_trials-50"),
+])
 def test_minimum_equals_the_np_clip_form_bitwise(trials, iters):
     for lam, s in trials():
         assert (minimize_variance_numeric(lam, s, iters).hex()
@@ -782,7 +771,7 @@ def test_minimum_equals_the_np_clip_form_bitwise(trials, iters):
 
 def test_projection_equals_the_np_clip_form_bitwise():
     rng = np.random.default_rng(29)
-    for n in range(1, 31):
+    for n in range(1, 8):
         for scale in (0.1, 1.0, 100.0):
             p = scale * rng.standard_normal(n)
             for s in (float(rng.uniform(n * LO, n)), float(rng.uniform(1.0, n)), float(n)):
@@ -790,7 +779,7 @@ def test_projection_equals_the_np_clip_form_bitwise():
                 assert x.tobytes() == project_budget_box_reference(p, s).tobytes()
 
 
-@pytest.mark.parametrize("size", [1, 4, 30])
+@pytest.mark.parametrize("size", [1, 4, 7])
 def test_both_early_returns_equal_the_np_clip_form(size):
     lam = np.exp(np.random.default_rng(size).standard_normal(size))
     p = lam / lam.sum()
@@ -807,7 +796,7 @@ TIED_KNOTS = [
     [2.0, 2.0, 0.5, -1.0, 0.5, 2.0, 0.25],
     [0.75 + LO, 1.75, 0.25],  # p - lo of one entry is p - 1 of another
     [1.0 + LO, 2.0, 0.0, 1.0],
-    np.random.default_rng(41).choice([-0.5, 0.2, 0.7, 1.5], 23),
+    np.random.default_rng(41).choice([-0.5, 0.2, 0.7, 1.5], 7),  # 7 draws of 4 values tie
 ]
 
 
@@ -829,7 +818,7 @@ def test_a_budget_equal_to_a_knots_total_equals_the_np_clip_form(p):
 
 def hinted_projection_cases():
     """(p, s) pairs: every knot's own total of the tied-knot inputs and a
-    step to either side of it, then random p of every size 1-30 with a
+    step to either side of it, then random p of every size 1-7 with a
     budget inside, at and below the box."""
     for p in map(np.array, TIED_KNOTS):
         knots = np.sort(np.concatenate((p - 1.0, p - LO)))
@@ -837,40 +826,10 @@ def hinted_projection_cases():
             for t in (np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf)):
                 yield p.tolist(), float(t)
     rng = np.random.default_rng(53)
-    for n in range(1, 31):
+    for n in range(1, 8):
         p = rng.standard_normal(n)
         for s in (float(rng.uniform(n * LO, n)), float(rng.uniform(1.0, n)), float(n), n * LO / 2):
             yield p.tolist(), s
-
-
-def test_a_hinted_projection_equals_the_cold_one():
-    """Every hint, in range or not, gives the cold projection's bytes and
-    objective, or None and the cold bisection takes over: the right hint
-    settles the bracket in one helper call, and no other hint settles one."""
-    rng = np.random.default_rng(67)
-    for p, s in hinted_projection_cases():
-        cold, j = _project(p, s, LO)
-        lam2 = np.exp(rng.standard_normal(len(p))).tolist()
-        value = _reduce_sum([a / b for a, b in zip(lam2, cold)])
-        for hint in range(2 * len(p) + 2):
-            hinted = _hinted_step(p, s, LO, hint, lam2)
-            if hint == j and 0 < j < 2 * len(p):
-                assert hinted is not None, (p, s, hint)
-                x, v = hinted
-                assert (np.array(x).tobytes(), v.hex()) == (np.array(cold).tobytes(), value.hex())
-            else:
-                assert hinted is None, (p, s, hint)
-
-
-def test_clipped_sum_equals_the_sum_of_the_clipped_list_bitwise():
-    """Sizes 1-30 cover both sides of 8, where np.add.reduce's order changes."""
-    rng = np.random.default_rng(59)
-    for n in range(1, 31):
-        for scale in (0.1, 1.0, 100.0):
-            p = (scale * rng.standard_normal(n)).tolist()
-            for shift in (*rng.uniform(-2.0, 2.0, 4).tolist(), min(p) - 1.0, max(p)):
-                expected = _reduce_sum(_shifted_clip(p, shift, LO))
-                assert _clipped_sum(p, shift, LO).hex() == expected.hex(), (n, shift)
 
 
 def record_calls(monkeypatch, name):
@@ -886,74 +845,97 @@ def record_calls(monkeypatch, name):
     return calls
 
 
+def test_a_hinted_projection_equals_the_cold_one(monkeypatch):
+    """Every hint, in range or not, gives the cold projection's bytes, index
+    and objective: the right hint settles the bracket without a bisection
+    sum, and every other hint bisects."""
+    sums = record_calls(monkeypatch, "_clipped_sum")
+    rng = np.random.default_rng(67)
+    for p, s in hinted_projection_cases():
+        lam2 = np.exp(rng.standard_normal(len(p))).tolist()
+        cold, j, value = _project(p, s, LO, 0, lam2)
+        # np.sum adds fewer than 8 values in sequence, as _project does
+        assert value.hex() == float(np.sum(np.array(lam2) / np.array(cold))).hex()
+        for hint in range(2 * len(p) + 2):
+            before = len(sums)
+            x, k, v = _project(p, s, LO, hint, lam2)
+            assert (np.array(x).tobytes(), k, v.hex()) == (np.array(cold).tobytes(), j, value.hex())
+            assert (len(sums) == before) == (hint == j and 0 < j < 2 * len(p)), (p, s, hint)
+
+
+def test_clipped_sum_equals_the_sum_of_the_clipped_list_bitwise():
+    """The bisection's sum against np.sum of np.clip, at sizes 1-7, where
+    numpy adds in sequence."""
+    rng = np.random.default_rng(59)
+    for n in range(1, 8):
+        for scale in (0.1, 1.0, 100.0):
+            p = scale * rng.standard_normal(n)
+            for shift in (*rng.uniform(-2.0, 2.0, 4).tolist(), p.min() - 1.0, p.max()):
+                expected = float(np.sum(np.clip(p - shift, LO, 1.0)))
+                assert _clipped_sum(p.tolist(), shift, LO).hex() == expected.hex(), (n, shift)
+
+
 def test_the_descent_takes_about_two_sums_per_projection(monkeypatch):
-    """A count, not a timing: each iteration of the selftest's descent takes
-    the sums at its previous bracket's two knots in one hinted step, and
-    bisects all the knots only when the bracket moved, 19 times in these
-    40,000 iterations."""
-    projections = record_calls(monkeypatch, "_project")
+    """A count, not a timing: each iteration of the selftest's descent sums
+    at its previous bracket's two knots in one pass, and bisects all the
+    knots only on its cold start and when the bracket moved: 98 bisection
+    sums in these 40,000 iterations."""
+    sums = record_calls(monkeypatch, "_clipped_sum")
     iters = 4000
-    for lam, s in selftest_trials():
+    for lam, s in selftest.probability_trials():
         minimize_variance_numeric(lam, s, iters)
-    fallbacks = len(projections) - len(selftest_trials())  # one cold start per descent
-    assert fallbacks < 0.005 * len(selftest_trials()) * iters
+    assert len(sums) < 0.005 * len(selftest.probability_trials()) * iters
 
 
 def test_the_descent_runs_its_hinted_step_and_its_cold_fallback(monkeypatch):
     """On the draws of test_minimum_equals_the_np_clip_form_bitwise
-    [sized_trials-50], on both sides of 8 values: the hinted step settles an
-    iteration, and misses one whose previous bracket was an inner knot, so
-    the cold bisection projects it."""
-    steps = record_calls(monkeypatch, "_hinted_step")
-    projections = record_calls(monkeypatch, "_project")
+    [sized_trials-50]: each iteration is one _project call, which settles at
+    its inner hint without a bisection sum, or misses it and bisects."""
+    sums = record_calls(monkeypatch, "_clipped_sum")
+    real = selftest._project
+    calls = []
+
+    def spy(q, s, lo, j, lam2):
+        before = len(sums)
+        result = real(q, s, lo, j, lam2)
+        calls.append((0 < j < 2 * len(q), len(sums) > before, j == result[1]))
+        return result
+
+    monkeypatch.setattr(selftest, "_project", spy)
     for lam, s in sized_trials():
         minimize_variance_numeric(lam, s, 50)
-    assert len(steps) == len(sized_trials()) * 50
-    missed = [len(q) for (q, _, _, j, _), result in steps if result is None and 0 < j < 2 * len(q)]
-    settled = [len(q) for (q, *_), result in steps if result is not None]
-    assert min(missed) < 8 <= max(missed) and min(settled) < 8 <= max(settled)
-    misses = sum(result is None for _, result in steps)
-    assert len(projections) == len(sized_trials()) + misses
+    assert len(calls) == len(sized_trials()) * 51  # a cold start, then one per iteration
+    settled = [kept for inner, bisected, kept in calls if inner and not bisected]
+    missed = [kept for inner, bisected, kept in calls if inner and bisected]
+    assert settled and all(settled)
+    assert missed and not any(missed)
 
 
-@pytest.mark.parametrize("n", [7, 8, 9])
-def test_minimum_on_either_side_of_8_values_equals_the_np_clip_form_bitwise(n):
-    """The hinted step adds in one pass below 8 values and in numpy's lanes
-    from 8 on; 400 iterations give the rounding room to tell the two."""
-    rng = np.random.default_rng(71 + n)
+def test_minimum_of_7_values_equals_the_np_clip_form_bitwise():
+    """The most values the oracle takes; 400 iterations give the rounding
+    room to tell another order of the additions."""
+    rng = np.random.default_rng(78)
     for _ in range(3):
-        lam, s = np.exp(rng.standard_normal(n)), float(rng.uniform(1.0, n))
+        lam, s = np.exp(rng.standard_normal(7)), float(rng.uniform(1.0, 7))
         assert (minimize_variance_numeric(lam, s, 400).hex()
                 == minimize_variance_reference(lam, s, 400).hex())
 
 
+@pytest.mark.parametrize("n", [0, 8])
+def test_the_oracle_refuses_0_or_8_values(n):
+    """No values cannot sum to the budget, and numpy adds 8 or more in
+    pairwise lanes, not in the order the oracle adds in."""
+    lam = np.ones(n)
+    with pytest.raises(ValueError, match=f"takes 1-7 values, got {n}"):
+        selftest.minimize_variance_numeric(lam, 1.0)
+    with pytest.raises(ValueError, match=f"takes 1-7 values, got {n}"):
+        project_budget_box(lam, 1.0)
+
+
 def test_budget_projection_returns_a_new_float64_vector_of_its_inputs_length():
-    p = np.random.default_rng(43).standard_normal(9)
+    p = np.random.default_rng(43).standard_normal(7)
     before = p.tobytes()
-    for s in (9.0, 3.5, 9 * LO):  # all capped, interpolated, all floored
+    for s in (7.0, 3.5, 7 * LO):  # all capped, interpolated, all floored
         x = project_budget_box(p, s)
         assert x.dtype == np.float64 and x.shape == p.shape
         assert x is not p and p.tobytes() == before
-
-
-# ---- the selftest's sum in numpy's order ---- #
-
-@pytest.mark.parametrize("rows", [None, 3])
-def test_reduce_sum_rounds_as_np_add_reduce(rows):
-    """Every size 1-300, as a vector and as the rows of a 2-D array: in
-    sequence below 8 values, in 8 pairwise lanes up to 128, in two halves
-    above.  The values span many decades in both signs, so another order
-    of the additions rounds differently."""
-    rng = np.random.default_rng(47)
-    in_order = 0
-    for n in range(1, 301):
-        shape = n if rows is None else (rows, n)
-        a = rng.standard_normal(shape) * np.exp(8.0 * rng.standard_normal(shape))
-        sums = np.add.reduce(a, axis=-1)
-        for row, expected in zip(a.reshape(-1, n), np.atleast_1d(sums)):
-            assert _reduce_sum(row.tolist()).hex() == float(expected).hex(), n
-            total = 0.0
-            for v in row.tolist():
-                total += v
-            in_order += total != expected
-    assert in_order > 0  # a plain running sum would fail
