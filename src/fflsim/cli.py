@@ -4,7 +4,8 @@
     fflsim compare  --config cfg.json [--out DIR] [--seed N] SCHEME SCHEME...
     fflsim selftest
 
-Exit codes: 0 success, 2 configuration error, 1 runtime error.  Log level
+Exit codes: 0 success, 2 configuration error, 1 runtime error (for compare,
+any scheme that diverged, once every scheme has run).  Log level
 comes from the FFL_LOG environment variable (error, info, debug).
 """
 
@@ -19,7 +20,7 @@ import sys
 
 from .config import SCHEMES, ExperimentConfig, load_config
 from .errors import ConfigError
-from .federation import run_experiment
+from .federation import record_experiment, run_experiment
 
 log = logging.getLogger(__name__)
 
@@ -75,8 +76,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     base = _effective_config(args)
     out_dir = base.output_dir  # empty: print the table and write nothing, as `run` does
     summaries = {}
-    for scheme in args.schemes:
-        _, summaries[scheme] = run_experiment(
+    for scheme in args.schemes:  # a scheme that diverges gets its row; the rest still run
+        _, summaries[scheme], _ = record_experiment(
             dataclasses.replace(base, scheme=scheme),
             names=(f"metrics_{scheme}.csv", f"summary_{scheme}.json"),
         )
@@ -103,7 +104,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         t = row[1] if isinstance(row[1], str) else f"{row[1]:.3f}"
         print(f"{row[0]:<14} {t:>18} {row[2]:>10.4f} {row[3]:>16.4f} {row[4]:>8} {row[5]:>12}  "
               f"{row[7]}")
-    return 0
+    diverged = [scheme for scheme in args.schemes if summaries[scheme]["status"] == "diverged"]
+    for scheme in diverged:
+        print(f"error: scheme {scheme} diverged: {summaries[scheme]['error']}", file=sys.stderr)
+    return 1 if diverged else 0
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:

@@ -374,27 +374,44 @@ def run_experiment(
     output_dir: str | None = None,
     names: tuple[str, str] = ("metrics.csv", "summary.json"),
 ) -> tuple[list[RoundRecord], dict]:
+    """Run one experiment and write its metrics table and summary, as
+    record_experiment does; a run that diverged then re-raises its
+    FloatingPointError."""
+    records, summary, error = record_experiment(cfg, output_dir, names)
+    if error is not None:
+        raise error
+    return records, summary
+
+
+def record_experiment(
+    cfg: ExperimentConfig,
+    output_dir: str | None = None,
+    names: tuple[str, str] = ("metrics.csv", "summary.json"),
+) -> tuple[list[RoundRecord], dict, FloatingPointError | None]:
     """Run one experiment and write its metrics table and summary, under
     `names`, to the output directory (cfg.output_dir unless overridden
-    here; an empty one writes nothing).
+    here; an empty one writes nothing).  Returns the records, the summary
+    and the error of a run that diverged (None otherwise).
 
     The summary carries "status": "ok", "zero_loss" for a run that
     stopped at a training loss of 0, or "all_rounds_lost" for a run in
     which no packet of any round arrived, so the model never moved.  A run
     that diverges (a FloatingPointError from the local SGD checks) still
     writes the table of the rounds that completed and a summary with
-    "status": "diverged" and the error message, then re-raises.
+    "status": "diverged" and the error message.
     """
     experiment = Experiment(cfg)
     output_dir = output_dir if output_dir is not None else cfg.output_dir
+    error = None
     try:
-        records, summary = experiment.run()
+        experiment.run()
     except FloatingPointError as exc:
-        summary = {**experiment.summary(), "status": "diverged", "error": str(exc)}
-        _write_artifacts(output_dir, names, experiment.records, summary)
-        raise
-    _write_artifacts(output_dir, names, records, summary)
-    return records, summary
+        error = exc
+    summary = experiment.summary()
+    if error is not None:
+        summary = {**summary, "status": "diverged", "error": str(error)}
+    _write_artifacts(output_dir, names, experiment.records, summary)
+    return experiment.records, summary, error
 
 
 def _write_artifacts(

@@ -33,14 +33,22 @@ at once, and a local step is plain SGD, current -= eta * grad.  The runner
 returns only the gradient sums and the losses, so each step applies the
 previous step's update first, and the update after the last step, which
 nothing would read, is never made.  Before the first step each worker
-draws all tau of its mini-batches in one call on its own generator, giving
-a (tau, M, batch) index array; the drawn labels and the step arguments are
-checked once, and each step gathers only its own (M, batch, d_in + 1) rows.
-The forward and backward pass is written once, over arrays with an optional
-leading worker axis, so a single 2-D batch is simply the unstacked case of
-the same code, and each worker's rows get the bits of that worker's own 2-D
-calls.  No function here mutates its inputs, and randomness only enters
-through explicit generators.
+draws all tau of its mini-batches in one call on its own generator, and the
+draws form one contiguous (tau, M, batch) index array; the drawn labels and
+the step arguments are checked once, and each step gathers only its own
+(M, batch, d_in + 1) rows.  Every other array a step writes is made once per
+round, as one _Buffers set, and each step writes into it: the hidden
+activations, whose ones column is set there, the logits, their class-major
+log-probabilities and exp, dlogits, each hidden gradient and activation
+mask, eta * grad and both finiteness masks.  Each step also writes its
+picked log-probabilities into an (M, tau, batch) buffer, so the (M, tau)
+losses are one reduce after the last step, adding each batch as the step's
+own reduce would.  The forward and backward pass is written once, over
+arrays with an optional leading worker axis, so a single 2-D batch is simply
+the unstacked case of the same code, run in a one-step set of buffers, and
+each worker's rows get the bits of that worker's own 2-D calls.  No
+function here mutates its inputs, and randomness only enters through
+explicit generators.
 
 The loss works on one class-major copy of the logits, their transpose
 (classes, batch, M): the max, the shifts, both exps and the label pick run
@@ -49,13 +57,14 @@ only as long as the class count.  Below 8 classes the class sum is an
 outer-axis reduce of that copy as well.  numpy adds fewer than 8 values in
 sequence, as an outer-axis reduce does, so the bits hold; from 8 classes up
 it adds in pairwise lanes, so there the sum stays a last-axis reduce of a
-class-last copy.  Each label is picked by its flat position in the
-class-major copy, which local_update_run builds once per round for all tau
-steps, and the batch mean is np.add.reduce over the batch size, which is
-what ndarray.mean computes.  The gradient goes back in the logits' layout,
-(M, batch, classes), one C-ordered matrix per worker for both output-layer
-matmuls.  cross_entropy, which evaluation uses, runs the same log-softmax
-and label pick and stops before the gradient.
+class-last copy.  Each label is picked, and its 1 subtracted from the
+exp, by its flat position in the class-major copy, which local_update_run
+builds once per round for all tau steps, and the batch mean is
+np.add.reduce over the batch size, which is what ndarray.mean computes.
+The gradient goes back in the logits' layout, (M, batch, classes), one
+C-ordered matrix per worker for both output-layer matmuls.  cross_entropy,
+which evaluation uses, runs the same log-softmax and label pick and stops
+before the gradient.
 """
 
 from __future__ import annotations
@@ -177,8 +186,10 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParameterSet:
     return ParameterSet(weights, biases, spec.activation)
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+def _require_finite(arr: np.ndarray, what: str, mask: np.ndarray | None = None) -> None:
+    """Raise unless every entry of `arr` is finite; `mask`, a bool array of
+    its shape, takes the isfinite mask in place of a new array."""
+    if not np.logical_and.reduce(np.isfinite(arr, out=mask), axis=None):
         raise FloatingPointError(f"non-finite values in {what}")
 
 
@@ -198,15 +209,52 @@ def _check_batch(params: ParameterSet, features, labels) -> tuple[np.ndarray, np
     return x, y
 
 
-def _forward(layers: list, activation: str, x: np.ndarray) -> tuple[list, np.ndarray]:
-    """Hidden activations (input first) and logits.  x and every hidden
-    activation end in a column of ones, so each layer is one matmul by its
-    [W; b]; every array may carry a leading worker axis, matched between
-    the layers and x."""
+def _activation(lead: tuple[int, ...], width: int) -> np.ndarray:
+    """An empty (*lead, width + 1) hidden activation whose last column, the
+    ones, is set."""
+    act = np.empty(lead + (width + 1,))
+    act[..., -1] = 1.0
+    return act
+
+
+class _Buffers:
+    """Every array one forward and backward pass writes, for inputs of
+    leading shape `lead` (..., batch) through layers of `widths` outputs.
+
+    The local SGD runner makes one set per round and each of its `steps`
+    writes into it; a single batch makes its own.  `picked` takes each
+    step's picked log-probabilities, (..., steps, batch), so the batch
+    losses of all steps can be reduced at once.
+    """
+
+    def __init__(self, lead: tuple[int, ...], widths: Sequence[int], activation: str,
+                 steps: int):
+        *hidden, classes = widths
+        self.acts = [_activation(lead, width) for width in hidden]
+        shape = lead + (classes,)
+        self.logits, self.dlogits = np.empty(shape), np.empty(shape)
+        self.finite = np.empty(shape, dtype=bool)
+        # the class-major log-probabilities and their exp, and flat views
+        self.z, self.e = np.empty(shape[::-1]), np.empty(shape[::-1])
+        self.z_flat, self.e_flat = self.z.reshape(-1), self.e.reshape(-1)
+        self.picked = np.empty(lead[:-1] + (steps,) + lead[-1:])
+        # per hidden layer: the gradient, and relu's mask a > 0 or tanh's
+        # slope 1 - a^2
+        self.dh = [np.empty(act.shape) for act in self.acts]
+        mask_type = bool if activation == "relu" else np.float64
+        self.masks = [np.empty(act.shape, dtype=mask_type) for act in self.acts]
+
+
+def _forward(layers: list, activation: str, x: np.ndarray,
+             bufs: _Buffers | None = None) -> tuple[list, np.ndarray]:
+    """Hidden activations (input first) and logits, written into `bufs`, or
+    into new arrays for a forward pass alone.  x and every hidden activation
+    end in a column of ones, so each layer is one matmul by its [W; b];
+    every array may carry a leading worker axis, matched between the layers
+    and x."""
     acts = [x]
-    for layer in layers[:-1]:
-        h = np.empty(x.shape[:-1] + (layer.shape[-1] + 1,))
-        h[..., -1] = 1.0
+    for i, layer in enumerate(layers[:-1]):
+        h = _activation(x.shape[:-1], layer.shape[-1]) if bufs is None else bufs.acts[i]
         np.matmul(acts[-1], layer, out=h[..., :-1])
         # the activation runs over the whole contiguous buffer: relu keeps
         # the ones, tanh(1) does not, so its column is set again
@@ -216,8 +264,8 @@ def _forward(layers: list, activation: str, x: np.ndarray) -> tuple[list, np.nda
             np.tanh(h, out=h)
             h[..., -1] = 1.0
         acts.append(h)
-    logits = np.matmul(acts[-1], layers[-1])
-    _require_finite(logits, "logits")
+    logits = np.matmul(acts[-1], layers[-1], out=None if bufs is None else bufs.logits)
+    _require_finite(logits, "logits", None if bufs is None else bufs.finite)
     return acts, logits
 
 
@@ -246,7 +294,9 @@ def _label_index(labels: np.ndarray) -> np.ndarray:
     """
     shape = labels.shape[1:]
     rows = np.arange(math.prod(shape)).reshape(shape[::-1]).T
-    return labels * rows.size + rows
+    index = labels * rows.size
+    index += rows
+    return index
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,50 +307,69 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     logits' shape, C-ordered.  Stabilized with the log-sum-exp shift so large
     logits cannot overflow.
     """
-    return _cross_entropy(logits, _label_index(np.asarray(labels)[None])[0])
+    logits = np.asarray(logits)
+    label_index = _label_index(np.asarray(labels)[None])
+    bufs = _Buffers(logits.shape[:-1], logits.shape[-1:], "relu", 1)  # no hidden layer
+    dlogits = _cross_entropy(logits, label_index[0], bufs, 0)
+    return _mean_loss(bufs.picked[..., 0, :]), dlogits
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The loss of softmax_cross_entropy, bit for bit, without its gradient."""
-    return _log_softmax_loss(logits, _label_index(np.asarray(labels)[None])[0])[0]
+    z = logits.T.copy()
+    _log_softmax(z, np.empty_like(z))
+    return _mean_loss(z.reshape(-1)[_label_index(np.asarray(labels)[None])[0]])
 
 
-def _log_softmax_loss(
-    logits: np.ndarray, label_index: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The loss of _cross_entropy, the class-major log-probabilities
-    (classes, batch, ...reversed) and a spare buffer of their shape."""
-    z = logits.T.copy()  # class-major: every class pass runs over whole rows
+def _mean_loss(picked: np.ndarray) -> np.ndarray:
+    """The batch mean of minus the picked log-probabilities (..., batch);
+    np.add.reduce over the batch size is what ndarray.mean computes."""
+    return -(np.add.reduce(picked, axis=-1) / picked.shape[-1])
+
+
+def _log_softmax(z: np.ndarray, e: np.ndarray) -> None:
+    """Turns z, a class-major copy of the logits (classes, batch,
+    ...reversed), into their log-probabilities; e, of z's shape, takes
+    their shifted exp.  In that layout every class pass runs over whole
+    rows."""
     z -= np.maximum.reduce(z, axis=0)
-    e = np.exp(z)
+    np.exp(z, out=e)
     if len(z) < 8:  # numpy adds fewer than 8 values in order, as this does
         total = np.add.reduce(e, axis=0)
     else:  # and 8 or more in pairwise lanes, which need the classes last
         total = np.add.reduce(np.ascontiguousarray(e.T), axis=-1).T
     z -= np.log(total)
-    loss = -(np.add.reduce(z.reshape(-1)[label_index], axis=-1) / label_index.shape[-1])
-    return loss, z, e
 
 
-def _cross_entropy(logits: np.ndarray, label_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """softmax_cross_entropy with each label given as its flat position in
-    the class-major logits (see _label_index); label_index has the labels'
-    shape."""
-    loss, z, e = _log_softmax_loss(logits, label_index)
-    np.exp(z, out=e)
-    e.reshape(-1)[label_index] -= 1.0
-    e /= label_index.shape[-1]
-    return loss, np.ascontiguousarray(e.T)
+def _cross_entropy(logits: np.ndarray, label_index: np.ndarray, bufs: _Buffers,
+                   step: int) -> np.ndarray:
+    """The gradient w.r.t. the logits, in bufs.dlogits; the picked
+    log-probabilities go to bufs.picked[..., step, :].  label_index holds each
+    label's flat position in the class-major logits (see _label_index)."""
+    bufs.z[...] = logits.T
+    _log_softmax(bufs.z, bufs.e)
+    bufs.picked[..., step, :] = bufs.z_flat[label_index]
+    np.exp(bufs.z, out=bufs.e)
+    bufs.e_flat[label_index] -= 1.0
+    return np.divide(bufs.e.T, label_index.shape[-1], out=bufs.dlogits)
 
 
 def _backprop(
-    layers: list, activation: str, x: np.ndarray, label_index: np.ndarray, grads: list
-) -> np.ndarray:
-    """Loss of each batch in the stack; writes its exact gradient into the
-    [W; b] views `grads`.  Shapes as in _forward; label_index as in
-    _cross_entropy."""
-    acts, logits = _forward(layers, activation, x)
-    loss, dz = _cross_entropy(logits, label_index)
+    layers: list, activation: str, x: np.ndarray, label_index: np.ndarray, grads: list,
+    bufs: _Buffers | None = None, step: int = 0,
+) -> np.ndarray | None:
+    """One step's pass over the stack: writes its exact gradient into the
+    [W; b] views `grads` and its picked log-probabilities into
+    bufs.picked[..., step, :].  Shapes as in _forward; label_index as in
+    _cross_entropy.  Without `bufs` it makes a one-step set and returns the
+    loss of each batch; a runner that passes its round's set reduces the
+    losses of all its steps at once."""
+    own = bufs is None
+    if own:
+        widths = [layer.shape[-1] for layer in layers]
+        bufs = _Buffers(x.shape[:-1], widths, activation, 1)
+    acts, logits = _forward(layers, activation, x, bufs)
+    dz = _cross_entropy(logits, label_index, bufs, step)
     for layer in range(len(layers) - 1, -1, -1):
         # [a 1]^T dz: the weight rows and, from the ones, the bias row
         np.matmul(acts[layer].swapaxes(-1, -2), dz, out=grads[layer])
@@ -308,16 +377,16 @@ def _backprop(
             break
         # the gradient of [a 1]; its last column, that of the ones, is
         # spare, and the mask runs over the whole contiguous buffer
-        dz = np.matmul(dz, layers[layer].swapaxes(-1, -2))
-        a = acts[layer]
+        dz = np.matmul(dz, layers[layer].swapaxes(-1, -2), out=bufs.dh[layer - 1])
+        a, mask = acts[layer], bufs.masks[layer - 1]
         if activation == "relu":
-            np.multiply(dz, a > 0.0, out=dz)
+            np.greater(a, 0.0, out=mask)
         else:
-            slope = a * a
-            np.subtract(1.0, slope, out=slope)
-            np.multiply(dz, slope, out=dz)
+            np.multiply(a, a, out=mask)
+            np.subtract(1.0, mask, out=mask)
+        np.multiply(dz, mask, out=dz)
         dz = dz[..., :-1]
-    return loss
+    return _mean_loss(bufs.picked[..., 0, :]) if own else None
 
 
 def loss_and_grad(params: ParameterSet, batch: MiniBatch) -> tuple[float, ParameterSet]:
@@ -381,26 +450,32 @@ def local_update_run(
         raise ValueError(f"need one generator per shard and >= 1 shard, got {len(shards)} "
                          f"shards and {len(rngs)} generators")
     _check_step(eta)
-    # (tau, M, batch): row picks[t, j] is worker j's mini-batch at step t
+    # (tau, M, batch), contiguous: row picks[t, j] is worker j's mini-batch at step t
     picks = np.array([sample_indices(s, tau, batch_size, r) for s, r in zip(shards, rngs)])
-    picks = picks.swapaxes(0, 1)
+    picks = np.ascontiguousarray(picks.swapaxes(0, 1))
     # every step gathers from ds.rows, so checking its features and the
     # drawn labels here covers all tau steps
     _, labels = _check_batch(params, ds.features, ds.labels[picks])
     label_index = _label_index(labels)
-    current = np.tile(params.flat, (len(shards), 1))
+    current = np.empty((len(shards), params.dim))
+    current[...] = params.flat
     g_sum = np.zeros_like(current)
     grad = np.empty_like(current)
-    losses = np.empty((len(shards), tau))
+    update = np.empty_like(current)
+    finite = np.empty(current.shape, dtype=bool)
     layers = _layer_views(current, params.shapes)
     grad_layers = _layer_views(grad, params.shapes)
+    bufs = _Buffers(picks.shape[1:], [layer.shape[-1] for layer in layers], params.activation,
+                    tau)
     for step in range(tau):
         if step:  # the previous step's update; the last step's feeds nothing
-            current -= eta * grad
+            current -= np.multiply(eta, grad, out=update)
         x = ds.rows.take(picks[step], axis=0)
-        losses[:, step] = _backprop(layers, params.activation, x, label_index[step], grad_layers)
-        _require_finite(grad, "gradient")
+        _backprop(layers, params.activation, x, label_index[step], grad_layers, bufs, step)
+        _require_finite(grad, "gradient", finite)
         g_sum += grad
+    # (M, tau) losses from the (M, tau, batch) picks, each added as one step would
+    losses = _mean_loss(bufs.picked)
     # finite logits can still give a batch loss whose sum overflows
     _require_finite(losses, "loss")
     return g_sum, losses

@@ -30,11 +30,21 @@ _CHUNK = 10_000  # Monte Carlo rows reconstructed per call
 _LO = 1e-12  # the budget box's floor
 
 
-def _values(x: np.ndarray) -> list[float]:
-    """x as a list of Python floats, refused unless it holds 1-7 of them:
-    from 8 values on, numpy no longer adds in the order _project does."""
-    if not 1 <= x.size <= 7:
-        raise ValueError(f"the selftest oracle takes 1-7 values, got {x.size}")
+def _values(x: np.ndarray, s: float) -> list[float]:
+    """x as a list of Python floats, refused unless it holds 1-7 of them
+    (from 8 values on, numpy no longer adds in the order _project does) and
+    n values in [_LO, 1] can sum to the budget s: s must lie between the
+    sums _project reaches at its two ends, n floors added in order and n
+    ones."""
+    n = x.size
+    if not 1 <= n <= 7:
+        raise ValueError(f"the selftest oracle takes 1-7 values, got {n}")
+    low = 0.0
+    for _ in range(n):
+        low += _LO
+    if not low <= s <= n:
+        raise ValueError(f"budget s = {s} is outside [{low}, {n}], the sums of "
+                         f"{n} values in [{_LO}, 1]")
     return x.tolist()
 
 
@@ -97,17 +107,19 @@ def _project(
 def project_budget_box(p: np.ndarray, s: float) -> np.ndarray:
     """Euclidean projection of 1-7 finite values onto {sum x = s, lo <= x <= 1},
     with lo the floor _LO: clip(p - shift, lo, 1) for the Lagrange shift
-    whose clipped sum is s, found by bisecting all the knots."""
-    q = _values(p)
+    whose clipped sum is s, found by bisecting all the knots.  A budget the
+    box cannot meet raises ValueError."""
+    q = _values(p, s)
     # no hint; q stands in for lam2, as the objective is not wanted
     return np.array(_project(q, s, _LO, 0, q)[0], dtype=np.float64)
 
 
 def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 4000) -> float:
     """Projected-gradient minimum of sum lambda_i^2 / p_i over the budget box,
-    for 1-7 values.  Each iteration is one _project call, hinted with the
-    previous projection's bracket."""
-    lam2 = [x * x for x in _values(lam)]
+    for 1-7 values and a budget the box can meet (else ValueError).  Each
+    iteration is one _project call, hinted with the previous projection's
+    bracket."""
+    lam2 = [x * x for x in _values(lam, s)]
     neg_lam2 = [-a for a in lam2]
     p, j, best = _project([s / lam.size] * lam.size, s, _LO, 0, lam2)
     step = 0.1 / max(1.0, max(lam2))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fflsim import cli
+from fflsim import cli, federation
 from fflsim.compress import BASIS_KINDS
 from fflsim.config import DATASETS, SCHEMES, STOPS, ExperimentConfig, load_config
 from fflsim.data import PARTITION_MODES
@@ -348,8 +348,42 @@ def test_compare_writes_the_artifacts_of_a_diverging_scheme_and_exits_1(tmp_path
     assert summary["status"] == "diverged"
     assert summary["error"] in err
     assert summary["rounds"] == len(metrics) - 1 == 0
-    # the run stops at the first scheme that diverges
-    assert sorted(p.name for p in out_dir.iterdir()) == ["metrics_ffl.csv", "summary_ffl.json"]
+    # every scheme runs, and each diverged one gets its row
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "compare.csv", "metrics_ffl.csv", "metrics_vanilla.csv", "summary_ffl.json",
+        "summary_vanilla.json"]
+    rows = (out_dir / "compare.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["diverged"] * 2
+
+
+def test_compare_runs_every_scheme_after_one_that_diverges(tmp_path, monkeypatch, capsys):
+    # vanilla diverges in its third round; ffl before it and fixed after it
+    # run to the end, the table and compare.csv hold all three, and the exit
+    # code is 1, as `run` gives a diverged run
+    real_run_round = federation.Experiment.run_round
+
+    def run_round(self):
+        if self.cfg.scheme == "vanilla" and len(self.records) == 2:
+            raise FloatingPointError("non-finite values in gradient")
+        return real_run_round(self)
+
+    monkeypatch.setattr(federation.Experiment, "run_round", run_round)
+    cfg_path = write_config(tmp_path, MINIMAL)
+    out_dir = tmp_path / "cmp"
+    code, out, err = run_main(
+        ["compare", "--config", cfg_path, "--out", str(out_dir), "ffl", "vanilla", "fixed"],
+        capsys)
+    assert code == 1
+    assert err.strip().splitlines() == [
+        "error: scheme vanilla diverged: non-finite values in gradient"]
+    rows = [row.split(",") for row in (out_dir / "compare.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[4], row[-1]) for row in rows] == [
+        ("ffl", "4", "ok"), ("vanilla", "2", "diverged"), ("fixed", "4", "ok")]
+    assert [line.split()[-1] for line in out.splitlines()[-3:]] == ["ok", "diverged", "ok"]
+    for scheme, rounds in (("ffl", 4), ("vanilla", 2), ("fixed", 4)):
+        summary = json.loads((out_dir / f"summary_{scheme}.json").read_text())
+        assert summary["rounds"] == rounds
+        assert len((out_dir / f"metrics_{scheme}.csv").read_text().splitlines()) == rounds + 1
 
 
 def test_compare_shares_seed_across_schemes(tmp_path, capsys):

@@ -781,14 +781,41 @@ def test_projection_equals_the_np_clip_form_bitwise():
 
 @pytest.mark.parametrize("size", [1, 4, 7])
 def test_both_early_returns_equal_the_np_clip_form(size):
+    # the budget's two ends: every entry at its cap, and n floors added in
+    # order (np.sum adds fewer than 8 values in sequence), where the
+    # projection is the floor up to the rounding of q - shift
     lam = np.exp(np.random.default_rng(size).standard_normal(size))
     p = lam / lam.sum()
-    for s, fill in ((float(size), 1.0), (size * LO / 2, LO)):
+    assert np.array_equal(project_budget_box(p, float(size)), np.ones(size))
+    for s in (float(size), float(np.sum(np.full(size, LO)))):
         x = project_budget_box(p, s)
-        assert np.array_equal(x, np.full(size, fill))
         assert x.tobytes() == project_budget_box_reference(p, s).tobytes()
         assert (minimize_variance_numeric(lam, s, 20).hex()
                 == minimize_variance_reference(lam, s, 20).hex())
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_the_oracle_refuses_a_budget_the_box_cannot_meet(n):
+    """n values in [LO, 1] sum to at least n floors added in order and at
+    most n; a budget outside that range has no projection, and both ends
+    stay valid."""
+    lam = np.exp(np.random.default_rng(n).standard_normal(n))
+    floor = float(np.sum(np.full(n, LO)))
+    for s in (n * LO / 2, np.nextafter(floor, -np.inf), np.nextafter(n, np.inf), n + 1.0, -1.0,
+              math.nan):
+        with pytest.raises(ValueError, match="budget s = .* is outside"):
+            project_budget_box(lam, s)
+        with pytest.raises(ValueError, match="budget s = .* is outside"):
+            minimize_variance_numeric(lam, s, 20)
+    for s in (floor, float(n)):
+        assert project_budget_box(lam, s).shape == (n,)
+        assert math.isfinite(minimize_variance_numeric(lam, s, 20))
+    if n == 2:  # before the check these returned [1, 1], [LO, LO] and 5.0
+        for s in (3.0, -1.0):
+            with pytest.raises(ValueError, match=rf"budget s = {s} is outside \[2e-12, 2\]"):
+                project_budget_box(np.array([0.5, 0.5]), s)
+        with pytest.raises(ValueError, match="budget s = 3.0 is outside"):
+            minimize_variance_numeric(np.array([1.0, 2.0]), 3.0)
 
 
 TIED_KNOTS = [
@@ -810,16 +837,18 @@ def test_a_budget_equal_to_a_knots_total_equals_the_np_clip_form(p):
     for s in totals.tolist():  # each knot's sum, from the cap n to the floor n * lo
         x = project_budget_box(p, s)
         assert x.tobytes() == project_budget_box_reference(p, s).tobytes()
-        # and a budget a step to either side of it
+        # and a budget a step to either side of it, inside the box: a step
+        # past either end is refused (test_the_oracle_refuses_a_budget_the_box_cannot_meet)
         for t in (np.nextafter(s, -np.inf), np.nextafter(s, np.inf)):
-            assert (project_budget_box(p, float(t)).tobytes()
-                    == project_budget_box_reference(p, float(t)).tobytes())
+            if np.sum(np.full(p.size, LO)) <= t <= p.size:
+                assert (project_budget_box(p, float(t)).tobytes()
+                        == project_budget_box_reference(p, float(t)).tobytes())
 
 
 def hinted_projection_cases():
     """(p, s) pairs: every knot's own total of the tied-knot inputs and a
     step to either side of it, then random p of every size 1-7 with a
-    budget inside, at and below the box."""
+    budget inside the box and at either end of it."""
     for p in map(np.array, TIED_KNOTS):
         knots = np.sort(np.concatenate((p - 1.0, p - LO)))
         for s in np.clip(p - knots[:, None], LO, 1.0).sum(axis=1).tolist():
@@ -828,7 +857,8 @@ def hinted_projection_cases():
     rng = np.random.default_rng(53)
     for n in range(1, 8):
         p = rng.standard_normal(n)
-        for s in (float(rng.uniform(n * LO, n)), float(rng.uniform(1.0, n)), float(n), n * LO / 2):
+        for s in (float(rng.uniform(n * LO, n)), float(rng.uniform(1.0, n)), float(n),
+                  float(np.sum(np.full(n, LO)))):
             yield p.tolist(), s
 
 

@@ -469,19 +469,46 @@ def three_workers(ds):
 def test_stacked_workers_equal_separate_runs_bitwise(activation, hidden, start_bias, tau):
     # init_params starts every bias at 0; start_bias 0.5 also runs the
     # stacked bias rows nonzero from the first step; hidden () is a model
-    # whose only layer maps the inputs to the logits
+    # whose only layer maps the inputs to the logits.  From 8 classes on the
+    # class sum runs in pairwise lanes, so class counts on both sides of 8
+    # are covered; every task holds the 89 rows three_workers deals
+    for classes in (3, 2, 8, 10):
+        ds = gen_synthetic(classes, max(30, -(-89 // classes)), 5, 0.2, substream(4, "data"))
+        params = make_params((5, *hidden, classes), activation, seed=4)
+        for b in params.biases:
+            b += start_bias
+        shards, rngs = three_workers(ds)
+        g_sum, losses = nn.local_update_run(params, ds, shards, tau, 0.05, 8, rngs())
+        assert g_sum.shape == (3, params.dim)
+        assert losses.shape == (3, tau) and losses.flags.c_contiguous
+        for j, (shard, rng) in enumerate(zip(shards, rngs())):
+            alone = run_one(params, ds, shard, tau, 0.05, 8, rng)
+            assert np.array_equal(g_sum[j], alone[0]), classes
+            assert list(losses[j]) == alone[1], classes
+
+
+def test_every_step_of_a_round_writes_into_the_same_buffers(monkeypatch):
+    # the runner makes its buffers once per round and hands the same arrays
+    # to every step; two identical calls still return the same bytes
     ds, _ = small_task(4)
-    params = make_params((5, *hidden, 3), activation, seed=4)
-    for b in params.biases:
-        b += start_bias
+    params = make_params((5, 6, 4, 3), "tanh", seed=6)
     shards, rngs = three_workers(ds)
-    g_sum, losses = nn.local_update_run(params, ds, shards, tau, 0.05, 8, rngs())
-    assert g_sum.shape == (3, params.dim)
-    assert losses.shape == (3, tau)
-    for j, (shard, rng) in enumerate(zip(shards, rngs())):
-        alone = run_one(params, ds, shard, tau, 0.05, 8, rng)
-        assert np.array_equal(g_sum[j], alone[0])
-        assert list(losses[j]) == alone[1]
+    tau = 4
+    calls = []
+    real_backprop = nn._backprop
+
+    def backprop(layers, activation, x, label_index, grads, bufs, step):
+        arrays = [a for a in vars(bufs).values() for a in (a if isinstance(a, list) else [a])]
+        calls.append((step, id(bufs), [id(a) for a in arrays + layers + grads]))
+        return real_backprop(layers, activation, x, label_index, grads, bufs, step)
+
+    monkeypatch.setattr(nn, "_backprop", backprop)
+    first = nn.local_update_run(params, ds, shards, tau, 0.05, 8, rngs())
+    assert [step for step, _, _ in calls] == list(range(tau))
+    assert len({(bufs, tuple(ids)) for _, bufs, ids in calls}) == 1
+    assert len(calls[0][2]) == len(set(calls[0][2]))  # no two buffers share an object
+    second = nn.local_update_run(params, ds, shards, tau, 0.05, 8, rngs())
+    assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
 
 
 def test_stacked_run_leaves_params_untouched():
