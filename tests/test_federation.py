@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -700,7 +701,7 @@ def test_a_run_that_loses_every_packet_ends_with_its_own_status(tmp_path, p_fail
 # SHA-256 of summary.json, pinned beside the metrics.csv goldens of
 # test_acceptance.py so that every summary entry, the status and the clock
 # included, is held to the bytes too.  The nine desk golden variants run for
-# 15 simulated seconds; three more runs end with each other status or
+# 15 simulated seconds; four more runs end with each other status or
 # evaluate only every third round.
 SUMMARY_SHA256 = {
     "adacomm_like": "2cd484d8410b0bc3ad110e391a4eb60c30a76c586ac4fec63aab38f9ecb8d3e6",
@@ -715,7 +716,10 @@ SUMMARY_SHA256 = {
     "ffl-p_fail_1.0": "37e6345efd03786e13f68848eda627cc542f9f3844e424746eb312882e18946f",
     "ffl-zero_loss": "d640c80e1db0b99dac701127a94573955d4dcca396d5a002e61ee7c6e89baf54",
     "ffl-eval_stride_3": "dfee33d11f9931d3072941f22aaeb3dfbf1d4ab733e7f991896c242426e65ace",
+    "vanilla-diverged": "3126bfda2344d74c21d394b3fe7355393a30d430da14461697113771ca9be824",
 }
+# the metrics.csv of the diverged run: the one round before its loss overflowed
+DIVERGED_METRICS_SHA256 = "473dca33ebb48dff034e77752783c63fe77c590436900e49910b1881c299744e"
 
 
 def summary_golden_cfg(name):
@@ -725,17 +729,34 @@ def summary_golden_cfg(name):
         return zero_loss_cfg("ffl", "")
     if name == "ffl-eval_stride_3":
         return dataclasses.replace(_desk_cfg("ffl", 0, budget=15.0), eval_stride=3)
+    if name == "vanilla-diverged":
+        return base_cfg(eta=1e155)  # the training loss overflows in round 1
     scheme, _, variant = name.partition("-")
     return dataclasses.replace(_desk_cfg(scheme, 0, budget=15.0),
                                **DESK_GOLDEN_VARIANTS.get(variant, {}))
 
 
-@pytest.mark.parametrize("name", sorted(SUMMARY_SHA256))
+OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=OVERFLOWS if name.endswith("diverged") else ())
+    for name in sorted(SUMMARY_SHA256)])
 def test_summary_json_golden_sha256(name, tmp_path):
     # the directory is an argument, so the config echo carries no tmp path
-    federation.run_experiment(summary_golden_cfg(name), output_dir=str(tmp_path))
+    with contextlib.suppress(FloatingPointError):
+        federation.run_experiment(summary_golden_cfg(name), output_dir=str(tmp_path))
     digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
     assert digest == SUMMARY_SHA256[name]
+
+
+@OVERFLOWS
+def test_a_diverged_runs_metrics_csv_golden_sha256(tmp_path):
+    with contextlib.suppress(FloatingPointError):
+        federation.run_experiment(summary_golden_cfg("vanilla-diverged"),
+                                  output_dir=str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == DIVERGED_METRICS_SHA256
 
 
 # The outcome of the two lowrank desk goldens without the columns that carry
