@@ -4,9 +4,13 @@
     fflsim compare  --config cfg.json [--out DIR] [--seed N] SCHEME SCHEME...
     fflsim selftest
 
-Exit codes: 0 success, 2 configuration error, 1 runtime error (for compare,
-any scheme that diverged, once every scheme has run).  Log level
-comes from the FFL_LOG environment variable (error, info, debug).
+Exit codes: 0 success, 2 configuration error (an output path that cannot
+be made a directory included, found before round 0), 1 runtime error.  A run
+that diverges is one: `run` writes its artifacts, prints its summary line
+and then `error: <message>` on stderr; `compare` runs every scheme, then
+prints `error: scheme <name> diverged: <message>` for each that did.
+Neither prints a traceback.  Log level comes from the FFL_LOG environment
+variable (error, info, debug).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 
 from .config import SCHEMES, ExperimentConfig, load_config
 from .errors import ConfigError
-from .federation import record_experiment, run_experiment
+from .federation import run_experiment
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +66,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"scheme={summary['scheme']} status={summary['status']} rounds={summary['rounds']} "
         f"final_acc={summary['final_acc']:.4f} time_to_target_s={summary['time_to_target_s']}"
     )
+    if summary["status"] == "diverged":
+        print(f"error: {summary['error']}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -77,7 +84,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = base.output_dir  # empty: print the table and write nothing, as `run` does
     summaries = {}
     for scheme in args.schemes:  # a scheme that diverges gets its row; the rest still run
-        _, summaries[scheme], _ = record_experiment(
+        _, summaries[scheme] = run_experiment(
             dataclasses.replace(base, scheme=scheme),
             names=(f"metrics_{scheme}.csv", f"summary_{scheme}.json"),
         )

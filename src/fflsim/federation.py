@@ -20,7 +20,11 @@ pins override the plan, so the baselines are literally the adaptive engine
 with parts switched off.  A round whose training loss is exactly 0 ends the
 run: the planner's loss ratio has no meaning there.  A run in which every
 round lost every packet ends with its own status, since its model and plan
-never left their start.
+never left their start.  A round that diverges (a FloatingPointError from
+a non-finite check) ends the run with status "diverged" and its message.
+run_experiment, the one entry point, returns that outcome like any other and
+raises no FloatingPointError; an output path it cannot make a directory is a
+ConfigError, raised before round 0.
 
 Every random stream is derived once, in Experiment.__init__: "data",
 "partition", "init", per worker a "worker" mini-batch stream and a separate
@@ -30,8 +34,8 @@ one stopped.
 
 The round records are the run's only history: the round number, the clock,
 the last evaluation, the skipped-round count and the status are read from
-them, so summary.json cannot disagree with metrics.csv, even after a run
-diverges mid-round.
+them (and from the error of a round that diverged), so summary.json cannot
+disagree with metrics.csv, even after a run diverges mid-round.
 """
 
 from __future__ import annotations
@@ -190,6 +194,7 @@ class Experiment:
             loss_smoothing=cfg.loss_smoothing,
         )
         self.records: list[RoundRecord] = []
+        self.error: FloatingPointError | None = None  # set by run() when a round diverges
         self._next_plan = self._apply_policy(schedule.RoundPlan(cfg.tau0, cfg.s0))
 
     # ---- plan handling ------------------------------------------------- #
@@ -284,28 +289,34 @@ class Experiment:
 
     def run(self) -> tuple[list[RoundRecord], dict]:
         cfg = self.cfg
-        while True:
-            record = self.run_round()
-            if record.train_loss == 0.0:
-                break
-            if cfg.stop == "rounds" and len(self.records) >= cfg.round_cap:
-                break
-            if cfg.stop == "time" and record.sim_time_s >= cfg.T_budget_s:
-                break
-            if len(self.records) >= cfg.round_cap:
-                log.warning("round cap %d reached before the time budget", cfg.round_cap)
-                break
+        try:
+            while True:
+                record = self.run_round()
+                if record.train_loss == 0.0:
+                    break
+                if cfg.stop == "time" and record.sim_time_s >= cfg.T_budget_s:
+                    break
+                if len(self.records) >= cfg.round_cap:
+                    if cfg.stop == "time":
+                        log.warning("round cap %d reached before the time budget", cfg.round_cap)
+                    break
+        except FloatingPointError as exc:
+            self.error = exc
         return self.records, self.summary()
 
     def summary(self) -> dict:
-        """The run so far, read from the config and the round records alone;
-        the `final_*` and `best_acc` entries are NaN (null in summary.json)
-        when no round has completed."""
+        """The run so far, read from the config, the round records and
+        self.error alone; the `final_*` and `best_acc` entries are NaN (null
+        in summary.json) when no round has completed.  "status" is
+        "diverged" (the message is the last entry, "error"), "zero_loss",
+        "all_rounds_lost" or "ok"."""
         cfg, records = self.cfg, self.records
         last = records[-1] if records else None
         # counted in Python ints: json.dump rejects a numpy integer
         skipped = sum(1 for r in records if r.received_workers == 0)
-        if last is not None and last.train_loss == 0.0:
+        if self.error is not None:
+            status = "diverged"
+        elif last is not None and last.train_loss == 0.0:
             status = "zero_loss"
         elif last is not None and skipped == len(records):
             status = "all_rounds_lost"
@@ -318,7 +329,7 @@ class Experiment:
         def final(field: str) -> float:
             return math.nan if last is None else getattr(last, field)
 
-        return {
+        summary = {
             "status": status,
             "scheme": cfg.scheme,
             "config": cfg.to_dict(),
@@ -339,6 +350,9 @@ class Experiment:
             "total_atoms_sent": sum(r.atoms_sent_total for r in records),
             "skipped_rounds": skipped,
         }
+        if self.error is not None:
+            summary["error"] = str(self.error)
+        return summary
 
 
 def write_metrics_csv(records: list[RoundRecord], path: str) -> None:
@@ -374,50 +388,23 @@ def run_experiment(
     output_dir: str | None = None,
     names: tuple[str, str] = ("metrics.csv", "summary.json"),
 ) -> tuple[list[RoundRecord], dict]:
-    """Run one experiment and write its metrics table and summary, as
-    record_experiment does; a run that diverged then re-raises its
-    FloatingPointError."""
-    records, summary, error = record_experiment(cfg, output_dir, names)
-    if error is not None:
-        raise error
-    return records, summary
-
-
-def record_experiment(
-    cfg: ExperimentConfig,
-    output_dir: str | None = None,
-    names: tuple[str, str] = ("metrics.csv", "summary.json"),
-) -> tuple[list[RoundRecord], dict, FloatingPointError | None]:
     """Run one experiment and write its metrics table and summary, under
     `names`, to the output directory (cfg.output_dir unless overridden
-    here; an empty one writes nothing).  Returns the records, the summary
-    and the error of a run that diverged (None otherwise).
-
-    The summary carries "status": "ok", "zero_loss" for a run that
-    stopped at a training loss of 0, or "all_rounds_lost" for a run in
-    which no packet of any round arrived, so the model never moved.  A run
-    that diverges (a FloatingPointError from the local SGD checks) still
-    writes the table of the rounds that completed and a summary with
-    "status": "diverged" and the error message.
-    """
+    here; an empty one writes nothing), and return the records and the
+    summary, a diverged run's too.  The directory is made after set-up and
+    before round 0, so a path that cannot be one is a ConfigError that costs
+    no round."""
     experiment = Experiment(cfg)
-    output_dir = output_dir if output_dir is not None else cfg.output_dir
-    error = None
-    try:
-        experiment.run()
-    except FloatingPointError as exc:
-        error = exc
-    summary = experiment.summary()
-    if error is not None:
-        summary = {**summary, "status": "diverged", "error": str(error)}
-    _write_artifacts(output_dir, names, experiment.records, summary)
-    return experiment.records, summary, error
-
-
-def _write_artifacts(
-    output_dir: str, names: tuple[str, str], records: list[RoundRecord], summary: dict
-) -> None:
+    output_dir = cfg.output_dir if output_dir is None else output_dir
     if output_dir:
-        os.makedirs(output_dir, exist_ok=True)
+        try:
+            os.makedirs(output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"output_dir={output_dir!r} cannot be made a directory: {exc.strerror}"
+            ) from None
+    records, summary = experiment.run()
+    if output_dir:
         write_metrics_csv(records, os.path.join(output_dir, names[0]))
         write_summary_json(summary, os.path.join(output_dir, names[1]))
+    return records, summary

@@ -46,6 +46,13 @@ def run_main(argv, capsys):
     return code, captured.out, captured.err
 
 
+def forbid_rounds(monkeypatch):
+    def run_round(self):
+        raise AssertionError("a round ran before the output directory was made")
+
+    monkeypatch.setattr(federation.Experiment, "run_round", run_round)
+
+
 # ---- run ---- #
 
 def test_run_minimal_config_writes_artifacts(tmp_path, capsys):
@@ -88,7 +95,8 @@ def test_a_diverging_run_exits_1_and_still_writes_its_artifacts(tmp_path, capsys
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_a_run_whose_training_loss_overflows_exits_1_with_its_artifacts(tmp_path, capsys):
+def test_a_run_whose_training_loss_overflows_exits_1_with_its_artifacts(tmp_path, capsys,
+                                                                         caplog):
     # finite logits and gradients in round 1, but a batch's summed loss overflows
     cfg_path = write_config(tmp_path, {
         **MINIMAL, "seed": 3, "round_cap": 10, "synthetic_per_class": 60,
@@ -96,9 +104,12 @@ def test_a_run_whose_training_loss_overflows_exits_1_with_its_artifacts(tmp_path
         "eta": 1e155,
     })
     out_dir = tmp_path / "results"
-    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(out_dir)], capsys)
+    code, out, err = run_main(["run", "--config", cfg_path, "--out", str(out_dir)], capsys)
     assert code == 1
-    assert "non-finite values in loss" in err
+    # the summary line, then one error line and no logged traceback
+    assert out.startswith("scheme=vanilla status=diverged rounds=1 ")
+    assert err.splitlines() == ["error: non-finite values in loss"]
+    assert not [record for record in caplog.records if record.exc_info]
     metrics = (out_dir / "metrics.csv").read_text().splitlines()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["status"] == "diverged"
@@ -386,6 +397,19 @@ def test_compare_runs_every_scheme_after_one_that_diverges(tmp_path, monkeypatch
         assert len((out_dir / f"metrics_{scheme}.csv").read_text().splitlines()) == rounds + 1
 
 
+def test_compare_exits_2_before_any_run_when_the_output_path_is_under_a_file(
+        tmp_path, monkeypatch, capsys):
+    forbid_rounds(monkeypatch)
+    cfg_path = write_config(tmp_path, MINIMAL)
+    (tmp_path / "taken").write_text("a file")
+    out_dir = tmp_path / "taken" / "cmp"
+    code, out, err = run_main(
+        ["compare", "--config", cfg_path, "--out", str(out_dir), "ffl", "vanilla"], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"config error: output_dir={str(out_dir)!r} cannot be made a directory: "
+                   "Not a directory\n")
+
+
 def test_compare_shares_seed_across_schemes(tmp_path, capsys):
     cfg_path = write_config(tmp_path, MINIMAL)
     out_dir = tmp_path / "cmp"
@@ -579,6 +603,18 @@ def test_run_exits_2_when_mnist_dir_has_no_idx_files(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_exits_2_before_round_0_when_the_output_path_is_a_file(tmp_path, monkeypatch,
+                                                                   capsys):
+    forbid_rounds(monkeypatch)
+    cfg_path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "taken"
+    out.write_text("a file")
+    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"config error: output_dir={str(out)!r} cannot be made a directory: File exists\n"
+    assert out.read_text() == "a file"
+
+
 def test_run_exits_1_on_a_malformed_idx_file(tmp_path, capsys):
     idx_dir = tmp_path / "idx"
     idx_dir.mkdir()
@@ -654,6 +690,20 @@ def test_a_scenario_file_is_the_acceptance_desk_config(name, changes):
     config stays the source of truth for the committed scenarios."""
     expected = dataclasses.asdict(dataclasses.replace(_desk_cfg("ffl", 0), **changes))
     assert dataclasses.asdict(load_config(str(SCENARIOS / f"{name}.json"))) == expected
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in SCENARIOS.glob("*.json")))
+def test_every_scenario_runs_through_compare(name, tmp_path, capsys):
+    # a 3 s budget: a few rounds of each scheme
+    payload = json.loads((SCENARIOS / f"{name}.json").read_text())
+    cfg_path = write_config(tmp_path, {**payload, "T_budget_s": 3.0})
+    out_dir = tmp_path / "cmp"
+    schemes = ["ffl", "fixed", "adacomm_like", "atomo_like"]
+    code, _, err = run_main(["compare", "--config", cfg_path, "--out", str(out_dir), *schemes],
+                            capsys)
+    assert code == 0 and err == ""
+    rows = [row.split(",") for row in (out_dir / "compare.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[-1]) for row in rows] == [(scheme, "ok") for scheme in schemes]
 
 
 def test_readme_lists_every_scenario_with_its_compare_command():

@@ -242,6 +242,43 @@ def test_probabilities_match_numeric_minimizer():
         assert obj_closed <= obj_numeric + 1e-6
 
 
+def criterion_03_draws():
+    """The (lam, s) draws of acceptance criterion 03, in its order."""
+    rng = substream(103, "acceptance", "optimal")
+    draws = []
+    for _ in range(50):
+        b = int(rng.integers(2, 7))
+        lam = np.abs(rng.standard_normal(b)) + 0.1
+        s_max = float(lam.sum() / lam.max())
+        draws.append((lam, float(rng.uniform(1.0, max(1.0, s_max)))))
+    return draws
+
+
+def closed_form_duality_gap(lam, s):
+    """The closed form's objective sum(lam^2 / p) and its gap to the Lagrange
+    dual g(nu) = sum(lam^2 / q + nu * q) - nu * s, where q = clip(lam /
+    sqrt(nu), 1e-12, 1) minimizes the Lagrangian over the box and nu is the
+    largest lam^2 / p^2 over the unclipped entries.  Every feasible objective
+    is at least g(nu), so a gap of 0 proves p optimal from both sides."""
+    p = compress.probabilities(compress.decompose_elementwise(lam), s).probs
+    primal = float(np.sum(lam**2 / p))
+    free = p < 1.0
+    assert free.any()
+    nu = float(np.max(lam[free] ** 2 / p[free] ** 2))
+    q = np.clip(lam / math.sqrt(nu), 1e-12, 1.0)
+    return primal, primal - (float(np.sum(lam**2 / q + nu * q)) - nu * s)
+
+
+@pytest.mark.parametrize("draws", [selftest.probability_trials, criterion_03_draws],
+                         ids=["selftest", "criterion_03"])
+def test_the_closed_form_meets_its_lagrange_dual(draws):
+    # the descent of minimize_variance_numeric only bounds the closed form
+    # from one side, and stops short of the optimum on some of these draws
+    for lam, s in draws():
+        primal, gap = closed_form_duality_gap(lam, s)
+        assert abs(gap) <= 1e-12 * primal, (lam, s, gap)
+
+
 def test_probabilities_errors():
     d = elementwise_of([1.0, 2.0])
     with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -587,8 +586,9 @@ def test_a_diverging_run_writes_the_rounds_so_far_and_its_status(tmp_path, monke
     cfg = base_cfg(scheme="ffl", round_cap=6, output_dir=str(tmp_path))
     finished = federation.run_experiment(dataclasses.replace(cfg, round_cap=3, output_dir=""))
     diverge_on_round(monkeypatch, 3)
-    with pytest.raises(FloatingPointError, match="non-finite values in gradient"):
-        federation.run_experiment(cfg)
+    _, returned = federation.run_experiment(cfg)
+    assert returned["status"] == "diverged"
+    assert returned["error"] == "non-finite values in gradient"
     with open(tmp_path / "metrics.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [row["round"] for row in rows] == ["0", "1", "2"]
@@ -605,8 +605,8 @@ def test_a_diverging_run_writes_the_rounds_so_far_and_its_status(tmp_path, monke
 def test_a_run_that_diverges_in_its_first_round_writes_an_empty_table(tmp_path, monkeypatch):
     cfg = base_cfg(round_cap=4, output_dir=str(tmp_path))
     diverge_on_round(monkeypatch, 0)
-    with pytest.raises(FloatingPointError):
-        federation.run_experiment(cfg)
+    records, returned = federation.run_experiment(cfg)
+    assert records == [] and returned["status"] == "diverged"
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines == [",".join(federation.CSV_COLUMNS)]
     summary = load_strict(tmp_path / "summary.json")
@@ -616,17 +616,16 @@ def test_a_run_that_diverges_in_its_first_round_writes_an_empty_table(tmp_path, 
 
 
 @pytest.mark.parametrize("scheme,stage", [("fixed", "local_update_run"), ("vanilla", "evaluate")])
-def test_a_run_that_diverges_in_its_first_round_reports_no_simulated_time(tmp_path, scheme, stage):
+def test_a_run_that_diverges_in_its_first_round_reports_no_simulated_time(scheme, stage):
     # a worker's first local step at eta 1e200 leaves weights near 1e200: with
     # tau 3 its next step overflows the logits inside local SGD; with tau 1
     # the server's step does the same, and the evaluation after it overflows
-    cfg = base_cfg(scheme=scheme, tau0=3, eta=1e200, server_momentum=0.0,
-                   output_dir=str(tmp_path))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError) as raised:
-        federation.run_experiment(cfg)
-    assert stage in [frame.name for frame in traceback.extract_tb(raised.tb)]
-    assert (tmp_path / "metrics.csv").read_text().splitlines() == [",".join(federation.CSV_COLUMNS)]
-    summary = load_strict(tmp_path / "summary.json")
+    cfg = base_cfg(scheme=scheme, tau0=3, eta=1e200, server_momentum=0.0)
+    experiment = Experiment(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        records, summary = experiment.run()
+    assert stage in [frame.name for frame in traceback.extract_tb(experiment.error.__traceback__)]
+    assert records == [] and summary["status"] == "diverged"
     assert summary["rounds"] == 0 and summary["total_sim_time_s"] == 0.0
 
 
@@ -634,8 +633,8 @@ def test_a_run_that_diverges_in_evaluate_reports_the_clock_of_its_last_row(tmp_p
     # round 3 raises in its evaluation, after its model step and its round time
     diverge_on_round(monkeypatch, 3, federation, "evaluate")
     cfg = base_cfg(scheme="ffl", eval_stride=1, output_dir=str(tmp_path))
-    with pytest.raises(FloatingPointError):
-        federation.run_experiment(cfg)
+    _, returned = federation.run_experiment(cfg)
+    assert returned["status"] == "diverged" and returned["rounds"] == 3
     with open(tmp_path / "metrics.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [row["round"] for row in rows] == ["0", "1", "2"]
@@ -648,8 +647,9 @@ def test_a_run_whose_training_loss_overflows_ends_diverged_with_its_artifacts(tm
     # at eta 1e155 round 1's logits and gradients stay finite, but a batch's
     # summed loss overflows to inf
     cfg = base_cfg(eta=1e155, output_dir=str(tmp_path))
-    with pytest.raises(FloatingPointError, match="non-finite values in loss"):
-        federation.run_experiment(cfg)
+    _, returned = federation.run_experiment(cfg)
+    assert returned["status"] == "diverged"
+    assert returned["error"] == "non-finite values in loss"
     with open(tmp_path / "metrics.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [row["round"] for row in rows] == ["0"]
@@ -744,17 +744,14 @@ OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarni
     for name in sorted(SUMMARY_SHA256)])
 def test_summary_json_golden_sha256(name, tmp_path):
     # the directory is an argument, so the config echo carries no tmp path
-    with contextlib.suppress(FloatingPointError):
-        federation.run_experiment(summary_golden_cfg(name), output_dir=str(tmp_path))
+    federation.run_experiment(summary_golden_cfg(name), output_dir=str(tmp_path))
     digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
     assert digest == SUMMARY_SHA256[name]
 
 
 @OVERFLOWS
 def test_a_diverged_runs_metrics_csv_golden_sha256(tmp_path):
-    with contextlib.suppress(FloatingPointError):
-        federation.run_experiment(summary_golden_cfg("vanilla-diverged"),
-                                  output_dir=str(tmp_path))
+    federation.run_experiment(summary_golden_cfg("vanilla-diverged"), output_dir=str(tmp_path))
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == DIVERGED_METRICS_SHA256
 
