@@ -9,7 +9,8 @@ be made a directory included, found before round 0), 1 runtime error.  A run
 that diverges is one: `run` writes its artifacts, prints its summary line
 and then `error: <message>` on stderr; `compare` runs every scheme, then
 prints `error: scheme <name> diverged: <message>` for each that did.
-Neither prints a traceback.  Log level comes from the FFL_LOG environment
+Neither prints a traceback, nor numpy's warnings about the overflow that
+the error names.  Log level comes from the FFL_LOG environment
 variable (error, info, debug).
 """
 
@@ -21,6 +22,8 @@ import dataclasses
 import logging
 import os
 import sys
+
+import numpy as np
 
 from .config import SCHEMES, ExperimentConfig, load_config
 from .errors import ConfigError
@@ -160,7 +163,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the non-finite checks report a diverging run in one error line;
+        # numpy's warnings about the same overflow would print before it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -20,15 +20,18 @@ decomposition holds each row's atoms in fixed slots: the flat positions for
 elementwise atoms, and for rank-1 atoms the leading singular triplets of
 each layer block, taken from one stacked LAPACK SVD per block.  A round
 decomposes all M workers' updates, draws their keep masks and reconstructs
-them into one (M, d) buffer: one scatter for elementwise atoms, one batched
-matmul per layer block for rank-1 atoms.  The budget clip also runs each of
-its rounds for all rows at once; only each row's l1 sum in a clip round and
-each row's random draw go row by row.  The Monte Carlo checks reconstruct
-many keep masks of one decomposition with the same code.
+them into one (M, d) buffer: for elementwise atoms one scatter of the kept
+atoms alone, about 1% of those decomposed on the desk config, each divided
+by its p; for rank-1 atoms one batched matmul per layer block.  The budget
+clip also runs each of its rounds for all rows at once; only each row's l1
+sum in a clip round and each row's random draw go row by row.  The Monte
+Carlo checks reconstruct many keep masks of one decomposition with the
+same code.
 
 A payload has one form: its decomposition and a keep mask over the atoms.
-payload_bits and serialize read the kept slots, and serialize the rank-1
-blocks, straight from it.
+payload_bits counts each row's kept atoms (elementwise) or weighs its kept
+slots (rank-1), and serialize reads the kept slots and the rank-1 blocks,
+straight from it.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ class AtomicDecomposition:
         """Dense sum_i lambda_i * a_i per row (no sampling), a (W, d) array;
         mostly for verification."""
         out = np.zeros((self.n_rows, self.dim))
-        _scatter(out, self, self.coeffs, np.ones((1, self.n_atoms), dtype=bool))
+        _scatter(out, self, np.ones(self.n_atoms), np.ones((1, self.n_atoms), dtype=bool))
         return out
 
 
@@ -139,25 +142,37 @@ class CompressedGradient:
         return int(np.count_nonzero(self.kept))
 
 
-def _scatter(out, decomp: AtomicDecomposition, scaled, keep) -> None:
+def _scaled(coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """coeffs / p, and 0.0 where p is 0: an atom with p = 0 is never
+    sampled, and its slot is left at 0 rather than divided by zero (a
+    subnormal coefficient can get p = 0)."""
+    return np.divide(coeffs, p, out=np.zeros_like(p), where=p > 0.0)
+
+
+def _scatter(out, decomp: AtomicDecomposition, p, keep) -> None:
     """Row t * W + w of the zero (n * W, d) array `out` becomes the sum over
-    row w's atoms i of keep[t, i] * scaled[i] * a_i, for an (n, B) keep
-    mask over decomp's B atoms.
+    row w's atoms i of keep[t, i] * lambda_i / p_i * a_i, for an (n, B) keep
+    mask over decomp's B atoms and their (B,) probabilities p.
 
     Elementwise atoms sit at distinct positions of a row, so one scatter
-    writes every row.  Rank-1 atoms overlap within their layer block, so each
-    block adds (u * c) @ vt to every row at once, where c holds each slot's
-    scaled coefficient if the atom is kept and 0.0 if not: BLAS sums a
-    block's kept atoms inside one matmul and never forms them one by one.
+    writes the kept atoms alone, each divided by its p; every other
+    position keeps its +0.0.  Rank-1 atoms overlap within their layer
+    block, so each block adds (u * c) @ vt to every row at once, where c
+    holds each slot's scaled coefficient if the atom is kept and 0.0 if
+    not: BLAS sums a block's kept atoms inside one matmul and never forms
+    them one by one.
     """
     n = keep.shape[0]
-    rows = out.reshape(n, decomp.n_rows, decomp.dim)
-    kept = np.where(keep, scaled, 0.0)
     if decomp.blocks is None:
-        rows[:, decomp.slots] = kept
+        t, i = np.nonzero(keep)
+        # flat position of atom i of mask t in the (n, W, d) rows
+        at = np.flatnonzero(decomp.slots)[i]
+        at += t * decomp.slots.size
+        out.reshape(-1)[at] = _scaled(decomp.coeffs[i], p[i])
         return
+    rows = out.reshape(n, decomp.n_rows, decomp.dim)
     coeff = np.zeros((n, *decomp.slots.shape))
-    coeff[:, decomp.slots] = kept
+    coeff[:, decomp.slots] = np.where(keep, _scaled(decomp.coeffs, p), 0.0)
     for block in decomp.blocks:
         _, m, r = block.u.shape
         cols = block.vt.shape[-1]
@@ -244,7 +259,10 @@ def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabiliti
     row's probabilities sum to min(s, B_w).  Each clip round runs for all
     rows at once; only each row's l1 is its own numpy sum of its active
     coefficients, since summing the rows as one zero-padded array, or with
-    np.add.reduceat, would group the additions differently.
+    np.add.reduceat, would group the additions differently.  While every
+    atom is active the coefficients are read in place, and the first round
+    in which no row clips settles every row left and ends the loop: on
+    elementwise atoms that is usually the first.
     """
     if s < 1:
         raise ValueError(f"sparsity budget s must be >= 1, got {s}")
@@ -261,7 +279,7 @@ def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabiliti
     live = np.where(s < counts, counts, 0)
     at = np.flatnonzero((live > 0).repeat(counts))
     while at.size:
-        act = lam[at]
+        act = lam if at.size == lam.size else lam[at]  # every atom active: read in place
         l1 = np.zeros(counts.size)
         start = 0
         for w, n in enumerate(live.tolist()):  # each row's own pairwise sum
@@ -273,6 +291,11 @@ def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabiliti
         # a row with no oversized atom is settled: the rule holds as it is
         done = (live > 0) & (clipped == 0)
         ratio = np.divide(budget, l1, out=np.zeros_like(l1), where=done)
+        if not clipped.any():  # every active atom settles in this round
+            if act is lam:
+                return SelectionProbabilities(act * ratio.repeat(live))
+            p[at] = act * ratio.repeat(live)
+            break
         settled = done.repeat(live)
         p[at[settled]] = act[settled] * ratio.repeat(live)[settled]
         # an oversized atom keeps p = 1 and leaves its row's budget
@@ -333,11 +356,7 @@ def reconstruct_rows(
     if keep.ndim != 2 or keep.shape[1] != decomp.n_atoms:
         raise ValueError(f"expected an (n, {decomp.n_atoms}) keep mask, got shape {keep.shape}")
     out = np.zeros((keep.shape[0] * decomp.n_rows, decomp.dim))
-    # an atom with p = 0 is never kept, so its slot is left at 0 rather
-    # than divided by zero (a subnormal coefficient can get p = 0)
-    p = probs.probs
-    scaled = np.divide(decomp.coeffs, p, out=np.zeros_like(p), where=p > 0.0)
-    _scatter(out, decomp, scaled, keep)
+    _scatter(out, decomp, probs.probs, keep)
     return out
 
 
@@ -377,14 +396,17 @@ def _kept_slots(compressed: CompressedGradient) -> np.ndarray:
 def payload_bits(compressed: CompressedGradient) -> np.ndarray:
     """Bits in serialize() of each row's payload, without building it: 96 per
     elementwise atom, 160 + 64 * (m + n) per rank-1 atom of an m x n block.
-    A (W,) integer array: (1,) for one decomposed gradient."""
+    A (W,) integer array: (1,) for one decomposed gradient.  Elementwise
+    atoms all cost the same, so a row's size is 96 times a count of its
+    kept atoms; rank-1 slots are weighed by their blocks' sizes."""
     source = compressed.source
-    if source.blocks is None:
-        slot_bits = np.full(source.dim, 96)  # u32 position, f64 coefficient
-    else:  # a 3 x u32 header, u, v and the f64 coefficient
-        slot_bits = np.concatenate([
-            np.full(b.u.shape[2], 160 + 64 * (b.u.shape[1] + b.vt.shape[2])) for b in source.blocks
-        ])
+    if source.blocks is None:  # u32 position, f64 coefficient
+        rows = np.arange(source.n_rows).repeat(source.atom_counts)
+        return 96 * np.bincount(rows[compressed.kept], minlength=source.n_rows)
+    # a 3 x u32 header, u, v and the f64 coefficient
+    slot_bits = np.concatenate([
+        np.full(b.u.shape[2], 160 + 64 * (b.u.shape[1] + b.vt.shape[2])) for b in source.blocks
+    ])
     return _kept_slots(compressed) @ slot_bits
 
 

@@ -4,9 +4,10 @@ Everything here re-derives expected values through a different route than
 the library: one-sided Jacobi rotations instead of the LAPACK SVD, central
 finite differences instead of backprop, projected gradient descent instead
 of the closed-form probabilities, a row-by-row budget clip instead of the
-one that clips every row at once, a greedy by_class deal instead of the
-round-robin one, and straight-line formula transcriptions instead of the
-shared implementations.  The projected-gradient minimizer and its exact
+one that clips every row at once, a dense divide-and-mask reconstruction
+instead of the one that places the kept atoms alone, a greedy by_class
+deal instead of the round-robin one, and straight-line formula
+transcriptions instead of the shared implementations.  The projected-gradient minimizer and its exact
 budget-box projection are the ones `fflsim selftest` runs, shared rather
 than copied.  They take 1-7 values and run as one helper over Python floats
 that adds each sum in order and starts each projection's knot search from
@@ -136,6 +137,31 @@ def probabilities_reference(counts, coeffs: np.ndarray, s: float) -> np.ndarray:
         if s < hi - lo:
             p[lo:hi] = clipped_reference(lam[lo:hi], s)
     return p
+
+
+def reconstruct_rows_reference(decomp, probs, masks: np.ndarray) -> np.ndarray:
+    """compress.reconstruct_rows in its earlier dense form: every atom's
+    coefficient is divided by its p (0.0 where p is 0), np.where sets the
+    atoms a mask drops to 0.0, and the result is written to every slot of
+    every row; each rank-1 block adds (u * c) @ vt to a zero row."""
+    keep = np.asarray(masks, dtype=bool)
+    n, p = keep.shape[0], probs.probs
+    out = np.zeros((n * decomp.n_rows, decomp.dim))
+    rows = out.reshape(n, decomp.n_rows, decomp.dim)
+    scaled = np.divide(decomp.coeffs, p, out=np.zeros_like(p), where=p > 0.0)
+    kept = np.where(keep, scaled, 0.0)
+    if decomp.blocks is None:
+        rows[:, decomp.slots] = kept
+        return out
+    coeff = np.zeros((n, *decomp.slots.shape))
+    coeff[:, decomp.slots] = kept
+    for block in decomp.blocks:
+        _, m, r = block.u.shape
+        cols = block.vt.shape[-1]
+        view = rows[..., block.offset : block.offset + m * cols].reshape(
+            n, decomp.n_rows, m, cols)
+        view += (block.u * coeff[:, :, None, block.start : block.start + r]) @ block.vt
+    return out
 
 
 def partition_by_class_greedy(ds, workers: int, rng: np.random.Generator,

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -92,6 +95,23 @@ def test_a_diverging_run_exits_1_and_still_writes_its_artifacts(tmp_path, capsys
     assert summary["status"] == "diverged"
     assert summary["error"] in err
     assert summary["rounds"] == len(metrics) - 1 == 0
+
+
+def test_a_diverging_run_prints_one_error_line_from_a_shell(tmp_path):
+    # in a process of its own, so that no pytest warning filter hides what
+    # numpy prints: stderr holds the error line alone
+    cfg_path = write_config(tmp_path, {**MINIMAL, "eta": 1e300})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "FFL_LOG": "error"}
+    done = subprocess.run(
+        [sys.executable, "-m", "fflsim.cli", "run", "--config", cfg_path,
+         "--out", str(tmp_path / "results")],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == ["error: non-finite values in logits"]
+    assert "status=diverged" in done.stdout
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -13,6 +13,7 @@ from fflsim.selftest import _clipped_sum, _project
 from oracles import (
     jacobi_singular_values, minimize_variance_numeric, minimize_variance_reference,
     probabilities_reference, project_budget_box, project_budget_box_reference,
+    reconstruct_rows_reference,
 )
 
 
@@ -314,6 +315,12 @@ def clip_rows(draw):
 # atoms and of s + 1 atoms
 @example(([[1000.0, 100.0, 10.0] + [1.0] * 6, [], [3.0, -2.0, 1.0], [7.0] * 40], 3.0))
 @example(([[2.0] * 12, [-2.0] * 11, [1.0, 9.0] * 6 + [5.0]], 12.0))
+# every row over budget: none clips, so all settle in the first round; one
+# clips; one row within budget; one empty row
+@example(([[1.0, -3.0, 2.0, 2.0], [5.0] * 7, [0.5, -0.25, 0.5]], 2.0))
+@example(([[1.0, -3.0, 2.0, 2.0], [50.0, 1.0, 1.0, 1.0], [0.5, -0.25, 0.5]], 2.0))
+@example(([[1.0, -3.0, 2.0, 2.0], [5.0, 7.0], [0.5, -0.25, 0.5]], 2.0))
+@example(([[1.0, -3.0, 2.0, 2.0], [], [0.5, -0.25, 0.5]], 2.0))
 def test_probabilities_equal_the_row_by_row_clip_bitwise(case):
     rows, s = case
     slots = np.arange(40) < np.array([len(row) for row in rows])[:, None]
@@ -472,6 +479,39 @@ def test_reconstruct_rows_equals_one_row_at_a_time_bitwise(case):
     assert rows.tobytes() == one_at_a_time.tobytes()
     for row, cg in zip(rows, payloads):
         assert_matches_the_one_row_reference(row, cg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(compress.BASIS_KINDS), st.sampled_from([1, 3]), st.floats(1.0, 6.0),
+       st.integers(0, 2**32 - 1))
+def test_reconstruct_rows_equals_the_dense_reference_bitwise(basis, n, s, seed):
+    # reconstruct_rows divides and places the kept atoms alone; it must give
+    # the bytes of dividing every atom and masking with np.where, with an
+    # empty row, a kept atom of p = 0 and +0.0 wherever no atom is placed
+    rng = np.random.default_rng(seed)
+    layout = nn.init_params(nn.MlpSpec((4, 5, 3)), rng)
+    shape = (3, layout.dim)
+    stack = rng.standard_normal(shape) * np.exp(2.0 * rng.standard_normal(shape))
+    stack[rng.random(stack.shape) < 0.3] = 0.0
+    stack[1] = 0.0
+    decomp = compress.decompose_bundle(layout.from_flat(stack), basis, s)
+    assert decomp.atom_counts[1] == 0 and decomp.n_atoms
+    p = compress.probabilities(decomp, s).probs
+    masks = rng.random((n, decomp.n_atoms)) < p
+    masks[-1] &= n == 1  # with n = 3 the last mask keeps nothing
+    zero = rng.integers(decomp.n_atoms)
+    p[zero], masks[0, zero] = 0.0, True
+    probs = compress.SelectionProbabilities(p)
+    got = compress.reconstruct_rows(decomp, probs, masks)
+    want = reconstruct_rows_reference(decomp, probs, masks)
+    assert got.tobytes() == want.tobytes()
+    placed = np.zeros((n, 3, decomp.dim), dtype=bool)
+    if basis == "elementwise":
+        placed[:, decomp.slots] = masks & (p > 0.0)
+    else:  # a kept rank-1 atom may reach any position of its row
+        placed[:, [0, 2]] = masks.any(axis=1)[:, None, None]
+    bits = got.view(np.uint64).reshape(placed.shape)
+    assert not bits[~placed].any()  # +0.0, never -0.0
 
 
 def test_reconstruct_rows_rejects_a_mask_of_the_wrong_width():

@@ -407,16 +407,17 @@ def test_evaluate_loss_matches_training_loss_path():
     assert loss == pytest.approx(ref, rel=1e-12)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 512])
+@pytest.mark.parametrize("chunk", [1, 7, 512, 600])
 @pytest.mark.parametrize("classes", [2, 4, 7, 8, 10])
 def test_evaluate_loss_is_softmax_cross_entropys_bitwise(classes, chunk):
     # evaluate computes no gradient; its loss must keep the bits of
     # softmax_cross_entropy's, chunk by chunk (the weighted mean over chunks
-    # would hide a last-bit change of one chunk's loss)
+    # would hide a last-bit change of one chunk's loss), though it runs the
+    # log-softmax once over every chunk's logits
     rng = np.random.default_rng(classes * 100 + chunk)
     ds = Dataset(3.0 * rng.standard_normal((600, 5)), rng.integers(0, classes, 600), classes)
     params = nn.init_params(nn.MlpSpec((5, 6, classes)), substream(classes, "init"))
-    total = 0.0
+    total, correct = 0.0, 0
     for start in range(0, ds.n, chunk):
         stop = min(start + chunk, ds.n)
         labels = ds.labels[start:stop]
@@ -424,8 +425,10 @@ def test_evaluate_loss_is_softmax_cross_entropys_bitwise(classes, chunk):
         loss, _ = nn.softmax_cross_entropy(logits, labels)
         assert np.float64(nn.cross_entropy(logits, labels)).tobytes() == loss.tobytes()
         total += loss * (stop - start)
-    got, _ = evaluate(params, ds, chunk=chunk)
+        correct += int((logits.argmax(axis=1) == labels).sum())
+    got, acc = evaluate(params, ds, chunk=chunk)
     assert np.float64(got).tobytes() == np.float64(total / ds.n).tobytes()
+    assert acc == correct / ds.n
 
 
 def test_evaluate_chunking_invariant():

@@ -215,9 +215,10 @@ def plain_backprop(layers, x, labels):
     """Loss and flat gradient of one worker's relu model as plain 2-D numpy
     calls: each layer is [a 1] @ [W; b], dlogits come from
     plain_cross_entropy, each layer's gradient is [a 1].T @ dz, and the
-    hidden gradient is dz @ [W; b].T without its last column.  The
-    transposes are views, as in the stacked step: BLAS may round a product
-    of a transposed copy differently."""
+    hidden gradient is dz @ [W; b].T without its last column.  As in the
+    stacked step, the weight gradient's transpose is a view and the hidden
+    gradient's [W; b].T a C-ordered copy: BLAS may round a product of a
+    transposed view and of a copy differently."""
     ones = np.ones((len(x), 1))
     acts = [np.concatenate([x, ones], axis=1)]
     for layer in layers[:-1]:
@@ -227,7 +228,8 @@ def plain_backprop(layers, x, labels):
     for i in range(len(layers) - 1, -1, -1):
         grads[:0] = [np.matmul(acts[i].T, dz)]
         if i > 0:
-            dz = np.matmul(dz, layers[i].T)[:, :-1] * (acts[i][:, :-1] > 0.0)
+            dz = np.matmul(dz, np.ascontiguousarray(layers[i].T))
+            dz = dz[:, :-1] * (acts[i][:, :-1] > 0.0)
     return loss, np.concatenate([g.ravel() for g in grads])
 
 
