@@ -116,29 +116,17 @@ class RoundRecord:
     test_loss: float = math.nan
 
 
-def evaluate(params: nn.ParameterSet, test_set: Dataset, chunk: int = 512) -> tuple[float, float]:
-    """Mean cross-entropy loss and top-1 accuracy over a dataset.
-
-    The forward pass runs chunk by chunk into one (n, classes) array of
-    logits, since one matmul over the whole set would round a chunk's rows
-    (a 1-row chunk's above all) differently from the chunk's own; the
-    log-softmax, the label pick and the argmax then run once over all n
-    rows.  The loss is the mean of the chunks' nn.cross_entropy losses,
-    weighted by their sizes, each taken from the chunk's slice of the
-    picked log-probabilities.
-    """
-    n = test_set.n
-    logits = np.empty((n, params.layers[-1].shape[-1]))
-    for start in range(0, n, chunk):
-        rows = test_set.rows[start : start + chunk]
-        logits[start : start + chunk] = nn.forward_rows(params, rows)
-    picked = nn.label_log_probs(logits, test_set.labels)
-    total_loss = 0.0
-    for start in range(0, n, chunk):
-        part = picked[start : start + chunk]
-        total_loss += -(np.add.reduce(part) / part.size) * part.size
+def evaluate(params: nn.ParameterSet, test_set: Dataset) -> tuple[float, float]:
+    """Mean cross-entropy loss and top-1 accuracy over a dataset: one
+    forward pass over all its rows, then one nn.cross_entropy call and one
+    argmax over their logits.  A set classified with certainty, every
+    picked log-probability 0.0, has the loss +0.0, not a negated mean's
+    -0.0."""
+    logits = nn.forward_rows(params, test_set.rows)
+    # adding 0.0 turns -0.0 into +0.0 and keeps every other loss's bits
+    loss = nn.cross_entropy(logits, test_set.labels) + 0.0
     correct = int(np.count_nonzero(logits.argmax(axis=1) == test_set.labels))
-    return total_loss / n, correct / n
+    return loss, correct / test_set.n
 
 
 def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:

@@ -13,8 +13,8 @@ a column of ones, so [a 1] @ [W; b] is the layer's affine map, and in the
 backward pass [a 1]^T @ dz writes the weight and bias gradients in one call,
 straight into the gradient buffer; nothing adds or reduces a bias on its own.
 A Dataset stores its features with that column once (Dataset.rows), so each
-step gathers its input in one contiguous take; forward and loss_and_grad add
-the column to a MiniBatch themselves.
+step gathers its input in one contiguous take; loss_and_grad adds the
+column to a MiniBatch itself.
 
 The elementwise passes run over whole contiguous buffers, never over the
 strided view without the ones column.  A hidden activation is computed into
@@ -68,9 +68,9 @@ builds once per round for all tau steps, and the batch mean is
 np.add.reduce over the batch size, which is what ndarray.mean computes.
 The gradient goes back in the logits' layout, (M, batch, classes), one
 C-ordered matrix per worker for both output-layer matmuls.
-label_log_probs runs the same log-softmax and label pick and stops before
-the gradient; cross_entropy takes the batch mean of its picks, and
-evaluation runs it once over the logits of every chunk.
+cross_entropy runs the same log-softmax, label pick and batch mean and
+stops before the gradient; evaluation runs it once over the logits of the
+whole test set.
 """
 
 from __future__ import annotations
@@ -281,12 +281,6 @@ def _forward(layers: list, activation: str, x: np.ndarray,
     return acts, logits
 
 
-def forward(params: ParameterSet, batch: MiniBatch) -> np.ndarray:
-    """Logits (batch x classes); raw affine output, no softmax applied."""
-    x, _ = _check_batch(params, batch.features, batch.labels)
-    return _forward(params.layers, params.activation, with_ones_column(x))[1]
-
-
 def forward_rows(params: ParameterSet, rows: np.ndarray) -> np.ndarray:
     """Logits of input rows that already end in a column of ones, such as a
     slice of Dataset.rows, which is read without a copy."""
@@ -327,18 +321,11 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The loss of softmax_cross_entropy, bit for bit, without its gradient."""
-    return _mean_loss(label_log_probs(logits, labels))
-
-
-def label_log_probs(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each row's log-probability of its label, (batch,), for 2-D logits
-    (batch, classes): the log-softmax and label pick of
-    softmax_cross_entropy, bit for bit, whatever the batch size, since
-    every class pass works on each row alone."""
+    """The loss of softmax_cross_entropy, bit for bit, without its gradient,
+    for 2-D logits (batch, classes) of any batch size."""
     z = logits.T.copy()
     _log_softmax(z, np.empty_like(z))
-    return z.reshape(-1)[_label_index(np.asarray(labels)[None])[0]]
+    return _mean_loss(z.reshape(-1)[_label_index(np.asarray(labels)[None])[0]])
 
 
 def _mean_loss(picked: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Fast self-checks of the statistical and analytic properties.
 
 Each check re-verifies one load-bearing claim with an independent method:
-Monte Carlo for the estimator moments, a projected-gradient minimizer for
-the selection probabilities, central finite differences for backprop, and
+Monte Carlo for the estimator moments, a Lagrange-dual certificate for the
+selection probabilities, central finite differences for backprop, and
 direct ratio arithmetic for the schedule.  The full test suite runs larger
 versions of the same checks; this subset is sized to finish in seconds.
-The projected-gradient oracle takes 1-7 values, where numpy's per-call
+
+The projected-gradient oracle here is not a selftest check: criterion 03
+and the benchmark's selftest_oracle workload run it, and
+tests/oracles.py shares it.  It takes 1-7 values, where numpy's per-call
 dispatch would outweigh the arithmetic, so it runs on lists of Python
 floats.  numpy adds fewer than 8 values in sequence, so adding each sum in
 order as its terms are made gives np.sum's bits.  Every projection is one
@@ -192,16 +195,29 @@ def probability_trials() -> list[tuple[np.ndarray, float]]:
     return trials
 
 
+def closed_form_duality_gap(lam: np.ndarray, s: float) -> tuple[float, float]:
+    """The closed form's objective sum(lam^2 / p) and its gap to the Lagrange
+    dual g(nu) = sum(lam^2 / q + nu * q) - nu * s, where q = clip(lam /
+    sqrt(nu), lo, 1) minimizes the Lagrangian over the box and nu is the
+    largest lam^2 / p^2 over the unclipped entries.  Every feasible objective
+    is at least g(nu), so a gap of 0 proves p optimal from both sides.  A
+    draw whose every entry the closed form clips to 1 sets no nu: ValueError."""
+    p = compress.probabilities(compress.decompose_elementwise(lam), s).probs
+    primal = float(np.sum(lam**2 / p))
+    free = p < 1.0
+    if not free.any():
+        raise ValueError(f"budget s = {s} clips all {lam.size} values to 1, so no entry sets nu")
+    nu = float(np.max(lam[free] ** 2 / p[free] ** 2))
+    q = np.clip(lam / math.sqrt(nu), _LO, 1.0)
+    return primal, primal - (float(np.sum(lam**2 / q + nu * q)) - nu * s)
+
+
 def _check_probability_optimality() -> tuple[bool, str]:
-    worst = -np.inf
+    worst = 0.0
     for lam, s in probability_trials():
-        decomp = compress.decompose_elementwise(lam)
-        probs = compress.probabilities(decomp, s)
-        closed = float(np.sum(lam**2 / probs.probs))
-        numeric = minimize_variance_numeric(lam, s)
-        worst = max(worst, closed - numeric)
-    ok = worst <= 1e-6
-    return ok, f"max closed-form excess over numeric minimum = {worst:.2e}"
+        primal, gap = closed_form_duality_gap(lam, s)
+        worst = max(worst, abs(gap) / primal)
+    return worst <= 1e-12, f"max relative gap to the Lagrange dual = {worst:.2e}"
 
 
 def _check_gradient() -> tuple[bool, str]:

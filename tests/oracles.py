@@ -7,9 +7,13 @@ of the closed-form probabilities, a row-by-row budget clip instead of the
 one that clips every row at once, a dense divide-and-mask reconstruction
 instead of the one that places the kept atoms alone, a greedy by_class
 deal instead of the round-robin one, and straight-line formula
-transcriptions instead of the shared implementations.  The projected-gradient minimizer and its exact
-budget-box projection are the ones `fflsim selftest` runs, shared rather
-than copied.  They take 1-7 values and run as one helper over Python floats
+transcriptions instead of the shared implementations.
+
+The projected-gradient minimizer and its exact budget-box projection live
+in `fflsim.selftest` and are shared rather than copied.  Criterion 03 and
+the benchmark's selftest_oracle workload run them; `fflsim selftest`
+certifies the closed form with a Lagrange-dual bound instead and runs no
+descent.  They take 1-7 values and run as one helper over Python floats
 that adds each sum in order and starts each projection's knot search from
 the previous bracket; their earlier np.clip / np.sum / np.searchsorted form
 is kept here as the reference that helper must match bit for bit.
@@ -69,13 +73,13 @@ def finite_diff_gradient(loss_fn, flat: np.ndarray, h: float = 1e-5) -> np.ndarr
 
 
 def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 2000) -> float:
-    """The selftest's projected-gradient minimum of sum_i lambda_i^2 / p_i
+    """fflsim.selftest's projected-gradient minimum of sum_i lambda_i^2 / p_i
     over the budget box, at 2000 iterations."""
     return selftest.minimize_variance_numeric(lam, s, iters)
 
 
 def project_budget_box_reference(p: np.ndarray, s: float, lo: float = 1e-12) -> np.ndarray:
-    """The selftest's budget-box projection written with np.clip, np.sum
+    """fflsim.selftest's budget-box projection written with np.clip, np.sum
     and np.searchsorted."""
     knots = np.sort(np.concatenate((p - 1.0, p - lo)))
     totals = np.clip(p - knots[:, None], lo, 1.0).sum(axis=1)
@@ -89,7 +93,7 @@ def project_budget_box_reference(p: np.ndarray, s: float, lo: float = 1e-12) -> 
 
 
 def minimize_variance_reference(lam: np.ndarray, s: float, iters: int = 4000) -> float:
-    """The selftest's projected-gradient minimum written with np.clip and
+    """fflsim.selftest's projected-gradient minimum written with np.clip and
     np.sum, through project_budget_box_reference."""
     lam2 = lam**2
     p = project_budget_box_reference(np.full(lam.size, s / lam.size), s)

@@ -450,7 +450,7 @@ def test_selftest_passes(capsys):
     assert out.splitlines() == [
         "PASS  compression unbiasedness: max |mean - g| = 1.91e-02",
         "PASS  compression variance law: worst relative variance gap = 0.004",
-        "PASS  selection probability optimality: max closed-form excess over numeric minimum = 1.78e-15",
+        "PASS  selection probability optimality: max relative gap to the Lagrange dual = 2.37e-16",
         "PASS  backprop gradient check: max relative gradient error = 6.01e-09",
         "PASS  cube-root schedule: identity, ratio law, and monotonicity hold",
     ]

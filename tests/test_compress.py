@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from fflsim import compress, nn, selftest
 from fflsim.rng import substream
-from fflsim.selftest import _clipped_sum, _project
+from fflsim.selftest import _clipped_sum, _project, closed_form_duality_gap
 
 from oracles import (
     jacobi_singular_values, minimize_variance_numeric, minimize_variance_reference,
@@ -255,21 +255,6 @@ def criterion_03_draws():
     return draws
 
 
-def closed_form_duality_gap(lam, s):
-    """The closed form's objective sum(lam^2 / p) and its gap to the Lagrange
-    dual g(nu) = sum(lam^2 / q + nu * q) - nu * s, where q = clip(lam /
-    sqrt(nu), 1e-12, 1) minimizes the Lagrangian over the box and nu is the
-    largest lam^2 / p^2 over the unclipped entries.  Every feasible objective
-    is at least g(nu), so a gap of 0 proves p optimal from both sides."""
-    p = compress.probabilities(compress.decompose_elementwise(lam), s).probs
-    primal = float(np.sum(lam**2 / p))
-    free = p < 1.0
-    assert free.any()
-    nu = float(np.max(lam[free] ** 2 / p[free] ** 2))
-    q = np.clip(lam / math.sqrt(nu), 1e-12, 1.0)
-    return primal, primal - (float(np.sum(lam**2 / q + nu * q)) - nu * s)
-
-
 @pytest.mark.parametrize("draws", [selftest.probability_trials, criterion_03_draws],
                          ids=["selftest", "criterion_03"])
 def test_the_closed_form_meets_its_lagrange_dual(draws):
@@ -278,6 +263,12 @@ def test_the_closed_form_meets_its_lagrange_dual(draws):
     for lam, s in draws():
         primal, gap = closed_form_duality_gap(lam, s)
         assert abs(gap) <= 1e-12 * primal, (lam, s, gap)
+
+
+def test_the_duality_gap_refuses_a_draw_with_every_value_clipped():
+    # a budget of n keeps every atom with probability 1, so no entry sets nu
+    with pytest.raises(ValueError, match="clips all 2 values to 1"):
+        closed_form_duality_gap(np.array([1.0, 2.0]), 2.0)
 
 
 def test_probabilities_errors():
@@ -983,10 +974,10 @@ def test_clipped_sum_equals_the_sum_of_the_clipped_list_bitwise():
 
 
 def test_the_descent_takes_about_two_sums_per_projection(monkeypatch):
-    """A count, not a timing: each iteration of the selftest's descent sums
-    at its previous bracket's two knots in one pass, and bisects all the
-    knots only on its cold start and when the bracket moved: 98 bisection
-    sums in these 40,000 iterations."""
+    """A count, not a timing: each iteration of the descent on the
+    selftest's draws sums at its previous bracket's two knots in one pass,
+    and bisects all the knots only on its cold start and when the bracket
+    moved: 98 bisection sums in these 40,000 iterations."""
     sums = record_calls(monkeypatch, "_clipped_sum")
     iters = 4000
     for lam, s in selftest.probability_trials():

@@ -68,7 +68,7 @@ def test_synthetic_task_is_learnable():
         _, grad = nn.loss_and_grad(params, mb)
         params, velocity = nn.sgd_step(params, grad, 0.05, 0.9, velocity)
         if step % 10 == 9:
-            logits = nn.forward(params, data.MiniBatch(ds.features, ds.labels))
+            logits = nn.forward_rows(params, ds.rows)
             acc = float((logits.argmax(axis=1) == ds.labels).mean())
             if acc >= 0.99:
                 reached = step + 1

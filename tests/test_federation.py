@@ -402,43 +402,36 @@ def test_evaluate_loss_matches_training_loss_path():
     rng = np.random.default_rng(1)
     ds = Dataset(rng.random((64, 5)), rng.integers(0, 3, 64), 3)
     params = nn.init_params(nn.MlpSpec((5, 4, 3)), substream(1, "init"))
-    loss, _ = evaluate(params, ds, chunk=64)
+    loss, _ = evaluate(params, ds)
     ref, _ = nn.loss_and_grad(params, MiniBatch(ds.features, ds.labels))
     assert loss == pytest.approx(ref, rel=1e-12)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 512, 600])
+@pytest.mark.parametrize("n", [1, 7, 512, 600])
 @pytest.mark.parametrize("classes", [2, 4, 7, 8, 10])
-def test_evaluate_loss_is_softmax_cross_entropys_bitwise(classes, chunk):
-    # evaluate computes no gradient; its loss must keep the bits of
-    # softmax_cross_entropy's, chunk by chunk (the weighted mean over chunks
-    # would hide a last-bit change of one chunk's loss), though it runs the
-    # log-softmax once over every chunk's logits
-    rng = np.random.default_rng(classes * 100 + chunk)
-    ds = Dataset(3.0 * rng.standard_normal((600, 5)), rng.integers(0, classes, 600), classes)
+def test_evaluate_loss_is_softmax_cross_entropys_bitwise(classes, n):
+    # one forward pass over the whole set, then its loss has the bits of
+    # nn.cross_entropy over those logits, which are softmax_cross_entropy's,
+    # and its accuracy is the argmax count over n
+    rng = np.random.default_rng(classes * 100 + n)
+    ds = Dataset(3.0 * rng.standard_normal((n, 5)), rng.integers(0, classes, n), classes)
     params = nn.init_params(nn.MlpSpec((5, 6, classes)), substream(classes, "init"))
-    total, correct = 0.0, 0
-    for start in range(0, ds.n, chunk):
-        stop = min(start + chunk, ds.n)
-        labels = ds.labels[start:stop]
-        logits = nn.forward(params, MiniBatch(ds.features[start:stop], labels))
-        loss, _ = nn.softmax_cross_entropy(logits, labels)
-        assert np.float64(nn.cross_entropy(logits, labels)).tobytes() == loss.tobytes()
-        total += loss * (stop - start)
-        correct += int((logits.argmax(axis=1) == labels).sum())
-    got, acc = evaluate(params, ds, chunk=chunk)
-    assert np.float64(got).tobytes() == np.float64(total / ds.n).tobytes()
-    assert acc == correct / ds.n
+    logits = nn.forward_rows(params, ds.rows)
+    want = nn.cross_entropy(logits, ds.labels)
+    assert want.tobytes() == nn.softmax_cross_entropy(logits, ds.labels)[0].tobytes()
+    loss, acc = evaluate(params, ds)
+    assert np.float64(loss).tobytes() == want.tobytes()
+    assert acc == np.count_nonzero(logits.argmax(axis=1) == ds.labels) / n
 
 
-def test_evaluate_chunking_invariant():
-    rng = np.random.default_rng(2)
-    ds = Dataset(rng.random((100, 5)), rng.integers(0, 3, 100), 3)
-    params = nn.init_params(nn.MlpSpec((5, 6, 3)), substream(2, "init"))
-    full = evaluate(params, ds, chunk=100)
-    small = evaluate(params, ds, chunk=7)
-    assert small[0] == pytest.approx(full[0], rel=1e-12)
-    assert small[1] == full[1]
+def test_evaluate_gives_a_perfectly_classified_set_the_loss_plus_zero():
+    # a margin of 200 puts every picked log-probability at exactly 0.0, whose
+    # negated mean is -0.0
+    ds = Dataset(np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 4), np.array([0] * 3 + [1] * 4), 2)
+    params = nn.ParameterSet([np.array([[100.0, -100.0], [-100.0, 100.0]])], [np.zeros(2)])
+    loss, acc = evaluate(params, ds)
+    assert acc == 1.0
+    assert loss == 0.0 and not np.signbit(loss)
 
 
 # ---- run loop and outputs ---- #
@@ -709,14 +702,14 @@ def test_a_run_that_loses_every_packet_ends_with_its_own_status(tmp_path, p_fail
 SUMMARY_SHA256 = {
     "adacomm_like": "2cd484d8410b0bc3ad110e391a4eb60c30a76c586ac4fec63aab38f9ecb8d3e6",
     "atomo_like": "052ca1125327ee3369157e5c61da7be52bcdfe38e71522f5d90314356838dd62",
-    "atomo_like-lowrank": "f504844876bbb1b8d71e667adb8e88de996d3f090fe1d543e839d749fad2b2a9",
+    "atomo_like-lowrank": "51f31da6ce969c10f6619ec26ecdaad9e32fe5c5ed69a425b4884e5f76a9862b",
     "ffl": "6dd8addea2e742fb5474c90083e0f3d53e019e374905bc2acc051fab833b69aa",
     "ffl-classes10": "ad95e00a89578ef67a5ace04bf35e4096aa65c37b58764ab6d445b22deb1850a",
-    "ffl-lowrank": "e3a6e100819801c80ae8284679c57df9738cca2002beb72d1ffbb4b736f5e128",
-    "ffl-p_fail_0.1": "e99eaeeb02d6633294ee267dcb6e4596d5b8713b5e312585ad5e201a93386da8",
-    "ffl-tanh": "b17faf64bb1564464780e602e32cf4e0fd981c98fe840928f9b25e717e22782e",
+    "ffl-lowrank": "0a09058d465daef90b484f21da7c71c63476c27ab78a8e1cc8ba64fb9bfee749",
+    "ffl-p_fail_0.1": "604897c81d97a078914e5fce91bde02b90d5e3bec4b442ec30f049eb567fee61",
+    "ffl-tanh": "5a404864cb54b1036d66043cdd87543143eefdd37995acf62c513ec6f1ea0197",
     "ffl-two_hidden": "89db666f86de2ecffa16a9928c560b9e6c549ee0609ac0bd50e2f3ae4230b592",
-    "ffl-p_fail_1.0": "37e6345efd03786e13f68848eda627cc542f9f3844e424746eb312882e18946f",
+    "ffl-p_fail_1.0": "e532a266948bd64eddb49fa649a43f7693702aa82fcfa23506c48b2970f10a98",
     "ffl-zero_loss": "d640c80e1db0b99dac701127a94573955d4dcca396d5a002e61ee7c6e89baf54",
     "ffl-eval_stride_3": "dfee33d11f9931d3072941f22aaeb3dfbf1d4ab733e7f991896c242426e65ace",
     "vanilla-diverged": "3126bfda2344d74c21d394b3fe7355393a30d430da14461697113771ca9be824",

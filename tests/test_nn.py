@@ -85,14 +85,12 @@ def test_forward_zero_weights_zero_logits():
     params = make_params((4, 3, 2))
     for w in params.weights:
         w[:] = 0.0
-    batch = MiniBatch(np.ones((5, 4)), np.zeros(5, dtype=np.int64))
-    assert not nn.forward(params, batch).any()
+    assert not nn.forward_rows(params, with_ones_column(np.ones((5, 4)))).any()
 
 
 def test_forward_identity_single_layer():
     params = nn.ParameterSet([np.eye(2)], [np.zeros(2)])
-    batch = MiniBatch(np.array([[0.5, -0.5]]), np.array([0]))
-    logits = nn.forward(params, batch)
+    logits = nn.forward_rows(params, with_ones_column(np.array([[0.5, -0.5]])))
     assert np.allclose(logits, [[0.5, -0.5]], atol=0)
 
 
@@ -101,7 +99,7 @@ def test_forward_matches_reference(activation):
     rng = np.random.default_rng(31)
     params = make_params((6, 9, 5, 3), activation, seed=31)
     x = rng.standard_normal((8, 6))
-    got = nn.forward(params, MiniBatch(x, np.zeros(8, dtype=np.int64)))
+    got = nn.forward_rows(params, with_ones_column(x))
     want = mlp_forward_reference(params.weights, params.biases, activation, x)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -119,10 +117,10 @@ def test_the_ones_column_stays_exactly_one_after_the_activation(activation):
         assert (a[..., -1] == 1.0).all()
 
 
-def test_forward_rows_reads_dataset_rows_as_forward_reads_a_batch():
+def test_forward_rows_reads_dataset_rows_as_features_given_their_ones_column():
     ds, _ = small_task(2)
     params = make_params((5, 6, 3), "tanh", seed=2)
-    want = nn.forward(params, MiniBatch(ds.features[10:30], ds.labels[10:30]))
+    want = nn.forward_rows(params, with_ones_column(ds.features[10:30]))
     assert nn.forward_rows(params, ds.rows[10:30]).tobytes() == want.tobytes()
     with pytest.raises(ConfigError):
         nn.forward_rows(params, ds.features[10:30])
@@ -131,7 +129,7 @@ def test_forward_rows_reads_dataset_rows_as_forward_reads_a_batch():
 def test_forward_dimension_mismatch_is_config_error():
     params = make_params((4, 3))
     with pytest.raises(ConfigError):
-        nn.forward(params, MiniBatch(np.ones((2, 5)), np.zeros(2, dtype=np.int64)))
+        nn.forward_rows(params, with_ones_column(np.ones((2, 5))))
 
 
 # ---- loss ---- #
@@ -150,7 +148,8 @@ def test_loss_matches_naive_reference():
     params = make_params((4, 7, 3), "tanh", seed=5)
     batch = MiniBatch(rng.standard_normal((9, 4)), rng.integers(0, 3, 9))
     loss, _ = nn.loss_and_grad(params, batch)
-    ref = cross_entropy_reference(nn.forward(params, batch), batch.labels)
+    ref = cross_entropy_reference(nn.forward_rows(params, with_ones_column(batch.features)),
+                                  batch.labels)
     assert loss == pytest.approx(ref, rel=1e-12)
 
 
@@ -195,6 +194,8 @@ def test_loss_equals_the_plain_numpy_composition_bitwise(classes, lead):
     assert np.shape(loss) == np.shape(want_loss) and dlogits.shape == logits.shape
     assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
     assert dlogits.tobytes() == want_dlogits.tobytes()
+    if len(lead) == 1:  # evaluation's loss, over one set of rows of any size
+        assert nn.cross_entropy(logits, labels).tobytes() == np.asarray(want_loss).tobytes()
 
 
 @pytest.mark.parametrize("classes", [1, 4, 10])
