@@ -115,8 +115,8 @@ class ExperimentConfig:
             if key not in known:
                 raise ConfigError(f"unknown config key: {key!r}")
         data = dict(raw)
-        if "snr" in data and "uplink_rate_bps" not in data:
-            data["uplink_rate_bps"] = None  # snr replaces the default rate override
+        if data.get("snr") is not None and "uplink_rate_bps" not in data:
+            data["uplink_rate_bps"] = None  # an snr replaces the default rate override
         cfg = cls(**data)
         cfg.validate()
         return cfg

@@ -11,6 +11,7 @@ index array into a Dataset, so partitions never copy feature rows.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -128,52 +129,40 @@ def split_per_class(ds: Dataset, train_per_class: int) -> tuple[Dataset, Dataset
     return take(ds, np.concatenate(train_idx)), take(ds, np.concatenate(test_idx))
 
 
-def _read_exact(f, count: int, path: str, offset: int) -> bytes:
-    raw = f.read(count)
-    if len(raw) != count:
-        raise IdxFormatError(
-            f"{path}: truncated at byte offset {offset}: expected {count} bytes, got {len(raw)}"
-        )
-    return raw
-
-
 def _read_be_i32(f, path: str, offset: int) -> int:
-    return struct.unpack(">i", _read_exact(f, 4, path, offset))[0]
+    raw = f.read(4)
+    if len(raw) != 4:
+        raise IdxFormatError(
+            f"{path}: truncated at byte offset {offset}: expected 4 bytes, got {len(raw)}"
+        )
+    return struct.unpack(">i", raw)[0]
+
+
+def _read_idx(path: str, magic: int, ndim: int) -> tuple[tuple[int, ...], bytes]:
+    """The `ndim` dimensions and the data bytes of one big-endian IDX file of
+    unsigned bytes, refused unless its magic number is `magic`, every
+    dimension is positive and the data bytes number their product."""
+    with open(path, "rb") as f:
+        found = _read_be_i32(f, path, 0)
+        if found != magic:
+            raise IdxFormatError(f"{path}: bad magic {found} at byte offset 0 (expected {magic})")
+        dims = tuple(_read_be_i32(f, path, 4 * axis) for axis in range(1, ndim + 1))
+        if min(dims) < 1:
+            raise IdxFormatError(f"{path}: non-positive dimensions {dims}")
+        payload = f.read()
+    expected = math.prod(dims)
+    if len(payload) != expected:
+        raise IdxFormatError(
+            f"{path}: expected {expected} data bytes after byte offset {4 * (ndim + 1)},"
+            f" got {len(payload)}"
+        )
+    return dims, payload
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Load an IDX image/label pair (the classic big-endian MNIST format)."""
-    with open(images_path, "rb") as f:
-        magic = _read_be_i32(f, images_path, 0)
-        if magic != IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: bad magic {magic} at byte offset 0 (expected {IMAGE_MAGIC})"
-            )
-        count = _read_be_i32(f, images_path, 4)
-        rows = _read_be_i32(f, images_path, 8)
-        cols = _read_be_i32(f, images_path, 12)
-        if min(count, rows, cols) < 1:
-            raise IdxFormatError(f"{images_path}: non-positive dimensions {(count, rows, cols)}")
-        payload = f.read()
-        expected = count * rows * cols
-        if len(payload) != expected:
-            raise IdxFormatError(
-                f"{images_path}: expected {expected} data bytes after byte offset 16,"
-                f" got {len(payload)}"
-            )
-    with open(labels_path, "rb") as f:
-        magic = _read_be_i32(f, labels_path, 0)
-        if magic != LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: bad magic {magic} at byte offset 0 (expected {LABEL_MAGIC})"
-            )
-        n_labels = _read_be_i32(f, labels_path, 4)
-        label_bytes = f.read()
-        if len(label_bytes) != n_labels:
-            raise IdxFormatError(
-                f"{labels_path}: expected {n_labels} data bytes after byte offset 8,"
-                f" got {len(label_bytes)}"
-            )
+    (count, rows, cols), payload = _read_idx(images_path, IMAGE_MAGIC, 3)
+    (n_labels,), label_bytes = _read_idx(labels_path, LABEL_MAGIC, 1)
     if n_labels != count:
         raise IdxFormatError(
             f"label count {n_labels} in {labels_path} does not match image count {count}"
@@ -201,20 +190,15 @@ def partition(ds: Dataset, mode: str, workers: int, rng: np.random.Generator,
     surplus samples are dropped to keep shard sizes balanced.
     """
     m = workers
+    base, extra = divmod(ds.n, m)
+    quota = [base + (1 if j < extra else 0) for j in range(m)]
     if mode == "iid":
         if m > ds.n:
             raise ConfigError(
                 f"workers={m} exceeds the {ds.n} training rows: an iid partition"
                 " would leave a worker without samples"
             )
-        perm = rng.permutation(ds.n)
-        base, extra = divmod(ds.n, m)
-        shards, pos = [], 0
-        for j in range(m):
-            size = base + (1 if j < extra else 0)
-            shards.append(perm[pos : pos + size])
-            pos += size
-        return shards
+        return np.split(rng.permutation(ds.n), np.cumsum(quota[:-1]))
 
     c = classes_per_worker
     n_classes = ds.n_classes
@@ -227,8 +211,6 @@ def partition(ds: Dataset, mode: str, workers: int, rng: np.random.Generator,
     shuffled = rng.permutation(n_classes)
     class_sets = [[int(shuffled[(j * c + t) % n_classes]) for t in range(c)] for j in range(m)]
     pools = {int(cls): list(rng.permutation(np.flatnonzero(ds.labels == cls))) for cls in range(n_classes)}
-    base, extra = divmod(ds.n, m)
-    quota = [base + (1 if j < extra else 0) for j in range(m)]
     shards: list[list[int]] = [[] for _ in range(m)]
     # each pass deals one sample, from its fullest class, to every worker still
     # open, in index order; a worker at its quota or out of samples closes for

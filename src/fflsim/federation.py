@@ -183,6 +183,7 @@ class Experiment:
             for j in range(cfg.workers)
         ]
         self.net_rng = substream(cfg.seed, "net")
+        self.uplink_bps = netsim.uplink_rates(cfg)
         mlp = nn.MlpSpec(
             (self.train_set.d_in, *cfg.hidden_layers, self.train_set.n_classes), cfg.activation
         )
@@ -227,14 +228,14 @@ class Experiment:
             payloads = compress.sample(decomp, probs, [w.keep_rng for w in self.workers])
             # row j: worker j's update as the server reconstructs it
             rows = compress.reconstruct(payloads)
-            bits = compress.payload_bits(payloads).tolist()
+            bits = compress.payload_bits(payloads)
             atoms_sent = payloads.payload_atoms
         else:
             rows = g_rows
-            bits = [netsim.DENSE_BITS_PER_VALUE * d] * cfg.workers
+            bits = np.full(cfg.workers, netsim.DENSE_BITS_PER_VALUE * d)
             atoms_sent = 0
         compute_s = plan.tau_k * cfg.sec_per_local_step
-        uplink_s = [netsim.uplink_time(b, cfg, j) for j, b in enumerate(bits)]
+        uplink_s = netsim.uplink_time(bits, self.uplink_bps).tolist()
         received = netsim.packets_survive(cfg, self.net_rng)
 
         downlink_s = netsim.downlink_time(netsim.DENSE_BITS_PER_VALUE * d, cfg)

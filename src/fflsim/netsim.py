@@ -2,7 +2,9 @@
 
 Uplink rates follow the Shannon capacity W * log2(1 + snr), with snr a
 ratio, unless a direct bit-rate override is configured; both accept
-per-worker lists.  An upload costs its size in bits over the worker's
+per-worker lists.  The rates are fixed at set-up: uplink_rates builds all M
+of them once, as an (M,) array that the experiment holds, and a round
+charges every upload with one division, its size in bits over its worker's
 rate: compress.payload_bits for a compressed payload, DENSE_BITS_PER_VALUE
 per value for a dense vector.  The downlink is charged the same way, its
 bits over its rate; the server broadcasts the dense model.  Every worker
@@ -27,25 +29,21 @@ if TYPE_CHECKING:  # annotation only: netsim needs nothing of config at run time
 DENSE_BITS_PER_VALUE = 64  # the model is held, broadcast and sent dense as float64
 
 
-def _per_worker(value, worker_id: int) -> float:
-    if isinstance(value, list):
-        return float(value[worker_id])
-    return float(value)
+def uplink_rates(cfg: ExperimentConfig) -> np.ndarray:
+    """Every worker's uplink bit rate, an (M,) array: the override if set,
+    else Shannon.  A scalar setting gives every worker the same rate."""
+    rates = cfg.uplink_rate_bps
+    if rates is None:
+        rates = [cfg.bandwidth_hz * math.log2(1.0 + snr)
+                 for snr in np.full(cfg.workers, cfg.snr).tolist()]
+    return np.full(cfg.workers, rates, dtype=np.float64)
 
 
-def link_rate(cfg: ExperimentConfig, worker_id: int) -> float:
-    """Uplink bit rate for one worker: the override if set, else Shannon."""
-    if cfg.uplink_rate_bps is not None:
-        return _per_worker(cfg.uplink_rate_bps, worker_id)
-    snr = _per_worker(cfg.snr, worker_id)
-    return cfg.bandwidth_hz * math.log2(1.0 + snr)
-
-
-def uplink_time(bits: int, cfg: ExperimentConfig, worker_id: int) -> float:
-    """Seconds to push a payload of `bits` bits."""
-    if bits < 0:
+def uplink_time(bits: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Seconds to push each worker's payload: bits[j] bits at rates[j]."""
+    if (bits < 0).any():
         raise ValueError(f"bits must be >= 0, got {bits}")
-    return bits / link_rate(cfg, worker_id)
+    return bits / rates
 
 
 def downlink_time(bits: int, cfg: ExperimentConfig) -> float:

@@ -363,18 +363,13 @@ def _cross_entropy(logits: np.ndarray, label_index: np.ndarray, bufs: _Buffers,
 
 def _backprop(
     layers: list, activation: str, x: np.ndarray, label_index: np.ndarray, grads: list,
-    bufs: _Buffers | None = None, step: int = 0,
-) -> np.ndarray | None:
-    """One step's pass over the stack: writes its exact gradient into the
-    [W; b] views `grads` and its picked log-probabilities into
-    bufs.picked[..., step, :].  Shapes as in _forward; label_index as in
-    _cross_entropy.  Without `bufs` it makes a one-step set and returns the
-    loss of each batch; a runner that passes its round's set reduces the
-    losses of all its steps at once."""
-    own = bufs is None
-    if own:
-        widths = [layer.shape[-1] for layer in layers]
-        bufs = _Buffers(x.shape[:-1], widths, activation, 1)
+    bufs: _Buffers, step: int,
+) -> None:
+    """One step's pass over the stack, in the caller's buffer set `bufs`:
+    writes its exact gradient into the [W; b] views `grads` and its picked
+    log-probabilities into bufs.picked[..., step, :], from which the caller
+    reduces the losses.  Shapes as in _forward; label_index as in
+    _cross_entropy."""
     acts, logits = _forward(layers, activation, x, bufs)
     dz = _cross_entropy(logits, label_index, bufs, step)
     for layer in range(len(layers) - 1, -1, -1):
@@ -396,7 +391,6 @@ def _backprop(
             np.subtract(1.0, mask, out=mask)
         np.multiply(dz, mask, out=dz)
         dz = dz[..., :-1]
-    return _mean_loss(bufs.picked[..., 0, :]) if own else None
 
 
 def loss_and_grad(params: ParameterSet, batch: MiniBatch) -> tuple[float, ParameterSet]:
@@ -404,9 +398,11 @@ def loss_and_grad(params: ParameterSet, batch: MiniBatch) -> tuple[float, Parame
     x, y = _check_batch(params, batch.features, batch.labels)
     grad = zeros_like(params)
     x, label_index = with_ones_column(x), _label_index(y[None])[0]
-    loss = _backprop(params.layers, params.activation, x, label_index, grad.layers)
+    bufs = _Buffers(x.shape[:-1], [layer.shape[-1] for layer in params.layers],
+                    params.activation, 1)
+    _backprop(params.layers, params.activation, x, label_index, grad.layers, bufs, 0)
     _require_finite(grad.flat, "gradient")
-    return float(loss), grad
+    return float(_mean_loss(bufs.picked[..., 0, :])), grad
 
 
 def _check_step(eta: float, momentum: float = 0.0) -> None:

@@ -1,4 +1,7 @@
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
+# the tests import fflsim from this checkout's src/, ahead of any installed
+# copy, and their shared helpers (oracles, test_acceptance) from this folder
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [os.path.join(os.path.dirname(_HERE), "src"), _HERE]

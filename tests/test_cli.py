@@ -741,6 +741,24 @@ def test_snr_config_replaces_default_rate(tmp_path):
     cfg.validate()
 
 
+def test_a_null_snr_keeps_the_default_rate(tmp_path):
+    # only an snr with a value replaces the default rate override
+    cfg = load_config(write_config(tmp_path, {**MINIMAL, "snr": None}))
+    assert cfg.snr is None and cfg.uplink_rate_bps == ExperimentConfig().uplink_rate_bps
+    assert ExperimentConfig.from_dict({"snr": None}) == ExperimentConfig()
+
+
+@pytest.mark.parametrize("snr", [1.0, None], ids=["snr", "null_snr"])
+def test_a_summary_config_echo_reloads_to_its_config(tmp_path, capsys, snr):
+    # test_summary_config_echo_reproduces_run covers a config without the key
+    cfg_path = write_config(tmp_path, {**MINIMAL, "snr": snr, "output_dir": str(tmp_path / "o")})
+    code, _, _ = run_main(["run", "--config", cfg_path], capsys)
+    assert code == 0
+    echo = json.loads((tmp_path / "o" / "summary.json").read_text())["config"]
+    reloaded = load_config(write_config(tmp_path, echo, name="echo.json"))
+    assert dataclasses.asdict(reloaded) == dataclasses.asdict(load_config(cfg_path)) == echo
+
+
 def test_logging_env_fallback(monkeypatch, capsys):
     monkeypatch.setenv("FFL_LOG", "verbose")
     cli._setup_logging()

@@ -183,6 +183,27 @@ def test_load_idx_header_truncated(tmp_path):
         data.load_idx(img_path, lab_path)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_load_idx_refuses_a_labels_count_that_is_not_positive(tmp_path, count):
+    # the labels header is checked as the images header is, before its data
+    # bytes are counted or matched against the image count
+    images = np.zeros((2, 2, 2), dtype=np.uint8)
+    img_path, lab_path = write_idx_pair(tmp_path, images, np.array([0, 1], dtype=np.uint8))
+    lab_path.write_bytes(struct.pack(">Ii", 2049, count) + b"\x00\x01")
+    with pytest.raises(IdxFormatError) as err:
+        data.load_idx(img_path, lab_path)
+    assert str(err.value) == f"{lab_path}: non-positive dimensions ({count},)"
+
+
+def test_load_idx_truncated_labels_name_the_header_end(tmp_path):
+    images = np.zeros((3, 2, 2), dtype=np.uint8)
+    img_path, lab_path = write_idx_pair(tmp_path, images, np.array([0, 1, 1], dtype=np.uint8))
+    lab_path.write_bytes(lab_path.read_bytes()[:-1])
+    with pytest.raises(IdxFormatError) as err:
+        data.load_idx(img_path, lab_path)
+    assert str(err.value) == f"{lab_path}: expected 3 data bytes after byte offset 8, got 2"
+
+
 # ---- partition ---- #
 
 def test_partition_iid_sizes_and_coverage():
@@ -201,6 +222,21 @@ def test_partition_iid_deterministic():
     b = data.partition(ds, "iid", 5, substream(9, "partition"))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n, workers", [(103, 4), (104, 4), (7, 7), (10, 3)])
+def test_partition_iid_deals_the_permutation_in_contiguous_runs(n, workers):
+    # the reference deals one run per worker, the first n % workers runs one
+    # row longer
+    ds = data.take(data.gen_synthetic(4, 26, 4, 0.2, substream(8, "data")), np.arange(n))
+    perm = substream(8, "partition").permutation(n)
+    want, pos = [], 0
+    for j in range(workers):
+        size = n // workers + (1 if j < n % workers else 0)
+        want.append(perm[pos : pos + size])
+        pos += size
+    got = data.partition(ds, "iid", workers, substream(8, "partition"))
+    assert [s.tolist() for s in got] == [s.tolist() for s in want]
 
 
 def test_partition_by_class_singleton_labels():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import traceback
 from pathlib import Path
 
@@ -354,6 +355,26 @@ def test_no_round_builds_a_stream(monkeypatch, p_fail):
     exp.run_round()
     assert built == []
     assert all(r.atoms_sent_total > 0 for r in exp.records)
+
+
+def test_no_round_derives_a_link_rate(monkeypatch):
+    # the rates are fixed input: Experiment.__init__ builds the (M,) array
+    # once, and every round charges its uploads against that array
+    callers = []
+    real_rates = netsim.uplink_rates
+
+    def spy(cfg):
+        frame = sys._getframe(1)
+        callers.append((frame.f_code.co_name, type(frame.f_locals.get("self")).__name__))
+        return real_rates(cfg)
+
+    monkeypatch.setattr(netsim, "uplink_rates", spy)
+    exp = Experiment(base_cfg(scheme="ffl", workers=3, snr=[1.0, 3.0, 7.0], uplink_rate_bps=None))
+    assert callers == [("__init__", "Experiment")]
+    assert exp.uplink_bps.tolist() == [1e6, 2e6, 3e6]
+    for _ in range(3):
+        exp.run_round()
+    assert callers == [("__init__", "Experiment")]
 
 
 @pytest.mark.parametrize("basis", compress.BASIS_KINDS)

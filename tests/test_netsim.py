@@ -15,44 +15,67 @@ def snr_cfg(snr, **kw):
 
 # ---- link rate ---- #
 
+def per_worker_rate(cfg, j):
+    """Worker j's uplink rate as one scalar formula: the override if set,
+    else Shannon, reading a list setting's j-th value."""
+    def pick(value):
+        return float(value[j] if isinstance(value, list) else value)
+
+    if cfg.uplink_rate_bps is not None:
+        return pick(cfg.uplink_rate_bps)
+    return cfg.bandwidth_hz * math.log2(1.0 + pick(cfg.snr))
+
+
+def rates_of(cfg):
+    """uplink_rates(cfg), checked bit for bit against the scalar formula
+    worker by worker."""
+    rates = netsim.uplink_rates(cfg)
+    assert rates.dtype == np.float64 and rates.shape == (cfg.workers,)
+    want = np.array([per_worker_rate(cfg, j) for j in range(cfg.workers)])
+    assert rates.tobytes() == want.tobytes()
+    return rates
+
+
 def test_link_rate_shannon_snr_one():
-    assert netsim.link_rate(snr_cfg(1.0, bandwidth_hz=1e6), 0) == pytest.approx(1e6, abs=0)
+    rates = rates_of(snr_cfg(1.0, bandwidth_hz=1e6, workers=3))
+    assert rates.tolist() == [pytest.approx(1e6, abs=0)] * 3
 
 
 def test_link_rate_snr_inversion_recovers_target_rate():
     # employing power control: the snr that yields R = 1e5 at W = 1e6
     snr = 2.0**0.1 - 1.0
-    assert netsim.link_rate(snr_cfg(snr, bandwidth_hz=1e6), 0) == pytest.approx(1e5, rel=1e-12)
+    assert rates_of(snr_cfg(snr, bandwidth_hz=1e6, workers=2))[0] == pytest.approx(1e5, rel=1e-12)
 
 
 def test_link_rate_override_beats_shannon():
-    cfg = ExperimentConfig(uplink_rate_bps=5e4)
-    assert netsim.link_rate(cfg, 0) == 5e4
+    cfg = ExperimentConfig(uplink_rate_bps=5e4, workers=4)
+    assert rates_of(cfg).tolist() == [5e4] * 4
 
 
 def test_link_rate_per_worker_lists():
-    cfg = ExperimentConfig(uplink_rate_bps=[1e5, 2e5])
-    assert netsim.link_rate(cfg, 0) == 1e5
-    assert netsim.link_rate(cfg, 1) == 2e5
-    snr_list = snr_cfg([1.0, 3.0], bandwidth_hz=1e6)
-    assert netsim.link_rate(snr_list, 1) == pytest.approx(2e6, abs=0)
+    cfg = ExperimentConfig(uplink_rate_bps=[1e5, 2e5], workers=2)
+    assert rates_of(cfg).tolist() == [1e5, 2e5]
+    snr_list = snr_cfg([1.0, 3.0, 2.0**0.1 - 1.0], bandwidth_hz=1e6, workers=3)
+    assert rates_of(snr_list)[1] == pytest.approx(2e6, abs=0)
 
 
 # ---- uplink / downlink times ---- #
 
 def test_uplink_time_examples():
-    cfg = ExperimentConfig(uplink_rate_bps=1e5)
-    assert netsim.uplink_time(0, cfg, 0) == 0.0
-    # 7 elementwise atoms of 96 bits
-    assert netsim.uplink_time(96 * 7, cfg, 0) == pytest.approx(6.72e-3, rel=1e-12)
-    # one rank-1 atom of a 16 x 32 block: 3,232 bits
-    assert netsim.uplink_time(160 + 64 * (16 + 32), cfg, 0) == pytest.approx(0.03232, rel=1e-12)
+    # no bits; 7 elementwise atoms of 96 bits; one rank-1 atom of a 16 x 32
+    # block, 3,232 bits
+    cfg = ExperimentConfig(uplink_rate_bps=1e5, workers=3)
+    got = netsim.uplink_time(np.array([0, 96 * 7, 160 + 64 * (16 + 32)]), netsim.uplink_rates(cfg))
+    assert got[0] == 0.0
+    assert got[1] == pytest.approx(6.72e-3, rel=1e-12)
+    assert got[2] == pytest.approx(0.03232, rel=1e-12)
 
 
 def test_dense_uplink_time_example():
     # a dense upload of 317 float64 values
-    cfg = ExperimentConfig(uplink_rate_bps=1e5)
-    assert netsim.uplink_time(64 * 317, cfg, 0) == pytest.approx(0.202880, rel=1e-12)
+    cfg = ExperimentConfig(uplink_rate_bps=1e5, workers=1)
+    got = netsim.uplink_time(np.array([64 * 317]), netsim.uplink_rates(cfg))
+    assert got[0] == pytest.approx(0.202880, rel=1e-12)
 
 
 def test_downlink_time_dense_model():
@@ -64,9 +87,9 @@ def test_downlink_time_dense_model():
 
 
 def test_uplink_time_rejects_negative():
-    cfg = ExperimentConfig()
-    with pytest.raises(ValueError):
-        netsim.uplink_time(-1, cfg, 0)
+    rates = netsim.uplink_rates(ExperimentConfig(workers=3))
+    with pytest.raises(ValueError, match="bits must be >= 0"):
+        netsim.uplink_time(np.array([96, -1, 0]), rates)
 
 
 def test_downlink_time_rejects_negative():
@@ -75,11 +98,12 @@ def test_downlink_time_rejects_negative():
 
 
 def test_compression_dominance():
-    cfg = ExperimentConfig(uplink_rate_bps=1e5)
+    cfg = ExperimentConfig(uplink_rate_bps=1e5, workers=2)
     d = 317
     s_atoms = 9
     assert 96 * s_atoms < 64 * d
-    assert netsim.uplink_time(96 * s_atoms, cfg, 0) < netsim.uplink_time(64 * d, cfg, 0)
+    sparse, dense = netsim.uplink_time(np.array([96 * s_atoms, 64 * d]), netsim.uplink_rates(cfg))
+    assert sparse < dense
 
 
 # ---- round time ---- #

@@ -249,8 +249,11 @@ def test_stacked_gradient_equals_the_worker_major_calls_bitwise(classes, workers
     x = rng.standard_normal((workers, batch, 5))
     labels = rng.integers(0, classes, (workers, batch))
     grad = np.empty_like(stack)
-    loss = nn._backprop(nn._layer_views(stack, params.shapes), "relu", with_ones_column(x),
-                        nn._label_index(labels[None])[0], nn._layer_views(grad, params.shapes))
+    stacked = nn._layer_views(stack, params.shapes)
+    bufs = nn._Buffers(x.shape[:-1], [layer.shape[-1] for layer in stacked], "relu", 1)
+    nn._backprop(stacked, "relu", with_ones_column(x), nn._label_index(labels[None])[0],
+                 nn._layer_views(grad, params.shapes), bufs, 0)
+    loss = nn._mean_loss(bufs.picked[..., 0, :])
     for j in range(workers):
         layers = [layer.copy() for layer in nn._layer_views(stack[j], params.shapes)]
         want_loss, want = plain_backprop(layers, x[j], labels[j])
