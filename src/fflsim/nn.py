@@ -178,10 +178,6 @@ class ParameterSet:
         return list(zip(offsets, arrays))
 
 
-def zeros_like(params: ParameterSet) -> ParameterSet:
-    return params.from_flat(np.zeros(params.dim))
-
-
 def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParameterSet:
     """Uniform +-sqrt(6 / (fan_in + fan_out)) weights, zero biases."""
     weights, biases = [], []
@@ -305,24 +301,9 @@ def _label_index(labels: np.ndarray) -> np.ndarray:
     return index
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient w.r.t. the logits.
-
-    logits are (..., batch, classes) and labels (..., batch); the loss has
-    the leading shape (a numpy scalar for one 2-D batch) and the gradient the
-    logits' shape, C-ordered.  Stabilized with the log-sum-exp shift so large
-    logits cannot overflow.
-    """
-    logits = np.asarray(logits)
-    label_index = _label_index(np.asarray(labels)[None])
-    bufs = _Buffers(logits.shape[:-1], logits.shape[-1:], "relu", 1)  # no hidden layer
-    dlogits = _cross_entropy(logits, label_index[0], bufs, 0)
-    return _mean_loss(bufs.picked[..., 0, :]), dlogits
-
-
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The loss of softmax_cross_entropy, bit for bit, without its gradient,
-    for 2-D logits (batch, classes) of any batch size."""
+    """The loss of _cross_entropy read with _mean_loss, bit for bit, without
+    its gradient, for 2-D logits (batch, classes) of any batch size."""
     z = logits.T.copy()
     _log_softmax(z, np.empty_like(z))
     return _mean_loss(z.reshape(-1)[_label_index(np.asarray(labels)[None])[0]])
@@ -396,7 +377,7 @@ def _backprop(
 def loss_and_grad(params: ParameterSet, batch: MiniBatch) -> tuple[float, ParameterSet]:
     """Mean softmax cross-entropy and its exact gradient via backprop."""
     x, y = _check_batch(params, batch.features, batch.labels)
-    grad = zeros_like(params)
+    grad = params.from_flat(np.zeros(params.dim))
     x, label_index = with_ones_column(x), _label_index(y[None])[0]
     bufs = _Buffers(x.shape[:-1], [layer.shape[-1] for layer in params.layers],
                     params.activation, 1)

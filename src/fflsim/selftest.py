@@ -10,7 +10,8 @@ same checks; this subset is sized to finish in seconds.
 
 The projected-gradient oracle here is not a selftest check: criterion 03
 and the benchmark's selftest_oracle workload run it, and
-tests/oracles.py shares it.  It takes 1-7 values, where numpy's per-call
+tests/oracles.py shares it and builds its budget-box projection on
+_project.  It takes 1-7 values, where numpy's per-call
 dispatch would outweigh the arithmetic, so it runs on lists of Python
 floats.  numpy adds fewer than 8 values in sequence, so adding each sum in
 order as its terms are made gives np.sum's bits.  Every projection is one
@@ -106,16 +107,6 @@ def _project(
         p.append(y)
         value += a / y
     return p, j, value
-
-
-def project_budget_box(p: np.ndarray, s: float) -> np.ndarray:
-    """Euclidean projection of 1-7 finite values onto {sum x = s, lo <= x <= 1},
-    with lo the floor _LO: clip(p - shift, lo, 1) for the Lagrange shift
-    whose clipped sum is s, found by bisecting all the knots.  A budget the
-    box cannot meet raises ValueError."""
-    q = _values(p, s)
-    # no hint; q stands in for lam2, as the objective is not wanted
-    return np.array(_project(q, s, _LO, 0, q)[0], dtype=np.float64)
 
 
 def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 4000) -> float:

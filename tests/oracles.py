@@ -9,14 +9,16 @@ instead of the one that places the kept atoms alone, a greedy by_class
 deal instead of the round-robin one, and straight-line formula
 transcriptions instead of the shared implementations.
 
-The projected-gradient minimizer and its exact budget-box projection live
-in `fflsim.selftest` and are shared rather than copied.  Criterion 03 and
-the benchmark's selftest_oracle workload run them; `fflsim selftest`
-certifies the closed form with a Lagrange-dual bound instead and runs no
-descent.  They take 1-7 values and run as one helper over Python floats
-that adds each sum in order and starts each projection's knot search from
-the previous bracket; their earlier np.clip / np.sum / np.searchsorted form
-is kept here as the reference that helper must match bit for bit.
+The projected-gradient minimizer lives in `fflsim.selftest`, where the
+benchmark's selftest_oracle workload calls it, and is shared rather than
+copied; criterion 03 runs it too.  `fflsim selftest` certifies the closed
+form with a Lagrange-dual bound instead and runs no descent.  The exact
+budget-box projection the tests check on its own is defined here, as one
+call to the minimizer's projection helper, selftest._project.  Both take
+1-7 values and run over Python floats, adding each sum in order and
+starting each projection's knot search from the previous bracket; their
+earlier np.clip / np.sum / np.searchsorted form is kept here as the
+reference that helper must match bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from fflsim import selftest
-from fflsim.selftest import project_budget_box  # noqa: F401
 
 
 def jacobi_singular_values(mat: np.ndarray, sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
@@ -76,6 +77,16 @@ def minimize_variance_numeric(lam: np.ndarray, s: float, iters: int = 2000) -> f
     """fflsim.selftest's projected-gradient minimum of sum_i lambda_i^2 / p_i
     over the budget box, at 2000 iterations."""
     return selftest.minimize_variance_numeric(lam, s, iters)
+
+
+def project_budget_box(p: np.ndarray, s: float) -> np.ndarray:
+    """Euclidean projection of 1-7 finite values onto {sum x = s, lo <= x <= 1},
+    with lo fflsim.selftest's floor: clip(p - shift, lo, 1) for the Lagrange
+    shift whose clipped sum is s, found by selftest._project bisecting all
+    the knots.  A budget the box cannot meet raises ValueError."""
+    q = selftest._values(p, s)
+    # no hint; q stands in for lam2, as the objective is not wanted
+    return np.array(selftest._project(q, s, selftest._LO, 0, q)[0], dtype=np.float64)
 
 
 def project_budget_box_reference(p: np.ndarray, s: float, lo: float = 1e-12) -> np.ndarray:

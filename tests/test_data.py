@@ -61,7 +61,7 @@ def test_synthetic_task_is_learnable():
     params = nn.init_params(spec, substream(3, "init"))
     rng = substream(3, "train")
     shard = np.arange(ds.n)
-    velocity = nn.zeros_like(params)
+    velocity = params.from_flat(np.zeros(params.dim))
     reached = None
     for step in range(500):
         mb = data.sample_minibatch(shard, ds, 64, rng)

@@ -20,6 +20,7 @@ from fflsim.federation import Experiment, evaluate, policy_for
 from fflsim.rng import substream
 
 from test_acceptance import DESK_GOLDEN_VARIANTS, _desk_cfg
+from test_nn import kernel_cross_entropy
 
 
 def base_cfg(**overrides):
@@ -432,14 +433,14 @@ def test_evaluate_loss_matches_training_loss_path():
 @pytest.mark.parametrize("classes", [2, 4, 7, 8, 10])
 def test_evaluate_loss_is_softmax_cross_entropys_bitwise(classes, n):
     # one forward pass over the whole set, then its loss has the bits of
-    # nn.cross_entropy over those logits, which are softmax_cross_entropy's,
-    # and its accuracy is the argmax count over n
+    # nn.cross_entropy over those logits, which are the training kernel
+    # _cross_entropy's, and its accuracy is the argmax count over n
     rng = np.random.default_rng(classes * 100 + n)
     ds = Dataset(3.0 * rng.standard_normal((n, 5)), rng.integers(0, classes, n), classes)
     params = nn.init_params(nn.MlpSpec((5, 6, classes)), substream(classes, "init"))
     logits = nn.forward_rows(params, ds.rows)
     want = nn.cross_entropy(logits, ds.labels)
-    assert want.tobytes() == nn.softmax_cross_entropy(logits, ds.labels)[0].tobytes()
+    assert want.tobytes() == kernel_cross_entropy(logits, ds.labels)[0].tobytes()
     loss, acc = evaluate(params, ds)
     assert np.float64(loss).tobytes() == want.tobytes()
     assert acc == np.count_nonzero(logits.argmax(axis=1) == ds.labels) / n

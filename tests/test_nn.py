@@ -175,12 +175,20 @@ def plain_cross_entropy(logits, labels):
     return loss, dlogits
 
 
-# softmax_cross_entropy works on a class-major copy of the logits: it reduces
-# the class max, and below 8 classes the class sum, over that copy's outer
-# axis, and replaces the fancy index and mean with a flat index and
-# np.add.reduce.  All must give the plain composition's bits; numpy sums 8 or
-# more classes in pairwise lanes, so class counts on both sides of 8 are
-# covered, and a numpy release that regroups a reduction fails here.
+def kernel_cross_entropy(logits, labels):
+    """The loss and dlogits of the runner's kernel, _cross_entropy, in a
+    one-step _Buffers set with no hidden layer, read with _mean_loss."""
+    bufs = nn._Buffers(logits.shape[:-1], logits.shape[-1:], "relu", 1)
+    dlogits = nn._cross_entropy(logits, nn._label_index(labels[None])[0], bufs, 0)
+    return nn._mean_loss(bufs.picked[..., 0, :]), dlogits
+
+
+# _cross_entropy works on a class-major copy of the logits: it reduces the
+# class max, and below 8 classes the class sum, over that copy's outer axis,
+# and replaces the fancy index and mean with a flat index and np.add.reduce.
+# All must give the plain composition's bits; numpy sums 8 or more classes in
+# pairwise lanes, so class counts on both sides of 8 are covered, and a numpy
+# release that regroups a reduction fails here.
 @pytest.mark.parametrize("classes", [1, 2, 4, 7, 8, 10, 33])
 @pytest.mark.parametrize("lead", [(1,), (37,), (512,), (8, 64), (3, 1), (2, 9)],
                          ids=lambda lead: "x".join(map(str, lead)))
@@ -189,7 +197,7 @@ def test_loss_equals_the_plain_numpy_composition_bitwise(classes, lead):
     scale = np.exp(3.0 * rng.standard_normal(lead))[..., None]  # rows from tiny to huge logits
     logits = rng.standard_normal((*lead, classes)) * scale
     labels = rng.integers(0, classes, lead)
-    loss, dlogits = nn.softmax_cross_entropy(logits, labels)
+    loss, dlogits = kernel_cross_entropy(logits, labels)
     want_loss, want_dlogits = plain_cross_entropy(logits, labels)
     assert np.shape(loss) == np.shape(want_loss) and dlogits.shape == logits.shape
     assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
@@ -207,7 +215,7 @@ def test_softmax_cross_entropy_returns_dlogits_in_the_layout_of_its_logits(class
     rng = np.random.default_rng(classes + sum(lead))
     logits = rng.standard_normal((*lead, classes))
     before = logits.copy()
-    _, dlogits = nn.softmax_cross_entropy(logits, rng.integers(0, classes, lead))
+    _, dlogits = kernel_cross_entropy(logits, rng.integers(0, classes, lead))
     assert dlogits.shape == logits.shape and dlogits.flags.c_contiguous
     assert logits.tobytes() == before.tobytes()
 
@@ -328,7 +336,7 @@ def test_sgd_step_does_not_mutate_inputs():
     params = make_params((3, 2), seed=8)
     grad = make_params((3, 2), seed=9)
     before = params.flatten()
-    v0 = nn.zeros_like(params)
+    v0 = params.from_flat(np.zeros(params.dim))
     nn.sgd_step(params, grad, 0.5, 0.9, v0)
     assert np.array_equal(params.flatten(), before)
     assert not v0.flatten().any()
@@ -336,7 +344,7 @@ def test_sgd_step_does_not_mutate_inputs():
 
 def test_sgd_step_rejects_bad_eta_and_momentum():
     params = make_params((2, 2))
-    grad = nn.zeros_like(params)
+    grad = params.from_flat(np.zeros(params.dim))
     with pytest.raises(ValueError):
         nn.sgd_step(params, grad, 0.0)
     with pytest.raises(ValueError):
