@@ -30,14 +30,13 @@ same code.
 
 A payload has one form: its decomposition and a keep mask over the atoms.
 payload_bits counts each row's kept atoms (elementwise) or weighs its kept
-slots (rank-1), and serialize reads the kept slots and the rank-1 blocks,
-straight from it.
+slots (rank-1) straight from it: the size of the wire form that the tests'
+oracle serialize writes out byte by byte.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -262,7 +261,9 @@ def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabiliti
     np.add.reduceat, would group the additions differently.  While every
     atom is active the coefficients are read in place, and the first round
     in which no row clips settles every row left and ends the loop: on
-    elementwise atoms that is usually the first.
+    elementwise atoms that is usually the first.  A row whose budget / l1
+    overflows, as it does when the row's coefficients are subnormal, takes
+    (lambda / l1) * budget instead.
     """
     if s < 1:
         raise ValueError(f"sparsity budget s must be >= 1, got {s}")
@@ -290,14 +291,21 @@ def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabiliti
         clipped = np.bincount(rows.repeat(live)[big], minlength=counts.size)
         # a row with no oversized atom is settled: the rule holds as it is
         done = (live > 0) & (clipped == 0)
-        ratio = np.divide(budget, l1, out=np.zeros_like(l1), where=done)
+        with np.errstate(over="ignore"):
+            ratio = np.divide(budget, l1, out=np.zeros_like(l1), where=done)
+        scaled = act * ratio.repeat(live)
+        over = np.isinf(ratio)
+        if over.any():  # a subnormal l1: lambda / l1 is finite where budget / l1 is not
+            big_ratio = over.repeat(live)
+            l1_at, budget_at = l1.repeat(live)[big_ratio], budget.repeat(live)[big_ratio]
+            scaled[big_ratio] = act[big_ratio] / l1_at * budget_at
         if not clipped.any():  # every active atom settles in this round
             if act is lam:
-                return SelectionProbabilities(act * ratio.repeat(live))
-            p[at] = act * ratio.repeat(live)
+                return SelectionProbabilities(scaled)
+            p[at] = scaled
             break
         settled = done.repeat(live)
-        p[at[settled]] = act[settled] * ratio.repeat(live)[settled]
+        p[at[settled]] = scaled[settled]
         # an oversized atom keeps p = 1 and leaves its row's budget
         budget -= clipped
         live = np.where(done, 0, live - clipped)
@@ -394,7 +402,7 @@ def _kept_slots(compressed: CompressedGradient) -> np.ndarray:
 
 
 def payload_bits(compressed: CompressedGradient) -> np.ndarray:
-    """Bits in serialize() of each row's payload, without building it: 96 per
+    """Bits of each row's payload on the wire, without building it: 96 per
     elementwise atom, 160 + 64 * (m + n) per rank-1 atom of an m x n block.
     A (W,) integer array: (1,) for one decomposed gradient.  Elementwise
     atoms all cost the same, so a row's size is 96 times a count of its
@@ -408,27 +416,3 @@ def payload_bits(compressed: CompressedGradient) -> np.ndarray:
         np.full(b.u.shape[2], 160 + 64 * (b.u.shape[1] + b.vt.shape[2])) for b in source.blocks
     ])
     return _kept_slots(compressed) @ slot_bits
-
-
-def serialize(compressed: CompressedGradient) -> bytes:
-    """Wire form of a payload, every row's atoms after the previous row's;
-    payload_bits gives each row's size.
-
-    elementwise: little-endian (u32 flat position, f64 coefficient) pairs,
-    12 bytes per atom (96 bits).  lowrank: per atom a (u32 block offset,
-    u32 len(u), u32 len(v)) header, the two factor vectors as f64, then the
-    coefficient.
-    """
-    source = compressed.source
-    kept = np.argwhere(_kept_slots(compressed)).tolist()  # (row, slot) in coefficient order
-    coeffs = compressed.coeffs.tolist()
-    if source.blocks is None:
-        return b"".join(struct.pack("<Id", slot, c) for (_, slot), c in zip(kept, coeffs))
-    columns = [(block, i) for block in source.blocks for i in range(block.u.shape[2])]
-    parts = []
-    for (w, slot), c in zip(kept, coeffs):
-        block, i = columns[slot]
-        u, v = block.u[w, :, i], block.vt[w, i]
-        parts += [struct.pack("<III", block.offset, u.size, v.size),
-                  u.astype("<f8").tobytes(), v.astype("<f8").tobytes(), struct.pack("<d", c)]
-    return b"".join(parts)

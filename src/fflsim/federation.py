@@ -13,7 +13,9 @@ whose row j is worker j's payload as the server reconstructs it (the
 gradient rows themselves when nothing is compressed).  The server's average
 is the sum of the rows whose packets survive, added in worker order, over
 their count; it takes one momentum SGD step with the average, and feeds the
-workers' mean training loss back into the scheduler for the next plan.
+workers' mean training loss back into the scheduler for the next plan.  The
+round's four clock columns are the fields of one netsim.round_cost call on
+tau_k, the bits each worker uploads and the dense model's broadcast bits.
 Named schemes are presets of three knobs (compression on/off, a pinned tau
 or none, a pinned s or none): every scheme runs the adaptive planner and its
 pins override the plan, so the baselines are literally the adaptive engine
@@ -234,12 +236,10 @@ class Experiment:
             rows = g_rows
             bits = np.full(cfg.workers, netsim.DENSE_BITS_PER_VALUE * d)
             atoms_sent = 0
-        compute_s = plan.tau_k * cfg.sec_per_local_step
-        uplink_s = netsim.uplink_time(bits, self.uplink_bps).tolist()
+        cost = netsim.round_cost(
+            cfg, self.uplink_bps, plan.tau_k, bits, netsim.DENSE_BITS_PER_VALUE * d
+        )
         received = netsim.packets_survive(cfg, self.net_rng)
-
-        downlink_s = netsim.downlink_time(netsim.DENSE_BITS_PER_VALUE * d, cfg)
-        total_s = netsim.round_time(compute_s, uplink_s, downlink_s)
 
         count = np.count_nonzero(received)
         if count:
@@ -269,7 +269,7 @@ class Experiment:
 
         record = RoundRecord(
             round=k,
-            sim_time_s=(0.0 if last is None else last.sim_time_s) + total_s,
+            sim_time_s=(0.0 if last is None else last.sim_time_s) + cost.round_time_s,
             tau_k=plan.tau_k,
             s_k=plan.s_k,
             train_loss=train_loss,
@@ -277,10 +277,7 @@ class Experiment:
             test_acc=test_acc,
             received_workers=count,
             atoms_sent_total=atoms_sent,
-            round_time_s=total_s,
-            uplink_max_s=max(uplink_s),
-            downlink_s=downlink_s,
-            compute_max_s=compute_s,
+            **cost._asdict(),
             smoothed_acc=smoothed_acc,
             test_loss=test_loss,
         )

@@ -3,23 +3,26 @@
 Uplink rates follow the Shannon capacity W * log2(1 + snr), with snr a
 ratio, unless a direct bit-rate override is configured; both accept
 per-worker lists.  The rates are fixed at set-up: uplink_rates builds all M
-of them once, as an (M,) array that the experiment holds, and a round
-charges every upload with one division, its size in bits over its worker's
-rate: compress.payload_bits for a compressed payload, DENSE_BITS_PER_VALUE
-per value for a dense vector.  The downlink is charged the same way, its
-bits over its rate; the server broadcasts the dense model.  Every worker
-runs the round's tau local steps at the same speed, so a round costs that
-one compute time, the slowest uplink and one shared downlink; uplink
-payloads lose their packet independently with a fixed probability;
-survival is drawn only when that probability is strictly between 0 and 1,
-from a generator the caller owns, so netsim holds no randomness of its own.
+of them once, as an (M,) array that the experiment holds.  round_cost is
+the clock's one cost model, and the only reader of sec_per_local_step and
+downlink_rate_bps: from tau, each worker's upload bits
+(compress.payload_bits for a compressed payload, DENSE_BITS_PER_VALUE per
+value for a dense vector) and the broadcast bits (the dense model), it
+returns a round's compute, slowest-uplink, downlink and total seconds.
+Each upload costs its bits over its worker's rate, the broadcast its bits
+over the downlink rate, and every worker runs the round's tau local steps
+at the same speed, so a round costs that one compute time, the slowest
+uplink and one shared downlink.  Uplink payloads lose their packet
+independently with a fixed probability; survival is drawn only when that
+probability is strictly between 0 and 1, from a generator the caller owns,
+so netsim holds no randomness of its own.
 The channel settings are read by name from the ExperimentConfig.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -39,30 +42,34 @@ def uplink_rates(cfg: ExperimentConfig) -> np.ndarray:
     return np.full(cfg.workers, rates, dtype=np.float64)
 
 
-def uplink_time(bits: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Seconds to push each worker's payload: bits[j] bits at rates[j]."""
-    if (bits < 0).any():
-        raise ValueError(f"bits must be >= 0, got {bits}")
-    return bits / rates
+class RoundCost(NamedTuple):
+    """A round's simulated seconds, named like the RoundRecord columns."""
+
+    compute_max_s: float
+    uplink_max_s: float
+    downlink_s: float
+    round_time_s: float
 
 
-def downlink_time(bits: int, cfg: ExperimentConfig) -> float:
-    """Seconds to broadcast `bits` bits to every worker at once."""
-    if bits < 0:
-        raise ValueError(f"bits must be >= 0, got {bits}")
-    return bits / cfg.downlink_rate_bps
+def round_cost(cfg: ExperimentConfig, rates: np.ndarray, tau: int,
+               upload_bits: np.ndarray, broadcast_bits: int) -> RoundCost:
+    """What a round of tau local steps costs: upload_bits[j] pushed at
+    rates[j] by each worker and broadcast_bits sent to all at once.
 
-
-def round_time(compute_s: float, uplink_s: list[float], downlink_s: float) -> float:
-    """Straggler round time: the workers' shared compute time plus the
-    slowest uplink, plus the downlink.  Rounding is monotone, so this is
-    max_j (compute_s + uplink_s[j]) + downlink_s to the bit."""
-    if not uplink_s:
-        raise ValueError("uplink_s must be a non-empty list")
-    total = compute_s + max(uplink_s) + downlink_s
+    Straggler timing: the workers' shared compute time plus the slowest
+    uplink, plus the downlink.  Rounding is monotone, so the total is
+    max_j (compute + uplink_j) + downlink to the bit."""
+    if (upload_bits < 0).any() or broadcast_bits < 0:
+        raise ValueError(f"bits must be >= 0, got {upload_bits} and {broadcast_bits}")
+    if not upload_bits.size:
+        raise ValueError("upload_bits must be non-empty: a round has workers")
+    compute = tau * cfg.sec_per_local_step
+    uplink = float((upload_bits / rates).max())
+    downlink = broadcast_bits / cfg.downlink_rate_bps
+    total = compute + uplink + downlink
     if not total > 0:
         raise ValueError(f"round time must be > 0 s, got {total}")
-    return total
+    return RoundCost(compute, uplink, downlink, total)
 
 
 def packets_survive(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:

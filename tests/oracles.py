@@ -6,8 +6,9 @@ finite differences instead of backprop, projected gradient descent instead
 of the closed-form probabilities, a row-by-row budget clip instead of the
 one that clips every row at once, a dense divide-and-mask reconstruction
 instead of the one that places the kept atoms alone, a greedy by_class
-deal instead of the round-robin one, and straight-line formula
-transcriptions instead of the shared implementations.
+deal instead of the round-robin one, a payload's wire form written out
+byte by byte instead of payload_bits' count of its size, and straight-line
+formula transcriptions instead of the shared implementations.
 
 The projected-gradient minimizer lives in `fflsim.selftest`, where the
 benchmark's selftest_oracle workload calls it, and is shared rather than
@@ -23,9 +24,11 @@ reference that helper must match bit for bit.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
-from fflsim import selftest
+from fflsim import compress, selftest
 
 
 def jacobi_singular_values(mat: np.ndarray, sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
@@ -177,6 +180,30 @@ def reconstruct_rows_reference(decomp, probs, masks: np.ndarray) -> np.ndarray:
             n, decomp.n_rows, m, cols)
         view += (block.u * coeff[:, :, None, block.start : block.start + r]) @ block.vt
     return out
+
+
+def serialize(compressed: compress.CompressedGradient) -> bytes:
+    """Wire form of a payload, every row's atoms after the previous row's;
+    compress.payload_bits must give each row's size.
+
+    elementwise: little-endian (u32 flat position, f64 coefficient) pairs,
+    12 bytes per atom (96 bits).  lowrank: per atom a (u32 block offset,
+    u32 len(u), u32 len(v)) header, the two factor vectors as f64, then the
+    coefficient.
+    """
+    source = compressed.source
+    kept = np.argwhere(compress._kept_slots(compressed)).tolist()  # (row, slot) in coefficient order
+    coeffs = compressed.coeffs.tolist()
+    if source.blocks is None:
+        return b"".join(struct.pack("<Id", slot, c) for (_, slot), c in zip(kept, coeffs))
+    columns = [(block, i) for block in source.blocks for i in range(block.u.shape[2])]
+    parts = []
+    for (w, slot), c in zip(kept, coeffs):
+        block, i = columns[slot]
+        u, v = block.u[w, :, i], block.vt[w, i]
+        parts += [struct.pack("<III", block.offset, u.size, v.size),
+                  u.astype("<f8").tobytes(), v.astype("<f8").tobytes(), struct.pack("<d", c)]
+    return b"".join(parts)
 
 
 def partition_by_class_greedy(ds, workers: int, rng: np.random.Generator,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from fflsim.selftest import _clipped_sum, _project, closed_form_duality_gap
 from oracles import (
     jacobi_singular_values, minimize_variance_numeric, minimize_variance_reference,
     probabilities_reference, project_budget_box, project_budget_box_reference,
-    reconstruct_rows_reference,
+    reconstruct_rows_reference, serialize,
 )
 
 
@@ -321,6 +322,28 @@ def test_probabilities_equal_the_row_by_row_clip_bitwise(case):
     assert compress.probabilities(decomp, s).probs.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("row, s", [
+    ([2.1e-314, 5e-313, 1.4e-311, -3e-312], 2.0),  # one atom clips, then budget / l1 is inf
+    ([1e-311, -2e-311, 2.5e-311], 2.0),  # no atom clips: the first round settles the row
+], ids=["clipped", "unclipped"])
+def test_probabilities_of_a_subnormal_row_are_finite_and_sum_to_s(row, s):
+    # budget / l1 overflows on such a row; (lambda / l1) * budget does not.
+    # The rows beside it keep the bits of the row-by-row clip.
+    rows = [[3.0, -1.0, 2.0, 0.5], row, [10.0, 1.0, 1.0, 0.5, 0.25]]
+    slots = np.arange(8) < np.array([len(r) for r in rows])[:, None]
+    coeffs = np.array([c for r in rows for c in r])
+    decomp = compress.AtomicDecomposition("elementwise", 8, coeffs, slots)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = compress.probabilities(decomp, s).probs
+    mine = p[4 : 4 + len(row)]
+    assert np.isfinite(mine).all() and (mine > 0.0).all() and (mine <= 1.0).all()
+    assert mine.sum() == pytest.approx(s, rel=1e-12)
+    others = np.array(rows[0] + rows[2])
+    want = probabilities_reference([4, 5], others, s)
+    assert np.concatenate([p[:4], p[4 + len(row):]]).tobytes() == want.tobytes()
+
+
 # ---- sampling / reconstruction ---- #
 
 def test_select_keeps_and_scales():
@@ -589,10 +612,10 @@ def test_one_stage_for_all_rows_equals_one_payload_per_row_bitwise(case):
         # for rank-1 atoms)
         assert rows[j].tobytes() == compress.reconstruct(payload)[0].tobytes()
         assert_matches_the_one_row_reference(rows[j], payload)
-        blobs.append(compress.serialize(payload))
+        blobs.append(serialize(payload))
         assert [bits[j]] == compress.payload_bits(payload).tolist() == [8 * len(blobs[-1])]
     # the stack's wire form is every row's after the previous row's
-    assert compress.serialize(cg) == b"".join(blobs)
+    assert serialize(cg) == b"".join(blobs)
     assert cg.payload_atoms == int(np.count_nonzero(cg.kept))
     assert decomp.n_atoms == int(decomp.atom_counts.sum())
 
@@ -669,7 +692,7 @@ def test_a_single_gradient_is_a_one_row_stack(decompose):
     cg = compress.sample(d, probs, [substream(0, "compress", 0, 0)])
     assert d.reconstruct_full().shape == compress.reconstruct(cg).shape == (1, 12)
     bits = compress.payload_bits(cg)
-    assert bits.shape == (1,) and bits.tolist() == [8 * len(compress.serialize(cg))]
+    assert bits.shape == (1,) and bits.tolist() == [8 * len(serialize(cg))]
     # one generator per row, also for one row: a bare generator is refused
     with pytest.raises((TypeError, ValueError)):
         compress.sample(d, probs, substream(0, "compress", 0, 0))
@@ -716,7 +739,7 @@ def test_serialize_elementwise_twelve_bytes_per_atom():
     d = elementwise_of([3.0, 2.0, 1.0, 4.0])
     probs = compress.SelectionProbabilities(np.ones(4))
     cg = compress.select(d, probs, np.ones(4, dtype=bool))
-    blob = compress.serialize(cg)
+    blob = serialize(cg)
     assert len(blob) == 12 * 4
     import struct as _s
     idx0, coeff0 = _s.unpack_from("<Id", blob, 0)
@@ -729,7 +752,7 @@ def test_serialize_lowrank_length_formula():
     d = compress.decompose_lowrank(mat, r=2)
     cg = compress.select(d, compress.SelectionProbabilities(np.ones(d.n_atoms)),
                          np.ones(d.n_atoms, dtype=bool))
-    blob = compress.serialize(cg)
+    blob = serialize(cg)
     # a (u32 offset, u32 m, u32 n) header, u, v and the coefficient per atom
     assert d.n_atoms == 2
     assert len(blob) == 2 * (12 + 8 * (3 + 5) + 8)
@@ -742,7 +765,7 @@ def test_payload_bits_is_the_serialized_size(case):
     decomp, probs, masks = case
     for mask in masks:
         cg = compress.select(decomp, probs, mask)
-        assert compress.payload_bits(cg).tolist() == [8 * len(compress.serialize(cg))]
+        assert compress.payload_bits(cg).tolist() == [8 * len(serialize(cg))]
 
 
 def test_payload_bits_of_a_rank_one_atom_of_a_16_by_32_block():
@@ -752,7 +775,7 @@ def test_payload_bits_of_a_rank_one_atom_of_a_16_by_32_block():
     empty = compress.sample(compress.decompose_elementwise(np.zeros(5)),
                             compress.SelectionProbabilities(np.empty(0)),
                             [substream(0, "compress", 0, 0)])
-    assert compress.payload_bits(empty).tolist() == [0] and compress.serialize(empty) == b""
+    assert compress.payload_bits(empty).tolist() == [0] and serialize(empty) == b""
 
 
 # ---- budget projection oracle self-check ---- #

@@ -13,12 +13,13 @@ import pytest
 
 from fflsim import compress, data, federation, netsim, nn
 from fflsim import rng as rng_module
-from fflsim.config import SCHEMES, ExperimentConfig
+from fflsim.config import SCHEMES, ExperimentConfig, load_config
 from fflsim.data import Dataset, MiniBatch, sample_minibatch
 from fflsim.errors import ConfigError
 from fflsim.federation import Experiment, evaluate, policy_for
 from fflsim.rng import substream
 
+from oracles import serialize
 from test_acceptance import DESK_GOLDEN_VARIANTS, _desk_cfg
 from test_nn import kernel_cross_entropy
 
@@ -332,7 +333,7 @@ def test_uplink_charges_the_bits_each_payload_serialises_to(monkeypatch, scheme,
     if scheme == "adacomm_like":
         sent_bits = [64 * exp.params.dim] * (3 * len(records))  # dense float64 uploads
     else:
-        sent_bits = [8 * len(compress.serialize(cg)) for cg in worker_payloads(exp, grads, basis)]
+        sent_bits = [8 * len(serialize(cg)) for cg in worker_payloads(exp, grads, basis)]
     assert len(sent_bits) == 3 * len(records)
     for k, record in enumerate(records):
         bits = sent_bits[3 * k : 3 * k + 3]
@@ -376,6 +377,38 @@ def test_no_round_derives_a_link_rate(monkeypatch):
     for _ in range(3):
         exp.run_round()
     assert callers == [("__init__", "Experiment")]
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize("cfg", [
+    load_config(str(SCENARIOS / "desk.json")),
+    load_config(str(SCENARIOS / "uplink_bound.json")),
+    base_cfg(scheme="ffl", basis="lowrank", workers=3),
+    base_cfg(scheme="adacomm_like", workers=3),  # dense uploads
+    base_cfg(scheme="ffl", workers=3, packet_failure_prob=0.5),
+], ids=["desk", "uplink_bound", "lowrank", "adacomm_like", "packet_failure_half"])
+def test_every_round_is_priced_by_one_round_cost_call(monkeypatch, cfg):
+    # the clock's one cost model: a record's four cost columns are the
+    # fields of the round's one netsim.round_cost result, bit for bit
+    costs = []
+    real = netsim.round_cost
+
+    def spy(*args):
+        costs.append(real(*args))
+        return costs[-1]
+
+    monkeypatch.setattr(netsim, "round_cost", spy)
+    exp = Experiment(cfg)
+    for k in range(4):
+        record = exp.run_round()
+        assert len(costs) == k + 1
+        got = (record.compute_max_s, record.uplink_max_s, record.downlink_s, record.round_time_s)
+        assert all(type(value) is float for value in got)
+        assert np.array(got).tobytes() == np.array(costs[-1]).tobytes()
+    if cfg.packet_failure_prob == 0.5:
+        assert {r.received_workers for r in exp.records} != {cfg.workers}
 
 
 @pytest.mark.parametrize("basis", compress.BASIS_KINDS)

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,13 +61,21 @@ def test_link_rate_per_worker_lists():
     assert rates_of(snr_list)[1] == pytest.approx(2e6, abs=0)
 
 
-# ---- uplink / downlink times ---- #
+# ---- round cost: uplink and downlink times ---- #
+
+def uplink_seconds(cfg, bits):
+    """Each worker's upload seconds, one round_cost call per worker: the
+    slowest uplink of a one-worker round is that worker's own."""
+    rates = netsim.uplink_rates(cfg)
+    return [netsim.round_cost(cfg, rates[j : j + 1], 1, bits[j : j + 1], 0).uplink_max_s
+            for j in range(cfg.workers)]
+
 
 def test_uplink_time_examples():
     # no bits; 7 elementwise atoms of 96 bits; one rank-1 atom of a 16 x 32
     # block, 3,232 bits
     cfg = ExperimentConfig(uplink_rate_bps=1e5, workers=3)
-    got = netsim.uplink_time(np.array([0, 96 * 7, 160 + 64 * (16 + 32)]), netsim.uplink_rates(cfg))
+    got = uplink_seconds(cfg, np.array([0, 96 * 7, 160 + 64 * (16 + 32)]))
     assert got[0] == 0.0
     assert got[1] == pytest.approx(6.72e-3, rel=1e-12)
     assert got[2] == pytest.approx(0.03232, rel=1e-12)
@@ -74,27 +84,30 @@ def test_uplink_time_examples():
 def test_dense_uplink_time_example():
     # a dense upload of 317 float64 values
     cfg = ExperimentConfig(uplink_rate_bps=1e5, workers=1)
-    got = netsim.uplink_time(np.array([64 * 317]), netsim.uplink_rates(cfg))
+    got = uplink_seconds(cfg, np.array([64 * 317]))
     assert got[0] == pytest.approx(0.202880, rel=1e-12)
 
 
 def test_downlink_time_dense_model():
     # the broadcast of 100 float64 values, charged like an upload of its bits
-    cfg = ExperimentConfig(downlink_rate_bps=2e5)
+    cfg = ExperimentConfig(downlink_rate_bps=2e5, workers=1)
+    rates, nothing = netsim.uplink_rates(cfg), np.zeros(1, dtype=np.int64)
     bits = netsim.DENSE_BITS_PER_VALUE * 100
-    assert netsim.downlink_time(bits, cfg) == pytest.approx(100 * 64 / 2e5, abs=0)
-    assert netsim.downlink_time(0, cfg) == 0.0
+    assert netsim.round_cost(cfg, rates, 1, nothing, bits).downlink_s == pytest.approx(
+        100 * 64 / 2e5, abs=0)
+    assert netsim.round_cost(cfg, rates, 1, nothing, 0).downlink_s == 0.0
 
 
 def test_uplink_time_rejects_negative():
     rates = netsim.uplink_rates(ExperimentConfig(workers=3))
     with pytest.raises(ValueError, match="bits must be >= 0"):
-        netsim.uplink_time(np.array([96, -1, 0]), rates)
+        netsim.round_cost(ExperimentConfig(workers=3), rates, 1, np.array([96, -1, 0]), 0)
 
 
 def test_downlink_time_rejects_negative():
+    cfg = ExperimentConfig(workers=1)
     with pytest.raises(ValueError, match="bits must be >= 0"):
-        netsim.downlink_time(-1, ExperimentConfig())
+        netsim.round_cost(cfg, netsim.uplink_rates(cfg), 1, np.zeros(1, dtype=np.int64), -1)
 
 
 def test_compression_dominance():
@@ -102,46 +115,78 @@ def test_compression_dominance():
     d = 317
     s_atoms = 9
     assert 96 * s_atoms < 64 * d
-    sparse, dense = netsim.uplink_time(np.array([96 * s_atoms, 64 * d]), netsim.uplink_rates(cfg))
+    sparse, dense = uplink_seconds(cfg, np.array([96 * s_atoms, 64 * d]))
     assert sparse < dense
 
 
-# ---- round time ---- #
+# ---- round cost: the round time ---- #
+
+def round_time(compute_s, uplink_s, downlink_s):
+    """round_cost's total for these three times: one local step of
+    compute_s seconds, uploads of uplink_s[j] bits at 1 bit/s, and a
+    broadcast of |downlink_s| bits at +-1 bit/s, the sign of downlink_s.
+    Multiplying by 1 and dividing by 1 or -1 are exact, so the times reach
+    round_cost's sum unchanged."""
+    cfg = ExperimentConfig(sec_per_local_step=compute_s,
+                           downlink_rate_bps=math.copysign(1.0, downlink_s))
+    uplink = np.array(uplink_s, dtype=np.float64)
+    return netsim.round_cost(cfg, np.ones(uplink.size), 1, uplink, abs(downlink_s)).round_time_s
+
 
 def test_round_time_single_worker():
-    got = netsim.round_time(0.5, [0.25], 0.1)
+    got = round_time(0.5, [0.25], 0.1)
     assert got == pytest.approx(0.5 + 0.25 + 0.1, rel=1e-15)
 
 
 def test_round_time_straggler_wins():
-    assert netsim.round_time(1.0, [3.0, 1.0], 0.5) == 4.5
+    assert round_time(1.0, [3.0, 1.0], 0.5) == 4.5
 
 
 def test_round_time_matches_max_plus_oracle():
     # the oracle adds the compute time to each uplink before the max, as a
-    # round with one compute time per worker would; the bytes must agree
+    # round with one compute time per worker would; the bytes must agree.
+    # Each time is formed from drawn bits and rates, as a round forms it.
     rng = np.random.default_rng(4)
     for _ in range(200):
-        compute = float(rng.uniform(0.01, 2.0))
-        uplink = rng.uniform(0.01, 2.0, 8).tolist()
-        downlink = float(rng.uniform(0, 3.0))
+        tau = int(rng.integers(1, 31))
+        cfg = ExperimentConfig(sec_per_local_step=float(rng.uniform(1e-3, 0.07)),
+                               downlink_rate_bps=float(rng.uniform(1e4, 1e6)), workers=8)
+        rates = rng.uniform(1e4, 1e6, 8)
+        bits = rng.integers(0, 200_000, 8)
+        broadcast = int(rng.integers(0, 3_000_000))
+        compute = tau * cfg.sec_per_local_step
+        uplink = [b / r for b, r in zip(bits.tolist(), rates.tolist())]
+        downlink = broadcast / cfg.downlink_rate_bps
         want = -math.inf
         for u in uplink:
             want = max(want, compute + u)
         want += downlink
-        assert netsim.round_time(compute, uplink, downlink) == want
+        got = netsim.round_cost(cfg, rates, tau, bits, broadcast)
+        assert got.round_time_s == want
+        assert got.uplink_max_s == max(uplink)
+        assert (got.compute_max_s, got.downlink_s) == (compute, downlink)
+        assert all(type(value) is float for value in got)
 
 
 def test_round_time_rejects_an_empty_uplink_list():
     with pytest.raises(ValueError, match="non-empty"):
-        netsim.round_time(1.0, [], 0.0)
+        round_time(1.0, [], 0.0)
 
 
 def test_round_time_rejects_a_round_that_is_not_positive():
     for compute, uplink, downlink in [(0.0, [0.0], 0.0), (0.0, [0.0, 0.0], -0.0),
                                       (1.0, [1.0], -3.0), (math.nan, [1.0], 1.0)]:
         with pytest.raises(ValueError, match="round time must be > 0"):
-            netsim.round_time(compute, uplink, downlink)
+            round_time(compute, uplink, downlink)
+
+
+def test_only_netsim_and_config_name_the_cost_settings():
+    # config declares the compute and broadcast settings and round_cost
+    # alone reads them, so no second copy of the cost formula can drift
+    src = Path(__file__).resolve().parents[1] / "src" / "fflsim"
+    naming = {path.name for path in src.glob("*.py")
+              if re.search(r"sec_per_local_step|downlink_rate_bps", path.read_text("utf-8"))}
+    assert naming == {"config.py", "netsim.py"}
 
 
 # ---- packet failures ---- #
