@@ -328,20 +328,20 @@ def test_probabilities_equal_the_row_by_row_clip_bitwise(case):
 ], ids=["clipped", "unclipped"])
 def test_probabilities_of_a_subnormal_row_are_finite_and_sum_to_s(row, s):
     # budget / l1 overflows on such a row; (lambda / l1) * budget does not.
-    # The rows beside it keep the bits of the row-by-row clip.
-    rows = [[3.0, -1.0, 2.0, 0.5], row, [10.0, 1.0, 1.0, 0.5, 0.25]]
+    # The rows beside it keep the bits of the row-by-row clip's
+    # lambda * (budget / l1), which on both differ from (lambda / l1) * budget.
+    rows = [[2.548, -1.238, 1.53, 2.062, 0.276], row, [10.0, 1.212, -1.285, 0.231, 0.241]]
     slots = np.arange(8) < np.array([len(r) for r in rows])[:, None]
     coeffs = np.array([c for r in rows for c in r])
     decomp = compress.AtomicDecomposition("elementwise", 8, coeffs, slots)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         p = compress.probabilities(decomp, s).probs
-    mine = p[4 : 4 + len(row)]
+    mine = p[5 : 5 + len(row)]
     assert np.isfinite(mine).all() and (mine > 0.0).all() and (mine <= 1.0).all()
     assert mine.sum() == pytest.approx(s, rel=1e-12)
-    others = np.array(rows[0] + rows[2])
-    want = probabilities_reference([4, 5], others, s)
-    assert np.concatenate([p[:4], p[4 + len(row):]]).tobytes() == want.tobytes()
+    want = probabilities_reference([5, 5], np.array(rows[0] + rows[2]), s)
+    assert np.concatenate([p[:5], p[5 + len(row):]]).tobytes() == want.tobytes()
 
 
 # ---- sampling / reconstruction ---- #

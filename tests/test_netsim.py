@@ -99,9 +99,9 @@ def test_downlink_time_dense_model():
 
 
 def test_uplink_time_rejects_negative():
-    rates = netsim.uplink_rates(ExperimentConfig(workers=3))
+    cfg = ExperimentConfig(workers=3)
     with pytest.raises(ValueError, match="bits must be >= 0"):
-        netsim.round_cost(ExperimentConfig(workers=3), rates, 1, np.array([96, -1, 0]), 0)
+        netsim.round_cost(cfg, netsim.uplink_rates(cfg), 1, np.array([96, -1, 0]), 0)
 
 
 def test_downlink_time_rejects_negative():
@@ -121,7 +121,7 @@ def test_compression_dominance():
 
 # ---- round cost: the round time ---- #
 
-def round_time(compute_s, uplink_s, downlink_s):
+def total_seconds(compute_s, uplink_s, downlink_s):
     """round_cost's total for these three times: one local step of
     compute_s seconds, uploads of uplink_s[j] bits at 1 bit/s, and a
     broadcast of |downlink_s| bits at +-1 bit/s, the sign of downlink_s.
@@ -134,12 +134,12 @@ def round_time(compute_s, uplink_s, downlink_s):
 
 
 def test_round_time_single_worker():
-    got = round_time(0.5, [0.25], 0.1)
+    got = total_seconds(0.5, [0.25], 0.1)
     assert got == pytest.approx(0.5 + 0.25 + 0.1, rel=1e-15)
 
 
 def test_round_time_straggler_wins():
-    assert round_time(1.0, [3.0, 1.0], 0.5) == 4.5
+    assert total_seconds(1.0, [3.0, 1.0], 0.5) == 4.5
 
 
 def test_round_time_matches_max_plus_oracle():
@@ -170,14 +170,14 @@ def test_round_time_matches_max_plus_oracle():
 
 def test_round_time_rejects_an_empty_uplink_list():
     with pytest.raises(ValueError, match="non-empty"):
-        round_time(1.0, [], 0.0)
+        total_seconds(1.0, [], 0.0)
 
 
 def test_round_time_rejects_a_round_that_is_not_positive():
     for compute, uplink, downlink in [(0.0, [0.0], 0.0), (0.0, [0.0, 0.0], -0.0),
                                       (1.0, [1.0], -3.0), (math.nan, [1.0], 1.0)]:
         with pytest.raises(ValueError, match="round time must be > 0"):
-            round_time(compute, uplink, downlink)
+            total_seconds(compute, uplink, downlink)
 
 
 def test_only_netsim_and_config_name_the_cost_settings():
