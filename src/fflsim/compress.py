@@ -13,6 +13,10 @@ that stays <= 1 for every atom.  Oversized coefficients are clipped to
 p = 1 and the rule is re-applied to the remaining atoms with the leftover
 budget until it is feasible.
 
+Which atoms are kept and their p depend only on ratios, so a gradient
+scaled by any power of two keeps its atoms and its p (rank-1 atoms to
+within LAPACK's rounding).
+
 Every function works on a stack of W gradients at once, and one gradient is
 the W = 1 case of the same code, a one-row stack: its reconstruction is
 (1, d), its payload size (1,), and sample takes one generator per row.  A
@@ -44,7 +48,7 @@ import numpy as np
 
 from .nn import ParameterSet
 
-_DROP_TOL = 1e-12  # singular values this small are treated as zero atoms
+_DROP_TOL = 1e-12  # a singular value at most this times its block's largest is a zero atom
 
 BASIS_KINDS = ("elementwise", "lowrank")
 
@@ -114,8 +118,8 @@ class SelectionProbabilities:
 
 @dataclass
 class VarianceTerms:
-    """Per-worker constants of the variance bound: sigma1 scales like 1/s,
-    sigma2 is the constant (negative) part."""
+    """Constants of the variance bound, summed over a decomposition's rows:
+    sigma1 scales like 1/s, sigma2 is the constant (negative) part."""
 
     sigma1: float
     sigma2: float
@@ -143,8 +147,8 @@ class CompressedGradient:
 
 def _scaled(coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
     """coeffs / p, and 0.0 where p is 0: an atom with p = 0 is never
-    sampled, and its slot is left at 0 rather than divided by zero (a
-    subnormal coefficient can get p = 0)."""
+    sampled, and its slot is left at 0 rather than divided by zero (an atom
+    about 2^1074 times smaller than its row's largest gets p = 0)."""
     return np.divide(coeffs, p, out=np.zeros_like(p), where=p > 0.0)
 
 
@@ -191,10 +195,11 @@ def _lowrank(parts, dim: int) -> AtomicDecomposition:
     """Rank-1 atoms of (offset, (W, m, n) stack, r) layer blocks.
 
     One LAPACK SVD per block stack; in each row the leading singular values
-    > _DROP_TOL * max(1, sigma_1) are kept, so a block of lower rank yields
-    fewer than r atoms.  LAPACK returns each row's singular values in
-    descending order, so one comparison of all blocks' values with their
-    floors gives every block's kept slots as a prefix of its r.
+    > _DROP_TOL * sigma_1 are kept, so a block of lower rank yields fewer
+    than r atoms, a block keeps its atoms at any scale, and an all-zero
+    block (sigma_1 = 0) yields none.  LAPACK returns each row's singular
+    values in descending order, so one comparison of all blocks' values
+    with their floors gives every block's kept slots as a prefix of its r.
     """
     blocks, values, tops, widths, start = [], [], [], [], 0
     for offset, mats, r in parts:
@@ -205,7 +210,7 @@ def _lowrank(parts, dim: int) -> AtomicDecomposition:
         blocks.append(RankOneBlock(offset, start, u[:, :, :r], vt[:, :r]))
         start += r
     values = np.concatenate(values, axis=1)
-    floors = _DROP_TOL * np.maximum(1.0, np.stack(tops, axis=1))
+    floors = _DROP_TOL * np.stack(tops, axis=1)
     slots = values > floors.repeat(widths, axis=1)
     return AtomicDecomposition("lowrank", dim, values[slots], slots, blocks=blocks)
 
@@ -258,14 +263,16 @@ def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabiliti
     row's probabilities sum to min(s, B_w).  Each clip round runs for all
     rows at once; only each row's l1 is its own numpy sum of its active
     coefficients, since summing the rows as one zero-padded array, or with
-    np.add.reduceat, would group the additions differently.  While every
-    atom is active the coefficients are read in place, and the first round
-    in which no row clips settles every row left and ends the loop: on
-    elementwise atoms that is usually the first.  A row whose budget / l1
-    overflows, as it does when the row's coefficients are subnormal, takes
-    (lambda / l1) * budget instead.
+    np.add.reduceat, would group the additions differently.  Before that
+    sum, each round scales each row's active coefficients by the power of
+    two that puts their largest in [0.5, 1), so that no row's l1 overflows
+    and no budget / l1 does, whatever the row's scale.  That scaling is
+    exact, so each p keeps the bits of the unscaled rule unless that rule
+    overflows or a coefficient is over 2^1021 times smaller than its row's
+    largest.  The first round in which no row clips settles every row left
+    and ends the loop: on elementwise atoms that is usually the first.
     """
-    if s < 1:
+    if not s >= 1:
         raise ValueError(f"sparsity budget s must be >= 1, got {s}")
     lam = np.abs(decomp.coeffs)
     if (lam == 0.0).any():
@@ -280,7 +287,11 @@ def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabiliti
     live = np.where(s < counts, counts, 0)
     at = np.flatnonzero((live > 0).repeat(counts))
     while at.size:
+        # each row's active atoms, scaled so that their largest is in [0.5, 1)
         act = lam if at.size == lam.size else lam[at]  # every atom active: read in place
+        widths = live[live > 0]
+        _, exp = np.frexp(np.maximum.reduceat(act, np.cumsum(widths) - widths))
+        act = np.ldexp(act, -exp.repeat(widths))
         l1 = np.zeros(counts.size)
         start = 0
         for w, n in enumerate(live.tolist()):  # each row's own pairwise sum
@@ -291,16 +302,10 @@ def probabilities(decomp: AtomicDecomposition, s: float) -> SelectionProbabiliti
         clipped = np.bincount(rows.repeat(live)[big], minlength=counts.size)
         # a row with no oversized atom is settled: the rule holds as it is
         done = (live > 0) & (clipped == 0)
-        with np.errstate(over="ignore"):
-            ratio = np.divide(budget, l1, out=np.zeros_like(l1), where=done)
+        ratio = np.divide(budget, l1, out=np.zeros_like(l1), where=done)
         scaled = act * ratio.repeat(live)
-        over = np.isinf(ratio)
-        if over.any():  # a subnormal l1: lambda / l1 is finite where budget / l1 is not
-            big_ratio = over.repeat(live)
-            l1_at, budget_at = l1.repeat(live)[big_ratio], budget.repeat(live)[big_ratio]
-            scaled[big_ratio] = act[big_ratio] / l1_at * budget_at
         if not clipped.any():  # every active atom settles in this round
-            if act is lam:
+            if at.size == lam.size:
                 return SelectionProbabilities(scaled)
             p[at] = scaled
             break
@@ -369,8 +374,8 @@ def reconstruct_rows(
 
 
 def variance_closed_form(decomp: AtomicDecomposition, probs: SelectionProbabilities) -> float:
-    """E ||ghat - g||^2 for orthonormal-atom decompositions:
-    sum_i lambda_i^2 * (1/p_i - 1)."""
+    """E ||ghat - g||^2 for orthonormal-atom decompositions, summed over
+    the rows: sum_i lambda_i^2 * (1/p_i - 1) over every row's atoms."""
     if decomp.n_atoms == 0:
         return 0.0
     lam2 = decomp.coeffs**2
@@ -378,17 +383,20 @@ def variance_closed_form(decomp: AtomicDecomposition, probs: SelectionProbabilit
 
 
 def sigma_terms(decomp: AtomicDecomposition) -> VarianceTerms:
-    """Budget-independent variance constants of one decomposition.
+    """Budget-independent variance constants of a decomposition, summed
+    over its rows.
 
-    With the optimal unclipped probabilities the sampling variance equals
-    sigma1 / s + sigma2, where sigma1 = ||lambda||_1^2 (written as
-    sum_i |lambda_i| * ||lambda||_1) and sigma2 = -sum_i lambda_i^2.
+    With the optimal unclipped probabilities the sampling variance of all
+    rows equals sigma1 / s + sigma2, where sigma1 = sum_w ||lambda_w||_1^2
+    (row w's term written as sum_i |lambda_i| * ||lambda_w||_1) and
+    sigma2 = -sum_i lambda_i^2.
     """
     if decomp.n_atoms == 0:
         raise ValueError("sigma terms are undefined for an empty decomposition")
     lam = np.abs(decomp.coeffs)
-    l1 = float(lam.sum())
-    sigma1 = float(np.sum(lam * l1))
+    sigma1 = 0.0
+    for row in np.split(lam, np.cumsum(decomp.atom_counts)[:-1]):
+        sigma1 += float(np.sum(row * float(row.sum())))
     sigma2 = -float(np.sum(lam * lam))
     return VarianceTerms(sigma1, sigma2)
 

@@ -91,7 +91,7 @@ def gen_synthetic(
         raise ValueError(f"per_class must be >= 1, got {per_class}")
     if d_in < 1:
         raise ValueError(f"d_in must be >= 1, got {d_in}")
-    if spread < 0:
+    if not spread >= 0:
         raise ValueError(f"spread must be >= 0, got {spread}")
     centers = rng.standard_normal((classes, d_in))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)

@@ -59,7 +59,7 @@ def round_cost(cfg: ExperimentConfig, rates: np.ndarray, tau: int,
     Straggler timing: the workers' shared compute time plus the slowest
     uplink, plus the downlink.  Rounding is monotone, so the total is
     max_j (compute + uplink_j) + downlink to the bit."""
-    if (upload_bits < 0).any() or broadcast_bits < 0:
+    if not ((upload_bits >= 0).all() and broadcast_bits >= 0):
         raise ValueError(f"bits must be >= 0, got {upload_bits} and {broadcast_bits}")
     if not upload_bits.size:
         raise ValueError("upload_bits must be non-empty: a round has workers")

@@ -387,7 +387,7 @@ def loss_and_grad(params: ParameterSet, batch: MiniBatch) -> tuple[float, Parame
 
 
 def _check_step(eta: float, momentum: float = 0.0) -> None:
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")

@@ -40,21 +40,21 @@ class BoundParams:
     F_inf: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.L <= 0:
+        if not self.L > 0:
             raise ValueError(f"L must be > 0, got {self.L}")
-        if self.sigma1 < 0:
+        if not self.sigma1 >= 0:
             raise ValueError(f"sigma1 must be >= 0, got {self.sigma1}")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.M < 1:
+        if not self.M >= 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
-        if self.T_k <= 0:
+        if not self.T_k > 0:
             raise ValueError(f"T_k must be > 0, got {self.T_k}")
-        if self.Y_k < 0:
+        if not self.Y_k >= 0:
             raise ValueError(f"Y_k must be >= 0, got {self.Y_k}")
-        if self.F_inf < 0:
+        if not self.F_inf >= 0:
             raise ValueError(f"F_inf must be >= 0, got {self.F_inf}")
 
 
@@ -64,9 +64,9 @@ class RoundPlan:
     s_k: float
 
     def __post_init__(self) -> None:
-        if self.tau_k < 1:
+        if not self.tau_k >= 1:
             raise ValueError(f"tau_k must be >= 1, got {self.tau_k}")
-        if self.s_k < 1:
+        if not self.s_k >= 1:
             raise ValueError(f"s_k must be >= 1, got {self.s_k}")
 
 
@@ -93,7 +93,7 @@ class SchedulerState:
             raise ValueError(f"need 1 <= s0 <= s_ub, got s0={self.s0}, s_ub={self.s_ub}")
         if not 0.0 <= self.loss_smoothing < 1.0:
             raise ValueError(f"loss_smoothing must be in [0, 1), got {self.loss_smoothing}")
-        if self.F0 is not None and self.F0 <= 0:
+        if self.F0 is not None and not self.F0 > 0:
             raise ValueError(f"F0 must be > 0, got {self.F0}")
 
 
@@ -106,9 +106,9 @@ def _abc(p: BoundParams, F_k: float) -> tuple[float, float, float]:
 
 def psi(tau: float, s: float, p: BoundParams, F_k: float) -> float:
     """The per-round error bound at real-valued (tau, s)."""
-    if tau < 1 or s < 1:
+    if not (tau >= 1 and s >= 1):
         raise ValueError(f"psi needs tau >= 1 and s >= 1, got tau={tau}, s={s}")
-    if F_k < p.F_inf:
+    if not F_k >= p.F_inf:
         raise ValueError(f"F_k={F_k} below F_inf={p.F_inf}")
     a, b, c = _abc(p, F_k)
     noise = p.sigma1 / s + p.sigma2
@@ -156,9 +156,9 @@ def _exact_s_given_tau(tau: float, p: BoundParams, F_k: float, s_ub: float) -> f
 def optimal_full(p: BoundParams, F_k: float, tau_ub: int, s_ub: float) -> RoundPlan:
     """Exact minimizer of psi over {1..tau_ub} x [1, s_ub]: the exact optimal
     s for every integer tau, and the pair with the smallest psi."""
-    if F_k < p.F_inf:
+    if not F_k >= p.F_inf:
         raise ValueError(f"F_k={F_k} below F_inf={p.F_inf}")
-    if tau_ub < 1 or s_ub < 1:
+    if not (tau_ub >= 1 and s_ub >= 1):
         raise ValueError(f"need tau_ub >= 1 and s_ub >= 1, got {tau_ub}, {s_ub}")
     candidates = [(t, _exact_s_given_tau(float(t), p, F_k, s_ub)) for t in range(1, tau_ub + 1)]
     best = min(candidates, key=lambda c: psi(c[0], c[1], p, F_k))
@@ -183,7 +183,7 @@ def observe_loss(state: SchedulerState, F_k: float) -> float:
 def conclusive_raw(F_hat: float, F0: float, tau0: float, s0: float) -> tuple[float, float]:
     """Pre-clamp, pre-rounding cube-root schedule values:
     tau = (F_hat / F0)^(1/3) * tau0 and s = (F0 / F_hat)^(1/3) * s0."""
-    if F_hat <= 0 or F0 <= 0:
+    if not (F_hat > 0 and F0 > 0):
         raise ValueError(f"losses must be > 0, got F_hat={F_hat}, F0={F0}")
     ratio = (F_hat / F0) ** (1.0 / 3.0)
     return ratio * tau0, s0 / ratio

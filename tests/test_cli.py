@@ -456,6 +456,15 @@ def test_selftest_passes(capsys):
     ]
 
 
+def test_only_the_cli_names_np_errstate():
+    # main alone silences numpy's float warnings, for a run's one error line;
+    # library code that did so would hide a numeric fault from the tests'
+    # error::RuntimeWarning filter
+    src = Path(__file__).resolve().parents[1] / "src" / "fflsim"
+    naming = {path.name for path in src.glob("*.py") if "errstate" in path.read_text("utf-8")}
+    assert naming == {"cli.py"}
+
+
 # ---- config loading ---- #
 
 def test_load_config_round_trip(tmp_path):

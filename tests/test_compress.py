@@ -94,6 +94,14 @@ def test_lowrank_full_rank_reconstructs_matrix():
     assert np.allclose(d.reconstruct_full(), mat.ravel(), atol=1e-8)
 
 
+def test_a_rank_two_block_keeps_its_two_atoms_at_1e_13():
+    # the drop floor is relative to the block's largest singular value
+    rng = np.random.default_rng(13)
+    mat = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
+    assert compress.decompose_lowrank(mat, 4).n_atoms == 2
+    assert compress.decompose_lowrank(1e-13 * mat, 4).n_atoms == 2
+
+
 def test_lowrank_zero_matrix_empty():
     d = compress.decompose_lowrank(np.zeros((3, 4)), r=2)
     assert d.n_atoms == 0
@@ -323,11 +331,12 @@ def test_probabilities_equal_the_row_by_row_clip_bitwise(case):
 
 
 @pytest.mark.parametrize("row, s", [
-    ([2.1e-314, 5e-313, 1.4e-311, -3e-312], 2.0),  # one atom clips, then budget / l1 is inf
+    ([2.1e-314, 5e-313, 1.4e-311, -3e-312], 2.0),  # one atom clips, then the rest settle
     ([1e-311, -2e-311, 2.5e-311], 2.0),  # no atom clips: the first round settles the row
 ], ids=["clipped", "unclipped"])
 def test_probabilities_of_a_subnormal_row_are_finite_and_sum_to_s(row, s):
-    # budget / l1 overflows on such a row; (lambda / l1) * budget does not.
+    # budget / l1 overflows on such a row as it stands, and not once the row
+    # is scaled so that its largest coefficient is in [0.5, 1).
     # The rows beside it keep the bits of the row-by-row clip's
     # lambda * (budget / l1), which on both differ from (lambda / l1) * budget.
     rows = [[2.548, -1.238, 1.53, 2.062, 0.276], row, [10.0, 1.212, -1.285, 0.231, 0.241]]
@@ -342,6 +351,64 @@ def test_probabilities_of_a_subnormal_row_are_finite_and_sum_to_s(row, s):
     assert mine.sum() == pytest.approx(s, rel=1e-12)
     want = probabilities_reference([5, 5], np.array(rows[0] + rows[2]), s)
     assert np.concatenate([p[:5], p[5 + len(row):]]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("row, s", [
+    ([1e308, -1e308, 1.0], 2.0),
+    # the last atom is left alone once both others clip; scaled by their
+    # largest, as in the first round, it would round to 0
+    ([1e308, -1e308, 1e-300], 2.5),
+], ids=["unclipped", "clipped"])
+def test_probabilities_of_a_row_whose_l1_overflows_sum_to_s(row, s):
+    d = elementwise_of(row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = compress.probabilities(d, s).probs
+    assert (p > 0.0).all() and (p <= 1.0).all()
+    assert p.sum() == pytest.approx(s, rel=1e-12)
+
+
+def test_probabilities_refuse_a_nan_budget():
+    with pytest.raises(ValueError, match="sparsity budget s must be >= 1"):
+        compress.probabilities(elementwise_of([1.0, 2.0]), math.nan)
+
+
+# the desk model's blocks: W0 16 x 32, b0, W1 32 x 4, b1; 676 values
+DESK_LAYOUT = nn.ParameterSet([np.zeros((16, 32)), np.zeros((32, 4))], [np.zeros(32), np.zeros(4)])
+
+
+def desk_shaped_stack():
+    """8 seeded rows of DESK_LAYOUT.dim normal draws at row scales 2^-6 to
+    2^1, with entries under 1e-3 set to 0: every nonzero entry stays normal
+    and finite when scaled by 2^-1000 or 2^1015."""
+    rng = np.random.default_rng(32)
+    rows = rng.standard_normal((8, DESK_LAYOUT.dim)) * 2.0 ** np.arange(-6, 2)[:, None]
+    rows[np.abs(rows) < 1e-3] = 0.0
+    return rows
+
+
+# Which atoms are kept and their p depend only on ratios.  Unscaled, l1
+# overflows at 2^1015, and a drop floor of 1e-12 * max(1, sigma_1) takes
+# atoms from the small rows at 2^-40.  The second budget of each basis clips.
+@pytest.mark.parametrize("basis, budgets", [
+    ("elementwise", (5.0, 400.0)),
+    ("lowrank", (5.0, 14.0)),
+], ids=["elementwise", "lowrank"])
+def test_a_stack_scaled_by_a_power_of_two_keeps_its_atoms_and_probabilities(basis, budgets):
+    rows = desk_shaped_stack()
+    for s in budgets:
+        base = compress.decompose_bundle(DESK_LAYOUT.from_flat(rows), basis, s)
+        want = compress.probabilities(base, s).probs
+        for k in (-1000, -500, -40, 40, 500, 1000, 1015):
+            scaled = np.ldexp(rows, k)
+            assert np.array_equal(np.ldexp(scaled, -k), rows)  # the scaling is exact
+            decomp = compress.decompose_bundle(DESK_LAYOUT.from_flat(scaled), basis, s)
+            assert np.array_equal(decomp.slots, base.slots), (s, k)
+            p = compress.probabilities(decomp, s).probs
+            if basis == "elementwise":
+                assert p.tobytes() == want.tobytes(), (s, k)
+            else:  # LAPACK scales a matrix near the ends of the range itself
+                np.testing.assert_allclose(p, want, rtol=1e-14, atol=0, err_msg=f"{s}, {k}")
 
 
 # ---- sampling / reconstruction ---- #
@@ -644,7 +711,7 @@ def lowrank_reference(parts):
     for _, mats, r in parts:
         _, sv, _ = np.linalg.svd(mats, full_matrices=False)
         sv = sv[:, :r]
-        count = np.count_nonzero(sv > compress._DROP_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
+        count = np.count_nonzero(sv > compress._DROP_TOL * sv[:, :1], axis=1)
         slots.append(np.arange(r) < count[:, None])
         values.append(sv)
     slots = np.concatenate(slots, axis=1)
@@ -718,6 +785,19 @@ def test_sigma_terms_predict_unclipped_variance():
     probs = compress.probabilities(d, s)
     assert probs.probs.max() < 1.0  # genuinely unclipped
     vt = compress.sigma_terms(d)
+    assert compress.variance_closed_form(d, probs) == pytest.approx(
+        vt.sigma1 / s + vt.sigma2, rel=1e-12)
+
+
+def test_sigma_terms_sum_each_rows_own_l1_squared():
+    # two rows, no atom clipped: sigma1 / s + sigma2 is the variance of both
+    coeffs = np.array([3.0, 2.0, 1.0, 0.5, 0.4, 0.3, 0.2, 0.1])
+    d = compress.AtomicDecomposition("elementwise", 4, coeffs, np.ones((2, 4), dtype=bool))
+    s = 1.5
+    probs = compress.probabilities(d, s)
+    assert probs.probs.max() < 1.0
+    vt = compress.sigma_terms(d)
+    assert vt.sigma1 == pytest.approx(6.5**2 + 1.0**2, rel=1e-15)
     assert compress.variance_closed_form(d, probs) == pytest.approx(
         vt.sigma1 / s + vt.sigma2, rel=1e-12)
 

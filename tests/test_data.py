@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -51,6 +52,11 @@ def test_gen_synthetic_rejects_bad_args():
     for args in ((0, 5, 4, 0.1), (2, 0, 4, 0.1), (2, 5, 0, 0.1), (2, 5, 4, -0.5)):
         with pytest.raises(ValueError):
             data.gen_synthetic(*args, rng)
+
+
+def test_gen_synthetic_rejects_a_nan_spread():
+    with pytest.raises(ValueError, match="spread must be >= 0"):
+        data.gen_synthetic(2, 5, 4, math.nan, substream(0, "data"))
 
 
 def test_synthetic_task_is_learnable():

@@ -110,6 +110,14 @@ def test_downlink_time_rejects_negative():
         netsim.round_cost(cfg, netsim.uplink_rates(cfg), 1, np.zeros(1, dtype=np.int64), -1)
 
 
+@pytest.mark.parametrize("upload, broadcast", [([96.0, math.nan], 0.0), ([96.0], math.nan)],
+                         ids=["upload", "broadcast"])
+def test_round_cost_rejects_nan_bits(upload, broadcast):
+    cfg = ExperimentConfig(workers=len(upload))
+    with pytest.raises(ValueError, match="bits must be >= 0"):
+        netsim.round_cost(cfg, netsim.uplink_rates(cfg), 1, np.array(upload), broadcast)
+
+
 def test_compression_dominance():
     cfg = ExperimentConfig(uplink_rate_bps=1e5, workers=2)
     d = 317

@@ -351,6 +351,12 @@ def test_sgd_step_rejects_bad_eta_and_momentum():
         nn.sgd_step(params, grad, 0.1, momentum=1.0)
 
 
+def test_sgd_step_rejects_a_nan_eta():
+    params = make_params((2, 2))
+    with pytest.raises(ValueError, match="eta must be > 0"):
+        nn.sgd_step(params, params.from_flat(np.zeros(params.dim)), math.nan)
+
+
 # ---- local_update_run ---- #
 
 def small_task(seed=0):

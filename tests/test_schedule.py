@@ -260,6 +260,37 @@ def test_round_plan_validation():
         RoundPlan(2, 0.5)
 
 
+BOUND_KEYS = ("eta", "L", "sigma1", "alpha", "M", "T_k", "Y_k", "F_inf")
+
+
+# NaN compares false with every number, so each range check is written to
+# fail on it: `not x >= 1`, not `x < 1`
+@pytest.mark.parametrize("call, message", [
+    *(pytest.param(lambda key=key: example_params(**{key: math.nan}), f"{key} must be",
+                   id=f"BoundParams.{key}") for key in BOUND_KEYS),
+    pytest.param(lambda: RoundPlan(math.nan, 2.0), "tau_k must be", id="RoundPlan.tau_k"),
+    pytest.param(lambda: RoundPlan(3, math.nan), "s_k must be", id="RoundPlan.s_k"),
+    pytest.param(lambda: fresh_state(F0=math.nan), "F0 must be", id="SchedulerState.F0"),
+    pytest.param(lambda: schedule.psi(math.nan, 2.0, example_params(), 1.0), "psi needs",
+                 id="psi.tau"),
+    pytest.param(lambda: schedule.psi(2, math.nan, example_params(), 1.0), "psi needs",
+                 id="psi.s"),
+    pytest.param(lambda: schedule.psi(2, 2.0, example_params(), math.nan), "below F_inf",
+                 id="psi.F_k"),
+    pytest.param(lambda: schedule.optimal_full(example_params(), math.nan, 30, 9.0),
+                 "below F_inf", id="optimal_full.F_k"),
+    pytest.param(lambda: schedule.optimal_full(example_params(), 1.0, 30, math.nan),
+                 "need tau_ub >= 1", id="optimal_full.s_ub"),
+    pytest.param(lambda: schedule.conclusive_raw(math.nan, 2.0, 30, 5.0), "losses must be",
+                 id="conclusive_raw.F_hat"),
+    pytest.param(lambda: schedule.conclusive_raw(1.0, math.nan, 30, 5.0), "losses must be",
+                 id="conclusive_raw.F0"),
+])
+def test_nan_fails_every_range_check(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---- bound constants ---- #
 
 def test_bound_params_validation():
