@@ -11,7 +11,9 @@ are rejected, every value is checked against its type and then its rule,
 then the few rules that tie two settings together are checked, and every
 validation error names the offending key, so a bad config fails fast with an
 actionable message.  The effective config (defaults filled in) is echoed into
-summary.json; loading that echo reproduces the run exactly.
+summary.json; loading that echo reproduces the run exactly.  A link's rate
+has one form, uplink_rate_bps in bits per second (one value, or one per
+worker, never null), and no other setting derives it.
 """
 
 from __future__ import annotations
@@ -101,9 +103,7 @@ class ExperimentConfig:
     classes_per_worker: Annotated[int | None, _at_least(1)] = None
 
     # channel
-    bandwidth_hz: Annotated[float, _above(0)] = 1e6
-    snr: Annotated[float | list[float] | None, _above(0)] = None
-    uplink_rate_bps: Annotated[float | list[float] | None, _above(0)] = 1e5
+    uplink_rate_bps: Annotated[float | list[float], _above(0)] = 1e5
     downlink_rate_bps: Annotated[float, _above(0)] = 1e5
     packet_failure_prob: Annotated[float, _PROBABILITY] = 0.0
     sec_per_local_step: Annotated[float, _above(0)] = 5e-3
@@ -114,10 +114,7 @@ class ExperimentConfig:
         for key in raw:
             if key not in known:
                 raise ConfigError(f"unknown config key: {key!r}")
-        data = dict(raw)
-        if data.get("snr") is not None and "uplink_rate_bps" not in data:
-            data["uplink_rate_bps"] = None  # an snr replaces the default rate override
-        cfg = cls(**data)
+        cfg = cls(**raw)
         cfg.validate()
         return cfg
 
@@ -141,12 +138,10 @@ class ExperimentConfig:
             raise ConfigError("mnist_dir must point at the IDX files when dataset='mnist'")
         if self.partition_mode == "by_class" and self.classes_per_worker is None:
             raise ConfigError("classes_per_worker must be >= 1 when partition_mode='by_class'")
-        if (self.snr is None) == (self.uplink_rate_bps is None):
-            raise ConfigError("exactly one of snr and uplink_rate_bps must be set")
-        for name, value in (("snr", self.snr), ("uplink_rate_bps", self.uplink_rate_bps)):
-            if isinstance(value, list) and len(value) != self.workers:
-                raise ConfigError(f"{name} lists one value per worker: got {len(value)} for"
-                                  f" {self.workers} workers")
+        rates = self.uplink_rate_bps
+        if isinstance(rates, list) and len(rates) != self.workers:
+            raise ConfigError(f"uplink_rate_bps lists one value per worker: got {len(rates)} for"
+                              f" {self.workers} workers")
 
 
 def _fits(annotation) -> typing.Callable[[object], bool]:

@@ -1,9 +1,9 @@
 """Simulated wireless links and round timing.
 
-Uplink rates follow the Shannon capacity W * log2(1 + snr), with snr a
-ratio, unless a direct bit-rate override is configured; both accept
-per-worker lists.  The rates are fixed at set-up: uplink_rates builds all M
-of them once, as an (M,) array that the experiment holds.  round_cost is
+A link's rate enters in one form: uplink_rate_bps, in bits per second, one
+value for every worker or a list of one per worker.  The rates are fixed at
+set-up: uplink_rates, the only reader of uplink_rate_bps, builds all M of
+them once, as an (M,) array that the experiment holds.  round_cost is
 the clock's one cost model, and the only reader of sec_per_local_step and
 downlink_rate_bps: from tau, each worker's upload bits
 (compress.payload_bits for a compressed payload, DENSE_BITS_PER_VALUE per
@@ -21,7 +21,6 @@ The channel settings are read by name from the ExperimentConfig.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -33,13 +32,9 @@ DENSE_BITS_PER_VALUE = 64  # the model is held, broadcast and sent dense as floa
 
 
 def uplink_rates(cfg: ExperimentConfig) -> np.ndarray:
-    """Every worker's uplink bit rate, an (M,) array: the override if set,
-    else Shannon.  A scalar setting gives every worker the same rate."""
-    rates = cfg.uplink_rate_bps
-    if rates is None:
-        rates = [cfg.bandwidth_hz * math.log2(1.0 + snr)
-                 for snr in np.full(cfg.workers, cfg.snr).tolist()]
-    return np.full(cfg.workers, rates, dtype=np.float64)
+    """Every worker's uplink bit rate, an (M,) array of uplink_rate_bps.  A
+    scalar setting gives every worker the same rate."""
+    return np.full(cfg.workers, cfg.uplink_rate_bps, dtype=np.float64)
 
 
 class RoundCost(NamedTuple):

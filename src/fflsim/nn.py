@@ -461,6 +461,8 @@ def local_update_run(
         _backprop(layers, params.activation, x, label_index[step], grad_layers, bufs, step)
         _require_finite(grad, "gradient", finite)
         g_sum += grad
+    # finite steps can still give a sum that overflows
+    _require_finite(g_sum, "gradient", finite)
     # (M, tau) losses from the (M, tau, batch) picks, each added as one step would
     losses = _mean_loss(bufs.picked)
     # finite logits can still give a batch loss whose sum overflows

@@ -15,7 +15,7 @@ tau_k ~ F_k^(1/3), s_k ~ F_k^(-1/3) driven by the smoothed training loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class BoundParams:
 
     Y_k is the computation time per local update in seconds; alpha the
     transmission seconds per atom; T_k the wall-clock budget the bound is
-    evaluated over.
+    evaluated over.  Every field must be finite; sigma2 has no other rule.
     """
 
     eta: float
@@ -40,6 +40,9 @@ class BoundParams:
     F_inf: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in (f.name for f in fields(self)):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if not self.L > 0:

@@ -502,8 +502,8 @@ WRONG_TYPES = {
     "eval_stride": 1.0, "dataset": ["synthetic"], "synthetic_classes": 4.0,
     "synthetic_per_class": "1000", "synthetic_test_per_class": True, "synthetic_dim": 16.5,
     "synthetic_spread": "0.35", "mnist_dir": 1, "subset_n": 2000.0, "test_subset_n": None,
-    "partition_mode": None, "classes_per_worker": 1.5, "bandwidth_hz": "1e6",
-    "snr": "1.0", "uplink_rate_bps": [1e5, "2e5"], "downlink_rate_bps": True,
+    "partition_mode": None, "classes_per_worker": 1.5, "uplink_rate_bps": [1e5, "2e5"],
+    "downlink_rate_bps": True,
     "packet_failure_prob": None, "sec_per_local_step": "5e-3",
 }
 
@@ -521,7 +521,7 @@ def test_a_wrongly_typed_value_is_a_config_error_naming_its_key(key):
 
 @pytest.mark.parametrize("key, value", [
     ("workers", True), ("hidden_layers", [32, 16.0]), ("hidden_layers", [True]),
-    ("snr", [1.0, None]), ("uplink_rate_bps", (1e5, 1e5)),
+    ("uplink_rate_bps", [1e5, None]), ("uplink_rate_bps", (1e5, 1e5)),
 ])
 def test_bools_and_list_items_are_type_checked(key, value):
     with pytest.raises(ConfigError, match=f"^{key} must be of type "):
@@ -529,8 +529,8 @@ def test_bools_and_list_items_are_type_checked(key, value):
 
 
 def test_an_int_is_accepted_where_a_float_is_expected():
-    ExperimentConfig(workers=2, eta=1, s0=5, s_ub=9, T_budget_s=60, snr=[1, 3.0],
-                     uplink_rate_bps=None, mnist_dir=None, classes_per_worker=None).validate()
+    ExperimentConfig(workers=2, eta=1, s0=5, s_ub=9, T_budget_s=60, uplink_rate_bps=[1, 3.0],
+                     mnist_dir=None, classes_per_worker=None).validate()
 
 
 @pytest.mark.parametrize("key, value", [("workers", 2.5), ("batch_size", 8.5),
@@ -559,8 +559,8 @@ OUT_OF_RANGE = {
     "eval_stride": 0, "dataset": "cifar", "synthetic_classes": 1, "synthetic_per_class": 0,
     "synthetic_test_per_class": 0, "synthetic_dim": 0, "synthetic_spread": -0.1,
     "subset_n": 0, "test_subset_n": 0, "partition_mode": "striped", "classes_per_worker": 0,
-    "bandwidth_hz": 0.0, "snr": [1.0, 0.0], "uplink_rate_bps": 0.0,
-    "downlink_rate_bps": -1e5, "packet_failure_prob": 1.5, "sec_per_local_step": 0.0,
+    "uplink_rate_bps": 0.0, "downlink_rate_bps": -1e5, "packet_failure_prob": 1.5,
+    "sec_per_local_step": 0.0,
 }
 
 
@@ -568,7 +568,7 @@ def test_every_field_with_a_rule_has_an_out_of_range_case():
     assert set(OUT_OF_RANGE) == set(RULES)
     assert set(RULES) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {
         "output_dir", "mnist_dir"}
-    assert len(FLOAT_FIELDS) == 14 and set(FLOAT_FIELDS) <= set(RULES)
+    assert len(FLOAT_FIELDS) == 12 and set(FLOAT_FIELDS) <= set(RULES)
 
 
 def assert_rejected_by_rule(key, overrides):
@@ -585,9 +585,9 @@ def test_an_out_of_range_value_is_a_config_error_naming_its_key(key):
 
 @pytest.mark.parametrize("key, value", [
     *((key, math.nan) for key in FLOAT_FIELDS),
-    ("snr", [1.0, math.nan]), ("uplink_rate_bps", [1e5, math.nan]),
+    ("uplink_rate_bps", [1e5, math.nan]),
     *((key, inf) for inf in (math.inf, -math.inf) for key in FLOAT_FIELDS),
-    *((key, [1e5, inf]) for inf in (math.inf, -math.inf) for key in ("snr", "uplink_rate_bps")),
+    *(("uplink_rate_bps", [1e5, inf]) for inf in (math.inf, -math.inf)),
 ])
 def test_nan_fails_every_float_rule(key, value):
     # +-inf too: no float setting accepts a non-finite value
@@ -742,30 +742,14 @@ def test_readme_lists_every_scenario_with_its_compare_command():
     assert listed == sorted(path.stem for path in SCENARIOS.glob("*.json"))
 
 
-def test_snr_config_replaces_default_rate(tmp_path):
+def test_run_exits_2_on_an_snr_key(tmp_path, capsys):
+    # a link's rate is given only as uplink_rate_bps, so a config or an
+    # older summary echo that names an snr fails before any work is done
     cfg_path = write_config(tmp_path, {**MINIMAL, "snr": 1.0})
-    cfg = load_config(cfg_path)
-    assert cfg.uplink_rate_bps is None
-    assert cfg.snr == 1.0
-    cfg.validate()
-
-
-def test_a_null_snr_keeps_the_default_rate(tmp_path):
-    # only an snr with a value replaces the default rate override
-    cfg = load_config(write_config(tmp_path, {**MINIMAL, "snr": None}))
-    assert cfg.snr is None and cfg.uplink_rate_bps == ExperimentConfig().uplink_rate_bps
-    assert ExperimentConfig.from_dict({"snr": None}) == ExperimentConfig()
-
-
-@pytest.mark.parametrize("snr", [1.0, None], ids=["snr", "null_snr"])
-def test_a_summary_config_echo_reloads_to_its_config(tmp_path, capsys, snr):
-    # test_summary_config_echo_reproduces_run covers a config without the key
-    cfg_path = write_config(tmp_path, {**MINIMAL, "snr": snr, "output_dir": str(tmp_path / "o")})
-    code, _, _ = run_main(["run", "--config", cfg_path], capsys)
-    assert code == 0
-    echo = json.loads((tmp_path / "o" / "summary.json").read_text())["config"]
-    reloaded = load_config(write_config(tmp_path, echo, name="echo.json"))
-    assert dataclasses.asdict(reloaded) == dataclasses.asdict(load_config(cfg_path)) == echo
+    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "config error: unknown config key: 'snr'" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_logging_env_fallback(monkeypatch, capsys):

@@ -371,7 +371,7 @@ def test_no_round_derives_a_link_rate(monkeypatch):
         return real_rates(cfg)
 
     monkeypatch.setattr(netsim, "uplink_rates", spy)
-    exp = Experiment(base_cfg(scheme="ffl", workers=3, snr=[1.0, 3.0, 7.0], uplink_rate_bps=None))
+    exp = Experiment(base_cfg(scheme="ffl", workers=3, uplink_rate_bps=[1e6, 2e6, 3e6]))
     assert callers == [("__init__", "Experiment")]
     assert exp.uplink_bps.tolist() == [1e6, 2e6, 3e6]
     for _ in range(3):
@@ -388,7 +388,9 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
     base_cfg(scheme="ffl", basis="lowrank", workers=3),
     base_cfg(scheme="adacomm_like", workers=3),  # dense uploads
     base_cfg(scheme="ffl", workers=3, packet_failure_prob=0.5),
-], ids=["desk", "uplink_bound", "lowrank", "adacomm_like", "packet_failure_half"])
+    base_cfg(scheme="ffl", workers=4, uplink_rate_bps=[1e4, 2e4, 5e4, 1e5]),
+], ids=["desk", "uplink_bound", "lowrank", "adacomm_like", "packet_failure_half",
+        "unequal_links"])
 def test_every_round_is_priced_by_one_round_cost_call(monkeypatch, cfg):
     # the clock's one cost model: a record's four cost columns are the
     # fields of the round's one netsim.round_cost result, bit for bit

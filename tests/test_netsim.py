@@ -11,21 +11,13 @@ from fflsim.errors import ConfigError
 from fflsim.rng import substream
 
 
-def snr_cfg(snr, **kw):
-    return ExperimentConfig(snr=snr, uplink_rate_bps=None, **kw)
-
-
 # ---- link rate ---- #
 
 def per_worker_rate(cfg, j):
-    """Worker j's uplink rate as one scalar formula: the override if set,
-    else Shannon, reading a list setting's j-th value."""
-    def pick(value):
-        return float(value[j] if isinstance(value, list) else value)
-
-    if cfg.uplink_rate_bps is not None:
-        return pick(cfg.uplink_rate_bps)
-    return cfg.bandwidth_hz * math.log2(1.0 + pick(cfg.snr))
+    """Worker j's uplink rate, read from the setting one worker at a time:
+    a list setting's j-th value, else the one value."""
+    rates = cfg.uplink_rate_bps
+    return float(rates[j] if isinstance(rates, list) else rates)
 
 
 def rates_of(cfg):
@@ -38,18 +30,7 @@ def rates_of(cfg):
     return rates
 
 
-def test_link_rate_shannon_snr_one():
-    rates = rates_of(snr_cfg(1.0, bandwidth_hz=1e6, workers=3))
-    assert rates.tolist() == [pytest.approx(1e6, abs=0)] * 3
-
-
-def test_link_rate_snr_inversion_recovers_target_rate():
-    # employing power control: the snr that yields R = 1e5 at W = 1e6
-    snr = 2.0**0.1 - 1.0
-    assert rates_of(snr_cfg(snr, bandwidth_hz=1e6, workers=2))[0] == pytest.approx(1e5, rel=1e-12)
-
-
-def test_link_rate_override_beats_shannon():
+def test_link_rate_scalar_is_every_workers_rate():
     cfg = ExperimentConfig(uplink_rate_bps=5e4, workers=4)
     assert rates_of(cfg).tolist() == [5e4] * 4
 
@@ -57,8 +38,8 @@ def test_link_rate_override_beats_shannon():
 def test_link_rate_per_worker_lists():
     cfg = ExperimentConfig(uplink_rate_bps=[1e5, 2e5], workers=2)
     assert rates_of(cfg).tolist() == [1e5, 2e5]
-    snr_list = snr_cfg([1.0, 3.0, 2.0**0.1 - 1.0], bandwidth_hz=1e6, workers=3)
-    assert rates_of(snr_list)[1] == pytest.approx(2e6, abs=0)
+    cfg = ExperimentConfig(uplink_rate_bps=[1e6, 2e6, 1e5], workers=3)
+    assert rates_of(cfg).tolist() == [1e6, 2e6, 1e5]
 
 
 # ---- round cost: uplink and downlink times ---- #
@@ -189,12 +170,15 @@ def test_round_time_rejects_a_round_that_is_not_positive():
 
 
 def test_only_netsim_and_config_name_the_cost_settings():
-    # config declares the compute and broadcast settings and round_cost
-    # alone reads them, so no second copy of the cost formula can drift
+    # config declares the compute, link and broadcast settings and netsim
+    # alone reads them, so no second copy of the cost formula can drift;
+    # a link's rate has one form, so no module names another
     src = Path(__file__).resolve().parents[1] / "src" / "fflsim"
-    naming = {path.name for path in src.glob("*.py")
-              if re.search(r"sec_per_local_step|downlink_rate_bps", path.read_text("utf-8"))}
+    texts = {path.name: path.read_text("utf-8") for path in src.glob("*.py")}
+    naming = {name for name, text in texts.items()
+              if re.search(r"sec_per_local_step|downlink_rate_bps|uplink_rate_bps", text)}
     assert naming == {"config.py", "netsim.py"}
+    assert [name for name, text in texts.items() if re.search(r"snr|bandwidth_hz", text)] == []
 
 
 # ---- packet failures ---- #
@@ -261,17 +245,16 @@ def test_validate_accepts_defaults():
 
 
 def test_validate_requires_exactly_one_rate_source():
-    with pytest.raises(ConfigError) as err:
-        ExperimentConfig(workers=2, snr=1.0).validate()
-    assert "snr" in str(err.value) and "uplink_rate_bps" in str(err.value)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(workers=2, snr=None, uplink_rate_bps=None).validate()
+    # uplink_rate_bps is the one source: never null, and no other key sets it
+    with pytest.raises(ConfigError, match="^uplink_rate_bps must be of type "):
+        ExperimentConfig(workers=2, uplink_rate_bps=None).validate()
+    with pytest.raises(ConfigError, match="unknown config key: 'snr'"):
+        ExperimentConfig.from_dict({"workers": 2, "snr": 1.0})
 
 
-def test_validate_rejects_zero_snr():
-    with pytest.raises(ConfigError) as err:
-        snr_cfg(0.0, workers=2).validate()
-    assert "snr" in str(err.value)
+def test_validate_rejects_a_zero_rate_in_a_per_worker_list():
+    with pytest.raises(ConfigError, match="^uplink_rate_bps must be finite and > 0"):
+        ExperimentConfig(workers=2, uplink_rate_bps=[1e5, 0.0]).validate()
 
 
 def test_validate_per_worker_list_lengths():
@@ -282,7 +265,6 @@ def test_validate_per_worker_list_lengths():
 
 def test_validate_names_offending_key():
     cases = [
-        (dict(bandwidth_hz=0.0), "bandwidth_hz"),
         (dict(downlink_rate_bps=0.0), "downlink_rate_bps"),
         (dict(packet_failure_prob=1.5), "packet_failure_prob"),
         (dict(sec_per_local_step=0.0), "sec_per_local_step"),

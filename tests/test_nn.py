@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fflsim import nn
-from fflsim.data import MiniBatch, gen_synthetic, sample_indices, sample_minibatch, with_ones_column
+from fflsim.data import (MiniBatch, gen_synthetic, partition, sample_indices, sample_minibatch,
+                         with_ones_column)
 from fflsim.errors import ConfigError
 from fflsim.rng import substream
 
@@ -565,6 +566,25 @@ def test_one_worker_with_non_finite_weights_raises():
         assert not np.isfinite(params.flat - 10.0 * g_sum[1]).all()
         with pytest.raises(FloatingPointError):
             nn.local_update_run(params, ds, shards, 2, 10.0, 4, rngs())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_gradient_sum_that_overflows_raises():
+    # output weights of +-1e307 over hidden units near 1e-3 keep every
+    # step's logits and gradient finite, but thirty steps of them sum past
+    # the float range (eta 1e-320 leaves the weights all but unmoved).  With
+    # overflow warnings ignored, as `fflsim run` ignores them, the sum must
+    # still not leave the runner
+    ds = gen_synthetic(4, 200, 16, 0.3, substream(0, "data"))
+    shards = partition(ds, "iid", 2, substream(0, "partition"))
+    params = make_params((16, 32, 4))
+    params.layers[0][...] *= 1e-3
+    out = params.layers[1]
+    out[:-1] = substream(0, "signs").choice([-1e307, 1e307], size=out[:-1].shape)
+    out[-1] = 0.0
+    rngs = [substream(0, "worker", j) for j in range(2)]
+    with pytest.raises(FloatingPointError, match="non-finite values in gradient"):
+        nn.local_update_run(params, ds, shards, 30, 1e-320, 64, rngs)
 
 
 def test_stacked_run_keeps_sampling_and_step_checks():

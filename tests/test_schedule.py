@@ -260,7 +260,7 @@ def test_round_plan_validation():
         RoundPlan(2, 0.5)
 
 
-BOUND_KEYS = ("eta", "L", "sigma1", "alpha", "M", "T_k", "Y_k", "F_inf")
+BOUND_KEYS = ("eta", "L", "sigma1", "sigma2", "alpha", "M", "T_k", "Y_k", "F_inf")
 
 
 # NaN compares false with every number, so each range check is written to
@@ -289,6 +289,15 @@ BOUND_KEYS = ("eta", "L", "sigma1", "alpha", "M", "T_k", "Y_k", "F_inf")
 def test_nan_fails_every_range_check(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("key", BOUND_KEYS)
+@pytest.mark.parametrize("inf", [math.inf, -math.inf], ids=["inf", "-inf"])
+def test_inf_fails_every_bound_params_check(key, inf):
+    # an infinite constant would make psi inf or nan and leave the planner
+    # nothing to compare
+    with pytest.raises(ValueError, match=f"{key} must be finite, got {inf}"):
+        example_params(**{key: inf})
 
 
 # ---- bound constants ---- #
