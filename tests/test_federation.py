@@ -757,19 +757,19 @@ def test_a_run_that_loses_every_packet_ends_with_its_own_status(tmp_path, p_fail
 # 15 simulated seconds; four more runs end with each other status or
 # evaluate only every third round.
 SUMMARY_SHA256 = {
-    "adacomm_like": "2cd484d8410b0bc3ad110e391a4eb60c30a76c586ac4fec63aab38f9ecb8d3e6",
-    "atomo_like": "052ca1125327ee3369157e5c61da7be52bcdfe38e71522f5d90314356838dd62",
-    "atomo_like-lowrank": "51f31da6ce969c10f6619ec26ecdaad9e32fe5c5ed69a425b4884e5f76a9862b",
-    "ffl": "6dd8addea2e742fb5474c90083e0f3d53e019e374905bc2acc051fab833b69aa",
-    "ffl-classes10": "ad95e00a89578ef67a5ace04bf35e4096aa65c37b58764ab6d445b22deb1850a",
-    "ffl-lowrank": "0a09058d465daef90b484f21da7c71c63476c27ab78a8e1cc8ba64fb9bfee749",
-    "ffl-p_fail_0.1": "604897c81d97a078914e5fce91bde02b90d5e3bec4b442ec30f049eb567fee61",
-    "ffl-tanh": "5a404864cb54b1036d66043cdd87543143eefdd37995acf62c513ec6f1ea0197",
-    "ffl-two_hidden": "89db666f86de2ecffa16a9928c560b9e6c549ee0609ac0bd50e2f3ae4230b592",
-    "ffl-p_fail_1.0": "e532a266948bd64eddb49fa649a43f7693702aa82fcfa23506c48b2970f10a98",
-    "ffl-zero_loss": "d640c80e1db0b99dac701127a94573955d4dcca396d5a002e61ee7c6e89baf54",
-    "ffl-eval_stride_3": "dfee33d11f9931d3072941f22aaeb3dfbf1d4ab733e7f991896c242426e65ace",
-    "vanilla-diverged": "3126bfda2344d74c21d394b3fe7355393a30d430da14461697113771ca9be824",
+    "adacomm_like": "8a933d15f61ebffa2c785a7068996c84e69197a2905f76fb55cadcfdc93c9c55",
+    "atomo_like": "55cf565c7b89f13fb045aea1d3dc16b2fea5c0379fa5dd9a647274af96782299",
+    "atomo_like-lowrank": "adc4ddd29e6829fdee14180eeae34af3041f1836271fecc6a28254e1ab8cabaa",
+    "ffl": "9f07eaed5af8947dab55faa0d019f28b7e0b4842935d11fe4f71608b274977d8",
+    "ffl-classes10": "0f46c6b0967fce7ddf0d9cd48df06248a3df82438600504e3661f459a29cd3b6",
+    "ffl-lowrank": "92e3278c8b21aa22537711e1ec5dc51edbd16b9b773e9bd349b9873c77d58350",
+    "ffl-p_fail_0.1": "844ae533b2b2fad6317085bd444bdbaef0cc63f9a60cc6b03711960e8f3e2645",
+    "ffl-tanh": "95620b22ea4a260bd7ef45e5a2f9b6074dc2896022428873cdb52055dd5aae4e",
+    "ffl-two_hidden": "3975030d740284b0df0aadd3db4eceed8dcb424fb9a88d565690ab1958b2d2e2",
+    "ffl-p_fail_1.0": "a0b3cc80d8b05484e27c774e9e058f9f97abf9dd435d6482d8f64615a89219fd",
+    "ffl-zero_loss": "d1a14ea1f1f2d7e91bf09b769931b45222ef465b8bcd41c824e0930f5f1b23d6",
+    "ffl-eval_stride_3": "52e06cee0b6231e49039245fe299b6fc0143e21d3cdcbd780cc92b0562cdc38d",
+    "vanilla-diverged": "43bbd40b1da5a5c5557c11eebd2a1c3363386e0b9b063be0352a5db68cf81738",
 }
 # the metrics.csv of the diverged run: the one round before its loss overflowed
 DIVERGED_METRICS_SHA256 = "473dca33ebb48dff034e77752783c63fe77c590436900e49910b1881c299744e"
