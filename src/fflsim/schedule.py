@@ -40,9 +40,10 @@ class BoundParams:
     F_inf: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (f.name for f in fields(self)):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if not self.L > 0:
