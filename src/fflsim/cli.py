@@ -10,8 +10,9 @@ that diverges is one: `run` writes its artifacts, prints its summary line
 and then `error: <message>` on stderr; `compare` runs every scheme, then
 prints `error: scheme <name> diverged: <message>` for each that did.
 Neither prints a traceback, nor numpy's warnings about the overflow that
-the error names.  Log level comes from the FFL_LOG environment
-variable (error, info, debug).
+the error names.  Any other exception prints its traceback, then
+`error: <message>`, and exits 1.  A run's diagnostics are its artifacts:
+this module and the library print nothing else.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import logging
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -29,22 +30,8 @@ from .config import SCHEMES, ExperimentConfig, load_config
 from .errors import ConfigError
 from .federation import run_experiment
 
-log = logging.getLogger(__name__)
-
 COMPARE_COLUMNS = ("scheme", "time_to_target_s", "final_acc", "final_test_loss", "rounds",
                    "total_atoms", "speedup_vs_ffl", "status")
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("FFL_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
-        print(f"warning: unknown FFL_LOG value {level_name!r}, using 'error'", file=sys.stderr)
-        level_name = "error"
-    logging.basicConfig(
-        level=levels[level_name],
-        format="%(asctime)s %(levelname)s %(name)s: %(message)s",
-    )
 
 
 def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -159,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -171,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures map to exit 1
-        log.exception("run failed")
+        traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

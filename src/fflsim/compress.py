@@ -338,7 +338,7 @@ def sample(
     Row w draws its mask as rngs[w].random(B_w) < p_w, on a generator of its
     own: `rngs` is a sequence of one generator per row, also for a one-row
     decomposition.  An empty row draws nothing and sends the zero payload;
-    the caller is expected to log that row as degenerate.
+    the caller is expected to count that row as degenerate.
     """
     if len(rngs) != decomp.n_rows:
         raise ValueError(f"need one generator per row: got {len(rngs)} for {decomp.n_rows} rows")

@@ -10,7 +10,6 @@ index array into a Dataset, so partitions never copy feature rows.
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
 from dataclasses import dataclass, field
@@ -18,8 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IdxFormatError
-
-log = logging.getLogger(__name__)
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
@@ -187,7 +184,8 @@ def partition(ds: Dataset, mode: str, workers: int, rng: np.random.Generator,
     In iid mode every sample is used, and there must be at least one sample
     per worker.  In by_class mode a worker only ever sees its assigned
     classes; when class supplies cannot fill every worker's quota, the
-    surplus samples are dropped to keep shard sizes balanced.
+    surplus samples are dropped to keep shard sizes balanced (a run's
+    summary.json counts them as `dropped_samples`).
     """
     m = workers
     base, extra = divmod(ds.n, m)
@@ -225,19 +223,12 @@ def partition(ds: Dataset, mode: str, workers: int, rng: np.random.Generator,
                 still_open.append(j)
         open_workers = still_open
     floor = min(len(s) for s in shards)
-    dropped = sum(len(pool) for pool in pools.values())
-    for j in range(m):
-        if len(shards[j]) > floor + 1:
-            dropped += len(shards[j]) - (floor + 1)
-            shards[j] = shards[j][: floor + 1]
     if floor == 0:
         raise ConfigError(
             "by_class partition left at least one worker without samples;"
             " check classes_per_worker against the class supplies"
         )
-    if dropped:
-        log.info("by_class partition dropped %d samples to keep shards balanced", dropped)
-    return [np.asarray(s, dtype=np.int64) for s in shards]
+    return [np.asarray(s[: floor + 1], dtype=np.int64) for s in shards]
 
 
 def sample_indices(shard: Shard, steps: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -56,8 +55,6 @@ from .config import ExperimentConfig
 from .data import Dataset, Shard, gen_synthetic, load_idx, partition, split_per_class, take
 from .errors import ConfigError
 from .rng import substream
-
-log = logging.getLogger(__name__)
 
 CSV_COLUMNS = (
     "round", "sim_time_s", "tau_k", "s_k", "train_loss", "smoothed_loss", "test_acc",
@@ -116,6 +113,7 @@ class RoundRecord:
     # not part of the CSV schema
     smoothed_acc: float = 0.0
     test_loss: float = math.nan
+    empty_payloads: int = 0  # workers whose compressed gradient row was all zeros
 
 
 def evaluate(params: nn.ParameterSet, test_set: Dataset) -> tuple[float, float]:
@@ -223,9 +221,7 @@ class Experiment:
         worker_losses = np.add.reduce(losses, axis=1) / losses.shape[1]
         if self.policy.compress:
             decomp = compress.decompose_bundle(self.params.from_flat(g_rows), cfg.basis, plan.s_k)
-            if not decomp.atom_counts.all():
-                for j in np.flatnonzero(decomp.atom_counts == 0):
-                    log.warning("round %d worker %d: zero gradient, empty payload", k, j)
+            empty = int(np.count_nonzero(decomp.atom_counts == 0))
             probs = compress.probabilities(decomp, plan.s_k)
             payloads = compress.sample(decomp, probs, [w.keep_rng for w in self.workers])
             # row j: worker j's update as the server reconstructs it
@@ -235,7 +231,7 @@ class Experiment:
         else:
             rows = g_rows
             bits = np.full(cfg.workers, netsim.DENSE_BITS_PER_VALUE * d)
-            atoms_sent = 0
+            atoms_sent = empty = 0
         cost = netsim.round_cost(
             cfg, self.uplink_bps, plan.tau_k, bits, netsim.DENSE_BITS_PER_VALUE * d
         )
@@ -251,11 +247,8 @@ class Experiment:
             train_loss = float(np.add.reduce(worker_losses[received]) / count)
             if train_loss > 0.0:
                 self._next_plan = self._apply_policy(schedule.plan_next(self.scheduler, train_loss))
-            else:
-                log.info("round %d: training loss is 0, the run stops", k)
         else:
             train_loss = math.nan
-            log.warning("round %d: no payload survived, model update skipped", k)
 
         # round 0 always evaluates, so a round that does not has a last record
         if k % cfg.eval_stride == 0:
@@ -280,6 +273,7 @@ class Experiment:
             **cost._asdict(),
             smoothed_acc=smoothed_acc,
             test_loss=test_loss,
+            empty_payloads=empty,
         )
         self.records.append(record)
         return record
@@ -294,23 +288,24 @@ class Experiment:
                 if cfg.stop == "time" and record.sim_time_s >= cfg.T_budget_s:
                     break
                 if len(self.records) >= cfg.round_cap:
-                    if cfg.stop == "time":
-                        log.warning("round cap %d reached before the time budget", cfg.round_cap)
                     break
         except FloatingPointError as exc:
             self.error = exc
         return self.records, self.summary()
 
     def summary(self) -> dict:
-        """The run so far, read from the config, the round records and
-        self.error alone; the `final_*` and `best_acc` entries are NaN (null
-        in summary.json) when no round has completed.  "status" is
+        """The run so far, read from the config, the workers' shards, the
+        round records and self.error alone; the `final_*`, `best_acc` and
+        `max_train_loss_ratio` entries are NaN (null in summary.json) when no
+        round has completed (the ratio also when no round has a finite
+        training loss, or the first one is 0).  "status" is
         "diverged" (the message is the last entry, "error"), "zero_loss",
         "all_rounds_lost" or "ok"."""
         cfg, records = self.cfg, self.records
         last = records[-1] if records else None
         # counted in Python ints: json.dump rejects a numpy integer
         skipped = sum(1 for r in records if r.received_workers == 0)
+        losses = [r.train_loss for r in records if math.isfinite(r.train_loss)]
         if self.error is not None:
             status = "diverged"
         elif last is not None and last.train_loss == 0.0:
@@ -346,6 +341,11 @@ class Experiment:
             "total_downlink_s": sum(r.downlink_s for r in records),
             "total_atoms_sent": sum(r.atoms_sent_total for r in records),
             "skipped_rounds": skipped,
+            "empty_payloads": sum(r.empty_payloads for r in records),
+            # the samples a by_class deal leaves out to keep shard sizes balanced
+            "dropped_samples": self.train_set.n - sum(len(w.shard) for w in self.workers),
+            # a loss that grows without overflowing still ends "ok"
+            "max_train_loss_ratio": max(losses) / losses[0] if losses and losses[0] else math.nan,
         }
         if self.error is not None:
             summary["error"] = str(self.error)

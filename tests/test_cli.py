@@ -103,7 +103,7 @@ def test_a_diverging_run_prints_one_error_line_from_a_shell(tmp_path):
     cfg_path = write_config(tmp_path, {**MINIMAL, "eta": 1e300})
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "FFL_LOG": "error"}
+    env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
         [sys.executable, "-m", "fflsim.cli", "run", "--config", cfg_path,
          "--out", str(tmp_path / "results")],
@@ -114,9 +114,21 @@ def test_a_diverging_run_prints_one_error_line_from_a_shell(tmp_path):
     assert "status=diverged" in done.stdout
 
 
+def test_an_unexpected_exception_prints_its_traceback_and_exits_1(tmp_path, capsys,
+                                                                  monkeypatch):
+    def run_experiment(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    code, out, err = run_main(["run", "--config", write_config(tmp_path, MINIMAL)], capsys)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert lines[0] == "Traceback (most recent call last):"
+    assert lines[-2:] == ["RuntimeError: boom", "error: boom"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_a_run_whose_training_loss_overflows_exits_1_with_its_artifacts(tmp_path, capsys,
-                                                                         caplog):
+def test_a_run_whose_training_loss_overflows_exits_1_with_its_artifacts(tmp_path, capsys):
     # finite logits and gradients in round 1, but a batch's summed loss overflows
     cfg_path = write_config(tmp_path, {
         **MINIMAL, "seed": 3, "round_cap": 10, "synthetic_per_class": 60,
@@ -126,10 +138,9 @@ def test_a_run_whose_training_loss_overflows_exits_1_with_its_artifacts(tmp_path
     out_dir = tmp_path / "results"
     code, out, err = run_main(["run", "--config", cfg_path, "--out", str(out_dir)], capsys)
     assert code == 1
-    # the summary line, then one error line and no logged traceback
+    # the summary line, then one error line and no traceback
     assert out.startswith("scheme=vanilla status=diverged rounds=1 ")
     assert err.splitlines() == ["error: non-finite values in loss"]
-    assert not [record for record in caplog.records if record.exc_info]
     metrics = (out_dir / "metrics.csv").read_text().splitlines()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["status"] == "diverged"
@@ -467,6 +478,22 @@ def test_only_the_cli_names_np_errstate():
     assert naming == {"cli.py"}
 
 
+def test_no_module_logs():
+    # a run is explained by its artifacts alone: a second channel, silent
+    # at its default level, would hide what summary.json must show
+    src = Path(__file__).resolve().parents[1] / "src" / "fflsim"
+    logs = re.compile(r"^\s*(?:import|from)\s+logging\b|getLogger|FFL_LOG", re.MULTILINE)
+    naming = {path.name for path in src.glob("*.py") if logs.search(path.read_text("utf-8"))}
+    assert naming == set()
+    path = os.pathsep.join(filter(None, [str(src.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import fflsim, sys; assert 'logging' not in sys.modules"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 # ---- config loading ---- #
 
 def test_load_config_round_trip(tmp_path):
@@ -743,9 +770,3 @@ def test_readme_lists_every_scenario_with_its_compare_command():
     listed = re.findall(r"`fflsim compare --config scenarios/(\w+)\.json ", section)
     assert listed == sorted(path.stem for path in SCENARIOS.glob("*.json"))
 
-
-def test_logging_env_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("FFL_LOG", "verbose")
-    cli._setup_logging()
-    err = capsys.readouterr().err
-    assert "FFL_LOG" in err

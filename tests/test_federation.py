@@ -414,7 +414,7 @@ def test_every_round_is_priced_by_one_round_cost_call(monkeypatch, cfg):
 
 
 @pytest.mark.parametrize("basis", compress.BASIS_KINDS)
-def test_zero_gradient_warns_once_per_empty_worker(monkeypatch, caplog, basis):
+def test_zero_gradient_rows_are_counted_as_empty_payloads(monkeypatch, basis):
     real_run = nn.local_update_run
 
     def local_update_run(*args, **kwargs):
@@ -424,13 +424,11 @@ def test_zero_gradient_warns_once_per_empty_worker(monkeypatch, caplog, basis):
 
     monkeypatch.setattr(nn, "local_update_run", local_update_run)
     exp = Experiment(base_cfg(scheme="ffl", basis=basis, workers=3))
-    with caplog.at_level("WARNING", logger="fflsim.federation"):
+    for _ in range(2):
         record = exp.run_round()
-    assert [r.getMessage() for r in caplog.records] == [
-        "round 0 worker 0: zero gradient, empty payload",
-        "round 0 worker 2: zero gradient, empty payload",
-    ]
-    assert record.received_workers == 3 and record.atoms_sent_total > 0
+        assert record.empty_payloads == 2
+        assert record.received_workers == 3 and record.atoms_sent_total > 0
+    assert exp.summary()["empty_payloads"] == 4
 
 
 # ---- evaluate ---- #
@@ -749,6 +747,7 @@ def test_a_run_that_loses_every_packet_ends_with_its_own_status(tmp_path, p_fail
     assert written["rounds"] == len(records) == 9
     assert written["skipped_rounds"] == skipped
     assert (written["final_train_loss"] is None) == (skipped == 9)
+    assert (written["max_train_loss_ratio"] is None) == (skipped == 9)
 
 
 # SHA-256 of summary.json, pinned beside the metrics.csv goldens of
@@ -855,10 +854,33 @@ def test_a_by_class_run_gives_each_worker_one_class_and_runs_to_the_end():
     assert summary["status"] == "ok"
 
 
+def test_a_by_class_run_counts_the_samples_its_deal_drops():
+    # four workers, one class each, over three classes of 60: two workers
+    # share a class, 30 samples each, so the other two keep 31 of their 60
+    cfg = base_cfg(scheme="ffl", partition_mode="by_class", classes_per_worker=1, workers=4,
+                   round_cap=1)
+    exp = Experiment(cfg)
+    _, summary = exp.run()
+    assert sorted(len(w.shard) for w in exp.workers) == [30, 30, 31, 31]
+    assert summary["dropped_samples"] == exp.train_set.n - sum(len(w.shard) for w in exp.workers)
+    assert summary["dropped_samples"] == 3 * 60 - 122
+
+
 def test_a_run_that_loses_only_some_rounds_is_ok():
     records, summary = Experiment(base_cfg(packet_failure_prob=0.5, workers=1)).run()
     assert 0 < summary["skipped_rounds"] < len(records)
     assert summary["status"] == "ok"
+    # a lost round's NaN loss is left out of the ratio
+    losses = [r.train_loss for r in records if r.received_workers]
+    assert summary["max_train_loss_ratio"] == max(losses) / losses[0]
+
+
+def test_a_run_whose_training_loss_grows_without_overflowing_reports_the_growth():
+    # every loss stays finite, so the run is "ok", but the last is far above the first
+    records, summary = Experiment(base_cfg(eta=1e4, round_cap=20)).run()
+    losses = [r.train_loss for r in records]
+    assert summary["status"] == "ok"
+    assert summary["max_train_loss_ratio"] == max(losses) / losses[0] > 1e5
 
 
 def test_sim_time_is_the_running_sum_of_round_times():
