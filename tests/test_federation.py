@@ -756,19 +756,19 @@ def test_a_run_that_loses_every_packet_ends_with_its_own_status(tmp_path, p_fail
 # 15 simulated seconds; four more runs end with each other status or
 # evaluate only every third round.
 SUMMARY_SHA256 = {
-    "adacomm_like": "8a933d15f61ebffa2c785a7068996c84e69197a2905f76fb55cadcfdc93c9c55",
-    "atomo_like": "55cf565c7b89f13fb045aea1d3dc16b2fea5c0379fa5dd9a647274af96782299",
-    "atomo_like-lowrank": "adc4ddd29e6829fdee14180eeae34af3041f1836271fecc6a28254e1ab8cabaa",
-    "ffl": "9f07eaed5af8947dab55faa0d019f28b7e0b4842935d11fe4f71608b274977d8",
-    "ffl-classes10": "0f46c6b0967fce7ddf0d9cd48df06248a3df82438600504e3661f459a29cd3b6",
-    "ffl-lowrank": "92e3278c8b21aa22537711e1ec5dc51edbd16b9b773e9bd349b9873c77d58350",
-    "ffl-p_fail_0.1": "844ae533b2b2fad6317085bd444bdbaef0cc63f9a60cc6b03711960e8f3e2645",
-    "ffl-tanh": "95620b22ea4a260bd7ef45e5a2f9b6074dc2896022428873cdb52055dd5aae4e",
-    "ffl-two_hidden": "3975030d740284b0df0aadd3db4eceed8dcb424fb9a88d565690ab1958b2d2e2",
-    "ffl-p_fail_1.0": "a0b3cc80d8b05484e27c774e9e058f9f97abf9dd435d6482d8f64615a89219fd",
-    "ffl-zero_loss": "d1a14ea1f1f2d7e91bf09b769931b45222ef465b8bcd41c824e0930f5f1b23d6",
-    "ffl-eval_stride_3": "52e06cee0b6231e49039245fe299b6fc0143e21d3cdcbd780cc92b0562cdc38d",
-    "vanilla-diverged": "43bbd40b1da5a5c5557c11eebd2a1c3363386e0b9b063be0352a5db68cf81738",
+    "adacomm_like": "76784268a2bfeb9119f86b2b0a8c36db22ac3c8d6f3d6184d34d284ec3fbf025",
+    "atomo_like": "920307209e0e5b85320da7b4fc68614fbebf20812503b89b58c857630cc8e8e3",
+    "atomo_like-lowrank": "f2d1a1709da0eef07c43e51f79d776046817379e5613dd0e87e4cdd820f79a1f",
+    "ffl": "041299cd831a1bc73f11bda0918f20f271ff829d9226c804c10cb5132f677fed",
+    "ffl-classes10": "a74a587b52755c2f836fe088543326375b4ece5fe72a28f2e38f1cf8b3a64aaf",
+    "ffl-lowrank": "3ab7d8a2eccbb6958e0d210e6488755ae66bc78d7788f5c96826fe89734d075a",
+    "ffl-p_fail_0.1": "e181d8c622f953d0af4a854e9a0603b1f24cf6bf3db9ed0322492426982f3700",
+    "ffl-tanh": "c52deeb7907b8f38a7441227c850a5dd63e50b0282da53da9585f8966c9b7f6f",
+    "ffl-two_hidden": "0db2c656b0740a7ac8402047fa58fc071853ab88a54952ff16fa682f646da752",
+    "ffl-p_fail_1.0": "7b503e1998387cbf4f36db751f06df81a86d883d0c1bc6bd7db85bfb2b62da2a",
+    "ffl-zero_loss": "e8218e7a829626bc2e32f72687fa958781bbb189c6eff4fe6e2ac07f1c7a12da",
+    "ffl-eval_stride_3": "588748fc42209dbdbfeaa28a8290b692d93919996b6520b8a066e2b91bafc2a7",
+    "vanilla-diverged": "fc421d67522b90fa385a0b413978386d1e6f1a596d66470c9af236de6ae0c806",
 }
 # the metrics.csv of the diverged run: the one round before its loss overflowed
 DIVERGED_METRICS_SHA256 = "473dca33ebb48dff034e77752783c63fe77c590436900e49910b1881c299744e"
