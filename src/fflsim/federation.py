@@ -121,10 +121,12 @@ def evaluate(params: nn.ParameterSet, test_set: Dataset) -> tuple[float, float]:
     forward pass over all its rows, then one nn.cross_entropy call and one
     argmax over their logits.  A set classified with certainty, every
     picked log-probability 0.0, has the loss +0.0, not a negated mean's
-    -0.0."""
+    -0.0.  A non-finite loss raises FloatingPointError."""
     logits = nn.forward_rows(params, test_set.rows)
     # adding 0.0 turns -0.0 into +0.0 and keeps every other loss's bits
     loss = nn.cross_entropy(logits, test_set.labels) + 0.0
+    if not math.isfinite(loss):
+        raise FloatingPointError("non-finite values in test loss")
     correct = int(np.count_nonzero(logits.argmax(axis=1) == test_set.labels))
     return loss, correct / test_set.n
 

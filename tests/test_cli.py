@@ -129,7 +129,7 @@ def test_an_unexpected_exception_prints_its_traceback_and_exits_1(tmp_path, caps
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_run_whose_training_loss_overflows_exits_1_with_its_artifacts(tmp_path, capsys):
-    # finite logits and gradients in round 1, but a batch's summed loss overflows
+    # round 0's step leaves finite logits, but the summed test loss overflows
     cfg_path = write_config(tmp_path, {
         **MINIMAL, "seed": 3, "round_cap": 10, "synthetic_per_class": 60,
         "synthetic_test_per_class": 30, "synthetic_dim": 8, "hidden_layers": [8],
@@ -139,12 +139,12 @@ def test_a_run_whose_training_loss_overflows_exits_1_with_its_artifacts(tmp_path
     code, out, err = run_main(["run", "--config", cfg_path, "--out", str(out_dir)], capsys)
     assert code == 1
     # the summary line, then one error line and no traceback
-    assert out.startswith("scheme=vanilla status=diverged rounds=1 ")
-    assert err.splitlines() == ["error: non-finite values in loss"]
+    assert out.startswith("scheme=vanilla status=diverged rounds=0 ")
+    assert err.splitlines() == ["error: non-finite values in test loss"]
     metrics = (out_dir / "metrics.csv").read_text().splitlines()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["status"] == "diverged"
-    assert summary["rounds"] == len(metrics) - 1 == 1
+    assert summary["rounds"] == len(metrics) - 1 == 0
 
 def test_a_run_whose_training_loss_reaches_zero_exits_0_with_its_artifacts(tmp_path, capsys):
     # two classes of identical points and a large step: the loss reaches 0.0

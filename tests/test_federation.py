@@ -696,8 +696,8 @@ def test_a_run_that_diverges_in_evaluate_reports_the_clock_of_its_last_row(tmp_p
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_run_whose_training_loss_overflows_ends_diverged_with_its_artifacts(tmp_path):
     # at eta 1e155 round 1's logits and gradients stay finite, but a batch's
-    # summed loss overflows to inf
-    cfg = base_cfg(eta=1e155, output_dir=str(tmp_path))
+    # summed loss overflows to inf; the summed loss of a 3-row test set does not
+    cfg = base_cfg(eta=1e155, synthetic_test_per_class=1, output_dir=str(tmp_path))
     _, returned = federation.run_experiment(cfg)
     assert returned["status"] == "diverged"
     assert returned["error"] == "non-finite values in loss"
@@ -708,6 +708,17 @@ def test_a_run_whose_training_loss_overflows_ends_diverged_with_its_artifacts(tm
     assert summary["status"] == "diverged"
     assert summary["error"] == "non-finite values in loss"
     assert summary["rounds"] == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_run_whose_test_loss_overflows_ends_diverged_at_round_0():
+    # round 0's step leaves finite logits, but the 90-row test set's summed loss overflows
+    records, summary = Experiment(base_cfg(eta=1e155)).run()
+    assert records == []
+    assert summary["status"] == "diverged" and summary["rounds"] == 0
+    assert summary["error"] == "non-finite values in test loss"
+    assert summary["final_test_loss"] != summary["final_test_loss"]  # NaN: no round completed
+
 
 def zero_loss_cfg(scheme, output_dir):
     """Two classes of identical points (spread 0) and a large step: the
@@ -770,7 +781,7 @@ SUMMARY_SHA256 = {
     "ffl-eval_stride_3": "588748fc42209dbdbfeaa28a8290b692d93919996b6520b8a066e2b91bafc2a7",
     "vanilla-diverged": "fc421d67522b90fa385a0b413978386d1e6f1a596d66470c9af236de6ae0c806",
 }
-# the metrics.csv of the diverged run: the one round before its loss overflowed
+# the metrics.csv of the diverged run: its header alone, as round 0's test loss overflowed
 DIVERGED_METRICS_SHA256 = "473dca33ebb48dff034e77752783c63fe77c590436900e49910b1881c299744e"
 
 
@@ -782,7 +793,7 @@ def summary_golden_cfg(name):
     if name == "ffl-eval_stride_3":
         return dataclasses.replace(_desk_cfg("ffl", 0, budget=15.0), eval_stride=3)
     if name == "vanilla-diverged":
-        return base_cfg(eta=1e155)  # the training loss overflows in round 1
+        return base_cfg(eta=1e155)  # the test loss overflows in round 0
     scheme, _, variant = name.partition("-")
     return dataclasses.replace(_desk_cfg(scheme, 0, budget=15.0),
                                **DESK_GOLDEN_VARIANTS.get(variant, {}))
