@@ -779,10 +779,10 @@ SUMMARY_SHA256 = {
     "ffl-p_fail_1.0": "7b503e1998387cbf4f36db751f06df81a86d883d0c1bc6bd7db85bfb2b62da2a",
     "ffl-zero_loss": "e8218e7a829626bc2e32f72687fa958781bbb189c6eff4fe6e2ac07f1c7a12da",
     "ffl-eval_stride_3": "588748fc42209dbdbfeaa28a8290b692d93919996b6520b8a066e2b91bafc2a7",
-    "vanilla-diverged": "fc421d67522b90fa385a0b413978386d1e6f1a596d66470c9af236de6ae0c806",
+    "vanilla-diverged": "d07d751894cd4f53dd8fec7b28c67f4f5b98df1b76e1d8e19461a6b78b426c34",
 }
 # the metrics.csv of the diverged run: its header alone, as round 0's test loss overflowed
-DIVERGED_METRICS_SHA256 = "473dca33ebb48dff034e77752783c63fe77c590436900e49910b1881c299744e"
+DIVERGED_METRICS_SHA256 = "24b5b192900270d0e2f468ea40c660b26929b5fde1f22012b52020c95f3ebc6a"
 
 
 def summary_golden_cfg(name):
