@@ -23,7 +23,8 @@ with parts switched off.  A round whose training loss is exactly 0 ends the
 run: the planner's loss ratio has no meaning there.  A run in which every
 round lost every packet ends with its own status, since its model and plan
 never left their start.  A round that diverges (a FloatingPointError from
-a non-finite check) ends the run with status "diverged" and its message.
+a non-finite check, the test loss's included) ends the run with status
+"diverged" and its message.
 run_experiment, the one entry point, returns that outcome like any other and
 raises no FloatingPointError; an output path it cannot make a directory is a
 ConfigError, raised before round 0.
@@ -35,9 +36,13 @@ Every random stream is derived once, in Experiment.__init__: "data",
 one stopped.
 
 The round records are the run's only history: the round number, the clock,
-the last evaluation, the skipped-round count and the status are read from
-them (and from the error of a round that diverged), so summary.json cannot
-disagree with metrics.csv, even after a run diverges mid-round.
+the last evaluation, the skipped-round and empty-payload counts, the largest
+training loss over the first, and the status are read from them (and from
+the error of a round that diverged), so summary.json cannot disagree with
+metrics.csv, even after a run diverges mid-round.  The summary is also the
+run's only diagnostic channel: what a fallback did, such as a worker whose
+all-zero gradient sent an empty payload or the samples a by_class deal left
+out, is a count in it, and nothing is logged.
 """
 
 from __future__ import annotations
