@@ -11,8 +11,8 @@ and then `error: <message>` on stderr; `compare` runs every scheme, then
 prints `error: scheme <name> diverged: <message>` for each that did.
 Neither prints a traceback, nor numpy's warnings about the overflow that
 the error names.  Any other exception prints its traceback, then
-`error: <message>`, and exits 1.  A run's diagnostics are its artifacts:
-this module and the library print nothing else.
+`error: <message>`, and exits 1.  Nothing is logged: a run is explained by
+its artifacts.
 """
 
 from __future__ import annotations

@@ -39,10 +39,9 @@ The round records are the run's only history: the round number, the clock,
 the last evaluation, the skipped-round and empty-payload counts, the largest
 training loss over the first, and the status are read from them (and from
 the error of a round that diverged), so summary.json cannot disagree with
-metrics.csv, even after a run diverges mid-round.  The summary is also the
-run's only diagnostic channel: what a fallback did, such as a worker whose
-all-zero gradient sent an empty payload or the samples a by_class deal left
-out, is a count in it, and nothing is logged.
+metrics.csv, even after a run diverges mid-round.  Nothing is logged: a
+fallback, such as a worker's empty payload or the samples a by_class deal
+leaves out, shows as a count in the summary.
 """
 
 from __future__ import annotations
