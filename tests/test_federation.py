@@ -717,7 +717,7 @@ def test_a_run_whose_test_loss_overflows_ends_diverged_at_round_0():
     assert records == []
     assert summary["status"] == "diverged" and summary["rounds"] == 0
     assert summary["error"] == "non-finite values in test loss"
-    assert summary["final_test_loss"] != summary["final_test_loss"]  # NaN: no round completed
+    assert math.isnan(summary["final_test_loss"])  # no round completed
 
 
 def zero_loss_cfg(scheme, output_dir):
@@ -887,7 +887,7 @@ def test_a_run_that_loses_only_some_rounds_is_ok():
 
 
 def test_a_run_whose_training_loss_grows_without_overflowing_reports_the_growth():
-    # every loss stays finite, so the run is "ok", but the last is far above the first
+    # every loss stays finite, so the run is "ok", but the largest is over 1e5 times the first
     records, summary = Experiment(base_cfg(eta=1e4, round_cap=20)).run()
     losses = [r.train_loss for r in records]
     assert summary["status"] == "ok"
