@@ -70,12 +70,12 @@ class AtomicDecomposition:
     """The atom sets of W gradients that share one flat layout of `dim` values.
 
     `slots` is a (W, R) mask of the slots that hold an atom: for elementwise
-    atoms slot j is flat position j (R = dim), for rank-1 atoms each layer
-    block has its r slots side by side.  Row w's atoms are its set slots in
-    order, and `coeffs` holds every row's coefficients, row after row.
+    atoms slot j is flat position j (R = dim), for rank-1 atoms, which come
+    with their `blocks`, each layer block has its r slots side by side.
+    Row w's atoms are its set slots in order, and `coeffs` holds every
+    row's coefficients, row after row.
     """
 
-    basis_kind: str
     dim: int
     coeffs: np.ndarray  # (B,): signed for elementwise, non-negative for lowrank
     slots: np.ndarray  # (W, R) bool
@@ -83,13 +83,16 @@ class AtomicDecomposition:
     atom_counts: np.ndarray = field(init=False, repr=False)  # (W,) atoms per row
 
     def __post_init__(self) -> None:
-        if self.basis_kind not in BASIS_KINDS:
-            raise ValueError(f"basis_kind must be one of {BASIS_KINDS}")
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
         self.atom_counts = np.count_nonzero(self.slots, axis=1)
         if self.atom_counts.sum() != self.coeffs.size:
             raise ValueError(f"{self.coeffs.size} coefficients for "
                              f"{self.atom_counts.sum()} atom slots")
+
+    @property
+    def basis_kind(self) -> str:
+        """"lowrank" (rank-1 atoms) exactly when `blocks` is given, else "elementwise"."""
+        return "elementwise" if self.blocks is None else "lowrank"
 
     @property
     def n_atoms(self) -> int:
@@ -188,7 +191,7 @@ def _scatter(out, decomp: AtomicDecomposition, p, keep) -> None:
 def _elementwise(rows: np.ndarray) -> AtomicDecomposition:
     """Standard-basis atoms at the nonzero entries of each row of a (W, d) stack."""
     slots = rows != 0.0
-    return AtomicDecomposition("elementwise", rows.shape[1], rows[slots], slots)
+    return AtomicDecomposition(rows.shape[1], rows[slots], slots)
 
 
 def _lowrank(parts, dim: int) -> AtomicDecomposition:
@@ -212,25 +215,13 @@ def _lowrank(parts, dim: int) -> AtomicDecomposition:
     values = np.concatenate(values, axis=1)
     floors = _DROP_TOL * np.stack(tops, axis=1)
     slots = values > floors.repeat(widths, axis=1)
-    return AtomicDecomposition("lowrank", dim, values[slots], slots, blocks=blocks)
+    return AtomicDecomposition(dim, values[slots], slots, blocks=blocks)
 
 
 def decompose_elementwise(grad: np.ndarray) -> AtomicDecomposition:
     """Standard-basis decomposition at the nonzero entries of a flat vector,
     as a one-row stack."""
     return _elementwise(np.asarray(grad, dtype=np.float64).reshape(1, -1))
-
-
-def decompose_lowrank(grad_matrix: np.ndarray, r: int) -> AtomicDecomposition:
-    """Truncated SVD decomposition of one matrix into its leading r rank-1
-    atoms, in descending singular-value order, as a one-row stack over the
-    flattened matrix; a matrix of lower rank yields fewer than r atoms."""
-    mat = np.asarray(grad_matrix, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {mat.shape}")
-    if not 1 <= r <= min(mat.shape):
-        raise ValueError(f"rank must be in [1, {min(mat.shape)}], got {r}")
-    return _lowrank([(0, mat[None], r)], mat.size)
 
 
 def decompose_bundle(bundle: ParameterSet, kind: str, s: float) -> AtomicDecomposition:
@@ -376,8 +367,6 @@ def reconstruct_rows(
 def variance_closed_form(decomp: AtomicDecomposition, probs: SelectionProbabilities) -> float:
     """E ||ghat - g||^2 for orthonormal-atom decompositions, summed over
     the rows: sum_i lambda_i^2 * (1/p_i - 1) over every row's atoms."""
-    if decomp.n_atoms == 0:
-        return 0.0
     lam2 = decomp.coeffs**2
     return float(np.sum(lam2 * (1.0 / probs.probs - 1.0)))
 

@@ -115,9 +115,9 @@ class RoundRecord:
     compute_max_s: float
     # read by the summary and carried over by rounds that do not evaluate;
     # not part of the CSV schema
-    smoothed_acc: float = 0.0
-    test_loss: float = math.nan
-    empty_payloads: int = 0  # workers whose compressed gradient row was all zeros
+    smoothed_acc: float
+    test_loss: float
+    empty_payloads: int  # workers whose compressed gradient row was all zeros
 
 
 def evaluate(params: nn.ParameterSet, test_set: Dataset) -> tuple[float, float]:
@@ -367,47 +367,36 @@ def write_metrics_csv(records: list[RoundRecord], path: str) -> None:
             writer.writerow([getattr(r, col) for col in CSV_COLUMNS])
 
 
-def _strict_json(value):
-    """`value` with every non-finite float replaced by None (JSON null)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _strict_json(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict_json(item) for item in value]
-    return value
-
-
 def write_summary_json(summary: dict, path: str) -> None:
-    """The run summary as strict JSON: a non-finite float, such as the train
-    loss of a last round lost to packet failure, is written as null."""
+    """The run summary as strict JSON: a non-finite top-level float, such as
+    the train loss of a last round lost to packet failure, is written as
+    null.  Config validation keeps the echo's floats finite; a non-finite
+    float nested deeper raises ValueError (allow_nan=False)."""
+    strict = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+              for key, value in summary.items()}
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(_strict_json(summary), f, indent=2, allow_nan=False)
+        json.dump(strict, f, indent=2, allow_nan=False)
         f.write("\n")
 
 
 def run_experiment(
-    cfg: ExperimentConfig,
-    output_dir: str | None = None,
-    names: tuple[str, str] = ("metrics.csv", "summary.json"),
+    cfg: ExperimentConfig, names: tuple[str, str] = ("metrics.csv", "summary.json")
 ) -> tuple[list[RoundRecord], dict]:
     """Run one experiment and write its metrics table and summary, under
-    `names`, to the output directory (cfg.output_dir unless overridden
-    here; an empty one writes nothing), and return the records and the
-    summary, a diverged run's too.  The directory is made after set-up and
-    before round 0, so a path that cannot be one is a ConfigError that costs
-    no round."""
+    `names`, to cfg.output_dir (an empty one writes nothing), and return
+    the records and the summary, a diverged run's too.  The directory is
+    made after set-up and before round 0, so a path that cannot be one is
+    a ConfigError that costs no round."""
     experiment = Experiment(cfg)
-    output_dir = cfg.output_dir if output_dir is None else output_dir
-    if output_dir:
+    if cfg.output_dir:
         try:
-            os.makedirs(output_dir, exist_ok=True)
+            os.makedirs(cfg.output_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(
-                f"output_dir={output_dir!r} cannot be made a directory: {exc.strerror}"
+                f"output_dir={cfg.output_dir!r} cannot be made a directory: {exc.strerror}"
             ) from None
     records, summary = experiment.run()
-    if output_dir:
-        write_metrics_csv(records, os.path.join(output_dir, names[0]))
-        write_summary_json(summary, os.path.join(output_dir, names[1]))
+    if cfg.output_dir:
+        write_metrics_csv(records, os.path.join(cfg.output_dir, names[0]))
+        write_summary_json(summary, os.path.join(cfg.output_dir, names[1]))
     return records, summary

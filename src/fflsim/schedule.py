@@ -119,19 +119,15 @@ def psi(tau: float, s: float, p: BoundParams, F_k: float) -> float:
     return a * (p.Y_k + p.alpha * s / tau) + b * noise + c * noise * (tau - 1.0)
 
 
-def hessian(tau: float, s: float, p: BoundParams, F_k: float) -> np.ndarray:
-    """Exact 2x2 Hessian of psi in (tau, s)."""
+def hessian_check(tau: float, s: float, p: BoundParams, F_k: float) -> tuple[bool, np.ndarray]:
+    """(is positive semidefinite, the exact 2x2 Hessian of psi in (tau, s));
+    PSD means both diagonal entries are non-negative and the determinant
+    is >= -1e-12."""
     a, b, c = _abc(p, F_k)
     h_tt = 2.0 * a * p.alpha * s / tau**3
     h_ts = -a * p.alpha / tau**2 - c * p.sigma1 / s**2
     h_ss = 2.0 * b * p.sigma1 / s**3 + 2.0 * c * (tau - 1.0) * p.sigma1 / s**3
-    return np.array([[h_tt, h_ts], [h_ts, h_ss]])
-
-
-def hessian_check(tau: float, s: float, p: BoundParams, F_k: float) -> tuple[bool, np.ndarray]:
-    """(is positive semidefinite, Hessian); PSD means both diagonal entries
-    are non-negative and the determinant is >= -1e-12."""
-    h = hessian(tau, s, p, F_k)
+    h = np.array([[h_tt, h_ts], [h_ts, h_ss]])
     det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
     psd = h[0, 0] >= 0.0 and h[1, 1] >= 0.0 and det >= -1e-12
     return psd, h

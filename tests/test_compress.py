@@ -22,6 +22,11 @@ def elementwise_of(vec):
     return compress.decompose_elementwise(np.asarray(vec, dtype=np.float64))
 
 
+def lowrank_of(mat, r):
+    """The leading r rank-1 atoms of one matrix, as a one-row stack."""
+    return compress._lowrank([(0, mat[None], r)], mat.size)
+
+
 # ---- elementwise decomposition ---- #
 
 def test_elementwise_keeps_only_nonzeros():
@@ -54,7 +59,7 @@ def test_lowrank_rank_one_exact():
     u = np.array([3.0, 4.0]) / 5.0
     v = np.array([1.0, 2.0, 2.0]) / 3.0
     mat = 7.5 * np.outer(u, v)
-    d = compress.decompose_lowrank(mat, r=1)
+    d = lowrank_of(mat, r=1)
     assert d.basis_kind == "lowrank"
     assert d.n_atoms == 1
     assert d.coeffs[0] == pytest.approx(7.5, rel=1e-9)
@@ -66,7 +71,7 @@ def test_lowrank_rank_one_exact():
 
 def test_lowrank_diagonal_picks_top_singular_values():
     mat = np.diag([3.0, 2.0, 1.0])
-    d = compress.decompose_lowrank(mat, r=2)
+    d = lowrank_of(mat, r=2)
     assert d.n_atoms == 2
     assert np.allclose(sorted(d.coeffs, reverse=True), [3.0, 2.0], atol=1e-8)
 
@@ -75,14 +80,14 @@ def test_lowrank_matches_jacobi_oracle():
     rng = np.random.default_rng(42)
     mat = rng.standard_normal((8, 6))
     want = jacobi_singular_values(mat)[:3]
-    d = compress.decompose_lowrank(mat, r=3)
+    d = lowrank_of(mat, r=3)
     got = np.sort(d.coeffs)[::-1]
     assert np.allclose(got, want, rtol=1e-6)
 
 
 def test_lowrank_coeffs_sorted_descending_nonnegative():
     rng = np.random.default_rng(3)
-    d = compress.decompose_lowrank(rng.standard_normal((5, 7)), r=4)
+    d = lowrank_of(rng.standard_normal((5, 7)), r=4)
     assert (d.coeffs >= 0).all()
     assert (np.diff(d.coeffs) <= 1e-12).all()
 
@@ -90,7 +95,7 @@ def test_lowrank_coeffs_sorted_descending_nonnegative():
 def test_lowrank_full_rank_reconstructs_matrix():
     rng = np.random.default_rng(4)
     mat = rng.standard_normal((4, 5))
-    d = compress.decompose_lowrank(mat, r=4)
+    d = lowrank_of(mat, r=4)
     assert np.allclose(d.reconstruct_full(), mat.ravel(), atol=1e-8)
 
 
@@ -98,12 +103,12 @@ def test_a_rank_two_block_keeps_its_two_atoms_at_1e_13():
     # the drop floor is relative to the block's largest singular value
     rng = np.random.default_rng(13)
     mat = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
-    assert compress.decompose_lowrank(mat, 4).n_atoms == 2
-    assert compress.decompose_lowrank(1e-13 * mat, 4).n_atoms == 2
+    assert lowrank_of(mat, 4).n_atoms == 2
+    assert lowrank_of(1e-13 * mat, 4).n_atoms == 2
 
 
 def test_lowrank_zero_matrix_empty():
-    d = compress.decompose_lowrank(np.zeros((3, 4)), r=2)
+    d = lowrank_of(np.zeros((3, 4)), r=2)
     assert d.n_atoms == 0
 
 
@@ -119,7 +124,7 @@ def near_tied_matrix(seed):
 @pytest.mark.parametrize("seed", [0, 2, 3, 4])
 def test_lowrank_near_tied_spectrum_stays_lowrank(seed):
     mat = near_tied_matrix(seed)
-    d = compress.decompose_lowrank(mat, r=3)
+    d = lowrank_of(mat, r=3)
     assert d.basis_kind == "lowrank"
     assert d.n_atoms == 3
     assert np.allclose(d.coeffs, jacobi_singular_values(mat)[:3], rtol=0, atol=1e-12)
@@ -287,8 +292,7 @@ def test_probabilities_errors():
     with pytest.raises(ValueError):
         # zero-valued coefficients are not valid atoms
         compress.probabilities(
-            compress.AtomicDecomposition("elementwise", 3, np.array([1.0, 0.0]),
-                                         np.array([[True, True, False]])),
+            compress.AtomicDecomposition(3, np.array([1.0, 0.0]), np.array([[True, True, False]])),
             1.5)
 
 
@@ -325,7 +329,7 @@ def test_probabilities_equal_the_row_by_row_clip_bitwise(case):
     rows, s = case
     slots = np.arange(40) < np.array([len(row) for row in rows])[:, None]
     coeffs = np.array([c for row in rows for c in row])
-    decomp = compress.AtomicDecomposition("elementwise", 40, coeffs, slots)
+    decomp = compress.AtomicDecomposition(40, coeffs, slots)
     want = probabilities_reference(decomp.atom_counts, decomp.coeffs, s)
     assert compress.probabilities(decomp, s).probs.tobytes() == want.tobytes()
 
@@ -342,7 +346,7 @@ def test_probabilities_of_a_subnormal_row_are_finite_and_sum_to_s(row, s):
     rows = [[2.548, -1.238, 1.53, 2.062, 0.276], row, [10.0, 1.212, -1.285, 0.231, 0.241]]
     slots = np.arange(8) < np.array([len(r) for r in rows])[:, None]
     coeffs = np.array([c for r in rows for c in r])
-    decomp = compress.AtomicDecomposition("elementwise", 8, coeffs, slots)
+    decomp = compress.AtomicDecomposition(8, coeffs, slots)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         p = compress.probabilities(decomp, s).probs
@@ -443,7 +447,7 @@ def test_sample_empty_decomposition_zero_payload():
 def test_sample_lowrank_reconstruction_span():
     rng = np.random.default_rng(6)
     mat = rng.standard_normal((4, 4))
-    d = compress.decompose_lowrank(mat, r=4)
+    d = lowrank_of(mat, r=4)
     probs = compress.SelectionProbabilities(np.ones(d.n_atoms))
     cg = compress.sample(d, probs, [substream(1, "compress", 0, 0)])
     assert np.allclose(compress.reconstruct(cg), mat.ravel()[None], atol=1e-8)
@@ -749,7 +753,7 @@ def test_stage_rejects_a_generator_count_that_is_not_one_per_row():
 
 @pytest.mark.parametrize("decompose", [
     lambda mat: compress.decompose_elementwise(mat.ravel()),
-    lambda mat: compress.decompose_lowrank(mat, 2),
+    lambda mat: lowrank_of(mat, 2),
 ], ids=["elementwise", "lowrank"])
 def test_a_single_gradient_is_a_one_row_stack(decompose):
     mat = np.random.default_rng(10).standard_normal((3, 4))
@@ -792,7 +796,7 @@ def test_sigma_terms_predict_unclipped_variance():
 def test_sigma_terms_sum_each_rows_own_l1_squared():
     # two rows, no atom clipped: sigma1 / s + sigma2 is the variance of both
     coeffs = np.array([3.0, 2.0, 1.0, 0.5, 0.4, 0.3, 0.2, 0.1])
-    d = compress.AtomicDecomposition("elementwise", 4, coeffs, np.ones((2, 4), dtype=bool))
+    d = compress.AtomicDecomposition(4, coeffs, np.ones((2, 4), dtype=bool))
     s = 1.5
     probs = compress.probabilities(d, s)
     assert probs.probs.max() < 1.0
@@ -829,7 +833,7 @@ def test_serialize_elementwise_twelve_bytes_per_atom():
 def test_serialize_lowrank_length_formula():
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((3, 5))
-    d = compress.decompose_lowrank(mat, r=2)
+    d = lowrank_of(mat, r=2)
     cg = compress.select(d, compress.SelectionProbabilities(np.ones(d.n_atoms)),
                          np.ones(d.n_atoms, dtype=bool))
     blob = serialize(cg)
@@ -849,7 +853,7 @@ def test_payload_bits_is_the_serialized_size(case):
 
 
 def test_payload_bits_of_a_rank_one_atom_of_a_16_by_32_block():
-    d = compress.decompose_lowrank(np.random.default_rng(2).standard_normal((16, 32)), r=1)
+    d = lowrank_of(np.random.default_rng(2).standard_normal((16, 32)), r=1)
     cg = compress.select(d, compress.SelectionProbabilities(np.ones(1)), np.ones(1, dtype=bool))
     assert compress.payload_bits(cg).tolist() == [3232]
     empty = compress.sample(compress.decompose_elementwise(np.zeros(5)),

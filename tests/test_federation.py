@@ -806,15 +806,17 @@ OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarni
     pytest.param(name, marks=OVERFLOWS if name.endswith("diverged") else ())
     for name in sorted(SUMMARY_SHA256)])
 def test_summary_json_golden_sha256(name, tmp_path):
-    # the directory is an argument, so the config echo carries no tmp path
-    federation.run_experiment(summary_golden_cfg(name), output_dir=str(tmp_path))
+    # written here, not by run_experiment, so the config echo carries no tmp path
+    _, summary = Experiment(summary_golden_cfg(name)).run()
+    federation.write_summary_json(summary, str(tmp_path / "summary.json"))
     digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
     assert digest == SUMMARY_SHA256[name]
 
 
 @OVERFLOWS
 def test_a_diverged_runs_metrics_csv_golden_sha256(tmp_path):
-    federation.run_experiment(summary_golden_cfg("vanilla-diverged"), output_dir=str(tmp_path))
+    records, _ = Experiment(summary_golden_cfg("vanilla-diverged")).run()
+    federation.write_metrics_csv(records, str(tmp_path / "metrics.csv"))
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == DIVERGED_METRICS_SHA256
 
