@@ -342,9 +342,9 @@ class Experiment:
             "time_to_target_s": time_to_target,
             "total_sim_time_s": 0.0 if last is None else last.sim_time_s,
             # per-round metrics.csv columns summed over rounds
-            "total_compute_s": sum(r.compute_max_s for r in records),
-            "total_uplink_s": sum(r.uplink_max_s for r in records),
-            "total_downlink_s": sum(r.downlink_s for r in records),
+            "total_compute_s": sum((r.compute_max_s for r in records), 0.0),
+            "total_uplink_s": sum((r.uplink_max_s for r in records), 0.0),
+            "total_downlink_s": sum((r.downlink_s for r in records), 0.0),
             "total_atoms_sent": sum(r.atoms_sent_total for r in records),
             "skipped_rounds": skipped,
             "empty_payloads": sum(r.empty_payloads for r in records),
