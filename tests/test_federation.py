@@ -802,15 +802,39 @@ def summary_golden_cfg(name):
 OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=OVERFLOWS if name.endswith("diverged") else ())
-    for name in sorted(SUMMARY_SHA256)])
+SUMMARY_GOLDENS = [pytest.param(name, marks=OVERFLOWS if name.endswith("diverged") else ())
+                   for name in sorted(SUMMARY_SHA256)]
+
+
+@pytest.mark.parametrize("name", SUMMARY_GOLDENS)
 def test_summary_json_golden_sha256(name, tmp_path):
     # written here, not by run_experiment, so the config echo carries no tmp path
     _, summary = Experiment(summary_golden_cfg(name)).run()
     federation.write_summary_json(summary, str(tmp_path / "summary.json"))
     digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
     assert digest == SUMMARY_SHA256[name]
+
+
+@pytest.mark.parametrize("name", SUMMARY_GOLDENS)
+def test_every_summary_key_keeps_one_json_type_across_statuses(name, tmp_path):
+    # a run with no completed round once wrote the three sums as the integer 0
+    _, summary = Experiment(summary_golden_cfg(name)).run()
+    federation.write_summary_json(summary, str(tmp_path / "summary.json"))
+    written = json.loads((tmp_path / "summary.json").read_text())
+    floats = ("total_sim_time_s", "total_compute_s", "total_uplink_s", "total_downlink_s")
+    ints = ("rounds", "skipped_rounds", "empty_payloads", "dropped_samples", "total_atoms_sent")
+    assert {key: type(written[key]) for key in floats + ints} == {
+        **dict.fromkeys(floats, float), **dict.fromkeys(ints, int)}
+
+
+def test_summary_json_writes_a_top_level_nan_as_null_and_refuses_a_nested_one(tmp_path):
+    # only the top level is mapped to null; the config echo is finite by
+    # validation, and a non-finite value below it fails the write
+    path = tmp_path / "summary.json"
+    federation.write_summary_json({"final_train_loss": math.nan, "rounds": 0}, str(path))
+    assert json.loads(path.read_text()) == {"final_train_loss": None, "rounds": 0}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        federation.write_summary_json({"config": {"eta": math.nan}}, str(path))
 
 
 @OVERFLOWS
