@@ -742,6 +742,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 @pytest.mark.parametrize("name, changes", [
     ("desk", {}),
     ("uplink_bound", {"downlink_rate_bps": 1e7, "uplink_rate_bps": 1e4}),
+    ("noniid", {"partition_mode": "by_class", "classes_per_worker": 2}),
 ])
 def test_a_scenario_file_is_the_acceptance_desk_config(name, changes):
     """Field by field, output_dir included: the acceptance tests' desk

@@ -763,9 +763,9 @@ def test_a_run_that_loses_every_packet_ends_with_its_own_status(tmp_path, p_fail
 
 # SHA-256 of summary.json, pinned beside the metrics.csv goldens of
 # test_acceptance.py so that every summary entry, the status and the clock
-# included, is held to the bytes too.  The nine desk golden variants run for
-# 15 simulated seconds; four more runs end with each other status or
-# evaluate only every third round.
+# included, is held to the bytes too.  The nine desk golden variants and the
+# noniid scenario's deal run for 15 simulated seconds; four more runs end
+# with each other status or evaluate only every third round.
 SUMMARY_SHA256 = {
     "adacomm_like": "76784268a2bfeb9119f86b2b0a8c36db22ac3c8d6f3d6184d34d284ec3fbf025",
     "atomo_like": "920307209e0e5b85320da7b4fc68614fbebf20812503b89b58c857630cc8e8e3",
@@ -773,6 +773,7 @@ SUMMARY_SHA256 = {
     "ffl": "041299cd831a1bc73f11bda0918f20f271ff829d9226c804c10cb5132f677fed",
     "ffl-classes10": "a74a587b52755c2f836fe088543326375b4ece5fe72a28f2e38f1cf8b3a64aaf",
     "ffl-lowrank": "3ab7d8a2eccbb6958e0d210e6488755ae66bc78d7788f5c96826fe89734d075a",
+    "ffl-noniid": "04a424a9af6708d22a11266af1475481152cdc3838348387b77e44adfddda346",
     "ffl-p_fail_0.1": "e181d8c622f953d0af4a854e9a0603b1f24cf6bf3db9ed0322492426982f3700",
     "ffl-tanh": "c52deeb7907b8f38a7441227c850a5dd63e50b0282da53da9585f8966c9b7f6f",
     "ffl-two_hidden": "0db2c656b0740a7ac8402047fa58fc071853ab88a54952ff16fa682f646da752",
@@ -792,6 +793,9 @@ def summary_golden_cfg(name):
         return zero_loss_cfg("ffl", "")
     if name == "ffl-eval_stride_3":
         return dataclasses.replace(_desk_cfg("ffl", 0, budget=15.0), eval_stride=3)
+    if name == "ffl-noniid":  # scenarios/noniid.json's deal
+        return dataclasses.replace(_desk_cfg("ffl", 0, budget=15.0), partition_mode="by_class",
+                                   classes_per_worker=2)
     if name == "vanilla-diverged":
         return base_cfg(eta=1e155)  # the test loss overflows in round 0
     scheme, _, variant = name.partition("-")
