@@ -127,10 +127,9 @@ def hessian_check(tau: float, s: float, p: BoundParams, F_k: float) -> tuple[boo
     h_tt = 2.0 * a * p.alpha * s / tau**3
     h_ts = -a * p.alpha / tau**2 - c * p.sigma1 / s**2
     h_ss = 2.0 * b * p.sigma1 / s**3 + 2.0 * c * (tau - 1.0) * p.sigma1 / s**3
-    h = np.array([[h_tt, h_ts], [h_ts, h_ss]])
-    det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-    psd = h[0, 0] >= 0.0 and h[1, 1] >= 0.0 and det >= -1e-12
-    return psd, h
+    det = h_tt * h_ss - h_ts * h_ts
+    psd = h_tt >= 0.0 and h_ss >= 0.0 and det >= -1e-12
+    return psd, np.array([[h_tt, h_ts], [h_ts, h_ss]])
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:
