@@ -49,6 +49,17 @@ def run_main(argv, capsys):
     return code, captured.out, captured.err
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted(path.stem for path in (SRC / "fflsim").glob("*.py") if path.stem != "__init__")
+
+
+def fresh_python(*args):
+    """Run `python *args` in a fresh interpreter that imports fflsim from SRC."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=False)
+
+
 def forbid_rounds(monkeypatch):
     def run_round(self):
         raise AssertionError("a round ran before the output directory was made")
@@ -101,14 +112,8 @@ def test_a_diverging_run_prints_one_error_line_from_a_shell(tmp_path):
     # in a process of its own, so that no pytest warning filter hides what
     # numpy prints: stderr holds the error line alone
     cfg_path = write_config(tmp_path, {**MINIMAL, "eta": 1e300})
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", "fflsim.cli", "run", "--config", cfg_path,
-         "--out", str(tmp_path / "results")],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
-    )
+    done = fresh_python("-m", "fflsim.cli", "run", "--config", cfg_path,
+                        "--out", str(tmp_path / "results"))
     assert done.returncode == 1
     assert done.stderr.splitlines() == ["error: non-finite values in logits"]
     assert "status=diverged" in done.stdout
@@ -473,24 +478,72 @@ def test_only_the_cli_names_np_errstate():
     # main alone silences numpy's float warnings, for a run's one error line;
     # library code that did so would hide a numeric fault from the tests'
     # error::RuntimeWarning filter
-    src = Path(__file__).resolve().parents[1] / "src" / "fflsim"
-    naming = {path.name for path in src.glob("*.py") if "errstate" in path.read_text("utf-8")}
+    naming = {path.name for path in (SRC / "fflsim").glob("*.py")
+              if "errstate" in path.read_text("utf-8")}
     assert naming == {"cli.py"}
 
 
 def test_no_module_logs():
     # a run is explained by its artifacts alone: a second channel, silent
     # at its default level, would hide what summary.json must show
-    src = Path(__file__).resolve().parents[1] / "src" / "fflsim"
     logs = re.compile(r"^\s*(?:import|from)\s+logging\b|getLogger|FFL_LOG", re.MULTILINE)
-    naming = {path.name for path in src.glob("*.py") if logs.search(path.read_text("utf-8"))}
+    naming = {path.name for path in (SRC / "fflsim").glob("*.py")
+              if logs.search(path.read_text("utf-8"))}
     assert naming == set()
-    path = os.pathsep.join(filter(None, [str(src.parent), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import fflsim, sys; assert 'logging' not in sys.modules"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
-        check=False,
-    )
+    # every module, since import fflsim alone loads none of them
+    imports = "; ".join(f"import fflsim.{name}" for name in MODULES)
+    done = fresh_python("-c", f"{imports}; import sys; assert 'logging' not in sys.modules")
+    assert done.returncode == 0, done.stderr
+
+
+IMPORT_GRAPH = """
+import sys
+import fflsim
+
+
+def loaded():
+    return {name for name in sys.modules if name.startswith("fflsim.")}
+
+
+assert loaded() == set(), loaded()
+exported = {"ExperimentConfig", "load_config", "Experiment", "run_experiment"}
+assert exported <= set(dir(fflsim)), dir(fflsim)
+try:
+    fflsim.nope
+except AttributeError:
+    pass
+else:
+    raise AssertionError("fflsim.nope did not raise AttributeError")
+assert loaded() == set(), loaded()
+
+import fflsim.selftest
+assert not loaded() & {"fflsim.config", "fflsim.federation", "fflsim.netsim", "fflsim.rng"}, \
+    loaded()
+
+from fflsim import Experiment, ExperimentConfig, load_config, run_experiment
+from fflsim import config, federation
+assert Experiment is fflsim.Experiment is federation.Experiment
+assert run_experiment is fflsim.run_experiment is federation.run_experiment
+assert ExperimentConfig is fflsim.ExperimentConfig is config.ExperimentConfig
+assert load_config is fflsim.load_config is config.load_config
+
+star = {}
+exec("from fflsim import *", star)
+assert set(star) - {"__builtins__"} == set(fflsim.__all__), sorted(star)
+"""
+
+
+def test_import_fflsim_loads_each_module_on_first_use():
+    # a set-up that needs only selftest compiles none of the Experiment stack
+    done = fresh_python("-c", IMPORT_GRAPH)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_each_module_imports_first_in_a_fresh_interpreter(name):
+    # with no eager package imports, any module can be a program's first
+    # import; an import cycle that shows only from one entry fails here
+    done = fresh_python("-c", f"import fflsim.{name}")
     assert done.returncode == 0, done.stderr
 
 
@@ -743,6 +796,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
     ("desk", {}),
     ("uplink_bound", {"downlink_rate_bps": 1e7, "uplink_rate_bps": 1e4}),
     ("noniid", {"partition_mode": "by_class", "classes_per_worker": 2}),
+    ("compute_bound", {"sec_per_local_step": 0.05}),
 ])
 def test_a_scenario_file_is_the_acceptance_desk_config(name, changes):
     """Field by field, output_dir included: the acceptance tests' desk
