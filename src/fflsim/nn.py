@@ -44,11 +44,13 @@ the step arguments are checked once, and each step gathers only its own
 round, as one _Buffers set, and each step writes into it: the hidden
 activations, whose ones column is set there, the logits, their class-major
 log-probabilities and exp, dlogits, each hidden gradient and activation
-mask, the transposed copy of each [W; b] after the first, eta * grad and
-both finiteness masks.  Each step also writes its
-picked log-probabilities into an (M, tau, batch) buffer, so the (M, tau)
-losses are one reduce after the last step, adding each batch as the step's
-own reduce would.  The forward and backward pass is written once, over
+mask, the transposed copy of each [W; b] after the first and both
+finiteness masks.  The previous step's update, eta * grad, is scaled in
+place in the gradient buffer, which the sums already hold and the coming
+backward pass overwrites.  Each step also writes its picked
+log-probabilities into an (M, tau, batch) buffer, so the (M, tau) losses
+are one reduce after the last step, adding each batch as the step's own
+reduce would.  The forward and backward pass is written once, over
 arrays with an optional leading worker axis, so a single 2-D batch is simply
 the unstacked case of the same code, run in a one-step set of buffers, and
 each worker's rows get the bits of that worker's own 2-D calls.  No
@@ -448,15 +450,15 @@ def local_update_run(
     current[...] = params.flat
     g_sum = np.zeros_like(current)
     grad = np.empty_like(current)
-    update = np.empty_like(current)
     finite = np.empty(current.shape, dtype=bool)
     layers = _layer_views(current, params.shapes)
     grad_layers = _layer_views(grad, params.shapes)
     bufs = _Buffers(picks.shape[1:], [layer.shape[-1] for layer in layers], params.activation,
                     tau)
     for step in range(tau):
-        if step:  # the previous step's update; the last step's feeds nothing
-            current -= np.multiply(eta, grad, out=update)
+        if step:  # the previous step's update, in place: g_sum holds grad and
+            # _backprop overwrites it; the last step's update feeds nothing
+            current -= np.multiply(eta, grad, out=grad)
         x = ds.rows.take(picks[step], axis=0)
         _backprop(layers, params.activation, x, label_index[step], grad_layers, bufs, step)
         _require_finite(grad, "gradient", finite)
