@@ -763,14 +763,16 @@ def test_a_run_that_loses_every_packet_ends_with_its_own_status(tmp_path, p_fail
 
 # SHA-256 of summary.json, pinned beside the metrics.csv goldens of
 # test_acceptance.py so that every summary entry, the status and the clock
-# included, is held to the bytes too.  The nine desk golden variants and the
-# noniid scenario's deal run for 15 simulated seconds; four more runs end
-# with each other status or evaluate only every third round.
+# included, is held to the bytes too.  The nine desk golden variants, the
+# noniid scenario's deal and the compute_bound scenario's cost per step run
+# for 15 simulated seconds; four more runs end with each other status or
+# evaluate only every third round.
 SUMMARY_SHA256 = {
     "adacomm_like": "76784268a2bfeb9119f86b2b0a8c36db22ac3c8d6f3d6184d34d284ec3fbf025",
     "atomo_like": "920307209e0e5b85320da7b4fc68614fbebf20812503b89b58c857630cc8e8e3",
     "atomo_like-lowrank": "f2d1a1709da0eef07c43e51f79d776046817379e5613dd0e87e4cdd820f79a1f",
     "ffl": "041299cd831a1bc73f11bda0918f20f271ff829d9226c804c10cb5132f677fed",
+    "ffl-compute_bound": "42d7ceac95961ab20f839323ebefe20af6f946b406fe47814b23436dcdd6a62a",
     "ffl-classes10": "a74a587b52755c2f836fe088543326375b4ece5fe72a28f2e38f1cf8b3a64aaf",
     "ffl-lowrank": "3ab7d8a2eccbb6958e0d210e6488755ae66bc78d7788f5c96826fe89734d075a",
     "ffl-noniid": "04a424a9af6708d22a11266af1475481152cdc3838348387b77e44adfddda346",
@@ -793,6 +795,8 @@ def summary_golden_cfg(name):
         return zero_loss_cfg("ffl", "")
     if name == "ffl-eval_stride_3":
         return dataclasses.replace(_desk_cfg("ffl", 0, budget=15.0), eval_stride=3)
+    if name == "ffl-compute_bound":  # scenarios/compute_bound.json's cost per step
+        return dataclasses.replace(_desk_cfg("ffl", 0, budget=15.0), sec_per_local_step=0.05)
     if name == "ffl-noniid":  # scenarios/noniid.json's deal
         return dataclasses.replace(_desk_cfg("ffl", 0, budget=15.0), partition_mode="by_class",
                                    classes_per_worker=2)
