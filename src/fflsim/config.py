@@ -1,19 +1,20 @@
 """Experiment configuration: one flat JSON object, fully validated.
 
 ExperimentConfig is the one place a setting is declared, defaulted and
-validated; netsim and data read their settings from it.  Each field's
-annotation declares its type and, where it has one, the rule for its accepted
-values, e.g. `eta: Annotated[float, _above(0)]`; a list setting's rule holds
-for each item, and None is exempt.  Every rule is written so that NaN fails
-it, and a float setting's rule also fails +-inf (stop="rounds" is the way to
-run without a time budget).  Unknown keys and keys given twice in the file
-are rejected, every value is checked against its type and then its rule,
-then the few rules that tie two settings together are checked, and every
+validated; federation and netsim read their settings from it, and data takes
+plain values (gen_synthetic, partition) that federation passes on.  Each
+field's annotation declares its type and, where it has one, the rule for its
+accepted values, e.g. `eta: Annotated[float, _above(0)]`; a list setting's
+rule holds for each item, and None is exempt.  Every rule is written so that
+NaN fails it, and a float setting's rule also fails +-inf (stop="rounds" is
+the way to run without a time budget).  Unknown keys and keys given twice in
+the file are rejected, every value is checked against its type and then its
+rule, then the few rules that tie two settings together are checked, and every
 validation error names the offending key, so a bad config fails fast with an
 actionable message.  The effective config (defaults filled in) is echoed into
-summary.json; loading that echo reproduces the run exactly.  A link's rate
-has one form, uplink_rate_bps in bits per second (one value, or one per
-worker, never null), and no other setting derives it.
+summary.json; loading that echo reproduces the run exactly.  A link's rate has
+one form, uplink_rate_bps in bits per second (one value, or one per worker,
+never null), and no other setting derives it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import ConfigError
 from .nn import ACTIVATIONS
 
 SCHEMES = ("ffl", "adacomm_like", "atomo_like", "fixed", "vanilla")
-DATASETS = ("synthetic", "mnist")
+DATASETS = ("synthetic",)
 STOPS = ("time", "rounds")
 
 
@@ -89,16 +90,13 @@ class ExperimentConfig:
     target_accuracy: Annotated[float, _Rule("in (0, 1]", lambda v: 0 < v <= 1)] = 0.9
     eval_stride: Annotated[int, _at_least(1)] = 1
 
-    # dataset
+    # dataset; "synthetic" is its one value, kept since config files name it
     dataset: Annotated[str, _one_of(DATASETS)] = "synthetic"
     synthetic_classes: Annotated[int, _at_least(2)] = 4
     synthetic_per_class: Annotated[int, _at_least(1)] = 1000
     synthetic_test_per_class: Annotated[int, _at_least(1)] = 250
     synthetic_dim: Annotated[int, _at_least(1)] = 16
     synthetic_spread: Annotated[float, _at_least(0)] = 0.35
-    mnist_dir: str | None = None
-    subset_n: Annotated[int, _at_least(1)] = 2000
-    test_subset_n: Annotated[int, _at_least(1)] = 1000
     partition_mode: Annotated[str, _one_of(PARTITION_MODES)] = "iid"
     classes_per_worker: Annotated[int | None, _at_least(1)] = None
 
@@ -134,8 +132,6 @@ class ExperimentConfig:
             raise ConfigError(f"tau0 must be <= tau_ub, got tau0={self.tau0}, tau_ub={self.tau_ub}")
         if self.s0 > self.s_ub:
             raise ConfigError(f"s0 must be <= s_ub, got s0={self.s0}, s_ub={self.s_ub}")
-        if self.dataset == "mnist" and not self.mnist_dir:
-            raise ConfigError("mnist_dir must point at the IDX files when dataset='mnist'")
         if self.partition_mode == "by_class" and self.classes_per_worker is None:
             raise ConfigError("classes_per_worker must be >= 1 when partition_mode='by_class'")
         rates = self.uplink_rate_bps

@@ -10,16 +10,11 @@ index array into a Dataset, so partitions never copy feature rows.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, IdxFormatError
-
-IMAGE_MAGIC = 2051
-LABEL_MAGIC = 2049
+from .errors import ConfigError
 
 # A shard is an index array into a Dataset.
 Shard = np.ndarray
@@ -124,50 +119,6 @@ def split_per_class(ds: Dataset, train_per_class: int) -> tuple[Dataset, Dataset
         train_idx.append(rows[:train_per_class])
         test_idx.append(rows[train_per_class:])
     return take(ds, np.concatenate(train_idx)), take(ds, np.concatenate(test_idx))
-
-
-def _read_be_i32(f, path: str, offset: int) -> int:
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise IdxFormatError(
-            f"{path}: truncated at byte offset {offset}: expected 4 bytes, got {len(raw)}"
-        )
-    return struct.unpack(">i", raw)[0]
-
-
-def _read_idx(path: str, magic: int, ndim: int) -> tuple[tuple[int, ...], bytes]:
-    """The `ndim` dimensions and the data bytes of one big-endian IDX file of
-    unsigned bytes, refused unless its magic number is `magic`, every
-    dimension is positive and the data bytes number their product."""
-    with open(path, "rb") as f:
-        found = _read_be_i32(f, path, 0)
-        if found != magic:
-            raise IdxFormatError(f"{path}: bad magic {found} at byte offset 0 (expected {magic})")
-        dims = tuple(_read_be_i32(f, path, 4 * axis) for axis in range(1, ndim + 1))
-        if min(dims) < 1:
-            raise IdxFormatError(f"{path}: non-positive dimensions {dims}")
-        payload = f.read()
-    expected = math.prod(dims)
-    if len(payload) != expected:
-        raise IdxFormatError(
-            f"{path}: expected {expected} data bytes after byte offset {4 * (ndim + 1)},"
-            f" got {len(payload)}"
-        )
-    return dims, payload
-
-
-def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Load an IDX image/label pair (the classic big-endian MNIST format)."""
-    (count, rows, cols), payload = _read_idx(images_path, IMAGE_MAGIC, 3)
-    (n_labels,), label_bytes = _read_idx(labels_path, LABEL_MAGIC, 1)
-    if n_labels != count:
-        raise IdxFormatError(
-            f"label count {n_labels} in {labels_path} does not match image count {count}"
-        )
-    features = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    features = features.reshape(count, rows * cols)
-    labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
-    return Dataset(features, labels, n_classes=int(labels.max()) + 1)
 
 
 def partition(ds: Dataset, mode: str, workers: int, rng: np.random.Generator,

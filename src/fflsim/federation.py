@@ -56,7 +56,7 @@ import numpy as np
 
 from . import compress, netsim, nn, schedule
 from .config import ExperimentConfig
-from .data import Dataset, Shard, gen_synthetic, load_idx, partition, split_per_class, take
+from .data import Dataset, Shard, gen_synthetic, partition, split_per_class
 from .errors import ConfigError
 from .rng import substream
 
@@ -136,41 +136,14 @@ def evaluate(params: nn.ParameterSet, test_set: Dataset) -> tuple[float, float]:
 
 
 def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    data_rng = substream(cfg.seed, "data")
-    if cfg.dataset == "synthetic":
-        full = gen_synthetic(
-            cfg.synthetic_classes,
-            cfg.synthetic_per_class + cfg.synthetic_test_per_class,
-            cfg.synthetic_dim,
-            cfg.synthetic_spread,
-            data_rng,
-        )
-        return split_per_class(full, cfg.synthetic_per_class)
-    try:
-        train = load_idx(
-            os.path.join(cfg.mnist_dir, "train-images-idx3-ubyte"),
-            os.path.join(cfg.mnist_dir, "train-labels-idx1-ubyte"),
-        )
-        test = load_idx(
-            os.path.join(cfg.mnist_dir, "t10k-images-idx3-ubyte"),
-            os.path.join(cfg.mnist_dir, "t10k-labels-idx1-ubyte"),
-        )
-    except FileNotFoundError as exc:
-        raise ConfigError(
-            f"mnist_dir={cfg.mnist_dir!r} has no IDX file {os.path.basename(exc.filename)}"
-        ) from None
-    # the model is sized by the training pair, so the t10k pair must fit it
-    if test.d_in != train.d_in:
-        raise ConfigError(f"mnist_dir={cfg.mnist_dir!r}: t10k images have {test.d_in} pixels, "
-                          f"train images {train.d_in}")
-    if test.n_classes > train.n_classes:
-        raise ConfigError(f"mnist_dir={cfg.mnist_dir!r}: t10k labels reach {test.n_classes - 1}, "
-                          f"train labels only {train.n_classes - 1}")
-    if cfg.subset_n < train.n:
-        train = take(train, data_rng.choice(train.n, size=cfg.subset_n, replace=False))
-    if cfg.test_subset_n < test.n:
-        test = take(test, data_rng.choice(test.n, size=cfg.test_subset_n, replace=False))
-    return train, test
+    full = gen_synthetic(
+        cfg.synthetic_classes,
+        cfg.synthetic_per_class + cfg.synthetic_test_per_class,
+        cfg.synthetic_dim,
+        cfg.synthetic_spread,
+        substream(cfg.seed, "data"),
+    )
+    return split_per_class(full, cfg.synthetic_per_class)
 
 
 class Experiment:

@@ -19,7 +19,6 @@ from fflsim.nn import ACTIVATIONS
 from fflsim.errors import ConfigError
 
 from test_acceptance import _desk_cfg
-from test_data import write_idx_pair
 
 MINIMAL = {
     "scheme": "vanilla",
@@ -181,12 +180,14 @@ def test_run_rejects_negative_eta_with_key_in_message(tmp_path, capsys):
 # belonged to the deleted `full` schedule; bits_per_atom to sec_per_atom_compress
 # were channel keys that disagreed with the wire format or that nothing read;
 # worker_momentum was a local-SGD knob that no run set; snr and bandwidth_hz
-# were a second form of the uplink rate that no run used, so a summary echo
-# that names them no longer loads
+# were a second form of the uplink rate that no run used, and mnist_dir, subset_n
+# and test_subset_n belonged to the deleted IDX reader, so a summary echo that
+# names any of them no longer loads
 UNKNOWN_KEYS = {"learning_rate": 0.1, "schedule": "conclusive", "L": 0.5, "sigma1": 1.0,
                 "sigma2": 1.0, "F_inf": 0.0, "probe_rounds": 2, "bits_per_atom": 96,
                 "bits_per_weight": 64, "noise_watts": 1e-3, "sec_per_atom_compress": 0.0,
-                "worker_momentum": 0.5, "snr": 1.0, "bandwidth_hz": 1e6}
+                "worker_momentum": 0.5, "snr": 1.0, "bandwidth_hz": 1e6,
+                "mnist_dir": "idx", "subset_n": 2000, "test_subset_n": 1000}
 
 
 @pytest.mark.parametrize("key", UNKNOWN_KEYS)
@@ -195,6 +196,14 @@ def test_run_rejects_unknown_key(tmp_path, capsys, key):
     code, _, err = run_main(["run", "--config", cfg_path], capsys)
     assert code == 2
     assert repr(key) in err
+
+
+def test_run_rejects_the_mnist_dataset(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {**MINIMAL, "dataset": "mnist"})
+    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "config error: dataset must be one of ('synthetic',), got 'mnist'" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_missing_config_file(tmp_path, capsys):
@@ -496,6 +505,17 @@ def test_no_module_logs():
     assert done.returncode == 0, done.stderr
 
 
+def test_every_config_key_is_read_outside_config():
+    # a key that no module reads is a setting that changes no run; dataset is
+    # the one exception: "synthetic" is its only value, kept because the
+    # scenario files, the acceptance desk config and perfbench name it
+    texts = [path.read_text("utf-8") for path in (SRC / "fflsim").glob("*.py")
+             if path.name != "config.py"]
+    unread = {f.name for f in dataclasses.fields(ExperimentConfig)
+              if not any(re.search(rf"\.{f.name}\b", text) for text in texts)}
+    assert unread == {"dataset"}
+
+
 IMPORT_GRAPH = """
 import sys
 import fflsim
@@ -583,9 +603,8 @@ WRONG_TYPES = {
     "stop": False, "T_budget_s": "600", "round_cap": 2e4, "target_accuracy": None,
     "eval_stride": 1.0, "dataset": ["synthetic"], "synthetic_classes": 4.0,
     "synthetic_per_class": "1000", "synthetic_test_per_class": True, "synthetic_dim": 16.5,
-    "synthetic_spread": "0.35", "mnist_dir": 1, "subset_n": 2000.0, "test_subset_n": None,
-    "partition_mode": None, "classes_per_worker": 1.5, "uplink_rate_bps": [1e5, "2e5"],
-    "downlink_rate_bps": True,
+    "synthetic_spread": "0.35", "partition_mode": None, "classes_per_worker": 1.5,
+    "uplink_rate_bps": [1e5, "2e5"], "downlink_rate_bps": True,
     "packet_failure_prob": None, "sec_per_local_step": "5e-3",
 }
 
@@ -612,7 +631,7 @@ def test_bools_and_list_items_are_type_checked(key, value):
 
 def test_an_int_is_accepted_where_a_float_is_expected():
     ExperimentConfig(workers=2, eta=1, s0=5, s_ub=9, T_budget_s=60, uplink_rate_bps=[1, 3.0],
-                     mnist_dir=None, classes_per_worker=None).validate()
+                     classes_per_worker=None).validate()
 
 
 @pytest.mark.parametrize("key, value", [("workers", 2.5), ("batch_size", 8.5),
@@ -640,7 +659,7 @@ OUT_OF_RANGE = {
     "stop": "never", "T_budget_s": -1.0, "round_cap": 0, "target_accuracy": 0.0,
     "eval_stride": 0, "dataset": "cifar", "synthetic_classes": 1, "synthetic_per_class": 0,
     "synthetic_test_per_class": 0, "synthetic_dim": 0, "synthetic_spread": -0.1,
-    "subset_n": 0, "test_subset_n": 0, "partition_mode": "striped", "classes_per_worker": 0,
+    "partition_mode": "striped", "classes_per_worker": 0,
     "uplink_rate_bps": 0.0, "downlink_rate_bps": -1e5, "packet_failure_prob": 1.5,
     "sec_per_local_step": 0.0,
 }
@@ -649,7 +668,7 @@ OUT_OF_RANGE = {
 def test_every_field_with_a_rule_has_an_out_of_range_case():
     assert set(OUT_OF_RANGE) == set(RULES)
     assert set(RULES) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {
-        "output_dir", "mnist_dir"}
+        "output_dir"}
     assert len(FLOAT_FIELDS) == 12 and set(FLOAT_FIELDS) <= set(RULES)
 
 
@@ -677,9 +696,7 @@ def test_nan_fails_every_float_rule(key, value):
 
 
 def test_every_default_satisfies_its_rule():
-    # validate checks every field's rule, the synthetic_* ones whatever the dataset
     ExperimentConfig().validate()
-    ExperimentConfig(dataset="mnist", mnist_dir="idx").validate()
 
 
 @pytest.mark.parametrize("key", ["eta", "T_budget_s"])
@@ -704,16 +721,6 @@ def test_run_exits_2_when_iid_workers_outnumber_training_rows(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_run_exits_2_when_mnist_dir_has_no_idx_files(tmp_path, capsys):
-    idx_dir = tmp_path / "idx"
-    idx_dir.mkdir()
-    cfg_path = write_config(tmp_path, {**MINIMAL, "dataset": "mnist", "mnist_dir": str(idx_dir)})
-    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
-    assert code == 2
-    assert f"config error: mnist_dir={str(idx_dir)!r} has no IDX file train-images-idx3-ubyte" in err
-    assert not (tmp_path / "o").exists()
-
-
 def test_run_exits_2_before_round_0_when_the_output_path_is_a_file(tmp_path, monkeypatch,
                                                                    capsys):
     forbid_rounds(monkeypatch)
@@ -724,58 +731,6 @@ def test_run_exits_2_before_round_0_when_the_output_path_is_a_file(tmp_path, mon
     assert code == 2
     assert err == f"config error: output_dir={str(out)!r} cannot be made a directory: File exists\n"
     assert out.read_text() == "a file"
-
-
-def test_run_exits_1_on_a_malformed_idx_file(tmp_path, capsys):
-    idx_dir = tmp_path / "idx"
-    idx_dir.mkdir()
-    (idx_dir / "train-images-idx3-ubyte").write_bytes(b"\x00\x00\x08\x01")  # a labels magic
-    cfg_path = write_config(tmp_path, {**MINIMAL, "dataset": "mnist", "mnist_dir": str(idx_dir)})
-    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
-    assert code == 1
-    assert "bad magic 2049" in err
-
-
-def write_mnist_dir(tmp_path, train, test):
-    """An mnist_dir with the train and t10k IDX pairs of two (images, labels)."""
-    idx_dir = tmp_path / "idx"
-    idx_dir.mkdir()
-    for prefix, (images, labels) in (("train", train), ("t10k", test)):
-        pair_dir = tmp_path / prefix
-        pair_dir.mkdir()
-        img_path, lab_path = write_idx_pair(pair_dir, images, labels)
-        img_path.rename(idx_dir / f"{prefix}-images-idx3-ubyte")
-        lab_path.rename(idx_dir / f"{prefix}-labels-idx1-ubyte")
-    return idx_dir
-
-
-def idx_images(n, side, labels):
-    rng = np.random.default_rng(n + side)
-    images = rng.integers(0, 256, size=(n, side, side), dtype=np.uint8)
-    return images, np.array([labels[i % len(labels)] for i in range(n)], dtype=np.uint8)
-
-
-@pytest.mark.parametrize("test_pair,message", [
-    # a t10k label the model, sized by the train labels 0-2, has no logit for
-    (idx_images(10, 2, [0, 1, 2, 3]), "t10k labels reach 3, train labels only 2"),
-    # t10k images of another size than the model's input
-    (idx_images(10, 3, [0, 1, 2]), "t10k images have 9 pixels, train images 4"),
-], ids=["label", "size"])
-def test_run_exits_2_before_round_0_on_a_mismatched_mnist_pair(tmp_path, capsys, test_pair,
-                                                                message):
-    idx_dir = write_mnist_dir(tmp_path, idx_images(20, 2, [0, 1, 2]), test_pair)
-    cfg_path = write_config(tmp_path, {**MINIMAL, "dataset": "mnist", "mnist_dir": str(idx_dir)})
-    code, _, err = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
-    assert code == 2
-    assert f"config error: mnist_dir={str(idx_dir)!r}: {message}" in err
-    assert not (tmp_path / "o").exists()
-
-
-def test_run_accepts_a_t10k_set_with_fewer_classes(tmp_path, capsys):
-    idx_dir = write_mnist_dir(tmp_path, idx_images(20, 2, [0, 1, 2]), idx_images(10, 2, [0, 1]))
-    cfg_path = write_config(tmp_path, {**MINIMAL, "dataset": "mnist", "mnist_dir": str(idx_dir)})
-    code, out, _ = run_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")], capsys)
-    assert code == 0 and "status=ok rounds=4" in out
 
 
 def test_readme_lists_only_config_keys():

@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from fflsim import data, nn
 from fflsim.config import ExperimentConfig
-from fflsim.errors import ConfigError, IdxFormatError
+from fflsim.errors import ConfigError
 from fflsim.rng import substream
 from oracles import partition_by_class_greedy
 
@@ -113,101 +112,6 @@ def test_split_per_class_rejects_oversized_train():
     ds = data.gen_synthetic(2, 5, 3, 0.1, substream(6, "data"))
     with pytest.raises(ValueError):
         data.split_per_class(ds, train_per_class=5)
-
-
-# ---- IDX loading ---- #
-
-def write_idx_pair(tmp_path, images, labels):
-    n, rows, cols = images.shape
-    img_path = tmp_path / "images-idx3-ubyte"
-    lab_path = tmp_path / "labels-idx1-ubyte"
-    img_path.write_bytes(struct.pack(">IIII", 2051, n, rows, cols) + images.tobytes())
-    lab_path.write_bytes(struct.pack(">II", 2049, len(labels)) + labels.tobytes())
-    return img_path, lab_path
-
-
-def test_load_idx_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    images = rng.integers(0, 256, size=(7, 4, 3), dtype=np.uint8)
-    labels = np.array([0, 9, 3, 1, 4, 1, 5], dtype=np.uint8)
-    img_path, lab_path = write_idx_pair(tmp_path, images, labels)
-    ds = data.load_idx(img_path, lab_path)
-    assert ds.features.shape == (7, 12)
-    assert ds.features.dtype == np.float64
-    assert np.allclose(ds.features, images.reshape(7, 12) / 255.0)
-    assert np.array_equal(ds.labels, labels.astype(np.int64))
-    assert ds.n_classes == 10
-
-
-def test_load_idx_all_zero_image_row(tmp_path):
-    images = np.zeros((2, 3, 3), dtype=np.uint8)
-    images[1] = 200
-    img_path, lab_path = write_idx_pair(tmp_path, images, np.array([0, 1], dtype=np.uint8))
-    ds = data.load_idx(img_path, lab_path)
-    assert not ds.features[0].any()
-    assert np.allclose(ds.features[1], 200 / 255.0)
-
-
-def test_load_idx_bad_magic_reports_offset(tmp_path):
-    img_path = tmp_path / "img"
-    lab_path = tmp_path / "lab"
-    img_path.write_bytes(struct.pack(">IIII", 1234, 1, 2, 2) + b"\x00" * 4)
-    lab_path.write_bytes(struct.pack(">II", 2049, 1) + b"\x00")
-    with pytest.raises(IdxFormatError) as err:
-        data.load_idx(img_path, lab_path)
-    msg = str(err.value)
-    assert "magic" in msg and "offset 0" in msg and "2051" in msg
-
-
-def test_load_idx_truncated_reports_lengths(tmp_path):
-    img_path = tmp_path / "img"
-    lab_path = tmp_path / "lab"
-    img_path.write_bytes(struct.pack(">IIII", 2051, 2, 2, 2) + b"\x00" * 5)  # needs 8
-    lab_path.write_bytes(struct.pack(">II", 2049, 2) + b"\x00\x00")
-    with pytest.raises(IdxFormatError) as err:
-        data.load_idx(img_path, lab_path)
-    msg = str(err.value)
-    assert "8" in msg and "5" in msg
-
-
-def test_load_idx_count_mismatch(tmp_path):
-    rng = np.random.default_rng(2)
-    images = rng.integers(0, 256, size=(4, 2, 2), dtype=np.uint8)
-    labels = np.array([1, 2, 3], dtype=np.uint8)
-    img_path, lab_path = write_idx_pair(tmp_path, images, labels)
-    with pytest.raises(IdxFormatError) as err:
-        data.load_idx(img_path, lab_path)
-    assert "4" in str(err.value) and "3" in str(err.value)
-
-
-def test_load_idx_header_truncated(tmp_path):
-    img_path = tmp_path / "img"
-    img_path.write_bytes(b"\x00\x00")
-    lab_path = tmp_path / "lab"
-    lab_path.write_bytes(struct.pack(">II", 2049, 0))
-    with pytest.raises(IdxFormatError):
-        data.load_idx(img_path, lab_path)
-
-
-@pytest.mark.parametrize("count", [0, -1])
-def test_load_idx_refuses_a_labels_count_that_is_not_positive(tmp_path, count):
-    # the labels header is checked as the images header is, before its data
-    # bytes are counted or matched against the image count
-    images = np.zeros((2, 2, 2), dtype=np.uint8)
-    img_path, lab_path = write_idx_pair(tmp_path, images, np.array([0, 1], dtype=np.uint8))
-    lab_path.write_bytes(struct.pack(">Ii", 2049, count) + b"\x00\x01")
-    with pytest.raises(IdxFormatError) as err:
-        data.load_idx(img_path, lab_path)
-    assert str(err.value) == f"{lab_path}: non-positive dimensions ({count},)"
-
-
-def test_load_idx_truncated_labels_name_the_header_end(tmp_path):
-    images = np.zeros((3, 2, 2), dtype=np.uint8)
-    img_path, lab_path = write_idx_pair(tmp_path, images, np.array([0, 1, 1], dtype=np.uint8))
-    lab_path.write_bytes(lab_path.read_bytes()[:-1])
-    with pytest.raises(IdxFormatError) as err:
-        data.load_idx(img_path, lab_path)
-    assert str(err.value) == f"{lab_path}: expected 3 data bytes after byte offset 8, got 2"
 
 
 # ---- partition ---- #
