@@ -768,21 +768,21 @@ def test_a_run_that_loses_every_packet_ends_with_its_own_status(tmp_path, p_fail
 # for 15 simulated seconds; four more runs end with each other status or
 # evaluate only every third round.
 SUMMARY_SHA256 = {
-    "adacomm_like": "76784268a2bfeb9119f86b2b0a8c36db22ac3c8d6f3d6184d34d284ec3fbf025",
-    "atomo_like": "920307209e0e5b85320da7b4fc68614fbebf20812503b89b58c857630cc8e8e3",
-    "atomo_like-lowrank": "f2d1a1709da0eef07c43e51f79d776046817379e5613dd0e87e4cdd820f79a1f",
-    "ffl": "041299cd831a1bc73f11bda0918f20f271ff829d9226c804c10cb5132f677fed",
-    "ffl-compute_bound": "42d7ceac95961ab20f839323ebefe20af6f946b406fe47814b23436dcdd6a62a",
-    "ffl-classes10": "a74a587b52755c2f836fe088543326375b4ece5fe72a28f2e38f1cf8b3a64aaf",
-    "ffl-lowrank": "3ab7d8a2eccbb6958e0d210e6488755ae66bc78d7788f5c96826fe89734d075a",
-    "ffl-noniid": "04a424a9af6708d22a11266af1475481152cdc3838348387b77e44adfddda346",
-    "ffl-p_fail_0.1": "e181d8c622f953d0af4a854e9a0603b1f24cf6bf3db9ed0322492426982f3700",
-    "ffl-tanh": "c52deeb7907b8f38a7441227c850a5dd63e50b0282da53da9585f8966c9b7f6f",
-    "ffl-two_hidden": "0db2c656b0740a7ac8402047fa58fc071853ab88a54952ff16fa682f646da752",
-    "ffl-p_fail_1.0": "7b503e1998387cbf4f36db751f06df81a86d883d0c1bc6bd7db85bfb2b62da2a",
-    "ffl-zero_loss": "e8218e7a829626bc2e32f72687fa958781bbb189c6eff4fe6e2ac07f1c7a12da",
-    "ffl-eval_stride_3": "588748fc42209dbdbfeaa28a8290b692d93919996b6520b8a066e2b91bafc2a7",
-    "vanilla-diverged": "5f5526c0376363892445640ab0e18d127190c2c514f98e42a63d82ce342c081b",
+    "adacomm_like": "e41598e5f770c1d9cccdae06362cb6faf55ba5d50bca74aaa6f321b194c2d426",
+    "atomo_like": "a08d66074a1d15191b9c8b0ec7df9ac6a2ab214a113bcf9373c3b86b618f300e",
+    "atomo_like-lowrank": "5b34308dd7e33f61e9cf8141e265d1a5f76dfb95172736943621a54c69100d7b",
+    "ffl": "53db471134fd92c41e393e615ee46a3fb20509569cda1b666658f146f1541afa",
+    "ffl-compute_bound": "c8d552c638be0c56712e5d2803ba2ba47528ba0595f01ec382270a28153291b2",
+    "ffl-classes10": "4d84c22fdab6bf32e442e4415bee1b60c6ac0aa87c01daae174f9636326277a4",
+    "ffl-lowrank": "f89a1156f35e97b5c12fc7f738e93093d28cb3ee0f7eb3d402ab20f4d713cafd",
+    "ffl-noniid": "59327ed80a8367005d3feb07bd55d20a11e1862fa572ba280a6d4fb468c9d3c3",
+    "ffl-p_fail_0.1": "a99bedeb358b8d6122f665445f9cbe9835dd112d9926e87961ca295e2ea1b1eb",
+    "ffl-tanh": "c654cd6ece5403f5dff68c9bf1f763b9129d0a1070ae88c452770c999b7ed7cc",
+    "ffl-two_hidden": "6016d917cd0aa1343b4dbbe341e564ce9e5be0277bb5220ef12ab360ed39c405",
+    "ffl-p_fail_1.0": "1053b2e39d45a021d557ffb511b665e40b8f3e10fbe20ae9ee59d49a808f9ed0",
+    "ffl-zero_loss": "6aba9af40d1dd72205b5e3d8f4fab89791f8c3e3b8c0ddc85b0f9e405bf146ed",
+    "ffl-eval_stride_3": "43e22e72b89408fbd852973b14d2b4fa528f7063dbd051b5a4d95db78acb0b73",
+    "vanilla-diverged": "4df784df405d123dc4b4cc65721493665e77e75d2287d5d84f60708b6cc26b40",
 }
 # the metrics.csv of the diverged run: its header alone, as round 0's test loss overflowed
 DIVERGED_METRICS_SHA256 = "24b5b192900270d0e2f468ea40c660b26929b5fde1f22012b52020c95f3ebc6a"
