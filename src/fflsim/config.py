@@ -2,19 +2,19 @@
 
 ExperimentConfig is the one place a setting is declared, defaulted and
 validated; federation and netsim read their settings from it, and data takes
-plain values (gen_synthetic, partition) that federation passes on.  Each
-field's annotation declares its type and, where it has one, the rule for its
-accepted values, e.g. `eta: Annotated[float, _above(0)]`; a list setting's
-rule holds for each item, and None is exempt.  Every rule is written so that
-NaN fails it, and a float setting's rule also fails +-inf (stop="rounds" is
-the way to run without a time budget).  Unknown keys and keys given twice in
-the file are rejected, every value is checked against its type and then its
-rule, then the few rules that tie two settings together are checked, and every
+plain values (gen_synthetic, partition) from federation.  Each field's
+annotation declares its type and, where it has one, the rule for its accepted
+values, e.g. `eta: Annotated[float, _above(0)]`; a list setting's rule holds
+for each item, and None is exempt.  Every rule is written so that NaN fails
+it, and a float setting's rule also fails +-inf (stop="rounds" is the way to
+run without a time budget).  Unknown keys and keys given twice in the file
+are rejected, every value is checked against its type and then its rule,
+then the few rules that tie two settings together are checked, and every
 validation error names the offending key, so a bad config fails fast with an
 actionable message.  The effective config (defaults filled in) is echoed into
-summary.json; loading that echo reproduces the run exactly.  A link's rate has
-one form, uplink_rate_bps in bits per second (one value, or one per worker,
-never null), and no other setting derives it.
+summary.json; loading that echo reproduces the run exactly.  A link's rate
+has one form, uplink_rate_bps in bits per second (one value, or one per
+worker, never null), and no other setting derives it.
 """
 
 from __future__ import annotations
